@@ -6,15 +6,23 @@ weight, 1-forms the metric J^{-1} J^{-T} det J, 2-form densities 1/det J.
 The saddle system couples them with the integer coboundary matrices; the
 assembled operator is symmetric, and with normal velocity prescribed on
 the whole boundary the pressure is gauged by a zero-mean multiplier row.
+
+The solve does not factor the saddle system.  Because D21 D10 = 0 in
+integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
+construction, and only the symmetric (vorticity, y) system is factored;
+pressure and multiplier are recovered afterwards from the momentum and
+pressure rows through the integer 2-cell Laplacian.  The assembled
+saddle system remains the operator whose residual gates the solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from ._quadrature import panel_rule, split_interval
 from .errors import (
@@ -279,7 +287,12 @@ class BCSpec:
 
 @dataclass
 class Solution:
-    """Solved cochains (global numbering) plus the solve residual."""
+    """Solved cochains (global numbering) plus the solve residual.
+
+    ``stats`` describes the solve: ``dofs`` (size of the mixed system),
+    ``unknowns`` (size of the factored system), ``lu_nnz`` (nonzeros of
+    its LU factors) and ``refine_steps`` (iterative-refinement steps).
+    """
 
     system: "SaddleSystem"
     omega: np.ndarray
@@ -287,6 +300,7 @@ class Solution:
     p: np.ndarray
     multiplier: float
     residual: float
+    stats: dict = field(default_factory=dict)
 
     def forms(self, patch_index: int = 0):
         """Per-patch (vorticity, velocity, pressure) discrete forms."""
@@ -534,6 +548,8 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, bc=None, forcing=None, n_qua
     for triple in space_list:
         if tuple(s.k for s in triple) != (0, 1, 2):
             raise ConstructionError("spaces must be the (0, 1, 2)-form triple")
+    if not (np.isfinite(nu) and nu > 0):
+        raise ConstructionError(f"nu must be finite and > 0, got {nu}")
     if bc is None:
         used = {(g[0], g[1]) for g in glue} | {(g[2], g[3]) for g in glue}
         all_sides = tuple(
@@ -546,43 +562,157 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, bc=None, forcing=None, n_qua
     return SaddleSystem(space_list, patches, glue, nu, bc, n_quad=n_quad, forcing=forcing)
 
 
-def solve(system: SaddleSystem) -> Solution:
-    """Direct sparse solve of the constrained system with a residual check."""
-    fixed_ids = np.array(sorted(system.fixed), dtype=int)
-    fixed_vals = np.array([system.fixed[i] for i in fixed_ids])
-    keep = np.setdiff1d(np.arange(system.size), system.n0 + fixed_ids)
-    A = system.matrix.tocsc()
-    b = system.rhs.copy()
-    if fixed_ids.size:
-        b = b - A[:, system.n0 + fixed_ids] @ fixed_vals
-    A_red = A[keep][:, keep]
-    b_red = b[keep]
+def _global_coboundaries(system: SaddleSystem):
+    """Global integer D10 (n1 x n0) and D21 (n2 x n1) through the dof maps.
+
+    A glued 1-cell is shared by two patches; its D10 row is taken from
+    the first patch that owns it, so it counts once.
+    """
+    r10, c10, v10, r21, c21, v21 = [], [], [], [], [], []
+    seen = np.zeros(system.n1, dtype=bool)
+    for p, (s0, s1, _) in enumerate(system.spaces):
+        g1 = system.map1[p]
+        d10 = s0.coboundary_matrix().tocoo()
+        first = ~seen[g1][d10.row]
+        seen[g1] = True
+        r10.append(g1[d10.row[first]])
+        c10.append(system.map0[p][d10.col[first]])
+        v10.append(d10.data[first])
+        d21 = s1.coboundary_matrix().tocoo()
+        r21.append(system.map2[p][d21.row])
+        c21.append(g1[d21.col])
+        v21.append(d21.data)
+    D10 = sp.csr_matrix(
+        (np.concatenate(v10), (np.concatenate(r10), np.concatenate(c10))),
+        shape=(system.n1, system.n0),
+    )
+    D21 = sp.csr_matrix(
+        (np.concatenate(v21), (np.concatenate(r21), np.concatenate(c21))),
+        shape=(system.n2, system.n1),
+    )
+    return D10, D21
+
+
+def _factor(matrix, what: str, permc_spec: str):
+    """Sparse LU with symmetric pivoting preferred; failures become SingularSystemError."""
     try:
-        lu = spla.splu(A_red.tocsc(), options={"SymmetricMode": True})
-        x = lu.solve(b_red)
-        x += lu.solve(b_red - A_red @ x)
+        return spla.splu(
+            matrix.tocsc(), permc_spec=permc_spec, options={"SymmetricMode": True}
+        )
     except RuntimeError as exc:
-        hint = None
-        if not system.gauge:
-            hint = "pressure constant mode (no gauge row present)"
-        raise SingularSystemError(f"factorization failed: {exc}", nullspace_hint=hint)
-    resid = np.abs(A_red @ x - b_red).max() / max(np.abs(b_red).max(), 1e-300)
+        raise SingularSystemError(
+            f"factorization of the {what} failed: {exc}",
+            nullspace_hint="system may be rank deficient",
+        ) from exc
+
+
+def solve(system: SaddleSystem) -> Solution:
+    """Direct solve in the discretely divergence-free subspace, residual-checked.
+
+    ``ker D21 = im D10`` holds in integers, so every velocity with the
+    prescribed boundary flux and zero divergence cochain is
+    ``u = u0 + D10 C y``: ``u0`` is a divergence-free lift of the fixed
+    fluxes through the integer 2-cell Laplacian ``L = D21_f D21_f^T``
+    (``D21_f`` the columns of the free 1-cells), and ``C`` maps one
+    constant per group of nodes joined by fixed cells onto the nodes
+    (the annulus gets its inner-circle constant this way), minus one
+    constant for the stream gauge.  Pressure leaves the factored system:
+    with ``Z = D10 C`` the symmetric ``(omega, y)`` system
+    ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored, its blocks sliced
+    from ``system.matrix``.  Pressure is recovered afterwards from the
+    free momentum rows ``D21_f^T (M2 p) = r`` through the same ``L``,
+    shifted to zero sum when the gauge is set, and the multiplier from
+    the pressure rows.
+
+    ``nu`` is a pure rescaling: the vorticity and momentum rows are
+    divided by ``nu``, which is the ``nu = 1`` problem with forcing
+    ``f / nu``, and the pressure is scaled back by ``nu``.  The relative
+    residual of the full reduced mixed system, in those rows, must stay
+    below 1e-10; at ``nu = 1`` it is the residual of the system as
+    assembled.
+    """
+    n0, n1, n2, nu = system.n0, system.n1, system.n2, system.nu
+    u_rows = slice(n0, n0 + n1)
+    p_rows = slice(n0 + n1, n0 + n1 + n2)
+    A = system.matrix
+    D10, D21 = _global_coboundaries(system)
+    fixed = np.array(sorted(system.fixed), dtype=int)
+    free = np.setdiff1d(np.arange(n1), fixed)
+    e_fixed = np.zeros(n1)
+    e_fixed[fixed] = [system.fixed[i] for i in fixed]
+
+    # divergence-free lift of the fixed fluxes; pin one 2-cell under the gauge
+    D21_free = D21[:, free]
+    L = (D21_free @ D21_free.T).astype(float)
+    keep2 = slice(1, None) if system.gauge else slice(None)
+    lu_L = _factor(L[keep2, keep2], "2-cell Laplacian", "MMD_AT_PLUS_A")
+    phi = np.zeros(n2)
+    phi[keep2] = lu_L.solve(-(D21 @ e_fixed)[keep2])
+    u0 = e_fixed.copy()
+    u0[free] += D21_free.T @ phi
+
+    # stream unknowns: one constant per node group joined by fixed cells
+    links = abs(D10[fixed])
+    n_groups, group = connected_components(links.T @ links, directed=False)
+    gauged = np.flatnonzero(np.arange(n_groups) != group[0])  # psi = 0 on node 0's group
+    C = sp.csr_matrix(
+        (np.ones(n0, dtype=np.int64), (np.arange(n0), group)), shape=(n0, n_groups)
+    )[:, gauged]
+    Z = D10 @ C
+
+    # the nu = 1 problem: vorticity and momentum rows divided by nu
+    A_ww = A[:n0, :n0] / nu
+    A_wu = A[:n0, u_rows] / nu
+    B = A_wu @ Z
+    K = sp.bmat([[A_ww, B], [B.T, None]], format="csc")
+    rhs = np.concatenate((system.rhs[:n0] / nu - A_wu @ u0, Z.T @ system.rhs[u_rows] / nu))
+    lu = _factor(K, "vorticity-stream system", "MMD_ATA")
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - K @ x)
+    omega = x[:n0]
+    u = u0 + Z @ x[n0:]
+
+    # pressure from the free momentum rows: D21_f^T q = r with q = M2 p
+    r = (system.rhs[u_rows] / nu - A_wu.T @ omega)[free]
+    q = np.zeros(n2)
+    q[keep2] = lu_L.solve((D21_free @ r)[keep2])
+    M2 = sp.block_diag([mass[2] for mass in system.mass])
+    lu_M2 = _factor(M2, "2-form mass matrix", "MMD_AT_PLUS_A")
+    if system.gauge:  # shift along the constant physical pressure M2^{-1} 1
+        p, constant = lu_M2.solve(np.column_stack((q, np.ones(n2)))).T
+        p = p - (p.sum() / constant.sum()) * constant
+    else:
+        p = lu_M2.solve(q)
+    p *= nu
+    lam = -float(np.mean(A[p_rows, u_rows] @ u)) if system.gauge else 0.0
+
+    # residual of the reduced mixed system, in the nu-scaled rows
+    full = np.concatenate((omega, u, p, [lam] if system.gauge else []))
+    lifted = np.zeros(system.size)
+    lifted[u_rows] = e_fixed
+    row_scale = np.ones(system.size)
+    row_scale[: n0 + n1] = 1.0 / nu
+    row_scale[n0 + n1 + n2 :] = 1.0 / nu
+    keep = np.setdiff1d(np.arange(system.size), n0 + fixed)
+    b_red = (row_scale * (system.rhs - A @ lifted))[keep]
+    r_red = (row_scale * (A @ full - system.rhs))[keep]
+    resid = np.abs(r_red).max() / max(np.abs(b_red).max(), 1e-300)
     if not np.isfinite(resid) or resid > 1e-10:
         raise SingularSystemError(
             f"solve residual {resid:.3e} exceeds 1e-10",
             nullspace_hint="system may be rank deficient",
         )
-    full = np.empty(system.size)
-    full[keep] = x
-    if fixed_ids.size:
-        full[system.n0 + fixed_ids] = fixed_vals
-    n0, n1, n2 = system.n0, system.n1, system.n2
-    lam = float(full[-1]) if system.gauge else 0.0
     return Solution(
         system=system,
-        omega=full[:n0],
-        u=full[n0 : n0 + n1],
-        p=full[n0 + n1 : n0 + n1 + n2],
+        omega=omega,
+        u=u,
+        p=p,
         multiplier=lam,
         residual=float(resid),
+        stats={
+            "dofs": system.size,
+            "unknowns": K.shape[0],
+            "lu_nnz": lu.nnz,
+            "refine_steps": 1,
+        },
     )

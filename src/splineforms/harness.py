@@ -77,6 +77,14 @@ class CaseConfig:
             raise ConstructionError("degree must be >= 1")
         if self.levels < 1:
             raise ConstructionError("levels must be >= 1")
+        if not (np.isfinite(self.nu) and self.nu > 0):
+            raise ConstructionError(f"nu must be finite and > 0, got {self.nu}")
+        if self.quad is not None and self.quad < 2:
+            raise ConstructionError("quad must be >= 2 Gauss points per element")
+        if self.spans is not None and self.spans < 1:
+            raise ConstructionError("spans must be >= 1")
+        if self.base_spans < 1:
+            raise ConstructionError("base_spans must be >= 1")
 
 
 @dataclass
@@ -356,7 +364,7 @@ def _stream_function(solution, patch_index: int = 0):
 
 def run_cavity(config: CaseConfig) -> CavityResult:
     """Lid-driven cavity: unit tangential velocity on the top wall."""
-    spans = config.spans or 9
+    spans = 9 if config.spans is None else config.spans
     patch = unit_square_patch()
     triple = vvp_spaces(_bases(config.degree + 1, spans))
     system = assemble_vvp(triple, patch, nu=config.nu, n_quad=config.quad)

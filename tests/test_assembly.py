@@ -13,7 +13,7 @@ from splineforms.assembly import (
     assemble_vvp,
     solve,
 )
-from splineforms.errors import FluxCompatibilityError
+from splineforms.errors import ConstructionError, FluxCompatibilityError
 from splineforms.geometry import (
     NurbsPatch,
     build_taylor_couette,
@@ -129,6 +129,11 @@ class TestSystemAssembly:
             )
             assert abs(rhs_u[j] - oracle) < 1e-11 * max(1.0, abs(oracle))
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, np.nan, np.inf])
+    def test_nonpositive_or_nonfinite_viscosity_rejected(self, nu):
+        with pytest.raises(ConstructionError):
+            assemble_vvp(make_spaces(2, 2), unit_square_patch(), nu=nu)
+
     def test_pressure_bc_hook_not_implemented(self):
         with pytest.raises(NotImplementedError):
             BCSpec(normal_sides=(), pressure_sides=((0, "top"),))
@@ -223,6 +228,88 @@ class TestSolve:
         npt.assert_allclose(sol10.omega, sol1.omega / 10.0, atol=1e-10)
         npt.assert_allclose(sol10.u, sol1.u / 10.0, atol=1e-10)
         npt.assert_allclose(sol10.p, sol1.p, atol=1e-9)
+
+
+def mixed_reference(system):
+    """Test-only reference: spsolve of the reduced mixed (omega, u, p, lambda) system."""
+    n0, n1, n2 = system.n0, system.n1, system.n2
+    fixed = n0 + np.array(sorted(system.fixed), dtype=int)
+    values = np.array([system.fixed[i - n0] for i in fixed])
+    keep = np.setdiff1d(np.arange(system.size), fixed)
+    A = system.matrix.tocsc()
+    b = system.rhs - A[:, fixed] @ values
+    x = np.empty(system.size)
+    x[fixed] = values
+    x[keep] = spla.spsolve(A[keep][:, keep], b[keep])
+    return x[:n0], x[n0 : n0 + n1], x[n0 + n1 : n0 + n1 + n2]
+
+
+def _manufactured_case(patch, bc=None):
+    system = assemble_vvp(make_spaces(3, 6), patch, bc=bc, forcing=EXACT["forcing"])
+    apply_strong_normal_velocity(system, EXACT["velocity"])
+    apply_weak_tangential_velocity(system, EXACT["velocity"])
+    return system
+
+
+def _annulus_case(normal=None, tangential=None):
+    system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette())
+    apply_strong_normal_velocity(system, normal)
+    apply_weak_tangential_velocity(system, tangential)
+    return system
+
+
+def _source_flow(x, y):
+    r2 = x * x + y * y
+    return x / r2, y / r2
+
+
+SOLVE_CASES = {
+    "unit-square": lambda: _manufactured_case(unit_square_patch()),
+    "curved-square": lambda: _manufactured_case(curved_square_patch()),
+    "taylor-couette": lambda: _annulus_case(
+        tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)}
+    ),
+    "top-side-free": lambda: _manufactured_case(
+        unit_square_patch(), BCSpec(normal_sides=((0, "left"), (0, "right"), (0, "bottom")))
+    ),
+    "annulus-source-flow": lambda: _annulus_case(_source_flow, _source_flow),
+}
+
+
+class TestSubspaceSolve:
+    @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+    def test_matches_mixed_reference(self, case):
+        system = SOLVE_CASES[case]()
+        assert system.gauge == (case != "top-side-free")
+        sol = solve(system)
+        for got, ref in zip((sol.omega, sol.u, sol.p), mixed_reference(system)):
+            assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+    def test_tiny_viscosity_is_a_rescaling(self):
+        # the cavity of `run cavity --nu 1e-8 --spans 12`: Stokes velocity and
+        # vorticity do not depend on nu, pressure scales with it
+        def cavity(nu):
+            system = assemble_vvp(make_spaces(3, 12), unit_square_patch(), nu=nu)
+            apply_strong_normal_velocity(system)
+            lid = {(0, "top"): lambda x, y: (np.ones_like(x), np.zeros_like(y))}
+            apply_weak_tangential_velocity(system, lid)
+            return solve(system)
+
+        unit, tiny = cavity(1.0), cavity(1e-8)
+        assert tiny.residual < 1e-10
+        for a, b in ((tiny.omega, unit.omega), (tiny.u, unit.u), (tiny.p / 1e-8, unit.p)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_stats(self):
+        system = _annulus_case(tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)})
+        stats = solve(system).stats
+        assert stats["dofs"] == system.size
+        # one vorticity per node; one stream unknown per interior node, plus
+        # the inner-circle constant (each circle has 4 x 6 nodes)
+        interior = system.n0 - 2 * 4 * 6
+        assert stats["unknowns"] == system.n0 + interior + 1
+        assert stats["lu_nnz"] > stats["unknowns"]
+        assert stats["refine_steps"] == 1
 
 
 class TestPointwiseDivergence:

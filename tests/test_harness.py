@@ -133,6 +133,8 @@ def test_cavity_files(tmp_path):
     } <= names
     grid = np.loadtxt(tmp_path / "field_vorticity.dat")
     assert grid.shape == (101, 101)
+    # solve statistics stay out of the bit-exact metadata
+    assert "lu_nnz" not in (tmp_path / "run_metadata.txt").read_text()
 
 
 class TestCli:
@@ -152,6 +154,28 @@ class TestCli:
         assert self.run_cli("run", "nonsense").returncode == 2
         assert self.run_cli("frobnicate").returncode == 2
         assert self.run_cli("run", "manufactured", "--degree", "0").returncode == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--nu", "-1"), "nu must be finite and > 0"),
+            (("--nu", "0"), "nu must be finite and > 0"),
+            (("--nu", "nan"), "nu must be finite and > 0"),
+            (("--nu", "inf"), "nu must be finite and > 0"),
+            (("--quad", "1"), "quad must be >= 2"),
+            (("--spans", "0"), "spans must be >= 1"),
+            (("--base-spans", "0"), "base_spans must be >= 1"),
+        ],
+    )
+    def test_out_of_range_arguments_exit_2(self, tmp_path, flags, message):
+        proc = self.run_cli("run", "cavity", *flags, "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert not any(tmp_path.iterdir())
+
+    def test_tiny_viscosity_runs(self, tmp_path):
+        proc = self.run_cli("run", "cavity", "--nu", "1e-8", "--spans", "12", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
 
     def test_run_and_config_file(self, tmp_path):
         cfg = tmp_path / "case.cfg"
