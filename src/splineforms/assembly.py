@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ._quadrature import panel_rule, split_interval
+from ._quadrature import interval_rule, panel_rule
 from .errors import (
     ConstructionError,
     FluxCompatibilityError,
@@ -239,30 +239,21 @@ def _side_cell_ids(space1: DiscreteFormSpace, side: str) -> np.ndarray:
     return block.offset + np.arange(block.shape[0]) + block.shape[0] * i1
 
 
-def _union_find_maps(sizes, pairs):
-    """Global numbering after identifying the given (flat) index pairs."""
+def _glued_numbering(sizes, pairs):
+    """Global numbering after identifying the given (flat) index pairs.
+
+    Each connected component of the identification graph gets one global
+    index, in order of its smallest member.
+    """
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    parent = np.arange(offsets[-1])
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for (pa, ids_a), (pb, ids_b) in pairs:
-        for x, y in zip(offsets[pa] + ids_a, offsets[pb] + ids_b):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    roots = np.array([find(i) for i in range(offsets[-1])])
-    uniq, global_ids = np.unique(roots, return_inverse=True)
-    maps = [
-        global_ids[offsets[p] : offsets[p + 1]] for p in range(len(sizes))
-    ]
-    return maps, uniq.size
+    n = int(offsets[-1])
+    none = [np.zeros(0, dtype=int)]
+    rows = np.concatenate([offsets[pa] + ids for (pa, ids), _ in pairs] + none)
+    cols = np.concatenate([offsets[pb] + ids for _, (pb, ids) in pairs] + none)
+    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    n_global, labels = connected_components(graph, directed=False)
+    maps = [labels[offsets[p] : offsets[p + 1]] for p in range(len(sizes))]
+    return maps, n_global
 
 
 @dataclass
@@ -337,8 +328,8 @@ class SaddleSystem:
                            (b, _side_nodal_ids(spaces[b][0], side_b))))
             pairs1.append(((a, _side_cell_ids(spaces[a][1], side_a)),
                            (b, _side_cell_ids(spaces[b][1], side_b))))
-        self.map0, self.n0 = _union_find_maps(sizes0, pairs0)
-        self.map1, self.n1 = _union_find_maps(sizes1, pairs1)
+        self.map0, self.n0 = _glued_numbering(sizes0, pairs0)
+        self.map1, self.n1 = _glued_numbering(sizes1, pairs1)
         offs2 = np.concatenate(([0], np.cumsum([s[2].dim for s in spaces])))
         self.map2 = [offs2[p] + np.arange(spaces[p][2].dim) for p in range(n_patches)]
         self.n2 = int(offs2[-1])
@@ -427,29 +418,30 @@ def _normalize_side_data(system: SaddleSystem, velocity, sides):
     return {key: velocity.get(key) for key in sides}
 
 
+def _side_velocity(patch: NurbsPatch, side: str, t, vfun):
+    """Velocity data and physical side tangent at side coordinates t, each (m, 2)."""
+    tan = patch.side_tangent(side, t)
+    v = np.asarray(vfun(*patch.map_point(patch.side_points(side, t)).T), dtype=float).T
+    return np.broadcast_to(v, tan.shape), tan
+
+
+def _side_basis(system, patch_index, side):
+    """(nodal basis along the side, Gauss points per piece) for side integrals."""
+    t_dir = 1 - SIDES[side][0]
+    basis = system.spaces[patch_index][0].nodal_bases[t_dir]
+    return basis, basis.degree + system.patches[patch_index].bases[t_dir].degree + 3
+
+
 def _side_flux_integrals(system, patch_index, side, vfun) -> np.ndarray:
     """Line integrals of the velocity flux form over a side's boundary cells."""
-    spaces = system.spaces[patch_index]
-    patch = system.patches[patch_index]
-    axis, _end = SIDES[side]
-    t_dir = 1 - axis
-    basis = spaces[0].nodal_bases[t_dir]
+    basis, n_g = _side_basis(system, patch_index, side)
     edges = greville_edges(basis)
     if vfun is None:
         return np.zeros(edges.shape[0])
-    out = np.empty(edges.shape[0])
-    n_g = basis.degree + patch.bases[t_dir].degree + 3
-    for i, (a, b) in enumerate(edges):
-        panels = split_interval(a, b, basis.breakpoints)
-        pts, wts = panel_rule(panels, n_g)
-        t = pts.ravel()
-        uv = patch.side_points(side, t)
-        tan = patch.side_tangent(side, t)
-        v = np.asarray(vfun(*patch.map_point(uv).T), dtype=float).T
-        v = np.broadcast_to(v, (t.size, 2))
-        flux = v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0]
-        out[i] = np.dot(flux, wts.ravel())
-    return out
+    t, wts, owner = interval_rule(edges, basis.breakpoints, n_g)
+    v, tan = _side_velocity(system.patches[patch_index], side, t, vfun)
+    flux = v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0]
+    return np.bincount(owner, weights=flux * wts, minlength=edges.shape[0])
 
 
 def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleSystem:
@@ -467,12 +459,10 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
         integrals = _side_flux_integrals(system, p, side, vfun)
         net += _OUTWARD_SIGN[side] * integrals.sum()
         scale += np.abs(integrals).sum()
-        axis, _ = SIDES[side]
-        t_dir = 1 - axis
-        basis = system.spaces[p][0].nodal_bases[t_dir]
         if vfun is None:
             values = integrals
         else:
+            basis, _ = _side_basis(system, p, side)
             values = build_histopolation(EdgeBasis1D(basis)).solve(integrals)
         gids = system.map1[p][_side_cell_ids(system.spaces[p][1], side)]
         for g, val in zip(gids, values):
@@ -498,20 +488,12 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
     for (p, side), vfun in entries.items():
         if vfun is None:
             continue
-        patch = system.patches[p]
-        axis, _ = SIDES[side]
-        t_dir = 1 - axis
-        basis = system.spaces[p][0].nodal_bases[t_dir]
-        n_g = basis.degree + patch.bases[t_dir].degree + 3
+        basis, n_g = _side_basis(system, p, side)
         pts, wts = panel_rule(basis.breakpoints, n_g)
         t = pts.ravel()
-        uv = patch.side_points(side, t)
-        tan = patch.side_tangent(side, t)
-        v = np.asarray(vfun(*patch.map_point(uv).T), dtype=float).T
-        v = np.broadcast_to(v, (t.size, 2))
+        v, tan = _side_velocity(system.patches[p], side, t, vfun)
         work = np.einsum("mc,mc->m", v, tan) * wts.ravel()
-        table = basis.eval_nodal_many(t)
-        local = -_TRAVERSAL_SIGN[side] * (table.T @ work)
+        local = -_TRAVERSAL_SIGN[side] * (basis.eval_nodal_many(t).T @ work)
         gids = system.map0[p][_side_nodal_ids(system.spaces[p][0], side)]
         np.add.at(b1, gids, local)
     system.rhs[: system.n0] += system.nu * b1

@@ -57,7 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--geometry", help="unit-square | curved-square | annulus")
     run.add_argument("--out", dest="out_dir", help="output directory (default ./out)")
     run.add_argument("--nu", type=float, help="viscosity (default 1.0)")
-    run.add_argument("--quad", type=int, help="Gauss points per direction per element")
+    run.add_argument(
+        "--quad",
+        type=int,
+        help="Gauss points per direction per element, at least degree + 2 "
+        "(default: geometry degree + nodal degree + 1)",
+    )
     run.add_argument("--spans", type=int, help="cavity spans per direction (default 9)")
     run.add_argument("--base-spans", type=int, help="coarsest level spans (default 4)")
     run.add_argument("--config", help="key=value file; explicit flags take precedence")

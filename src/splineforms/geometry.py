@@ -100,25 +100,33 @@ class NurbsPatch:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _tables(self, axes, deriv=(False, False)):
+    def _tables(self, axes):
+        """Dense (values, derivatives) tables per direction, one window call each."""
         out = []
-        for b, x, d in zip(self.bases, axes, deriv):
-            x = np.asarray(x, dtype=float)
-            out.append(b.eval_nodal_deriv_many(x) if d else b.eval_nodal_many(x))
+        for b, x in zip(self.bases, axes):
+            spans, vals, ders = b.window(np.asarray(x, dtype=float))
+            out.append((b._scatter(spans, vals), b._scatter(spans, ders)))
         return out
+
+    def _on_grid(self, t1, t2) -> np.ndarray:
+        """sum_ij t1[x, i] t2[y, j] control[i, j], contracted one direction at a time."""
+        partial = np.tensordot(t1, self.control, axes=(1, 0))  # (m1, nb2, 2)
+        return np.einsum("yj,xjc->xyc", t2, partial, optimize=True)
+
+    def _at_points(self, t1, t2) -> np.ndarray:
+        """sum_ij t1[x, i] t2[x, j] control[i, j] at scattered points."""
+        return np.einsum("xj,xjc->xc", t2, np.tensordot(t1, self.control, axes=(1, 0)))
 
     def map_grid(self, x_axis, y_axis) -> np.ndarray:
         """Physical points over a tensor grid, shape (m1, m2, 2)."""
-        t1, t2 = self._tables((x_axis, y_axis))
-        return np.einsum("xi,yj,ijc->xyc", t1, t2, self.control)
+        (v1, _), (v2, _) = self._tables((x_axis, y_axis))
+        return self._on_grid(v1, v2)
 
     def jacobian_grid(self, x_axis, y_axis):
         """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid."""
-        v1, v2 = self._tables((x_axis, y_axis))
-        d1 = self.bases[0].eval_nodal_deriv_many(np.asarray(x_axis, dtype=float))
-        d2 = self.bases[1].eval_nodal_deriv_many(np.asarray(y_axis, dtype=float))
-        col1 = np.einsum("xi,yj,ijc->xyc", d1, v2, self.control)
-        col2 = np.einsum("xi,yj,ijc->xyc", v1, d2, self.control)
+        (v1, d1), (v2, d2) = self._tables((x_axis, y_axis))
+        col1 = self._on_grid(d1, v2)
+        col2 = self._on_grid(v1, d2)
         jac = np.stack((col1, col2), axis=-1)  # [..., component, direction]
         det = col1[..., 0] * col2[..., 1] - col1[..., 1] * col2[..., 0]
         return jac, det
@@ -127,21 +135,16 @@ class NurbsPatch:
         """Physical image of scattered parametric points (..., 2)."""
         u = np.asarray(u, dtype=float)
         pts = u.reshape(-1, 2)
-        t1 = self.bases[0].eval_nodal_many(pts[:, 0])
-        t2 = self.bases[1].eval_nodal_many(pts[:, 1])
-        out = np.einsum("xi,xj,ijc->xc", t1, t2, self.control)
-        return out.reshape(u.shape)
+        (v1, _), (v2, _) = self._tables((pts[:, 0], pts[:, 1]))
+        return self._at_points(v1, v2).reshape(u.shape)
 
     def jacobian(self, u) -> np.ndarray:
         """Jacobian at scattered parametric points (..., 2, 2); det must stay positive."""
         u = np.asarray(u, dtype=float)
         pts = u.reshape(-1, 2)
-        v1 = self.bases[0].eval_nodal_many(pts[:, 0])
-        v2 = self.bases[1].eval_nodal_many(pts[:, 1])
-        d1 = self.bases[0].eval_nodal_deriv_many(pts[:, 0])
-        d2 = self.bases[1].eval_nodal_deriv_many(pts[:, 1])
-        col1 = np.einsum("xi,xj,ijc->xc", d1, v2, self.control)
-        col2 = np.einsum("xi,xj,ijc->xc", v1, d2, self.control)
+        (v1, d1), (v2, d2) = self._tables((pts[:, 0], pts[:, 1]))
+        col1 = self._at_points(d1, v2)
+        col2 = self._at_points(v1, d2)
         jac = np.stack((col1, col2), axis=-1)
         det = col1[:, 0] * col2[:, 1] - col1[:, 1] * col2[:, 0]
         if np.any(det <= 0.0):

@@ -81,6 +81,11 @@ class CaseConfig:
             raise ConstructionError(f"nu must be finite and > 0, got {self.nu}")
         if self.quad is not None and self.quad < 2:
             raise ConstructionError("quad must be >= 2 Gauss points per element")
+        if self.quad is not None and self.quad < self.degree + 2:
+            raise ConstructionError(
+                f"quad must be >= degree + 2 = {self.degree + 2} Gauss points per element "
+                f"(nodal degree + 1), got {self.quad}"
+            )
         if self.spans is not None and self.spans < 1:
             raise ConstructionError("spans must be >= 1")
         if self.base_spans < 1:

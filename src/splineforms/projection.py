@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._quadrature import panel_rule, split_interval
+from ._quadrature import interval_rule
 from .errors import ConstructionError, IllPosedNodesError
 from .spaces import DiscreteForm, DiscreteFormSpace
 from .splines import Basis1D, EdgeBasis1D
@@ -100,7 +100,8 @@ def reduce_1form(f, edges, n_gauss: int = 5, breakpoints=None) -> ReducedCochain
     Parameters
     ----------
     f : callable
-        Vectorized density; the cochain entries are integrals f dx.
+        Vectorized density; the cochain entries are integrals f dx.  It
+        is called once, on the quadrature points of all intervals.
     edges : array_like, shape (m, 2)
         Interval endpoints.
     n_gauss : int
@@ -112,14 +113,12 @@ def reduce_1form(f, edges, n_gauss: int = 5, breakpoints=None) -> ReducedCochain
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ConstructionError("edges must be an (m, 2) array of intervals")
-    vals = np.empty(edges.shape[0])
-    for i, (a, b) in enumerate(edges):
-        panels = split_interval(a, b, breakpoints if breakpoints is not None else ())
-        pts, wts = panel_rule(panels, n_gauss)
-        fx = np.asarray(f(pts.ravel()), dtype=float)
-        if not np.all(np.isfinite(fx)):
-            raise FloatingPointError("non-finite 1-form values during reduction")
-        vals[i] = np.dot(fx, wts.ravel())
+    breaks = () if breakpoints is None else breakpoints
+    pts, wts, owner = interval_rule(edges, breaks, n_gauss)
+    fx = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
+    if not np.all(np.isfinite(fx)):
+        raise FloatingPointError("non-finite 1-form values during reduction")
+    vals = np.bincount(owner, weights=fx * wts, minlength=edges.shape[0])
     return ReducedCochain(Cochain(1, vals), "edge-integrals")
 
 
@@ -147,14 +146,14 @@ def build_histopolation(edge_basis: EdgeBasis1D, edges=None, n_gauss=None) -> Ch
     if edges.shape != (edge_basis.num_basis, 2):
         raise ConstructionError("need exactly one interval per edge function")
     n = n_gauss or max(edge_basis.parent.degree + 1, 5)
-    breaks = edge_basis.breakpoints
-    mat = np.empty((edge_basis.num_basis, edge_basis.num_basis))
-    for i, (a, b) in enumerate(edges):
-        panels = split_interval(a, b, breaks)
-        pts, wts = panel_rule(panels, n)
-        table = edge_basis.eval_edge_many(pts.ravel())
-        mat[i] = table.T @ wts.ravel()
-    return ChangeOfBasis(mat)
+    pts, wts, owner = interval_rule(edges, edge_basis.breakpoints, n)
+    spans, vals = edge_basis.window(pts)
+    # row owner, column spans - p + r: segmented sum of weighted window values
+    nb = edge_basis.num_basis
+    p = edge_basis.parent.degree
+    cells = owner[:, None] * nb + spans[:, None] + np.arange(-p, 0)[None, :]
+    mat = np.bincount(cells.ravel(), weights=(vals * wts[:, None]).ravel(), minlength=nb * nb)
+    return ChangeOfBasis(mat.reshape(nb, nb))
 
 
 class _Projector:
@@ -179,39 +178,24 @@ class _Projector:
         return self._histo[j]
 
     def _direction_rule(self, j: int, is_edge: bool):
-        """(points, weight matrix) for one direction of the reduction grid.
+        """(points, weights, starts) for one direction of the reduction grid.
 
-        For a nodal direction the points are the Greville nodes and the
-        weight matrix is the identity; for an edge direction the columns
-        of the weight matrix accumulate Gauss weights per interval.
+        For a nodal direction the points are the Greville nodes and there
+        is nothing to sum (weights and starts are None).  For an edge
+        direction the weighted values at points ``starts[i]`` up to
+        ``starts[i + 1]`` sum to the integral over Greville interval i.
         """
         basis = self.space.nodal_bases[j]
         if not is_edge:
-            pts = basis.greville_points()
-            return pts, np.eye(pts.size)
-        edges = greville_edges(basis)
+            return basis.greville_points(), None, None
         n = self.n_gauss or max(basis.degree + 1, 5)
-        pts_list, cols = [], []
-        for i, (a, b) in enumerate(edges):
-            panels = split_interval(a, b, basis.breakpoints)
-            pts, wts = panel_rule(panels, n)
-            pts_list.append(pts.ravel())
-            cols.append((i, wts.ravel()))
-        points = np.concatenate(pts_list)
-        quad = np.zeros((points.size, edges.shape[0]))
-        pos = 0
-        for i, w in cols:
-            quad[pos : pos + w.size, i] = w
-            pos += w.size
-        return points, quad
+        pts, wts, owner = interval_rule(greville_edges(basis), basis.breakpoints, n)
+        return pts, wts, np.searchsorted(owner, np.arange(basis.n))
 
     def reduce_block(self, block, component) -> np.ndarray:
         """Reduction tensor of one component over the block's cells."""
-        pts, quads = [], []
-        for j in range(self.space.d):
-            p, q = self._direction_rule(j, j in block.dirs)
-            pts.append(p)
-            quads.append(q)
+        rules = [self._direction_rule(j, j in block.dirs) for j in range(self.space.d)]
+        pts = [r[0] for r in rules]
         if isinstance(component, DiscreteForm):
             comp_index = component.space.blocks.index(
                 next(b for b in component.space.blocks if b.dirs == block.dirs)
@@ -222,8 +206,11 @@ class _Projector:
             vals = np.asarray(component(*grids), dtype=float)
             vals = np.broadcast_to(vals, tuple(p.size for p in pts))
         out = vals
-        for q in quads:
-            out = np.moveaxis(np.tensordot(q.T, out, axes=([1], [0])), 0, -1)
+        for j, (_, wts, starts) in enumerate(rules):
+            if wts is not None:
+                shape = [1] * self.space.d
+                shape[j] = -1
+                out = np.add.reduceat(out * wts.reshape(shape), starts, axis=j)
         return out
 
     def solve_block(self, block, reduction: np.ndarray) -> np.ndarray:

@@ -103,10 +103,15 @@ class KnotVector:
 
 
 def _bspline_window(knots, p, spans, x):
-    """Values of the p+1 B-splines that are nonzero at each x, by triangular recurrence."""
+    """Values and first derivatives of the p+1 B-splines that are nonzero at each x.
+
+    Triangular recurrence; the derivatives come from the degree p-1
+    stage it passes through, ``N'_r = p (N_{r-1,p-1} / den_{r-1} - N_{r,p-1} / den_r)``.
+    """
     m = x.shape[0]
     vals = np.zeros((m, p + 1))
     vals[:, 0] = 1.0
+    ders = np.zeros((m, p + 1))
     left = np.empty((m, p))
     right = np.empty((m, p))
     for j in range(1, p + 1):
@@ -115,30 +120,13 @@ def _bspline_window(knots, p, spans, x):
         saved = np.zeros(m)
         for r in range(j):
             tmp = vals[:, r] / (right[:, r] + left[:, j - r - 1])
+            if j == p:
+                ders[:, r] -= p * tmp
+                ders[:, r + 1] += p * tmp
             vals[:, r] = saved + right[:, r] * tmp
             saved = left[:, j - r - 1] * tmp
         vals[:, j] = saved
-    return vals
-
-
-def _bspline_window_deriv(knots, p, spans, x):
-    """First derivatives of the p+1 nonzero B-splines at each x."""
-    m = x.shape[0]
-    if p == 0:
-        return np.zeros((m, 1))
-    low = _bspline_window(knots, p - 1, spans, x)  # degree p-1, functions spans-p+1 .. spans
-    ders = np.zeros((m, p + 1))
-    for r in range(p + 1):
-        i = spans - p + r
-        term = np.zeros(m)
-        if r >= 1:
-            den = knots[i + p] - knots[i]
-            term = term + np.where(den > 0.0, low[:, r - 1] / np.where(den > 0.0, den, 1.0), 0.0)
-        if r <= p - 1:
-            den = knots[i + p + 1] - knots[i + 1]
-            term = term - np.where(den > 0.0, low[:, r] / np.where(den > 0.0, den, 1.0), 0.0)
-        ders[:, r] = p * term
-    return ders
+    return vals, ders
 
 
 class Basis1D:
@@ -169,6 +157,7 @@ class Basis1D:
                 raise ConstructionError("weights must be strictly positive")
         self.weights = weights
         self.weights.flags.writeable = False
+        self.is_bspline = bool(np.all(weights == 1.0))
 
     @property
     def degree(self) -> int:
@@ -182,10 +171,6 @@ class Basis1D:
     def n(self) -> int:
         """Largest basis index; the basis functions are indexed 0..n."""
         return self.num_basis - 1
-
-    @property
-    def is_bspline(self) -> bool:
-        return bool(np.all(self.weights == 1.0))
 
     @property
     def domain(self):
@@ -209,8 +194,7 @@ class Basis1D:
         kv = self.knot_vector
         spans = kv.find_spans(x)
         p = kv.degree
-        b = _bspline_window(kv.knots, p, spans, x)
-        db = _bspline_window_deriv(kv.knots, p, spans, x)
+        b, db = _bspline_window(kv.knots, p, spans, x)
         if not self.is_bspline:
             idx = spans[:, None] + np.arange(-p, 1)[None, :]
             wloc = self.weights[idx]

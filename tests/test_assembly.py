@@ -7,6 +7,8 @@ import scipy.sparse.linalg as spla
 
 from splineforms.assembly import (
     BCSpec,
+    _glued_numbering,
+    _side_flux_integrals,
     apply_strong_normal_velocity,
     apply_weak_tangential_velocity,
     assemble_mass,
@@ -15,6 +17,7 @@ from splineforms.assembly import (
 )
 from splineforms.errors import ConstructionError, FluxCompatibilityError
 from splineforms.geometry import (
+    SIDES,
     NurbsPatch,
     build_taylor_couette,
     curved_square_patch,
@@ -23,7 +26,8 @@ from splineforms.geometry import (
 from splineforms.harness import manufactured_fields
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
 from splineforms.splines import Basis1D, KnotVector, uniform_open_knots
-from splineforms._quadrature import panel_rule
+from splineforms.projection import greville_edges
+from splineforms._quadrature import panel_rule, split_interval
 
 
 def make_basis(p, spans):
@@ -174,6 +178,49 @@ class TestBoundaryConditions:
         system, _ = manufactured_system(p_vel=1, spans=4)
         b1 = apply_weak_tangential_velocity(system, None)
         assert np.abs(b1).max() == 0.0
+
+
+def looped_side_flux(system, p, side, vfun):
+    """Side flux integrals one Greville interval at a time."""
+    patch = system.patches[p]
+    t_dir = 1 - SIDES[side][0]
+    basis = system.spaces[p][0].nodal_bases[t_dir]
+    n_g = basis.degree + patch.bases[t_dir].degree + 3
+    out = []
+    for a, b in greville_edges(basis):
+        pts, wts = panel_rule(split_interval(a, b, basis.breakpoints), n_g)
+        t = pts.ravel()
+        tan = patch.side_tangent(side, t)
+        v = np.asarray(vfun(*patch.map_point(patch.side_points(side, t)).T)).T
+        out.append(np.dot(v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0], wts.ravel()))
+    return np.array(out)
+
+
+class TestBatchedSideIntegrals:
+    @pytest.mark.parametrize("geometry", ["curved-square", "annulus"])
+    def test_flux_integrals_match_loop(self, geometry):
+        vfun = lambda x, y: (x + y**2, np.sin(x) * y - 0.5)
+        if geometry == "annulus":
+            system = assemble_vvp([make_spaces(3, 5) for _ in range(4)], build_taylor_couette())
+        else:
+            system, _ = manufactured_system(p_vel=2, spans=5, patch=curved_square_patch())
+        for p, side in system._boundary_sides():
+            want = looped_side_flux(system, p, side, vfun)
+            got = _side_flux_integrals(system, p, side, vfun)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_glued_numbering_of_a_ring():
+    # three two-dof patches glued end to start: components in order of
+    # their smallest member, {0, 5}, {1, 2}, {3, 4}
+    pairs = [((0, np.array([1])), (1, np.array([0]))),
+             ((1, np.array([1])), (2, np.array([0]))),
+             ((2, np.array([1])), (0, np.array([0])))]
+    maps, n = _glued_numbering([2, 2, 2], pairs)
+    assert n == 3
+    assert [m.tolist() for m in maps] == [[0, 1], [1, 2], [2, 0]]
+    maps, n = _glued_numbering([3, 2], [])
+    assert n == 5 and [m.tolist() for m in maps] == [[0, 1, 2], [3, 4]]
 
 
 class TestSolve:

@@ -54,6 +54,30 @@ class TestMapping:
             NurbsPatch(base.bases, ctrl)
 
 
+GRID_PATCHES = {
+    "rational annulus": lambda: quarter_annulus_patch(1),
+    "curved square": curved_square_patch,
+    "curved square, three cubic spans": lambda: curved_square_patch(spans=3, degree=3),
+}
+
+
+class TestGridEvaluation:
+    """Sum-factorized grid evaluation against scattered-point evaluation."""
+
+    @pytest.mark.parametrize("name", list(GRID_PATCHES))
+    def test_grid_matches_points(self, name):
+        patch = GRID_PATCHES[name]()
+        x = np.concatenate(([0.0, 1.0 / 3.0, 1.0], np.linspace(0.01, 0.99, 17)))
+        y = np.concatenate(([1.0, 2.0 / 3.0, 0.0], np.linspace(0.02, 0.97, 11)))
+        uv = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1)
+        phys = patch.map_grid(x, y)
+        jac, det = patch.jacobian_grid(x, y)
+        assert phys.shape == (x.size, y.size, 2) and jac.shape == (x.size, y.size, 2, 2)
+        npt.assert_allclose(phys, patch.map_point(uv), rtol=0, atol=1e-14)
+        npt.assert_allclose(jac, patch.jacobian(uv), rtol=0, atol=1e-13)
+        npt.assert_allclose(det, np.linalg.det(jac), rtol=1e-13)
+
+
 class TestAnnulus:
     def test_inner_corner(self):
         patch = quarter_annulus_patch(0)

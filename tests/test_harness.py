@@ -1,6 +1,7 @@
 """Harness tests: analytic data, output files, determinism, CLI contract."""
 
 import filecmp
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import splineforms
 from splineforms.harness import (
     CaseConfig,
     couette_speed,
@@ -40,6 +42,23 @@ def test_config_validation():
         CaseConfig(case="taylor-couette", geometry="unit-square")
     cfg = CaseConfig(case="cavity")
     assert cfg.geometry == "unit-square"
+
+
+def test_quad_bound_follows_degree():
+    for degree in (1, 2, 3):
+        with pytest.raises(ConstructionError, match=rf"quad must be >= degree \+ 2 = {degree + 2}"):
+            CaseConfig(case="manufactured", degree=degree, quad=degree + 1)
+        assert CaseConfig(case="manufactured", degree=degree, quad=degree + 2).quad == degree + 2
+
+
+def test_quad_at_degree_plus_two_runs():
+    # nodal degree + 1 points integrate the unit-square mass matrices exactly;
+    # only the forcing and error quadratures move, far below the errors
+    base = dict(case="manufactured", degree=3, levels=1)
+    (smallest,), _ = run_manufactured(CaseConfig(quad=5, **base))
+    (default,), _ = run_manufactured(CaseConfig(**base))
+    for key in ("err_w", "err_u", "err_p"):
+        assert abs(getattr(smallest, key) / getattr(default, key) - 1.0) < 1e-4
 
 
 @pytest.fixture(scope="module")
@@ -139,10 +158,14 @@ def test_cavity_files(tmp_path):
 
 class TestCli:
     def run_cli(self, *args):
+        # the child imports the same splineforms as this process, installed or not
+        src = str(Path(splineforms.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
             [sys.executable, "-m", "splineforms.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_list_cases(self):
@@ -171,6 +194,15 @@ class TestCli:
         proc = self.run_cli("run", "cavity", *flags, "--out", str(tmp_path))
         assert proc.returncode == 2
         assert message in proc.stderr
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("quad", ["2", "4"])
+    def test_quad_below_degree_plus_two_exit_2(self, tmp_path, quad):
+        proc = self.run_cli(
+            "run", "manufactured", "--degree", "3", "--quad", quad, "--out", str(tmp_path)
+        )
+        assert proc.returncode == 2
+        assert "quad must be >= degree + 2 = 5" in proc.stderr
         assert not any(tmp_path.iterdir())
 
     def test_tiny_viscosity_runs(self, tmp_path):

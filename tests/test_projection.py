@@ -110,6 +110,75 @@ class TestChangeOfBasis:
             build_interpolation(basis, nodes=[1.0 - 1e-8, 1.0 - 5e-9, 1.0])
 
 
+def looped_rule(edges, breaks, n):
+    """Per-interval (points, weights) as split_interval + panel_rule give them."""
+    out = []
+    for a, b in edges:
+        pts, wts = panel_rule(split_interval(a, b, breaks), n)
+        out.append((pts.ravel(), wts.ravel()))
+    return out
+
+
+BATCH_BASES = {
+    "uniform cubic": make_basis(3, 7),
+    "repeated interior knot": Basis1D(KnotVector([0, 0, 0, 0, 0.2, 0.5, 0.5, 0.8, 1, 1, 1, 1], 3)),
+    "rational quadratic": make_basis(2, 5, np.linspace(0.5, 2.0, 7)),
+}
+
+
+def rel_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestBatchedIntervals:
+    """Batched interval quadrature against the per-interval loops it replaced."""
+
+    @pytest.mark.parametrize("name", list(BATCH_BASES))
+    def test_histopolation_matches_loop(self, name):
+        basis = BATCH_BASES[name]
+        edge = EdgeBasis1D(basis)
+        n = max(basis.degree + 1, 5)
+        want = np.array([
+            edge.eval_edge_many(pts).T @ wts
+            for pts, wts in looped_rule(greville_edges(basis), basis.breakpoints, n)
+        ])
+        assert rel_gap(build_histopolation(edge).matrix, want) <= 1e-14
+
+    @pytest.mark.parametrize("name", list(BATCH_BASES))
+    def test_reduce_1form_matches_loop(self, name):
+        basis = BATCH_BASES[name]
+        f = lambda x: np.cos(3.0 * x) + x**2 * np.abs(x - 0.4)
+        edges = greville_edges(basis)
+        want = np.array([
+            np.dot(f(pts), wts) for pts, wts in looped_rule(edges, basis.breakpoints, 6)
+        ])
+        got = reduce_1form(f, edges, n_gauss=6, breakpoints=basis.breakpoints)
+        assert rel_gap(got.cochain.coeffs, want) <= 1e-14
+
+    def test_reduce_1form_calls_f_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return np.sin(x)
+
+        basis = BATCH_BASES["repeated interior knot"]
+        reduce_1form(f, greville_edges(basis), n_gauss=4, breakpoints=basis.breakpoints)
+        assert len(calls) == 1
+
+    def test_reduction_tensor_matches_loop(self):
+        from splineforms.projection import _Projector
+
+        b0, b1 = BATCH_BASES["repeated interior knot"], BATCH_BASES["rational quadratic"]
+        space = DiscreteFormSpace((b0, b1), 1)
+        g = lambda x, y: np.sin(2 * x + y) + x * y**2
+        rule = looped_rule(greville_edges(b0), b0.breakpoints, 5)
+        nodes = b1.greville_points()
+        want = np.array([[np.dot(g(pts, y), wts) for y in nodes] for pts, wts in rule])
+        got = _Projector(space).reduce_block(space.blocks[0], g)
+        assert rel_gap(got, want) <= 1e-14
+
+
 class TestProjection:
     def test_constant_projects_to_ones(self):
         space = DiscreteFormSpace((make_basis(3, 4), make_basis(2, 3)), 0)
