@@ -1,11 +1,21 @@
 """Mass matrices, the mixed vorticity-velocity-pressure system and its solve.
 
-Mass matrices are integrated element-wise on the reference domain after
-pulling the basis back through the patch map: 0-forms carry the det J
-weight, 1-forms the metric J^{-1} J^{-T} det J, 2-form densities 1/det J.
-The saddle system couples them with the integer coboundary matrices; the
-assembled operator is symmetric, and with normal velocity prescribed on
-the whole boundary the pressure is gauged by a zero-mean multiplier row.
+Mass matrices are integrated on the reference domain after pulling the
+basis back through the patch map: 0-forms carry the det J weight, 1-forms
+the metric J^{-1} J^{-T} det J, 2-form densities 1/det J.  The assembly is
+sum-factorized.  Per direction, a sparse pair operator G[(I, J), q] =
+B_I(q) B_J(q) lists the index pairs whose functions share an element;
+a block of the Gram matrix is G1 W G2^T for the weighted metric W on the
+tensor Gauss grid.  The pattern of a block is the Kronecker product of
+the two pair sets, so each entry of G1 W G2^T is one nonzero, written
+straight into its place in the final CSC arrays.  Forcing vectors
+(B1 V B2^T) and reconstructions (B1^T C B2) use the per-direction
+collocation matrices B the same way.
+
+The saddle system couples the mass matrices with the integer coboundary
+matrices; the assembled operator is symmetric, and with normal velocity
+prescribed on the whole boundary the pressure is gauged by a zero-mean
+multiplier row.
 
 The solve does not factor the saddle system.  Because D21 D10 = 0 in
 integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
@@ -17,6 +27,8 @@ saddle system remains the operator whose residual gates the solve.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,88 +65,145 @@ _OUTWARD_SIGN = {"bottom": 1.0, "top": -1.0, "right": 1.0, "left": -1.0}
 _TRAVERSAL_SIGN = {"bottom": 1.0, "right": 1.0, "top": -1.0, "left": -1.0}
 
 
+def _check_n_quad(n_quad):
+    """Reject a Gauss-point count that is neither None nor an integer >= 1."""
+    if n_quad is None:
+        return
+    if isinstance(n_quad, bool) or not isinstance(n_quad, numbers.Integral) or n_quad < 1:
+        raise ConstructionError(f"n_quad must be None or an integer >= 1, got {n_quad!r}")
+
+
+def _collocation(first, vals, n: int) -> sp.csc_matrix:
+    """Sparse (functions, points) collocation matrix of a window table.
+
+    Point q carries functions first[q] .. first[q] + width - 1 with values vals[q].
+    """
+    m, width = vals.shape
+    rows = (first[:, None] + np.arange(width)[None, :]).ravel()
+    return sp.csc_matrix((vals.ravel(), rows, np.arange(0, m * width + 1, width)), shape=(n, m))
+
+
+class _PairOperator:
+    """Sparse 1D operator G[(I, J), q] = A_I(q) B_J(q) of two window tables.
+
+    Its rows are the index pairs (I, J) whose functions share an element,
+    sorted by J and then I: column J of the 1D Gram matrix holds
+    ``per_col[J]`` consecutive pairs, and ``rank`` is the place of a pair
+    within its column.
+    """
+
+    def __init__(self, table_a, table_b):
+        (fa, va, na), (fb, vb, nb) = table_a, table_b
+        m, wa = va.shape
+        wb = vb.shape[1]
+        rows = fa[:, None, None] + np.arange(wa)[None, :, None]
+        cols = fb[:, None, None] + np.arange(wb)[None, None, :]
+        keys, pair = np.unique((cols * na + rows).ravel(), return_inverse=True)
+        point = np.broadcast_to(np.arange(m)[:, None, None], (m, wa, wb)).ravel()
+        vals = (va[:, :, None] * vb[:, None, :]).ravel()
+        self.matrix = sp.csr_matrix((vals, (pair.ravel(), point)), shape=(keys.size, m))
+        self.rows = keys % na
+        self.cols = keys // na
+        self.per_col = np.bincount(self.cols, minlength=nb)
+        start = np.cumsum(self.per_col) - self.per_col
+        self.rank = np.arange(keys.size) - start[self.cols]
+
+
+class _Axis:
+    """Gauss rule of one direction with the tables of its nodal and edge bases.
+
+    ``colloc[edge]`` is the collocation matrix of the nodal (edge False)
+    or edge (edge True) family; ``pair(edge_a, edge_b)`` is the pair
+    operator of two families, built on first use.
+    """
+
+    def __init__(self, basis, nq: int):
+        self.nq = nq
+        pts, wts = panel_rule(basis.breakpoints, nq)
+        self.pts = pts.ravel()
+        self.w = wts.ravel()
+        spans, nvals, _ = basis.window(self.pts)
+        _, evals = EdgeBasis1D(basis).window(self.pts)
+        first = spans - basis.degree
+        self._tables = {
+            False: (first, nvals, basis.num_basis),
+            True: (first, evals, basis.num_basis - 1),
+        }
+        self.colloc = {edge: _collocation(*table) for edge, table in self._tables.items()}
+        self._pairs = {}
+
+    def pair(self, edge_a: bool, edge_b: bool) -> _PairOperator:
+        key = (edge_a, edge_b)
+        if key not in self._pairs:
+            self._pairs[key] = _PairOperator(self._tables[edge_a], self._tables[edge_b])
+        return self._pairs[key]
+
+
 class _PatchGrid:
-    """Quadrature grid plus basis/geometry tables shared by one patch's spaces."""
+    """Tensor Gauss grid of one patch: per-direction tables and the geometry at every point.
+
+    Point arrays are shaped (Q1, Q2), the Gauss points of direction 1 by
+    those of direction 2.  Two directions with the same nodal basis and
+    rule share one ``_Axis``, and with it its pair operators.
+    """
 
     def __init__(self, nodal_bases, patch: NurbsPatch, n_quad=None, extra: int = 0):
-        self.nodal_bases = tuple(nodal_bases)
+        _check_n_quad(n_quad)
+        nodal_bases = tuple(nodal_bases)
         self.patch = patch
-        self.N, self.M, self.first, self.w, self.pts = [], [], [], [], []
-        axes = []
-        for j, b in enumerate(self.nodal_bases):
+        self.axes = []
+        for j, b in enumerate(nodal_bases):
             breaks = b.breakpoints
-            geo_breaks = patch.bases[j].breakpoints
-            inner = geo_breaks[1:-1]
+            inner = patch.bases[j].breakpoints[1:-1]
             if inner.size and np.min(np.abs(inner[:, None] - breaks[None, :]), axis=1).max() > 1e-12:
                 raise ConstructionError(
                     "field breakpoints must refine the geometry breakpoints"
                 )
-            nq = int(n_quad) if n_quad else patch.bases[j].degree + b.degree + 1
-            nq += extra
-            pts, wts = panel_rule(breaks, nq)
-            flat = pts.ravel()
-            spans, nvals, nders = b.window(flat)
-            p = b.degree
-            edge = EdgeBasis1D(b)
-            _, evals = edge.window(flat)
-            n_el = pts.shape[0]
-            self.N.append(nvals.reshape(n_el, nq, p + 1))
-            self.M.append(evals.reshape(n_el, nq, p))
-            self.first.append(spans.reshape(n_el, nq)[:, 0] - p)
-            self.w.append(wts)
-            self.pts.append(pts)
-            axes.append(flat)
-        self.jac, self.det = patch.jacobian_grid(axes[0], axes[1])
-        self.phys = patch.map_grid(axes[0], axes[1])
-        self.shape4 = (
-            self.pts[0].shape[0],
-            self.pts[0].shape[1],
-            self.pts[1].shape[0],
-            self.pts[1].shape[1],
-        )
+            nq = (n_quad if n_quad is not None else patch.bases[j].degree + b.degree + 1) + extra
+            if j == 1 and b is nodal_bases[0] and nq == self.axes[0].nq:
+                self.axes.append(self.axes[0])
+            else:
+                self.axes.append(_Axis(b, nq))
+        x, y = self.axes[0].pts, self.axes[1].pts
+        self.jac, self.det = patch.jacobian_grid(x, y)
+        self.w = np.outer(self.axes[0].w, self.axes[1].w)
 
-    def metric_weight(self, k: int):
-        """Inner-product weight fields per component pair, shaped (e1, q1, e2, q2)."""
-        det = self.det.reshape(self.shape4[0], self.shape4[1], self.shape4[2], self.shape4[3])
+    @functools.cached_property
+    def phys(self) -> np.ndarray:
+        """Physical image of every Gauss point, (Q1, Q2, 2); mass matrices do not need it."""
+        return self.patch.map_grid(self.axes[0].pts, self.axes[1].pts)
+
+    def collocation(self, block):
+        """Collocation matrices of a form block's two factors."""
+        return tuple(axis.colloc[j in block.dirs] for j, axis in enumerate(self.axes))
+
+    def mass_weights(self, k: int):
+        """Gauss weight times the k-form inner-product metric, per component pair, (Q1, Q2).
+
+        0-forms carry det J, 2-form densities 1/det J and 1-forms
+        J^{-1} J^{-T} det J.
+        """
         if k == 0:
-            return {(0, 0): det}
+            return {(0, 0): self.det * self.w}
+        scaled = self.w / self.det
         if k == 2:
-            return {(0, 0): 1.0 / det}
+            return {(0, 0): scaled}
         a = self.jac[..., 0, 0]
         b = self.jac[..., 0, 1]
         c = self.jac[..., 1, 0]
         d = self.jac[..., 1, 1]
-        dd = self.det
-        shp = self.shape4
-        g00 = ((d * d + b * b) / dd).reshape(shp)
-        g01 = (-(c * d + a * b) / dd).reshape(shp)
-        g11 = ((c * c + a * a) / dd).reshape(shp)
-        return {(0, 0): g00, (0, 1): g01, (1, 0): g01, (1, 1): g11}
-
-    def block_tables(self, block):
-        t, first, nloc = [], [], []
-        for j in range(2):
-            if j in block.dirs:
-                t.append(self.M[j])
-                nloc.append(self.nodal_bases[j].degree)
-            else:
-                t.append(self.N[j])
-                nloc.append(self.nodal_bases[j].degree + 1)
-            first.append(self.first[j])
-        return t, first, nloc
+        g01 = -(c * d + a * b) * scaled
+        return {
+            (0, 0): (d * d + b * b) * scaled,
+            (0, 1): g01,
+            (1, 0): g01,
+            (1, 1): (c * c + a * a) * scaled,
+        }
 
     def reconstruct(self, form: DiscreteForm, comp: int) -> np.ndarray:
-        """One component of the reconstruction at every quadrature point (m1, m2)."""
-        block = form.space.blocks[comp]
-        (t1, t2), (f1, f2), (l1, l2) = self.block_tables(block)
-        coeffs = form.block_coeffs(comp)
-        i1 = f1[:, None] + np.arange(l1)[None, :]
-        i2 = f2[:, None] + np.arange(l2)[None, :]
-        win = coeffs[i1[:, :, None, None], i2[None, None, :, :]]
-        vals = np.einsum("aqi,aibk,brk->aqbr", t1, win, t2)
-        m1 = t1.shape[0] * t1.shape[1]
-        m2 = t2.shape[0] * t2.shape[1]
-        return vals.reshape(m1, m2)
+        """One component of the reconstruction at every Gauss point, (Q1, Q2)."""
+        b1, b2 = self.collocation(form.space.blocks[comp])
+        return b1.T @ (b2.T @ form.block_coeffs(comp).T).T
 
 
 @dataclass(frozen=True)
@@ -147,35 +216,36 @@ class MassMatrix:
 
 
 def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid) -> sp.csc_matrix:
-    weights = grid.metric_weight(space.k)
-    w1 = grid.w[0]
-    w2 = grid.w[1]
-    rows, cols, vals = [], [], []
-    for ia, A in enumerate(space.blocks):
-        for ib, B in enumerate(space.blocks):
+    """Gram matrix written entry by entry into its final CSC pattern.
+
+    Block pair (A, B) with weight W is ``V = G1 W G2^T`` for the pair
+    operators G1, G2 of its two directions; entry ((I1, J1), (I2, J2)) of
+    V is the one nonzero at row (I1, I2) of A and column (J1, J2) of B,
+    because the pattern is the Kronecker product of the two pair sets.
+    Within a column, rows come block by block and, inside a block, in
+    flat (Fortran) order, which is the order of ``rank`` in direction 2
+    and then in direction 1.
+    """
+    weights = grid.mass_weights(space.k)
+    per_col = np.zeros(space.dim, dtype=np.int64)
+    parts = []
+    for ib, B in enumerate(space.blocks):
+        cols = B.offset + np.arange(B.size).reshape(B.shape, order="F")
+        for ia, A in enumerate(space.blocks):
             if (ia, ib) not in weights:
                 continue
-            (ta1, ta2), (fa1, fa2), (la1, la2) = grid.block_tables(A)
-            (tb1, tb2), (fb1, fb2), (lb1, lb2) = grid.block_tables(B)
-            W = weights[(ia, ib)] * w1[:, :, None, None] * w2[None, None, :, :]
-            X = np.einsum("aqi,aqj->aqij", ta1, tb1)
-            Y = np.einsum("brk,brl->brkl", ta2, tb2)
-            local = np.einsum("aqij,aqbr,brkl->abikjl", X, W, Y, optimize=True)
-            ra = (fa1[:, None] + np.arange(la1)[None, :])[:, None, :, None]
-            rb = (fa2[:, None] + np.arange(la2)[None, :])[None, :, None, :]
-            rowidx = A.offset + ra + A.shape[0] * rb  # (a, b, i, k)
-            ca = (fb1[:, None] + np.arange(lb1)[None, :])[:, None, :, None]
-            cb = (fb2[:, None] + np.arange(lb2)[None, :])[None, :, None, :]
-            colidx = B.offset + ca + B.shape[0] * cb  # (a, b, j, l)
-            shape = local.shape  # (a, b, i, k, j, l)
-            rows.append(np.broadcast_to(rowidx[:, :, :, :, None, None], shape).ravel())
-            cols.append(np.broadcast_to(colidx[:, :, None, None, :, :], shape).ravel())
-            vals.append(local.ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    )
-    return mat.tocsc()
+            g1, g2 = (grid.axes[j].pair(j in A.dirs, j in B.dirs) for j in range(2))
+            parts.append((A, g1, g2, weights[ia, ib], cols, per_col[cols]))
+            per_col[cols] += np.outer(g1.per_col, g2.per_col)
+    indptr = np.concatenate(([0], np.cumsum(per_col)))
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for A, g1, g2, W, cols, before in parts:
+        first = (indptr[cols] + before)[g1.cols][:, g2.cols]
+        dest = first + g2.rank[None, :] * g1.per_col[g1.cols][:, None] + g1.rank[:, None]
+        data[dest] = (g2.matrix @ (g1.matrix @ W).T).T
+        indices[dest] = A.offset + g1.rows[:, None] + A.shape[0] * g2.rows[None, :]
+    return sp.csc_matrix((data, indices, indptr), shape=(space.dim, space.dim))
 
 
 def assemble_mass(space: DiscreteFormSpace, patch: NurbsPatch, n_quad=None) -> MassMatrix:
@@ -198,17 +268,11 @@ def _forcing_vector(space: DiscreteFormSpace, grid: _PatchGrid, forcing) -> np.n
     c = grid.jac[..., 1, 0]
     d = grid.jac[..., 1, 1]
     pulled = (d * f0 - b * f1, -c * f0 + a * f1)  # det J * J^{-1} f
-    out = np.zeros(space.dim)
-    w1 = grid.w[0]
-    w2 = grid.w[1]
+    out = np.empty(space.dim)
     for comp, block in enumerate(space.blocks):
-        (t1, t2), (f1_, f2_), (l1, l2) = grid.block_tables(block)
-        V = pulled[comp].reshape(grid.shape4) * w1[:, :, None, None] * w2[None, None, :, :]
-        local = np.einsum("aqi,aqbr,brk->abik", t1, V, t2, optimize=True)
-        i1 = (f1_[:, None] + np.arange(l1)[None, :])[:, None, :, None]
-        i2 = (f2_[:, None] + np.arange(l2)[None, :])[None, :, None, :]
-        idx = block.offset + i1 + block.shape[0] * i2
-        np.add.at(out, np.broadcast_to(idx, local.shape).ravel(), local.ravel())
+        b1, b2 = grid.collocation(block)
+        local = b1 @ (b2 @ (pulled[comp] * grid.w).T).T
+        out[block.offset : block.offset + block.size] = local.ravel(order="F")
     return out
 
 
@@ -420,8 +484,8 @@ def _normalize_side_data(system: SaddleSystem, velocity, sides):
 
 def _side_velocity(patch: NurbsPatch, side: str, t, vfun):
     """Velocity data and physical side tangent at side coordinates t, each (m, 2)."""
-    tan = patch.side_tangent(side, t)
-    v = np.asarray(vfun(*patch.map_point(patch.side_points(side, t)).T), dtype=float).T
+    points, tan = patch.side_frame(side, t)
+    v = np.asarray(vfun(*points.T), dtype=float).T
     return np.broadcast_to(v, tan.shape), tan
 
 
@@ -455,6 +519,7 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
     data = _normalize_side_data(system, velocity, list(system.bc.normal_sides))
     net = 0.0
     scale = 0.0
+    histopolation = {}  # one per distinct side basis
     for (p, side), vfun in data.items():
         integrals = _side_flux_integrals(system, p, side, vfun)
         net += _OUTWARD_SIGN[side] * integrals.sum()
@@ -463,7 +528,9 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
             values = integrals
         else:
             basis, _ = _side_basis(system, p, side)
-            values = build_histopolation(EdgeBasis1D(basis)).solve(integrals)
+            if basis not in histopolation:
+                histopolation[basis] = build_histopolation(EdgeBasis1D(basis))
+            values = histopolation[basis].solve(integrals)
         gids = system.map1[p][_side_cell_ids(system.spaces[p][1], side)]
         for g, val in zip(gids, values):
             system.fixed[int(g)] = float(val)
@@ -532,6 +599,7 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, bc=None, forcing=None, n_qua
             raise ConstructionError("spaces must be the (0, 1, 2)-form triple")
     if not (np.isfinite(nu) and nu > 0):
         raise ConstructionError(f"nu must be finite and > 0, got {nu}")
+    _check_n_quad(n_quad)
     if bc is None:
         used = {(g[0], g[1]) for g in glue} | {(g[2], g[3]) for g in glue}
         all_sides = tuple(

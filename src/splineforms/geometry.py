@@ -138,17 +138,21 @@ class NurbsPatch:
         (v1, _), (v2, _) = self._tables((pts[:, 0], pts[:, 1]))
         return self._at_points(v1, v2).reshape(u.shape)
 
+    def _jacobian_at(self, tables) -> np.ndarray:
+        """Jacobian (m, 2, 2) from the ``_tables`` of m scattered points; det must stay positive."""
+        (v1, d1), (v2, d2) = tables
+        col1 = self._at_points(d1, v2)
+        col2 = self._at_points(v1, d2)
+        det = col1[:, 0] * col2[:, 1] - col1[:, 1] * col2[:, 0]
+        if np.any(det <= 0.0):
+            raise DegenerateGeometryError("nonpositive Jacobian determinant")
+        return np.stack((col1, col2), axis=-1)
+
     def jacobian(self, u) -> np.ndarray:
         """Jacobian at scattered parametric points (..., 2, 2); det must stay positive."""
         u = np.asarray(u, dtype=float)
         pts = u.reshape(-1, 2)
-        (v1, d1), (v2, d2) = self._tables((pts[:, 0], pts[:, 1]))
-        col1 = self._at_points(d1, v2)
-        col2 = self._at_points(v1, d2)
-        jac = np.stack((col1, col2), axis=-1)
-        det = col1[:, 0] * col2[:, 1] - col1[:, 1] * col2[:, 0]
-        if np.any(det <= 0.0):
-            raise DegenerateGeometryError("nonpositive Jacobian determinant")
+        jac = self._jacobian_at(self._tables((pts[:, 0], pts[:, 1])))
         return jac.reshape(u.shape + (2,))
 
     def pullback_components(self, k: int, u, components) -> np.ndarray:
@@ -186,6 +190,18 @@ class NurbsPatch:
         axis, _ = SIDES[side]
         jac = self.jacobian(self.side_points(side, t))
         return jac[..., :, 1 - axis]
+
+    def side_frame(self, side: str, t):
+        """Physical points and tangents of a side at 1D coordinates t, each (m, 2).
+
+        The same values as ``map_point(side_points(side, t))`` and
+        ``side_tangent(side, t)``, from one window call per axis.
+        """
+        axis, _ = SIDES[side]
+        pts = self.side_points(side, np.ravel(t))
+        tables = self._tables((pts[:, 0], pts[:, 1]))
+        (v1, _), (v2, _) = tables
+        return self._at_points(v1, v2), self._jacobian_at(tables)[:, :, 1 - axis]
 
     def quadrature(self, field_breaks, n_points) -> QuadratureRule:
         return QuadratureRule(field_breaks, n_points)

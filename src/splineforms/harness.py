@@ -179,9 +179,9 @@ def couette_speed(r, r_in: float = 1.0, r_out: float = 2.0, omega_in: float = 1.
 
 
 def _bases(degree_nodal: int, spans: int):
-    kv = KnotVector(uniform_open_knots(degree_nodal, spans), degree_nodal)
-    kv2 = KnotVector(uniform_open_knots(degree_nodal, spans), degree_nodal)
-    return Basis1D(kv), Basis1D(kv2)
+    """The nodal bases of both directions: one object, so per-basis work is done once."""
+    basis = Basis1D(KnotVector(uniform_open_knots(degree_nodal, spans), degree_nodal))
+    return basis, basis
 
 
 def _h_max(patches, triples) -> float:
@@ -216,7 +216,7 @@ def _solution_errors(solution, exact, extra_quad: int = 2, quad=None):
     for p, patch in enumerate(sysm.patches):
         spaces = sysm.spaces[p]
         grid = _PatchGrid(spaces[0].nodal_bases, patch, n_quad=quad, extra=extra_quad)
-        W = np.outer(grid.w[0].ravel(), grid.w[1].ravel()) * grid.det
+        W = grid.w * grid.det
         X = grid.phys[..., 0]
         Y = grid.phys[..., 1]
         fo, fu, fp = solution.forms(p)

@@ -3,12 +3,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from splineforms import assembly
 from splineforms.assembly import (
     BCSpec,
+    _PatchGrid,
     _glued_numbering,
     _side_flux_integrals,
+    _side_velocity,
     apply_strong_normal_velocity,
     apply_weak_tangential_velocity,
     assemble_mass,
@@ -23,9 +27,9 @@ from splineforms.geometry import (
     curved_square_patch,
     unit_square_patch,
 )
-from splineforms.harness import manufactured_fields
+from splineforms.harness import _bases, manufactured_fields
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
-from splineforms.splines import Basis1D, KnotVector, uniform_open_knots
+from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
 from splineforms.projection import greville_edges
 from splineforms._quadrature import panel_rule, split_interval
 
@@ -92,6 +96,140 @@ class TestMassMatrices:
         asym = np.abs(M - M.T).max() / np.abs(M).max()
         assert asym < 1e-13
         np.linalg.cholesky(M)  # raises if not positive definite
+
+
+def element_loop_mass(space, patch, n_quad=None):
+    """Test-only oracle: per-element einsum of the local Gram blocks, summed through COO."""
+    tables = []
+    for j, b in enumerate(space.nodal_bases):
+        nq = n_quad or patch.bases[j].degree + b.degree + 1
+        pts, wts = panel_rule(b.breakpoints, nq)
+        spans, nvals, _ = b.window(pts.ravel())
+        _, evals = EdgeBasis1D(b).window(pts.ravel())
+        n_el = pts.shape[0]
+        tables.append({
+            False: nvals.reshape(n_el, nq, -1),
+            True: evals.reshape(n_el, nq, -1),
+            "first": spans.reshape(n_el, nq)[:, 0] - b.degree,
+            "w": wts,
+            "pts": pts.ravel(),
+        })
+    jac, det = patch.jacobian_grid(tables[0]["pts"], tables[1]["pts"])
+    shape4 = tables[0]["w"].shape + tables[1]["w"].shape
+    a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
+    metric = {
+        0: {(0, 0): det},
+        1: {(0, 0): (d * d + b * b) / det, (0, 1): -(c * d + a * b) / det,
+            (1, 0): -(c * d + a * b) / det, (1, 1): (c * c + a * a) / det},
+        2: {(0, 0): 1.0 / det},
+    }[space.k]
+    quad_w = tables[0]["w"][:, :, None, None] * tables[1]["w"][None, None, :, :]
+
+    def windows(block):
+        # per direction: (table (e, q, local), global index of each local function (e, local))
+        out = []
+        for j in range(2):
+            t = tables[j][j in block.dirs]
+            out.append((t, tables[j]["first"][:, None] + np.arange(t.shape[2])[None, :]))
+        return out
+
+    rows, cols, vals = [], [], []
+    for (ia, ib), g in metric.items():
+        A, B = space.blocks[ia], space.blocks[ib]
+        (ta1, ia1), (ta2, ia2) = windows(A)
+        (tb1, ib1), (tb2, ib2) = windows(B)
+        W = g.reshape(shape4) * quad_w
+        local = np.einsum("aqi,aqj,aqbr,brk,brl->abikjl", ta1, tb1, W, ta2, tb2, optimize=True)
+        r = A.offset + ia1[:, None, :, None] + A.shape[0] * ia2[None, :, None, :]
+        col = B.offset + ib1[:, None, :, None] + B.shape[0] * ib2[None, :, None, :]
+        rows.append(np.broadcast_to(r[:, :, :, :, None, None], local.shape).ravel())
+        cols.append(np.broadcast_to(col[:, :, None, None, :, :], local.shape).ravel())
+        vals.append(local.ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.dim, space.dim),
+    ).tocsc()
+
+
+def jittered_basis(p, spans, rng):
+    h = 1.0 / spans
+    inner = h * (np.arange(1, spans) + rng.uniform(-0.3, 0.3, spans - 1))
+    return Basis1D(KnotVector(np.concatenate(([0.0] * (p + 1), inner, [1.0] * (p + 1))), p))
+
+
+def oracle_case(name):
+    rng = np.random.default_rng(41)
+    if name == "curved-jittered":
+        return (jittered_basis(3, 7, rng), jittered_basis(3, 5, rng)), curved_square_patch()
+    if name == "annulus-rational":
+        return (jittered_basis(2, 4, rng), jittered_basis(3, 6, rng)), build_taylor_couette().patches[1]
+    repeated = Basis1D(KnotVector([0, 0, 0, 0, 0.25, 0.5, 0.5, 0.75, 1, 1, 1, 1], 3))
+    return (repeated, jittered_basis(2, 3, rng)), curved_square_patch()
+
+
+ORACLE_CASES = ["curved-jittered", "annulus-rational", "repeated-knot"]
+
+
+class TestSumFactorizedMass:
+    @pytest.mark.parametrize("n_quad", [None, 7])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_element_loop(self, case, n_quad):
+        bases, patch = oracle_case(case)
+        for k in (0, 1, 2):
+            space = DiscreteFormSpace(bases, k)
+            got = assemble_mass(space, patch, n_quad=n_quad).matrix
+            want = element_loop_mass(space, patch, n_quad)
+            npt.assert_array_equal(got.indptr, want.indptr)
+            npt.assert_array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_reconstruct_matches_eval_grid(self, case):
+        bases, patch = oracle_case(case)
+        grid = _PatchGrid(bases, patch)
+        axes = (grid.axes[0].pts, grid.axes[1].pts)
+        rng = np.random.default_rng(5)
+        for k in (0, 1, 2):
+            space = DiscreteFormSpace(bases, k)
+            form = DiscreteForm(space, rng.standard_normal(space.dim))
+            for comp in range(len(space.blocks)):
+                want = form.eval_grid(axes, comp=comp)[0]
+                got = grid.reconstruct(form, comp)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_pair_operators_built_once_per_grid(self, monkeypatch):
+        built = []
+        original = assembly._PairOperator.__init__
+        monkeypatch.setattr(
+            assembly._PairOperator, "__init__",
+            lambda self, *args: (built.append(1), original(self, *args))[1],
+        )
+        # both directions share one basis and rule: one axis, its four pair
+        # operators serve M0, M1 and M2
+        assemble_vvp(vvp_spaces(_bases(3, 4)), unit_square_patch())
+        assert len(built) == 4
+        built.clear()
+        assemble_vvp(make_spaces(3, 4), unit_square_patch())  # two basis objects
+        assert len(built) == 8
+
+    @pytest.mark.parametrize("entry", ["assemble_mass", "assemble_vvp", "_PatchGrid"])
+    @pytest.mark.parametrize("n_quad", [0, -1, 2.5, 3.0, True, "4"])
+    def test_invalid_n_quad_rejected(self, entry, n_quad):
+        spaces = make_spaces(2, 2)
+        patch = unit_square_patch()
+        calls = {
+            "assemble_mass": lambda: assemble_mass(spaces[0], patch, n_quad=n_quad),
+            "assemble_vvp": lambda: assemble_vvp(spaces, patch, n_quad=n_quad),
+            "_PatchGrid": lambda: _PatchGrid(spaces[0].nodal_bases, patch, n_quad=n_quad),
+        }
+        with pytest.raises(ConstructionError, match="n_quad"):
+            calls[entry]()
+
+    def test_integer_n_quad_accepted(self):
+        space = make_spaces(2, 2)[0]
+        want = assemble_mass(space, unit_square_patch(), n_quad=4).matrix
+        got = assemble_mass(space, unit_square_patch(), n_quad=np.int64(4)).matrix
+        assert (got != want).nnz == 0
 
 
 class TestSystemAssembly:
@@ -194,6 +332,51 @@ def looped_side_flux(system, p, side, vfun):
         v = np.asarray(vfun(*patch.map_point(patch.side_points(side, t)).T)).T
         out.append(np.dot(v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0], wts.ravel()))
     return np.array(out)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSideEvaluationCounts:
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_side_velocity_one_window_call_per_axis(self, monkeypatch, side):
+        patch = build_taylor_couette().patches[2]
+        t = np.linspace(0.0, 1.0, 9)
+        vfun = lambda x, y: (x * y, x - y)
+        want_points = patch.map_point(patch.side_points(side, t))
+        want_tan = patch.side_tangent(side, t)
+        windows = count_calls(monkeypatch, Basis1D, "window")
+        v, tan = _side_velocity(patch, side, t, vfun)
+        assert len(windows) == 2
+        npt.assert_array_equal(tan, want_tan)
+        npt.assert_array_equal(v, np.column_stack(vfun(*want_points.T)))
+
+    @pytest.mark.parametrize("geometry", ["unit-square", "annulus"])
+    def test_one_histopolation_per_side_basis(self, monkeypatch, geometry):
+        if geometry == "annulus":
+            triples = [vvp_spaces(_bases(3, 4)) for _ in range(4)]
+            system = assemble_vvp(triples, build_taylor_couette())
+            distinct = 4
+        else:
+            system = assemble_vvp(vvp_spaces(_bases(3, 5)), unit_square_patch())
+            distinct = 1
+        builds = count_calls(monkeypatch, assembly, "build_histopolation")
+        apply_strong_normal_velocity(system, lambda x, y: (0.0 * x, 0.0 * y))
+        assert len(builds) == distinct
+        assert len({id(args[0].parent) for args in builds}) == distinct
+
+    def test_harness_bases_share_one_object(self):
+        first, second = _bases(3, 4)
+        assert first is second
 
 
 class TestBatchedSideIntegrals:
