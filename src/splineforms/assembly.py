@@ -19,10 +19,11 @@ multiplier row.
 
 The solve does not factor the saddle system.  Because D21 D10 = 0 in
 integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
-construction, and only the symmetric (vorticity, y) system is factored;
-pressure and multiplier are recovered afterwards from the momentum and
-pressure rows through the integer 2-cell Laplacian.  The assembled
-saddle system remains the operator whose residual gates the solve.
+construction, and only the symmetric (vorticity, y) system is factored,
+with diagonal pivots along a node-paired order; pressure and multiplier
+are recovered afterwards from the momentum and pressure rows through the
+integer 2-cell Laplacian.  The assembled saddle system remains the
+operator whose residual gates the solve.
 """
 
 from __future__ import annotations
@@ -307,15 +308,18 @@ def _glued_numbering(sizes, pairs):
     """Global numbering after identifying the given (flat) index pairs.
 
     Each connected component of the identification graph gets one global
-    index, in order of its smallest member.
+    index, in order of its smallest member; without pairs the numbering
+    is the identity.
     """
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     n = int(offsets[-1])
-    none = [np.zeros(0, dtype=int)]
-    rows = np.concatenate([offsets[pa] + ids for (pa, ids), _ in pairs] + none)
-    cols = np.concatenate([offsets[pb] + ids for _, (pb, ids) in pairs] + none)
-    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    n_global, labels = connected_components(graph, directed=False)
+    if pairs:
+        rows = np.concatenate([offsets[pa] + ids for (pa, ids), _ in pairs])
+        cols = np.concatenate([offsets[pb] + ids for _, (pb, ids) in pairs])
+        graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        n_global, labels = connected_components(graph, directed=False)
+    else:  # int32 like csgraph's labels, which keeps the assembly triplets small
+        n_global, labels = n, np.arange(n, dtype=np.int32)
     maps = [labels[offsets[p] : offsets[p + 1]] for p in range(len(sizes))]
     return maps, n_global
 
@@ -644,16 +648,44 @@ def _global_coboundaries(system: SaddleSystem):
 
 
 def _factor(matrix, what: str, permc_spec: str):
-    """Sparse LU with symmetric pivoting preferred; failures become SingularSystemError."""
+    """Sparse LU with diagonal pivots; failures become SingularSystemError.
+
+    ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
+    pivot, so the elimination follows the given column order
+    symmetrically.  An exactly singular factor raises; pivot growth
+    shows in the solve residual.
+    """
     try:
         return spla.splu(
-            matrix.tocsc(), permc_spec=permc_spec, options={"SymmetricMode": True}
+            matrix.tocsc(),
+            permc_spec=permc_spec,
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
         raise SingularSystemError(
             f"factorization of the {what} failed: {exc}",
             nullspace_hint="system may be rank deficient",
         ) from exc
+
+
+def _node_paired_positions(A_ww, group, gauged) -> np.ndarray:
+    """Position of each (omega, y) unknown in the node-paired elimination order.
+
+    The nodes follow the minimum-degree order of the SPD block ``-A_ww``,
+    whose pattern is the node graph of every block of the system; each
+    stream unknown ``y_g`` comes right after the last node of its group
+    ``g``, so it is eliminated only once a coupled vorticity pivot has
+    made its diagonal nonzero.
+    """
+    n0 = A_ww.shape[0]
+    node_pos = _factor(-A_ww, "vorticity mass matrix", "MMD_AT_PLUS_A").perm_c
+    last = np.zeros(group.max() + 1, dtype=np.int64)
+    np.maximum.at(last, group, node_pos)
+    keys = np.concatenate((2 * node_pos, 2 * last[gauged] + 1))  # distinct, below 2 n0
+    used = np.zeros(2 * n0, dtype=np.int64)
+    used[keys] = 1
+    return np.cumsum(used)[keys] - 1  # rank of each key
 
 
 def solve(system: SaddleSystem) -> Solution:
@@ -669,10 +701,14 @@ def solve(system: SaddleSystem) -> Solution:
     constant for the stream gauge.  Pressure leaves the factored system:
     with ``Z = D10 C`` the symmetric ``(omega, y)`` system
     ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored, its blocks sliced
-    from ``system.matrix``.  Pressure is recovered afterwards from the
-    free momentum rows ``D21_f^T (M2 p) = r`` through the same ``L``,
-    shifted to zero sum when the gauge is set, and the multiplier from
-    the pressure rows.
+    from ``system.matrix``.  It is permuted once into a node-paired
+    order (the minimum-degree order of the nodes, each stream unknown
+    right after the last node of its group) and factored along that
+    order with diagonal pivots: every zero diagonal of the stream block
+    is filled by a coupled vorticity pivot before it is reached.
+    Pressure is recovered afterwards from the free momentum rows
+    ``D21_f^T (M2 p) = r`` through the same ``L``, shifted to zero sum
+    when the gauge is set, and the multiplier from the pressure rows.
 
     ``nu`` is a pure rescaling: the vorticity and momentum rows are
     divided by ``nu``, which is the ``nu = 1`` problem with forcing
@@ -714,11 +750,21 @@ def solve(system: SaddleSystem) -> Solution:
     A_ww = A[:n0, :n0] / nu
     A_wu = A[:n0, u_rows] / nu
     B = A_wu @ Z
-    K = sp.bmat([[A_ww, B], [B.T, None]], format="csc")
-    rhs = np.concatenate((system.rhs[:n0] / nu - A_wu @ u0, Z.T @ system.rhs[u_rows] / nu))
-    lu = _factor(K, "vorticity-stream system", "MMD_ATA")
+    pos = _node_paired_positions(A_ww, group, gauged)
+    # rows of K taken in the node-paired order and columns relabelled; the
+    # transpose into CSC then leaves every column sorted, with no sort pass
+    K = sp.vstack(
+        [sp.hstack([A_ww, B], format="csr"),
+         sp.hstack([B.T.tocsr(), sp.csr_matrix((gauged.size, gauged.size))], format="csr")],
+        format="csr",
+    )[np.argsort(pos)]
+    K = sp.csr_matrix((K.data, pos[K.indices], K.indptr), shape=K.shape).tocsc()
+    rhs = np.empty(K.shape[0])
+    rhs[pos] = np.concatenate((system.rhs[:n0] / nu - A_wu @ u0, Z.T @ system.rhs[u_rows] / nu))
+    lu = _factor(K, "vorticity-stream system", "NATURAL")
     x = lu.solve(rhs)
     x += lu.solve(rhs - K @ x)
+    x = x[pos]
     omega = x[:n0]
     u = u0 + Z @ x[n0:]
 

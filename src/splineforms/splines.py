@@ -237,7 +237,7 @@ class Basis1D:
         if p < 1:
             raise ConstructionError("Greville points require degree >= 1")
         knots = self.knot_vector.knots
-        nodes = np.array([knots[i + 1 : i + p + 1].mean() for i in range(self.num_basis)])
+        nodes = np.lib.stride_tricks.sliding_window_view(knots[1:-1], p).mean(axis=1)
         if np.any(np.diff(nodes) <= 0.0):
             raise ConstructionError(
                 "repeated Greville nodes (interior knot multiplicity degree+1)"

@@ -57,14 +57,6 @@ def block_orientation(d: int, k: int, subset) -> int:
     return 1
 
 
-def _difference_matrix(n: int) -> sp.csr_matrix:
-    """1D coboundary (n, n+1): row i reads value[i+1] - value[i]."""
-    data = np.tile([-1, 1], n)
-    rows = np.repeat(np.arange(n), 2)
-    cols = rows + np.tile([0, 1], n)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n + 1), dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class IncidenceMatrix:
     """Signed integer connectivity E_{k-1,k} between k-cells and their boundary cells."""
@@ -124,36 +116,39 @@ class CellComplex:
         if not lo <= k <= self.d:
             raise ConstructionError(f"k={k} out of range for a {self.d}D complex")
 
-    def _axis_operator(self, shape, axis) -> sp.spmatrix:
-        """Apply the 1D difference along one axis of an F-ordered coefficient tensor."""
-        mats = [
-            _difference_matrix(self.dims[j])
-            if j == axis
-            else sp.identity(shape[j], dtype=np.int64, format="csr")
-            for j in range(self.d)
-        ]
-        out = mats[0]
-        for m in mats[1:]:
-            out = sp.kron(m, out, format="csr")  # first direction fastest
-        return out
-
     def _build_coboundary(self, k: int) -> sp.csr_matrix:
+        """D_{k+1,k} written straight into CSR arrays.
+
+        A (k+1)-cell at multi-index m of target block T meets, for each
+        k-block S = T minus one axis a, the source cells m and m + e_a
+        with entries -s and +s (s the orientation sign).  Source blocks
+        come in column order, so a row holds its 2(k+1) columns sorted.
+        """
         col_blocks = self.block_shapes(k)
-        row_blocks = self.block_shapes(k + 1)
-        grid = []
-        for target, _ in row_blocks:
+        offsets = np.cumsum([0] + [int(np.prod(shape)) for _, shape in col_blocks])
+        indices, data = [], []
+        for target, tshape in self.block_shapes(k + 1):
             o_target = block_orientation(self.d, k + 1, target)
-            row = []
-            for subset, shape in col_blocks:
-                if set(subset) <= set(target):
-                    (axis,) = set(target) - set(subset)
-                    o_source = block_orientation(self.d, k, subset)
-                    sign = o_target * o_source * (-1) ** sum(1 for s in subset if s < axis)
-                    row.append(sign * self._axis_operator(shape, axis))
-                else:
-                    row.append(None)
-            grid.append(row)
-        return sp.bmat(grid, format="csr", dtype=np.int64)
+            cell = np.unravel_index(np.arange(int(np.prod(tshape))), tshape, order="F")
+            cols, vals = [], []
+            for (subset, shape), offset in zip(col_blocks, offsets):
+                if not set(subset) <= set(target):
+                    continue
+                (axis,) = set(target) - set(subset)
+                o_source = block_orientation(self.d, k, subset)
+                sign = o_target * o_source * (-1) ** sum(1 for s in subset if s < axis)
+                strides = np.cumprod((1,) + shape[:-1])
+                first = offset + sum(i * st for i, st in zip(cell, strides))
+                cols += [first, first + strides[axis]]
+                vals += [-sign, sign]
+            indices.append(np.column_stack(cols).ravel())
+            data.append(np.tile(vals, cell[0].size))
+        n_rows = self.num_cells(k + 1)
+        indptr = np.arange(0, 2 * (k + 1) * n_rows + 1, 2 * (k + 1))
+        return sp.csr_matrix(
+            (np.concatenate(data).astype(np.int64), np.concatenate(indices), indptr),
+            shape=(n_rows, int(offsets[-1])),
+        )
 
     def __repr__(self):
         return f"CellComplex(dims={self.dims})"

@@ -206,6 +206,17 @@ class TestGreville:
             plain.greville_points(), [0, 1 / 3, 1, 2, 3, 11 / 3, 4], atol=1e-15
         )
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_bitwise_equal_to_loop(self, p):
+        rng = np.random.default_rng(100 + p)
+        for _ in range(20):
+            inner = np.sort(rng.uniform(0.0, 1.0, rng.integers(0, 12)))
+            mult = rng.integers(1, p + 1, inner.size)  # up to degree: distinct nodes
+            knots = np.concatenate(([0.0] * (p + 1), np.repeat(inner, mult), [1.0] * (p + 1)))
+            basis = bspline_basis(knots, p)
+            loop = np.array([knots[i + 1 : i + p + 1].mean() for i in range(basis.num_basis)])
+            assert np.array_equal(basis.greville_points(), loop)
+
     def test_repeated_nodes_rejected(self):
         basis = bspline_basis([0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1], 2)
         with pytest.raises(ConstructionError):

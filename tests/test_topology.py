@@ -3,12 +3,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from splineforms.errors import ConstructionError
 from splineforms.topology import (
     CellComplex,
     Chain,
     Cochain,
+    block_orientation,
     boundary,
     build_incidence,
     coboundary,
@@ -176,6 +178,52 @@ def test_incidence_depends_only_on_dims():
     da = sa.coboundary_matrix()
     db = sb.coboundary_matrix()
     assert (da != db).nnz == 0
+
+
+def kron_coboundary(cx: CellComplex, k: int) -> sp.csr_matrix:
+    """Test-only oracle: D_{k+1,k} from Kronecker products of 1D differences."""
+
+    def difference(n):
+        rows = np.repeat(np.arange(n), 2)
+        cols = rows + np.tile([0, 1], n)
+        return sp.csr_matrix((np.tile([-1, 1], n), (rows, cols)), shape=(n, n + 1), dtype=np.int64)
+
+    def axis_operator(shape, axis):
+        out = None
+        for j in range(cx.d):
+            m = difference(cx.dims[j]) if j == axis else sp.identity(shape[j], dtype=np.int64, format="csr")
+            out = m if out is None else sp.kron(m, out, format="csr")  # first direction fastest
+        return out
+
+    grid = []
+    for target, _ in cx.block_shapes(k + 1):
+        row = []
+        for subset, shape in cx.block_shapes(k):
+            if set(subset) <= set(target):
+                (axis,) = set(target) - set(subset)
+                sign = (block_orientation(cx.d, k + 1, target) * block_orientation(cx.d, k, subset)
+                        * (-1) ** sum(1 for s in subset if s < axis))
+                row.append(sign * axis_operator(shape, axis))
+            else:
+                row.append(None)
+        grid.append(row)
+    return sp.bmat(grid, format="csr", dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "dims", [(1,), (5,), (1, 1), (1, 4), (3, 1), (4, 3), (1, 1, 1), (1, 3, 2), (2, 3, 4), (3, 2, 1)]
+)
+def test_closed_form_coboundary_matches_kron_build(dims):
+    cx = CellComplex(dims)
+    for k in range(len(dims)):
+        got, want = cx.coboundary_matrix(k), kron_coboundary(cx, k)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.int64
+        assert got.indices.dtype == want.indices.dtype and got.indptr.dtype == want.indptr.dtype
+        for name in ("indptr", "indices", "data"):
+            npt.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        # 2(k+1) entries a row, columns ascending
+        npt.assert_array_equal(np.diff(got.indptr), 2 * (k + 1))
+        assert got.has_sorted_indices
 
 
 def test_argument_errors():
