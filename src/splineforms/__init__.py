@@ -42,7 +42,6 @@ from .projection import (
 from .geometry import (
     MultiPatch,
     NurbsPatch,
-    QuadratureRule,
     build_taylor_couette,
     curved_square_patch,
     quarter_annulus_patch,

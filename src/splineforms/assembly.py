@@ -12,18 +12,20 @@ straight into its place in the final CSC arrays.  Forcing vectors
 (B1 V B2^T) and reconstructions (B1^T C B2) use the per-direction
 collocation matrices B the same way.
 
-The saddle system couples the mass matrices with the integer coboundary
-matrices; the assembled operator is symmetric, and with normal velocity
+The mixed system is never needed as one matrix.  ``SaddleSystem`` holds
+the glued global mass matrices M0, M1, M2 and the integer coboundaries
+D10, D21; its operator [[-nu M0, nu (M1 D10)^T, 0], [nu M1 D10, 0,
+(M2 D21)^T], [0, M2 D21, 0]] is symmetric, and with normal velocity
 prescribed on the whole boundary the pressure is gauged by a zero-mean
-multiplier row.
+multiplier row.  ``SaddleSystem.matrix`` assembles it only when read.
 
 The solve does not factor the saddle system.  Because D21 D10 = 0 in
 integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
 construction, and only the symmetric (vorticity, y) system is factored,
 with diagonal pivots along a node-paired order; pressure and multiplier
 are recovered afterwards from the momentum and pressure rows through the
-integer 2-cell Laplacian.  The assembled saddle system remains the
-operator whose residual gates the solve.
+integer 2-cell Laplacian.  The residual of the full mixed system, taken
+block by block, gates the solve.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     FluxCompatibilityError,
     SingularSystemError,
 )
-from .geometry import SIDES, MultiPatch, NurbsPatch
+from .geometry import SIDES, MultiPatch, NurbsPatch, boundary_sides
 from .projection import build_histopolation, greville_edges
 from .spaces import DiscreteForm, DiscreteFormSpace
 from .splines import EdgeBasis1D
@@ -324,24 +326,48 @@ def _glued_numbering(sizes, pairs):
     return maps, n_global
 
 
+def _glued(parts, shape):
+    """Sum of per-patch matrices placed through their (row map, column map) pairs.
+
+    Without gluing (one part whose maps cover the whole shape, hence the
+    identity) the part itself is returned.
+    """
+    if len(parts) == 1 and parts[0][1].size == shape[0] and parts[0][2].size == shape[1]:
+        return parts[0][0]
+    coo = [(m.tocoo(), rows, cols) for m, rows, cols in parts]
+    return sp.csr_matrix(
+        (
+            np.concatenate([m.data for m, _, _ in coo]),
+            (np.concatenate([rows[m.row] for m, rows, _ in coo]),
+             np.concatenate([cols[m.col] for m, _, cols in coo])),
+        ),
+        shape=shape,
+    )
+
+
+def _check_glued_bases(spaces, glue):
+    """Raise unless every glued side pair carries the same field basis along it."""
+    for a, side_a, b, side_b, _ in glue:
+        ba = spaces[a][0].nodal_bases[1 - SIDES[side_a][0]]
+        bb = spaces[b][0].nodal_bases[1 - SIDES[side_b][0]]
+        ka, kb = ba.knot_vector.knots, bb.knot_vector.knots
+        if not (
+            ba.degree == bb.degree
+            and ka.shape == kb.shape
+            and np.allclose(ka, kb, rtol=0.0, atol=1e-12)
+            and np.allclose(ba.weights, bb.weights, rtol=1e-12, atol=0.0)
+        ):
+            raise ConstructionError(
+                f"glued sides {side_a} of patch {a} and {side_b} of patch {b} carry "
+                f"different field bases; their degree, knots and weights must coincide"
+            )
+
+
 @dataclass
 class BCSpec:
-    """Which sides carry strongly prescribed normal velocity.
-
-    Tangential pressure data would enter through a boundary operator on
-    the velocity row; only the homogeneous case is supported, so
-    requesting pressure sides raises.
-    """
+    """Which sides carry strongly prescribed normal velocity."""
 
     normal_sides: tuple = ()
-    pressure_sides: tuple = ()
-
-    def __post_init__(self):
-        if self.pressure_sides:
-            raise NotImplementedError(
-                "tangential-pressure boundary data is not supported; "
-                "only homogeneous pressure boundary terms are assembled"
-            )
 
 
 @dataclass
@@ -377,7 +403,13 @@ class Solution:
 
 
 class SaddleSystem:
-    """Assembled symmetric block system with boundary-condition bookkeeping."""
+    """Glued global blocks of the mixed Stokes system with boundary-condition bookkeeping.
+
+    ``M0``, ``M1``, ``M2`` are the mass matrices and ``D10``, ``D21`` the
+    integer coboundaries in the glued numbering, each built once; a
+    glued 1-cell has one row in ``D10``.  Unknowns are ordered (omega, u,
+    p) plus the multiplier when ``gauge`` is set.
+    """
 
     def __init__(self, spaces, patches, glue, nu, bc, n_quad=None, forcing=None):
         self.spaces = spaces  # list of (L0, L1, L2) per patch
@@ -402,73 +434,43 @@ class SaddleSystem:
         self.map2 = [offs2[p] + np.arange(spaces[p][2].dim) for p in range(n_patches)]
         self.n2 = int(offs2[-1])
 
-        boundary = self._boundary_sides()
-        self.gauge = set(bc.normal_sides) >= set(boundary)
+        self.boundary = boundary_sides(n_patches, glue)
+        self.gauge = set(bc.normal_sides) >= set(self.boundary)
         self.size = self.n0 + self.n1 + self.n2 + (1 if self.gauge else 0)
 
-        self.grids = [
-            _PatchGrid(spaces[p][0].nodal_bases, patches[p], n_quad=n_quad)
-            for p in range(n_patches)
-        ]
-        rows, cols, vals = [], [], []
-
-        def add(r, c, m, sym=True):
-            m = m.tocoo()
-            rows.append(r[m.row])
-            cols.append(c[m.col])
-            vals.append(m.data)
-            if sym:
-                rows.append(c[m.col])
-                cols.append(r[m.row])
-                vals.append(m.data)
-
         self.rhs = np.zeros(self.size)
-        self.mass = []
-        for p in range(n_patches):
-            s0, s1, s2 = spaces[p]
-            grid = self.grids[p]
-            M0 = _assemble_mass_on_grid(s0, grid)
-            M1 = _assemble_mass_on_grid(s1, grid)
-            M2 = _assemble_mass_on_grid(s2, grid)
-            self.mass.append((M0, M1, M2))
-            D10 = s0.coboundary_matrix().tocsc()
-            D21 = s1.coboundary_matrix().tocsc()
-            g0 = self.map0[p]
-            g1 = self.n0 + self.map1[p]
-            g2 = self.n0 + self.n1 + self.map2[p]
-            add(g0, g0, -self.nu * M0, sym=False)
-            add(g1, g0, self.nu * (M1 @ D10))
-            add(g2, g1, M2 @ D21)
+        mass, d10, d21 = ([], [], []), [], []
+        owned = np.zeros(self.n1, dtype=bool)
+        for p, (s0, s1, s2) in enumerate(spaces):
+            grid = _PatchGrid(s0.nodal_bases, patches[p], n_quad=n_quad)
+            maps = (self.map0[p], self.map1[p], self.map2[p])
+            for k, space in enumerate((s0, s1, s2)):
+                mass[k].append((_assemble_mass_on_grid(space, grid), maps[k], maps[k]))
+            own = ~owned[maps[1]]  # a glued 1-cell keeps the D10 row of its first patch
+            owned[maps[1]] = True
+            d10.append((s0.coboundary_matrix()[own], maps[1][own], maps[0]))
+            d21.append((s1.coboundary_matrix(), maps[2], maps[1]))
             if forcing is not None:
-                fvec = _forcing_vector(s1, grid, forcing)
-                np.add.at(self.rhs, g1, fvec)
-        if self.gauge:
-            last = self.size - 1
-            pr = self.n0 + self.n1 + np.arange(self.n2)
-            rows.append(np.full(self.n2, last))
-            cols.append(pr)
-            vals.append(np.ones(self.n2))
-            rows.append(pr)
-            cols.append(np.full(self.n2, last))
-            vals.append(np.ones(self.n2))
-        self.matrix = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.size, self.size),
-        ).tocsr()
+                np.add.at(self.rhs, self.n0 + maps[1], _forcing_vector(s1, grid, forcing))
+        self.M0, self.M1, self.M2 = (
+            _glued(parts, (n, n)) for parts, n in zip(mass, (self.n0, self.n1, self.n2))
+        )
+        self.D10 = _glued(d10, (self.n1, self.n0))
+        self.D21 = _glued(d21, (self.n2, self.n1))
         self.fixed: dict[int, float] = {}
-        self.b1 = np.zeros(self.n0)
 
-    def _boundary_sides(self):
-        if self.glue:
-            used = {(g[0], g[1]) for g in self.glue} | {(g[2], g[3]) for g in self.glue}
-        else:
-            used = set()
-        return [
-            (p, side)
-            for p in range(len(self.patches))
-            for side in ("left", "right", "bottom", "top")
-            if (p, side) not in used
-        ]
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The mixed operator, assembled on first read; the solve never reads it."""
+        nu = self.nu
+        vort = nu * (self.M1 @ self.D10)
+        div = self.M2 @ self.D21
+        blocks = [[-nu * self.M0, vort.T, None], [vort, None, div.T], [None, div, None]]
+        if self.gauge:
+            ones = sp.csr_matrix(np.ones((1, self.n2)))
+            blocks = [row + [col] for row, col in zip(blocks, (None, None, ones.T))]
+            blocks.append([None, None, ones, None])
+        return sp.bmat(blocks, format="csr")
 
     def asymmetry(self) -> float:
         diff = (self.matrix - self.matrix.T).tocoo()
@@ -550,7 +552,7 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
     right-hand side.  Only sides listed (or all boundary sides for a
     plain callable) contribute; missing sides mean zero data.
     """
-    sides = system._boundary_sides()
+    sides = system.boundary
     if isinstance(velocity, dict):
         entries = {k: velocity.get(k) for k in sides}
     else:
@@ -568,7 +570,6 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
         gids = system.map0[p][_side_nodal_ids(system.spaces[p][0], side)]
         np.add.at(b1, gids, local)
     system.rhs[: system.n0] += system.nu * b1
-    system.b1 = system.b1 + b1
     return b1
 
 
@@ -604,47 +605,10 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, bc=None, forcing=None, n_qua
     if not (np.isfinite(nu) and nu > 0):
         raise ConstructionError(f"nu must be finite and > 0, got {nu}")
     _check_n_quad(n_quad)
+    _check_glued_bases(space_list, glue)
     if bc is None:
-        used = {(g[0], g[1]) for g in glue} | {(g[2], g[3]) for g in glue}
-        all_sides = tuple(
-            (p, side)
-            for p in range(len(patches))
-            for side in ("left", "right", "bottom", "top")
-            if (p, side) not in used
-        )
-        bc = BCSpec(normal_sides=all_sides)
+        bc = BCSpec(normal_sides=tuple(boundary_sides(len(patches), glue)))
     return SaddleSystem(space_list, patches, glue, nu, bc, n_quad=n_quad, forcing=forcing)
-
-
-def _global_coboundaries(system: SaddleSystem):
-    """Global integer D10 (n1 x n0) and D21 (n2 x n1) through the dof maps.
-
-    A glued 1-cell is shared by two patches; its D10 row is taken from
-    the first patch that owns it, so it counts once.
-    """
-    r10, c10, v10, r21, c21, v21 = [], [], [], [], [], []
-    seen = np.zeros(system.n1, dtype=bool)
-    for p, (s0, s1, _) in enumerate(system.spaces):
-        g1 = system.map1[p]
-        d10 = s0.coboundary_matrix().tocoo()
-        first = ~seen[g1][d10.row]
-        seen[g1] = True
-        r10.append(g1[d10.row[first]])
-        c10.append(system.map0[p][d10.col[first]])
-        v10.append(d10.data[first])
-        d21 = s1.coboundary_matrix().tocoo()
-        r21.append(system.map2[p][d21.row])
-        c21.append(g1[d21.col])
-        v21.append(d21.data)
-    D10 = sp.csr_matrix(
-        (np.concatenate(v10), (np.concatenate(r10), np.concatenate(c10))),
-        shape=(system.n1, system.n0),
-    )
-    D21 = sp.csr_matrix(
-        (np.concatenate(v21), (np.concatenate(r21), np.concatenate(c21))),
-        shape=(system.n2, system.n1),
-    )
-    return D10, D21
 
 
 def _factor(matrix, what: str, permc_spec: str):
@@ -688,6 +652,44 @@ def _node_paired_positions(A_ww, group, gauged) -> np.ndarray:
     return np.cumsum(used)[keys] - 1  # rank of each key
 
 
+def _fixed_fluxes(system: SaddleSystem):
+    """Sorted fixed 1-cell ids, the mask of the free ones, and the fixed values as an n1 vector."""
+    fixed = np.array(sorted(system.fixed), dtype=int)
+    free = np.ones(system.n1, dtype=bool)
+    free[fixed] = False
+    e_fixed = np.zeros(system.n1)
+    e_fixed[fixed] = [system.fixed[i] for i in fixed]
+    return fixed, free, e_fixed
+
+
+def _reduced_residual(system: SaddleSystem, omega, u, p, lam) -> float:
+    """Relative residual of the mixed system at (omega, u, p, lam), block by block.
+
+    The fixed-flux rows are dropped and the vorticity, momentum and gauge
+    rows divided by ``nu``; the scale is the reduced right-hand side, with
+    the fixed fluxes moved over.  This is the residual of ``system.matrix``,
+    computed without assembling it.
+    """
+    n0, n1, n2, nu = system.n0, system.n1, system.n2, system.nu
+    M0, M1, M2, D10, D21 = system.M0, system.M1, system.M2, system.D10, system.D21
+    _, free, e_fixed = _fixed_fluxes(system)
+    f_w, f_u, f_p, f_g = np.split(system.rhs, [n0, n0 + n1, n0 + n1 + n2])
+    lam = lam if system.gauge else 0.0  # without the gauge, f_g is empty and lam unused
+    r = np.concatenate((
+        D10.T @ (M1 @ u) - M0 @ omega - f_w / nu,
+        (M1 @ (D10 @ omega) + D21.T @ (M2 @ p) / nu - f_u / nu)[free],
+        M2 @ (D21 @ u) + lam - f_p,
+        (p.sum() - f_g) / nu,
+    ))
+    b = np.concatenate((
+        f_w / nu - D10.T @ (M1 @ e_fixed),
+        f_u[free] / nu,
+        f_p - M2 @ (D21 @ e_fixed),
+        f_g / nu,
+    ))
+    return np.abs(r).max() / max(np.abs(b).max(), 1e-300)
+
+
 def solve(system: SaddleSystem) -> Solution:
     """Direct solve in the discretely divergence-free subspace, residual-checked.
 
@@ -699,33 +701,28 @@ def solve(system: SaddleSystem) -> Solution:
     constant per group of nodes joined by fixed cells onto the nodes
     (the annulus gets its inner-circle constant this way), minus one
     constant for the stream gauge.  Pressure leaves the factored system:
-    with ``Z = D10 C`` the symmetric ``(omega, y)`` system
-    ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored, its blocks sliced
-    from ``system.matrix``.  It is permuted once into a node-paired
-    order (the minimum-degree order of the nodes, each stream unknown
-    right after the last node of its group) and factored along that
-    order with diagonal pivots: every zero diagonal of the stream block
-    is filled by a coupled vorticity pivot before it is reached.
-    Pressure is recovered afterwards from the free momentum rows
-    ``D21_f^T (M2 p) = r`` through the same ``L``, shifted to zero sum
-    when the gauge is set, and the multiplier from the pressure rows.
+    with ``Z = D10 C``, ``A_ww = -M0`` and ``A_wu = D10^T M1``, taken
+    straight from the system's glued blocks, the symmetric ``(omega, y)``
+    system ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored.  It is
+    permuted once into a node-paired order (the minimum-degree order of
+    the nodes, each stream unknown right after the last node of its
+    group) and factored along that order with diagonal pivots: every
+    zero diagonal of the stream block is filled by a coupled vorticity
+    pivot before it is reached.  Pressure is recovered afterwards from
+    the free momentum rows ``D21_f^T (M2 p) = r`` through the same ``L``
+    and a factor of ``M2``, shifted to zero sum when the gauge is set,
+    and the multiplier from the pressure rows ``M2 D21 u``.
 
     ``nu`` is a pure rescaling: the vorticity and momentum rows are
     divided by ``nu``, which is the ``nu = 1`` problem with forcing
     ``f / nu``, and the pressure is scaled back by ``nu``.  The relative
-    residual of the full reduced mixed system, in those rows, must stay
-    below 1e-10; at ``nu = 1`` it is the residual of the system as
-    assembled.
+    residual of the full reduced mixed system, in those rows and computed
+    block by block (``_reduced_residual``), must stay below 1e-10.
     """
-    n0, n1, n2, nu = system.n0, system.n1, system.n2, system.nu
-    u_rows = slice(n0, n0 + n1)
-    p_rows = slice(n0 + n1, n0 + n1 + n2)
-    A = system.matrix
-    D10, D21 = _global_coboundaries(system)
-    fixed = np.array(sorted(system.fixed), dtype=int)
-    free = np.setdiff1d(np.arange(n1), fixed)
-    e_fixed = np.zeros(n1)
-    e_fixed[fixed] = [system.fixed[i] for i in fixed]
+    n0, n2, nu = system.n0, system.n2, system.nu
+    D10, D21 = system.D10, system.D21
+    f_u = system.rhs[n0 : n0 + system.n1]
+    fixed, free, e_fixed = _fixed_fluxes(system)
 
     # divergence-free lift of the fixed fluxes; pin one 2-cell under the gauge
     D21_free = D21[:, free]
@@ -747,8 +744,8 @@ def solve(system: SaddleSystem) -> Solution:
     Z = D10 @ C
 
     # the nu = 1 problem: vorticity and momentum rows divided by nu
-    A_ww = A[:n0, :n0] / nu
-    A_wu = A[:n0, u_rows] / nu
+    A_ww = -system.M0.tocsr()  # CSR blocks keep the stacking of K on its fast path
+    A_wu = (system.M1 @ D10).T
     B = A_wu @ Z
     pos = _node_paired_positions(A_ww, group, gauged)
     # rows of K taken in the node-paired order and columns relabelled; the
@@ -760,7 +757,7 @@ def solve(system: SaddleSystem) -> Solution:
     )[np.argsort(pos)]
     K = sp.csr_matrix((K.data, pos[K.indices], K.indptr), shape=K.shape).tocsc()
     rhs = np.empty(K.shape[0])
-    rhs[pos] = np.concatenate((system.rhs[:n0] / nu - A_wu @ u0, Z.T @ system.rhs[u_rows] / nu))
+    rhs[pos] = np.concatenate((system.rhs[:n0] / nu - A_wu @ u0, Z.T @ f_u / nu))
     lu = _factor(K, "vorticity-stream system", "NATURAL")
     x = lu.solve(rhs)
     x += lu.solve(rhs - K @ x)
@@ -769,30 +766,19 @@ def solve(system: SaddleSystem) -> Solution:
     u = u0 + Z @ x[n0:]
 
     # pressure from the free momentum rows: D21_f^T q = r with q = M2 p
-    r = (system.rhs[u_rows] / nu - A_wu.T @ omega)[free]
+    r = (f_u / nu - A_wu.T @ omega)[free]
     q = np.zeros(n2)
     q[keep2] = lu_L.solve((D21_free @ r)[keep2])
-    M2 = sp.block_diag([mass[2] for mass in system.mass])
-    lu_M2 = _factor(M2, "2-form mass matrix", "MMD_AT_PLUS_A")
+    lu_M2 = _factor(system.M2, "2-form mass matrix", "MMD_AT_PLUS_A")
     if system.gauge:  # shift along the constant physical pressure M2^{-1} 1
         p, constant = lu_M2.solve(np.column_stack((q, np.ones(n2)))).T
         p = p - (p.sum() / constant.sum()) * constant
     else:
         p = lu_M2.solve(q)
     p *= nu
-    lam = -float(np.mean(A[p_rows, u_rows] @ u)) if system.gauge else 0.0
+    lam = -float(np.mean(system.M2 @ (D21 @ u))) if system.gauge else 0.0
 
-    # residual of the reduced mixed system, in the nu-scaled rows
-    full = np.concatenate((omega, u, p, [lam] if system.gauge else []))
-    lifted = np.zeros(system.size)
-    lifted[u_rows] = e_fixed
-    row_scale = np.ones(system.size)
-    row_scale[: n0 + n1] = 1.0 / nu
-    row_scale[n0 + n1 + n2 :] = 1.0 / nu
-    keep = np.setdiff1d(np.arange(system.size), n0 + fixed)
-    b_red = (row_scale * (system.rhs - A @ lifted))[keep]
-    r_red = (row_scale * (A @ full - system.rhs))[keep]
-    resid = np.abs(r_red).max() / max(np.abs(b_red).max(), 1e-300)
+    resid = _reduced_residual(system, omega, u, p, lam)
     if not np.isfinite(resid) or resid > 1e-10:
         raise SingularSystemError(
             f"solve residual {resid:.3e} exceeds 1e-10",

@@ -1,4 +1,4 @@
-"""NURBS patch mappings, pullbacks, quadrature and benchmark geometries.
+"""NURBS patch mappings, pullbacks and benchmark geometries.
 
 A patch maps the reference square onto a planar region through a
 tensor-product rational basis with separable weights, so the map is a
@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quadrature import panel_rule
 from .errors import ConstructionError, DegenerateGeometryError
 from .splines import Basis1D, KnotVector, uniform_open_knots
 
 __all__ = [
-    "QuadratureRule",
     "NurbsPatch",
     "MultiPatch",
     "unit_square_patch",
@@ -24,37 +22,22 @@ __all__ = [
     "quarter_annulus_patch",
     "build_taylor_couette",
     "SIDES",
+    "boundary_sides",
 ]
 
 # side name -> (axis, end): 'left' is u1=0, 'right' u1=1, 'bottom' u2=0, 'top' u2=1
 SIDES = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
 
 
-class QuadratureRule:
-    """Tensor Gauss-Legendre rule over the spans of per-direction breakpoints."""
-
-    def __init__(self, breaks_per_dir, n_points_per_dir):
-        self.breaks = tuple(np.asarray(b, dtype=float) for b in breaks_per_dir)
-        self.n_points = tuple(int(n) for n in n_points_per_dir)
-        self.points = []
-        self.weights = []
-        for b, n in zip(self.breaks, self.n_points):
-            pts, wts = panel_rule(b, n)
-            if np.any(wts <= 0):
-                raise ConstructionError("quadrature weights must be positive")
-            self.points.append(pts)
-            self.weights.append(wts)
-
-    def axis_points(self, j: int) -> np.ndarray:
-        """All quadrature points along direction j, flattened over elements."""
-        return self.points[j].ravel()
-
-    def axis_weights(self, j: int) -> np.ndarray:
-        return self.weights[j].ravel()
-
-    @property
-    def element_counts(self):
-        return tuple(p.shape[0] for p in self.points)
+def boundary_sides(n_patches: int, glue):
+    """(patch index, side) pairs that no glue entry uses, by patch and then side."""
+    used = {(g[0], g[1]) for g in glue} | {(g[2], g[3]) for g in glue}
+    return [
+        (p, side)
+        for p in range(n_patches)
+        for side in ("left", "right", "bottom", "top")
+        if (p, side) not in used
+    ]
 
 
 class NurbsPatch:
@@ -82,7 +65,6 @@ class NurbsPatch:
         self.bases = bases
         self.control = control
         self.control.flags.writeable = False
-        self.orientation_sign = 1
         if check:
             self._check_regularity()
 
@@ -203,9 +185,6 @@ class NurbsPatch:
         (v1, _), (v2, _) = tables
         return self._at_points(v1, v2), self._jacobian_at(tables)[:, :, 1 - axis]
 
-    def quadrature(self, field_breaks, n_points) -> QuadratureRule:
-        return QuadratureRule(field_breaks, n_points)
-
     def __repr__(self):
         degs = tuple(b.degree for b in self.bases)
         return f"NurbsPatch(degrees={degs}, control={self.control.shape[:2]})"
@@ -216,9 +195,9 @@ class MultiPatch:
 
     glue entries are (patch_a, side_a, patch_b, side_b, sign); the index
     map along every interface is the identity in the shared side
-    coordinate (knot vectors of glued sides must coincide), and sign
-    records the relative orientation (+1 throughout for the geometries
-    built here).
+    coordinate (the field bases of glued sides must coincide, which
+    ``assemble_vvp`` checks), and sign records the relative orientation,
+    which must be +1.
     """
 
     def __init__(self, patches, glue, check: bool = True):
@@ -249,13 +228,7 @@ class MultiPatch:
 
     def boundary_sides(self):
         """(patch index, side) pairs not consumed by any interface."""
-        used = {(g[0], g[1]) for g in self.glue} | {(g[2], g[3]) for g in self.glue}
-        return [
-            (i, side)
-            for i in range(self.n_patches)
-            for side in ("left", "right", "bottom", "top")
-            if (i, side) not in used
-        ]
+        return boundary_sides(self.n_patches, self.glue)
 
 
 def _linear_basis(n_spans: int = 1) -> Basis1D:

@@ -52,11 +52,9 @@ class DiscreteFormSpace:
         One partition-of-unity basis per direction (d = 1, 2 or 3).
     k : int
         Form degree, 0 <= k <= d.
-    orientation : {'outer', 'inner'}
-        Bookkeeping tag only; the function spaces coincide.
     """
 
-    def __init__(self, nodal_bases, k: int, orientation: str = "outer"):
+    def __init__(self, nodal_bases, k: int):
         nodal_bases = tuple(nodal_bases)
         d = len(nodal_bases)
         if not 1 <= d <= 3:
@@ -65,12 +63,9 @@ class DiscreteFormSpace:
             raise ConstructionError("nodal_bases must be Basis1D instances")
         if not 0 <= k <= d:
             raise ConstructionError(f"form degree {k} out of range for d={d}")
-        if orientation not in ("outer", "inner"):
-            raise ConstructionError("orientation must be 'outer' or 'inner'")
         self.nodal_bases = nodal_bases
         self.d = d
         self.k = k
-        self.orientation = orientation
         self.complex = CellComplex(tuple(b.n for b in nodal_bases))
         self._edge_bases = tuple(EdgeBasis1D(b) for b in nodal_bases)
 
@@ -93,7 +88,7 @@ class DiscreteFormSpace:
     def derivative_space(self) -> "DiscreteFormSpace":
         if self.k >= self.d:
             raise ConstructionError("top-degree forms have no exterior derivative")
-        return DiscreteFormSpace(self.nodal_bases, self.k + 1, self.orientation)
+        return DiscreteFormSpace(self.nodal_bases, self.k + 1)
 
     def coboundary_matrix(self):
         """Integer matrix D_{k+1,k} acting on this space's coefficient vectors."""
@@ -111,12 +106,12 @@ def dimension(space: DiscreteFormSpace) -> int:
     return space.dim
 
 
-def vvp_spaces(nodal_bases, orientation: str = "outer"):
+def vvp_spaces(nodal_bases):
     """The 2D vorticity/velocity/pressure triple (k = 0, 1, 2) on shared bases."""
     nodal_bases = tuple(nodal_bases)
     if len(nodal_bases) != 2:
         raise ConstructionError("the mixed Stokes triple is two-dimensional")
-    return tuple(DiscreteFormSpace(nodal_bases, k, orientation) for k in (0, 1, 2))
+    return tuple(DiscreteFormSpace(nodal_bases, k) for k in (0, 1, 2))
 
 
 class DiscreteForm:

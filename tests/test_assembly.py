@@ -276,10 +276,6 @@ class TestSystemAssembly:
         with pytest.raises(ConstructionError):
             assemble_vvp(make_spaces(2, 2), unit_square_patch(), nu=nu)
 
-    def test_pressure_bc_hook_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            BCSpec(normal_sides=(), pressure_sides=((0, "top"),))
-
 
 class TestBoundaryConditions:
     def test_manufactured_normal_dofs_are_exact_integrals(self):
@@ -387,7 +383,7 @@ class TestBatchedSideIntegrals:
             system = assemble_vvp([make_spaces(3, 5) for _ in range(4)], build_taylor_couette())
         else:
             system, _ = manufactured_system(p_vel=2, spans=5, patch=curved_square_patch())
-        for p, side in system._boundary_sides():
+        for p, side in system.boundary:
             want = looped_side_flux(system, p, side, vfun)
             got = _side_flux_integrals(system, p, side, vfun)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -475,7 +471,7 @@ class TestSolve:
         apply_strong_normal_velocity(system, EXACT["velocity"])
         apply_weak_tangential_velocity(system, EXACT["velocity"])
         sol = solve(system)
-        M2 = system.mass[0][2]
+        M2 = system.M2
         shift = spla.spsolve(M2.tocsc(), np.ones(system.n2))
         x = np.concatenate((sol.omega, sol.u, sol.p, [sol.multiplier]))
         x_shift = x.copy()
@@ -516,15 +512,15 @@ def mixed_reference(system):
     return x[:n0], x[n0 : n0 + n1], x[n0 + n1 : n0 + n1 + n2]
 
 
-def _manufactured_case(patch, bc=None):
-    system = assemble_vvp(make_spaces(3, 6), patch, bc=bc, forcing=EXACT["forcing"])
+def _manufactured_case(patch, bc=None, nu=1.0):
+    system = assemble_vvp(make_spaces(3, 6), patch, nu=nu, bc=bc, forcing=EXACT["forcing"])
     apply_strong_normal_velocity(system, EXACT["velocity"])
     apply_weak_tangential_velocity(system, EXACT["velocity"])
     return system
 
 
-def _annulus_case(normal=None, tangential=None):
-    system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette())
+def _annulus_case(normal=None, tangential=None, nu=1.0):
+    system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette(), nu=nu)
     apply_strong_normal_velocity(system, normal)
     apply_weak_tangential_velocity(system, tangential)
     return system
@@ -622,6 +618,146 @@ class TestSubspaceSolve:
         assert stats["unknowns"] == system.n0 + interior + 1
         assert stats["lu_nnz"] > stats["unknowns"]
         assert stats["refine_steps"] == 1
+
+
+def scattered_matrix(system):
+    """Test-only oracle: the mixed matrix scattered patch by patch into COO triplets."""
+    n0, n1, nu = system.n0, system.n1, system.nu
+    rows, cols, vals = [], [], []
+
+    def add(r, c, m, sym=True):
+        m = m.tocoo()
+        rows.append(r[m.row])
+        cols.append(c[m.col])
+        vals.append(m.data)
+        if sym:
+            rows.append(c[m.col])
+            cols.append(r[m.row])
+            vals.append(m.data)
+
+    for p, (s0, s1, s2) in enumerate(system.spaces):
+        grid = _PatchGrid(s0.nodal_bases, system.patches[p], n_quad=system.n_quad)
+        M0, M1, M2 = (assembly._assemble_mass_on_grid(s, grid) for s in (s0, s1, s2))
+        D10 = s0.coboundary_matrix().tocsc()
+        D21 = s1.coboundary_matrix().tocsc()
+        g0 = system.map0[p]
+        g1 = n0 + system.map1[p]
+        g2 = n0 + n1 + system.map2[p]
+        add(g0, g0, -nu * M0, sym=False)
+        add(g1, g0, nu * (M1 @ D10))
+        add(g2, g1, M2 @ D21)
+    if system.gauge:
+        pr = n0 + n1 + np.arange(system.n2)
+        last = np.full(system.n2, system.size - 1)
+        rows += [last, pr]
+        cols += [pr, last]
+        vals += [np.ones(system.n2)] * 2
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(system.size, system.size),
+    ).tocsr()
+
+
+def matrix_residual(system, omega, u, p, lam):
+    """Test-only oracle: the reduced, nu-scaled relative residual through ``system.matrix``."""
+    n0, n1, n2, nu = system.n0, system.n1, system.n2, system.nu
+    A = system.matrix
+    fixed = np.array(sorted(system.fixed), dtype=int)
+    lifted = np.zeros(system.size)
+    lifted[n0 + fixed] = [system.fixed[i] for i in fixed]
+    full = np.concatenate((omega, u, p, [lam] if system.gauge else []))
+    row_scale = np.ones(system.size)
+    row_scale[: n0 + n1] = 1.0 / nu
+    row_scale[n0 + n1 + n2 :] = 1.0 / nu
+    keep = np.setdiff1d(np.arange(system.size), n0 + fixed)
+    b_red = (row_scale * (system.rhs - A @ lifted))[keep]
+    r_red = (row_scale * (A @ full - system.rhs))[keep]
+    return np.abs(r_red).max() / np.abs(b_red).max()
+
+
+BLOCK_CASES = {
+    "unit-square": lambda nu: _manufactured_case(unit_square_patch(), nu=nu),
+    "curved-square": lambda nu: _manufactured_case(curved_square_patch(), nu=nu),
+    "top-side-free": lambda nu: _manufactured_case(
+        unit_square_patch(), BCSpec(normal_sides=((0, "left"), (0, "right"), (0, "bottom"))), nu=nu
+    ),
+    "annulus": lambda nu: _annulus_case(_source_flow, _source_flow, nu=nu),
+}
+
+
+class TestBlockSystem:
+    @pytest.mark.parametrize("case", ["unit-square", "curved-square", "annulus"])
+    def test_matrix_matches_scattered_oracle(self, case):
+        system = BLOCK_CASES[case](1.7)
+        assert "matrix" not in vars(system)  # assembled only when read
+        got, want = system.matrix, scattered_matrix(system)
+        got.sort_indices()
+        want.sort_indices()
+        npt.assert_array_equal(got.indptr, want.indptr)
+        npt.assert_array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+    def test_coboundaries_count_a_glued_cell_once(self):
+        system = BLOCK_CASES["annulus"](1.0)
+        npt.assert_array_equal(abs(system.D10).sum(axis=1), 2)
+        assert (system.D21 @ system.D10).nnz == 0
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("nu", [1.0, 0.03, 250.0])
+    def test_block_residual_matches_matrix_formula(self, case, nu):
+        system = BLOCK_CASES[case](nu)
+        assert system.gauge == (case != "top-side-free")
+        rng = np.random.default_rng(17)
+        vectors = (rng.standard_normal(n) for n in (system.n0, system.n1, system.n2))
+        omega, u, p = vectors
+        lam = float(rng.standard_normal())
+        got = assembly._reduced_residual(system, omega, u, p, lam)
+        want = matrix_residual(system, omega, u, p, lam)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_solve_never_assembles_the_matrix(self):
+        system = BLOCK_CASES["annulus"](1.0)
+        solve(system)
+        assert "matrix" not in vars(system)
+
+
+def _perturbed_annulus_spaces(direction, what="knot"):
+    """Four quarter-patch triples; patch 0 has a perturbed field basis along one direction.
+
+    ``what`` is "knot" (interior knot 0.5 moved to 0.55) or "weight" (one
+    weight set to 1.2, a rational basis on the same knots).
+    """
+    knots = uniform_open_knots(3, 4)
+    weights = None
+    if what == "knot":
+        knots[knots == 0.5] = 0.55
+    else:
+        weights = np.ones(knots.size - 4)
+        weights[3] = 1.2
+    bases = [make_basis(3, 4), make_basis(3, 4)]
+    bases[direction] = Basis1D(KnotVector(knots, 3), weights)
+    return [vvp_spaces(bases)] + [make_spaces(3, 4) for _ in range(3)]
+
+
+class TestGluedInterfaces:
+    @pytest.mark.parametrize("what", ["knot", "weight"])
+    def test_perturbed_basis_along_glued_sides_rejected(self, what):
+        with pytest.raises(ConstructionError, match="different field bases"):
+            assemble_vvp(_perturbed_annulus_spaces(0, what), build_taylor_couette())
+
+    def test_span_count_mismatch_rejected(self):
+        triples = [make_spaces(3, 5)] + [make_spaces(3, 4) for _ in range(3)]
+        with pytest.raises(ConstructionError, match="different field bases"):
+            assemble_vvp(triples, build_taylor_couette())
+
+    def test_moved_knot_across_glued_sides_accepted(self):
+        # the glued sides run along direction 1 (radial); direction 2 may differ
+        system = assemble_vvp(_perturbed_annulus_spaces(1), build_taylor_couette())
+        apply_strong_normal_velocity(system, _source_flow)
+        apply_weak_tangential_velocity(system, _source_flow)
+        sol = solve(system)
+        assert sol.residual <= 1e-10
+        assert np.abs(sol.divergence_cochain(0)).max() <= 1e-9
 
 
 def random_open_basis(p, rng, weighted):

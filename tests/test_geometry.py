@@ -8,7 +8,6 @@ from splineforms.errors import ConstructionError, DegenerateGeometryError
 from splineforms.geometry import (
     MultiPatch,
     NurbsPatch,
-    QuadratureRule,
     build_taylor_couette,
     curved_square_patch,
     quarter_annulus_patch,
@@ -168,12 +167,3 @@ class TestPullback:
         pulled = patch.pullback_components(1, uv, gradT(patch.map_point(uv)))
         assert np.abs(fd - pulled).max() < 1e-10
 
-
-class TestQuadratureRule:
-    def test_weights_positive_and_sum(self):
-        rule = QuadratureRule([np.array([0.0, 0.25, 1.0]), np.array([0.0, 1.0])], (4, 3))
-        for j, total in ((0, 1.0), (1, 1.0)):
-            w = rule.axis_weights(j)
-            assert np.all(w > 0)
-            assert abs(w.sum() - total) < 1e-15
-        npt.assert_allclose(rule.weights[0].sum(axis=1), [0.25, 0.75], atol=1e-15)

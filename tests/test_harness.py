@@ -205,6 +205,11 @@ class TestCli:
         assert "quad must be >= degree + 2 = 5" in proc.stderr
         assert not any(tmp_path.iterdir())
 
+    def test_verify_passes(self):
+        proc = self.run_cli("verify")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert [line.split()[0] for line in proc.stdout.splitlines()] == ["PASS"] * 5
+
     def test_tiny_viscosity_runs(self, tmp_path):
         proc = self.run_cli("run", "cavity", "--nu", "1e-8", "--spans", "12", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
