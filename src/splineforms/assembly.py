@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,7 @@ from .errors import (
 from .geometry import SIDES, MultiPatch, NurbsPatch, boundary_sides
 from .projection import build_histopolation, greville_edges
 from .spaces import DiscreteForm, DiscreteFormSpace
-from .splines import EdgeBasis1D
+from .splines import EdgeBasis1D, edge_window
 
 __all__ = [
     "MassMatrix",
@@ -125,12 +126,11 @@ class _Axis:
         pts, wts = panel_rule(basis.breakpoints, nq)
         self.pts = pts.ravel()
         self.w = wts.ravel()
-        spans, nvals, _ = basis.window(self.pts)
-        _, evals = EdgeBasis1D(basis).window(self.pts)
+        spans, nvals, nders = basis.window(self.pts)
         first = spans - basis.degree
         self._tables = {
             False: (first, nvals, basis.num_basis),
-            True: (first, evals, basis.num_basis - 1),
+            True: (first, edge_window(nders), basis.num_basis - 1),
         }
         self.colloc = {edge: _collocation(*table) for edge, table in self._tables.items()}
         self._pairs = {}
@@ -147,13 +147,16 @@ class _PatchGrid:
 
     Point arrays are shaped (Q1, Q2), the Gauss points of direction 1 by
     those of direction 2.  Two directions with the same nodal basis and
-    rule share one ``_Axis``, and with it its pair operators.
+    rule share one ``_Axis``, and with it its pair operators.  ``jac`` and
+    ``det`` are always there; ``phys``, the physical image of every Gauss
+    point, only with ``need_phys`` (forcing and error evaluation), from the
+    same geometry tables.
     """
 
-    def __init__(self, nodal_bases, patch: NurbsPatch, n_quad=None, extra: int = 0):
+    def __init__(self, nodal_bases, patch: NurbsPatch, n_quad=None, extra: int = 0,
+                 need_phys: bool = False):
         _check_n_quad(n_quad)
         nodal_bases = tuple(nodal_bases)
-        self.patch = patch
         self.axes = []
         for j, b in enumerate(nodal_bases):
             breaks = b.breakpoints
@@ -168,13 +171,11 @@ class _PatchGrid:
             else:
                 self.axes.append(_Axis(b, nq))
         x, y = self.axes[0].pts, self.axes[1].pts
-        self.jac, self.det = patch.jacobian_grid(x, y)
+        if need_phys:
+            self.phys, self.jac, self.det = patch.frame_grid(x, y)
+        else:
+            self.jac, self.det = patch.jacobian_grid(x, y)
         self.w = np.outer(self.axes[0].w, self.axes[1].w)
-
-    @functools.cached_property
-    def phys(self) -> np.ndarray:
-        """Physical image of every Gauss point, (Q1, Q2, 2); mass matrices do not need it."""
-        return self.patch.map_grid(self.axes[0].pts, self.axes[1].pts)
 
     def collocation(self, block):
         """Collocation matrices of a form block's two factors."""
@@ -376,7 +377,14 @@ class Solution:
 
     ``stats`` describes the solve: ``dofs`` (size of the mixed system),
     ``unknowns`` (size of the factored system), ``lu_nnz`` (nonzeros of
-    its LU factors) and ``refine_steps`` (iterative-refinement steps).
+    its LU factors), ``refine_steps`` (iterative-refinement steps),
+    ``factors`` (``nnz`` and ``seconds`` of each factorization: ``L``, the
+    2-cell Laplacian; ``order``, the ordering-only LU of the vorticity
+    mass matrix; ``K``, the vorticity-stream system; ``M2``, the 2-form
+    mass matrix), ``residual`` (the gated solve residual) and
+    ``histopolation_cond`` (the largest condition number of the side
+    histopolations ``apply_strong_normal_velocity`` used, None if none).
+    None of it goes into the output files.
     """
 
     system: "SaddleSystem"
@@ -442,7 +450,8 @@ class SaddleSystem:
         mass, d10, d21 = ([], [], []), [], []
         owned = np.zeros(self.n1, dtype=bool)
         for p, (s0, s1, s2) in enumerate(spaces):
-            grid = _PatchGrid(s0.nodal_bases, patches[p], n_quad=n_quad)
+            grid = _PatchGrid(s0.nodal_bases, patches[p], n_quad=n_quad,
+                              need_phys=forcing is not None)
             maps = (self.map0[p], self.map1[p], self.map2[p])
             for k, space in enumerate((s0, s1, s2)):
                 mass[k].append((_assemble_mass_on_grid(space, grid), maps[k], maps[k]))
@@ -458,6 +467,7 @@ class SaddleSystem:
         self.D10 = _glued(d10, (self.n1, self.n0))
         self.D21 = _glued(d21, (self.n2, self.n1))
         self.fixed: dict[int, float] = {}
+        self.histopolation_cond = None  # set by apply_strong_normal_velocity
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -488,13 +498,6 @@ def _normalize_side_data(system: SaddleSystem, velocity, sides):
     return {key: velocity.get(key) for key in sides}
 
 
-def _side_velocity(patch: NurbsPatch, side: str, t, vfun):
-    """Velocity data and physical side tangent at side coordinates t, each (m, 2)."""
-    points, tan = patch.side_frame(side, t)
-    v = np.asarray(vfun(*points.T), dtype=float).T
-    return np.broadcast_to(v, tan.shape), tan
-
-
 def _side_basis(system, patch_index, side):
     """(nodal basis along the side, Gauss points per piece) for side integrals."""
     t_dir = 1 - SIDES[side][0]
@@ -502,16 +505,68 @@ def _side_basis(system, patch_index, side):
     return basis, basis.degree + system.patches[patch_index].bases[t_dir].degree + 3
 
 
-def _side_flux_integrals(system, patch_index, side, vfun) -> np.ndarray:
-    """Line integrals of the velocity flux form over a side's boundary cells."""
-    basis, n_g = _side_basis(system, patch_index, side)
-    edges = greville_edges(basis)
-    if vfun is None:
-        return np.zeros(edges.shape[0])
-    t, wts, owner = interval_rule(edges, basis.breakpoints, n_g)
-    v, tan = _side_velocity(system.patches[patch_index], side, t, vfun)
-    flux = v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0]
-    return np.bincount(owner, weights=flux * wts, minlength=edges.shape[0])
+class _SideRules:
+    """Side quadrature and side geometry of one boundary-condition call.
+
+    A side's rule depends only on its field basis along the side and its
+    point count, so ``make_rule(basis, n)`` runs once per distinct pair;
+    the first entry of a rule is its points.  The geometry of a side is
+    its ``side_curve`` at those points, so one ``window`` call of the
+    along-side geometry basis serves every side that shares it and the rule.
+    """
+
+    def __init__(self, system: "SaddleSystem", make_rule):
+        self.system = system
+        self.make_rule = make_rule
+        self._rules = {}
+        self._tables = {}
+
+    def rule(self, p: int, side: str):
+        key = _side_basis(self.system, p, side)
+        if key not in self._rules:
+            self._rules[key] = self.make_rule(*key)
+        return self._rules[key]
+
+    def velocity(self, p: int, side: str, vfun):
+        """Velocity data and physical side tangents at the side's rule points, each (m, 2)."""
+        curve = self.system.patches[p].side_curve(side)
+        key = (curve.basis, *_side_basis(self.system, p, side))
+        if key not in self._tables:
+            self._tables[key] = curve.basis.window(self.rule(p, side)[0])
+        points, tan = curve.frame(self._tables[key])
+        v = np.asarray(vfun(*points.T), dtype=float).T
+        return np.broadcast_to(v, tan.shape), tan
+
+
+def _greville_side_rule(basis, n: int):
+    """Points, weights and owning cell of the Greville intervals of a side basis."""
+    return interval_rule(greville_edges(basis), basis.breakpoints, n)
+
+
+def _panel_side_rule(basis, n: int):
+    """Points, weights and the sparse nodal collocation matrix of a side's panel rule."""
+    pts, wts = panel_rule(basis.breakpoints, n)
+    t = pts.ravel()
+    spans, vals, _ = basis.window(t)
+    return t, wts.ravel(), _collocation(spans - basis.degree, vals, basis.num_basis)
+
+
+def _side_flux_integrals(system, data) -> dict:
+    """Line integrals of the velocity flux form over each side's boundary cells.
+
+    ``data`` maps (patch, side) to a velocity callable or None (zero data).
+    """
+    sides = _SideRules(system, _greville_side_rule)
+    out = {}
+    for (p, side), vfun in data.items():
+        if vfun is None:
+            out[p, side] = np.zeros(_side_basis(system, p, side)[0].num_basis - 1)
+            continue
+        _, wts, owner = sides.rule(p, side)
+        v, tan = sides.velocity(p, side, vfun)
+        flux = v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0]
+        out[p, side] = np.bincount(owner, weights=flux * wts, minlength=owner[-1] + 1)
+    return out
 
 
 def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleSystem:
@@ -520,17 +575,18 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
     The trace of the flux form on each constrained side is projected onto
     the side's edge functions (histopolation of the cell line integrals),
     and the matching velocity coefficients are pinned.  Raises when the
-    net prescribed flux of an enclosed flow is nonzero.
+    net prescribed flux of an enclosed flow is nonzero.  The largest
+    condition number of the histopolations used is kept as
+    ``system.histopolation_cond``.
     """
     data = _normalize_side_data(system, velocity, list(system.bc.normal_sides))
     net = 0.0
     scale = 0.0
     histopolation = {}  # one per distinct side basis
-    for (p, side), vfun in data.items():
-        integrals = _side_flux_integrals(system, p, side, vfun)
+    for (p, side), integrals in _side_flux_integrals(system, data).items():
         net += _OUTWARD_SIGN[side] * integrals.sum()
         scale += np.abs(integrals).sum()
-        if vfun is None:
+        if data[p, side] is None:
             values = integrals
         else:
             basis, _ = _side_basis(system, p, side)
@@ -540,6 +596,8 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
         gids = system.map1[p][_side_cell_ids(system.spaces[p][1], side)]
         for g, val in zip(gids, values):
             system.fixed[int(g)] = float(val)
+    if histopolation:
+        system.histopolation_cond = max(h.cond for h in histopolation.values())
     if system.gauge and abs(net) > 1e-9 * max(1.0, scale):
         raise FluxCompatibilityError(net)
     return system
@@ -557,16 +615,14 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
         entries = {k: velocity.get(k) for k in sides}
     else:
         entries = {k: velocity for k in sides}
+    rules = _SideRules(system, _panel_side_rule)
     b1 = np.zeros(system.n0)
     for (p, side), vfun in entries.items():
         if vfun is None:
             continue
-        basis, n_g = _side_basis(system, p, side)
-        pts, wts = panel_rule(basis.breakpoints, n_g)
-        t = pts.ravel()
-        v, tan = _side_velocity(system.patches[p], side, t, vfun)
-        work = np.einsum("mc,mc->m", v, tan) * wts.ravel()
-        local = -_TRAVERSAL_SIGN[side] * (basis.eval_nodal_many(t).T @ work)
+        _, wts, colloc = rules.rule(p, side)
+        v, tan = rules.velocity(p, side, vfun)
+        local = -_TRAVERSAL_SIGN[side] * (colloc @ (np.einsum("mc,mc->m", v, tan) * wts))
         gids = system.map0[p][_side_nodal_ids(system.spaces[p][0], side)]
         np.add.at(b1, gids, local)
     system.rhs[: system.n0] += system.nu * b1
@@ -611,16 +667,18 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, bc=None, forcing=None, n_qua
     return SaddleSystem(space_list, patches, glue, nu, bc, n_quad=n_quad, forcing=forcing)
 
 
-def _factor(matrix, what: str, permc_spec: str):
+def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
     """Sparse LU with diagonal pivots; failures become SingularSystemError.
 
     ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
     pivot, so the elimination follows the given column order
     symmetrically.  An exactly singular factor raises; pivot growth
-    shows in the solve residual.
+    shows in the solve residual.  The factor's nonzeros and seconds go
+    into ``factors[key]``.
     """
+    start = time.perf_counter()
     try:
-        return spla.splu(
+        lu = spla.splu(
             matrix.tocsc(),
             permc_spec=permc_spec,
             diag_pivot_thresh=0.0,
@@ -631,9 +689,11 @@ def _factor(matrix, what: str, permc_spec: str):
             f"factorization of the {what} failed: {exc}",
             nullspace_hint="system may be rank deficient",
         ) from exc
+    factors[key] = {"nnz": int(lu.nnz), "seconds": time.perf_counter() - start}
+    return lu
 
 
-def _node_paired_positions(A_ww, group, gauged) -> np.ndarray:
+def _node_paired_positions(A_ww, group, gauged, factors: dict) -> np.ndarray:
     """Position of each (omega, y) unknown in the node-paired elimination order.
 
     The nodes follow the minimum-degree order of the SPD block ``-A_ww``,
@@ -643,7 +703,7 @@ def _node_paired_positions(A_ww, group, gauged) -> np.ndarray:
     made its diagonal nonzero.
     """
     n0 = A_ww.shape[0]
-    node_pos = _factor(-A_ww, "vorticity mass matrix", "MMD_AT_PLUS_A").perm_c
+    node_pos = _factor(-A_ww, "vorticity mass matrix", "MMD_AT_PLUS_A", factors, "order").perm_c
     last = np.zeros(group.max() + 1, dtype=np.int64)
     np.maximum.at(last, group, node_pos)
     keys = np.concatenate((2 * node_pos, 2 * last[gauged] + 1))  # distinct, below 2 n0
@@ -728,7 +788,8 @@ def solve(system: SaddleSystem) -> Solution:
     D21_free = D21[:, free]
     L = (D21_free @ D21_free.T).astype(float)
     keep2 = slice(1, None) if system.gauge else slice(None)
-    lu_L = _factor(L[keep2, keep2], "2-cell Laplacian", "MMD_AT_PLUS_A")
+    factors = {}
+    lu_L = _factor(L[keep2, keep2], "2-cell Laplacian", "MMD_AT_PLUS_A", factors, "L")
     phi = np.zeros(n2)
     phi[keep2] = lu_L.solve(-(D21 @ e_fixed)[keep2])
     u0 = e_fixed.copy()
@@ -747,7 +808,7 @@ def solve(system: SaddleSystem) -> Solution:
     A_ww = -system.M0.tocsr()  # CSR blocks keep the stacking of K on its fast path
     A_wu = (system.M1 @ D10).T
     B = A_wu @ Z
-    pos = _node_paired_positions(A_ww, group, gauged)
+    pos = _node_paired_positions(A_ww, group, gauged, factors)
     # rows of K taken in the node-paired order and columns relabelled; the
     # transpose into CSC then leaves every column sorted, with no sort pass
     K = sp.vstack(
@@ -758,7 +819,7 @@ def solve(system: SaddleSystem) -> Solution:
     K = sp.csr_matrix((K.data, pos[K.indices], K.indptr), shape=K.shape).tocsc()
     rhs = np.empty(K.shape[0])
     rhs[pos] = np.concatenate((system.rhs[:n0] / nu - A_wu @ u0, Z.T @ f_u / nu))
-    lu = _factor(K, "vorticity-stream system", "NATURAL")
+    lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
     x = lu.solve(rhs)
     x += lu.solve(rhs - K @ x)
     x = x[pos]
@@ -769,7 +830,7 @@ def solve(system: SaddleSystem) -> Solution:
     r = (f_u / nu - A_wu.T @ omega)[free]
     q = np.zeros(n2)
     q[keep2] = lu_L.solve((D21_free @ r)[keep2])
-    lu_M2 = _factor(system.M2, "2-form mass matrix", "MMD_AT_PLUS_A")
+    lu_M2 = _factor(system.M2, "2-form mass matrix", "MMD_AT_PLUS_A", factors, "M2")
     if system.gauge:  # shift along the constant physical pressure M2^{-1} 1
         p, constant = lu_M2.solve(np.column_stack((q, np.ones(n2)))).T
         p = p - (p.sum() / constant.sum()) * constant
@@ -796,5 +857,8 @@ def solve(system: SaddleSystem) -> Solution:
             "unknowns": K.shape[0],
             "lu_nnz": lu.nnz,
             "refine_steps": 1,
+            "factors": factors,
+            "residual": float(resid),
+            "histopolation_cond": system.histopolation_cond,
         },
     )

@@ -107,6 +107,11 @@ def _make_config(args) -> CaseConfig:
                 key = "out_dir"
             if key not in _CONFIG_TYPES:
                 raise ConstructionError(f"unknown config key {key!r}")
+            if key == "case" and value != args.case:
+                raise ConstructionError(
+                    f"{args.config}: case={value} disagrees with the case {args.case!r} "
+                    f"given on the command line"
+                )
             merged[key] = _CONFIG_TYPES[key](value)
     for key in ("degree", "levels", "geometry", "out_dir", "nu", "quad", "spans", "base_spans"):
         value = getattr(args, key)

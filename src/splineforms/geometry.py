@@ -9,6 +9,8 @@ mapped cells are then plain reference-domain quadratures.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConstructionError, DegenerateGeometryError
@@ -16,6 +18,7 @@ from .splines import Basis1D, KnotVector, uniform_open_knots
 
 __all__ = [
     "NurbsPatch",
+    "SideCurve",
     "MultiPatch",
     "unit_square_patch",
     "curved_square_patch",
@@ -38,6 +41,41 @@ def boundary_sides(n_patches: int, glue):
         for side in ("left", "right", "bottom", "top")
         if (p, side) not in used
     ]
+
+
+@dataclass(frozen=True)
+class SideCurve:
+    """One side of a patch as a 1D NURBS curve along the side coordinate.
+
+    ``control`` (n, 2) is the side's row of control points in ``basis``;
+    ``transverse`` (n, 2) is the row whose combination in ``basis`` is the
+    derivative of the map across the side, in parametric direction ``axis``.
+    """
+
+    axis: int
+    basis: Basis1D
+    control: np.ndarray
+    transverse: np.ndarray
+
+    def frame(self, table):
+        """Physical points and tangents (m, 2) from a ``basis.window`` table of the side coordinates.
+
+        Raises DegenerateGeometryError where the Jacobian determinant of
+        the patch is not positive.
+        """
+        spans, vals, ders = table
+        rows = spans[:, None] + np.arange(-self.basis.degree, 1)[None, :]
+        control = self.control[rows]
+        points = np.einsum("mk,mkc->mc", vals, control)
+        tangent = np.einsum("mk,mkc->mc", ders, control)
+        across = np.einsum("mk,mkc->mc", vals, self.transverse[rows])
+        col1, col2 = (across, tangent) if self.axis == 0 else (tangent, across)
+        det = col1[:, 0] * col2[:, 1] - col1[:, 1] * col2[:, 0]
+        if np.any(det <= 0.0):
+            raise DegenerateGeometryError(
+                f"nonpositive Jacobian determinant on a side (min {det.min():.3e})"
+            )
+        return points, tangent
 
 
 class NurbsPatch:
@@ -65,6 +103,7 @@ class NurbsPatch:
         self.bases = bases
         self.control = control
         self.control.flags.writeable = False
+        self._side_curves = {}
         if check:
             self._check_regularity()
 
@@ -104,14 +143,23 @@ class NurbsPatch:
         (v1, _), (v2, _) = self._tables((x_axis, y_axis))
         return self._on_grid(v1, v2)
 
-    def jacobian_grid(self, x_axis, y_axis):
-        """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid."""
-        (v1, d1), (v2, d2) = self._tables((x_axis, y_axis))
+    def _jacobian_on_grid(self, tables):
+        (v1, d1), (v2, d2) = tables
         col1 = self._on_grid(d1, v2)
         col2 = self._on_grid(v1, d2)
         jac = np.stack((col1, col2), axis=-1)  # [..., component, direction]
         det = col1[..., 0] * col2[..., 1] - col1[..., 1] * col2[..., 0]
         return jac, det
+
+    def jacobian_grid(self, x_axis, y_axis):
+        """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid."""
+        return self._jacobian_on_grid(self._tables((x_axis, y_axis)))
+
+    def frame_grid(self, x_axis, y_axis):
+        """``map_grid`` and ``jacobian_grid`` together, from one table pass."""
+        tables = self._tables((x_axis, y_axis))
+        (v1, _), (v2, _) = tables
+        return (self._on_grid(v1, v2), *self._jacobian_on_grid(tables))
 
     def map_point(self, u) -> np.ndarray:
         """Physical image of scattered parametric points (..., 2)."""
@@ -120,22 +168,17 @@ class NurbsPatch:
         (v1, _), (v2, _) = self._tables((pts[:, 0], pts[:, 1]))
         return self._at_points(v1, v2).reshape(u.shape)
 
-    def _jacobian_at(self, tables) -> np.ndarray:
-        """Jacobian (m, 2, 2) from the ``_tables`` of m scattered points; det must stay positive."""
-        (v1, d1), (v2, d2) = tables
+    def jacobian(self, u) -> np.ndarray:
+        """Jacobian at scattered parametric points (..., 2, 2); det must stay positive."""
+        u = np.asarray(u, dtype=float)
+        pts = u.reshape(-1, 2)
+        (v1, d1), (v2, d2) = self._tables((pts[:, 0], pts[:, 1]))
         col1 = self._at_points(d1, v2)
         col2 = self._at_points(v1, d2)
         det = col1[:, 0] * col2[:, 1] - col1[:, 1] * col2[:, 0]
         if np.any(det <= 0.0):
             raise DegenerateGeometryError("nonpositive Jacobian determinant")
-        return np.stack((col1, col2), axis=-1)
-
-    def jacobian(self, u) -> np.ndarray:
-        """Jacobian at scattered parametric points (..., 2, 2); det must stay positive."""
-        u = np.asarray(u, dtype=float)
-        pts = u.reshape(-1, 2)
-        jac = self._jacobian_at(self._tables((pts[:, 0], pts[:, 1])))
-        return jac.reshape(u.shape + (2,))
+        return np.stack((col1, col2), axis=-1).reshape(u.shape + (2,))
 
     def pullback_components(self, k: int, u, components) -> np.ndarray:
         """Reference components of a physical k-form at parametric points.
@@ -173,17 +216,27 @@ class NurbsPatch:
         jac = self.jacobian(self.side_points(side, t))
         return jac[..., :, 1 - axis]
 
-    def side_frame(self, side: str, t):
-        """Physical points and tangents of a side at 1D coordinates t, each (m, 2).
+    def side_curve(self, side: str) -> "SideCurve":
+        """The side as a 1D NURBS curve, built once per side (the patch is immutable).
 
-        The same values as ``map_point(side_points(side, t))`` and
-        ``side_tangent(side, t)``, from one window call per axis.
+        With open knots the transverse basis at a side is a unit vector,
+        so the side is its row of control points in the along-side basis;
+        the row of transverse derivatives goes with it for the Jacobian
+        determinant.
         """
-        axis, _ = SIDES[side]
-        pts = self.side_points(side, np.ravel(t))
-        tables = self._tables((pts[:, 0], pts[:, 1]))
-        (v1, _), (v2, _) = tables
-        return self._at_points(v1, v2), self._jacobian_at(tables)[:, :, 1 - axis]
+        if side not in self._side_curves:
+            axis, end = SIDES[side]
+            across = self.bases[axis]
+            control = np.moveaxis(self.control, axis, 0)  # (across, along, 2)
+            spans, _, ders = across.window([across.domain[end]])
+            d_across = across._scatter(spans, ders)[0]
+            self._side_curves[side] = SideCurve(
+                axis=axis,
+                basis=self.bases[1 - axis],
+                control=control[-end],
+                transverse=np.tensordot(d_across, control, axes=(0, 0)),
+            )
+        return self._side_curves[side]
 
     def __repr__(self):
         degs = tuple(b.degree for b in self.bases)

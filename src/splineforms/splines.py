@@ -61,6 +61,8 @@ class KnotVector:
             raise ConstructionError("interior knot multiplicity exceeds degree+1")
         self.knots = knots
         self.knots.flags.writeable = False
+        self.breakpoints = np.unique(knots)  # distinct knot values (span boundaries)
+        self.breakpoints.flags.writeable = False
         self.degree = p
         # last span index whose interval is nonempty
         i = self.num_basis - 1
@@ -75,11 +77,6 @@ class KnotVector:
     @property
     def domain(self):
         return float(self.knots[0]), float(self.knots[-1])
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Distinct knot values (span boundaries)."""
-        return np.unique(self.knots)
 
     @property
     def num_spans(self) -> int:
@@ -249,6 +246,14 @@ class Basis1D:
         return f"Basis1D({tag}, degree={self.degree}, n+1={self.num_basis})"
 
 
+def edge_window(ders) -> np.ndarray:
+    """Edge-function window (m, p) from the nodal derivative window (m, p+1).
+
+    Suffix sums of the derivative window, dropping the full (zero) sum.
+    """
+    return np.cumsum(ders[:, ::-1], axis=1)[:, ::-1][:, 1:]
+
+
 class EdgeBasis1D:
     """Edge functions M_i = -sum_{j<i} N_j' derived from a nodal basis.
 
@@ -284,9 +289,7 @@ class EdgeBasis1D:
         spans - p .. spans - 1, where p is the parent nodal degree.
         """
         spans, _, ders = self.parent.window(x)
-        # suffix sums of the derivative window, dropping the full (zero) sum
-        suffix = np.cumsum(ders[:, ::-1], axis=1)[:, ::-1]
-        return spans, suffix[:, 1:]
+        return spans, edge_window(ders)
 
     def eval_edge(self, x: float) -> np.ndarray:
         """Dense vector of M_i(x), i = 1..n (position i-1)."""

@@ -10,16 +10,22 @@ from splineforms import assembly
 from splineforms.assembly import (
     BCSpec,
     _PatchGrid,
+    _SideRules,
     _glued_numbering,
+    _greville_side_rule,
     _side_flux_integrals,
-    _side_velocity,
     apply_strong_normal_velocity,
     apply_weak_tangential_velocity,
     assemble_mass,
     assemble_vvp,
     solve,
 )
-from splineforms.errors import ConstructionError, FluxCompatibilityError, SingularSystemError
+from splineforms.errors import (
+    ConstructionError,
+    DegenerateGeometryError,
+    FluxCompatibilityError,
+    SingularSystemError,
+)
 from splineforms.geometry import (
     SIDES,
     NurbsPatch,
@@ -30,7 +36,7 @@ from splineforms.geometry import (
 from splineforms.harness import _bases, manufactured_fields
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
 from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
-from splineforms.projection import greville_edges
+from splineforms.projection import build_histopolation, greville_edges
 from splineforms._quadrature import panel_rule, split_interval
 
 
@@ -345,16 +351,22 @@ def count_calls(monkeypatch, owner, name):
 class TestSideEvaluationCounts:
     @pytest.mark.parametrize("side", sorted(SIDES))
     def test_side_velocity_one_window_call_per_axis(self, monkeypatch, side):
-        patch = build_taylor_couette().patches[2]
-        t = np.linspace(0.0, 1.0, 9)
+        system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette())
+        patch = system.patches[2]
+        patch.side_curve(side)  # built once per patch and side
+        rules = _SideRules(system, _greville_side_rule)
+        t = rules.rule(2, side)[0]
         vfun = lambda x, y: (x * y, x - y)
         want_points = patch.map_point(patch.side_points(side, t))
         want_tan = patch.side_tangent(side, t)
         windows = count_calls(monkeypatch, Basis1D, "window")
-        v, tan = _side_velocity(patch, side, t, vfun)
-        assert len(windows) == 2
-        npt.assert_array_equal(tan, want_tan)
-        npt.assert_array_equal(v, np.column_stack(vfun(*want_points.T)))
+        v, tan = rules.velocity(2, side, vfun)
+        assert len(windows) == 1  # the along-side geometry basis at the rule's points
+        rules.velocity(2, side, vfun)
+        assert len(windows) == 1
+        assert np.abs(tan - want_tan).max() <= 1e-14 * np.abs(want_tan).max()
+        want_v = np.column_stack(vfun(*want_points.T))
+        assert np.abs(v - want_v).max() <= 1e-14 * np.abs(want_v).max()
 
     @pytest.mark.parametrize("geometry", ["unit-square", "annulus"])
     def test_one_histopolation_per_side_basis(self, monkeypatch, geometry):
@@ -370,9 +382,54 @@ class TestSideEvaluationCounts:
         assert len(builds) == distinct
         assert len({id(args[0].parent) for args in builds}) == distinct
 
+    def test_window_calls_of_one_manufactured_level(self, monkeypatch):
+        system = assemble_vvp(
+            vvp_spaces(_bases(3, 4)), curved_square_patch(), forcing=EXACT["forcing"]
+        )
+        windows = count_calls(monkeypatch, Basis1D, "window")
+        apply_strong_normal_velocity(system, EXACT["velocity"])
+        # four side curves (one transverse derivative each), one geometry table
+        # shared by the four sides, one histopolation
+        assert len(windows) == 6
+        windows.clear()
+        apply_weak_tangential_velocity(system, EXACT["velocity"])
+        # side curves are cached: one nodal collocation and one geometry table
+        assert len(windows) == 2
+
     def test_harness_bases_share_one_object(self):
         first, second = _bases(3, 4)
         assert first is second
+
+
+def degenerate_left_side_patch():
+    """x = u1^2, y = u2: det J = 2 u1 vanishes on the left side only."""
+    across = Basis1D(KnotVector([0, 0, 0, 1, 1, 1], 2))
+    along = Basis1D(KnotVector([0, 0, 1, 1], 1))
+    control = np.stack(np.meshgrid([0.0, 0.0, 1.0], [0.0, 1.0], indexing="ij"), axis=-1)
+    return NurbsPatch((across, along), control, check=False)
+
+
+@pytest.mark.parametrize(
+    "apply", [apply_strong_normal_velocity, apply_weak_tangential_velocity]
+)
+def test_degenerate_side_raises_from_boundary_conditions(apply):
+    system = assemble_vvp(make_spaces(3, 4), degenerate_left_side_patch())
+    with pytest.raises(DegenerateGeometryError):
+        apply(system, lambda x, y: (np.ones_like(x), np.zeros_like(y)))
+
+
+def test_axis_edge_table_from_one_window_call(monkeypatch):
+    rng = np.random.default_rng(3)
+    basis = jittered_basis(3, 5, rng)
+    basis = Basis1D(basis.knot_vector, rng.uniform(0.5, 2.0, basis.num_basis))
+    windows = count_calls(monkeypatch, Basis1D, "window")
+    axis = assembly._Axis(basis, 6)
+    assert len(windows) == 1
+    spans, want = EdgeBasis1D(basis).window(axis.pts)
+    first, got, n = axis._tables[True]
+    npt.assert_array_equal(got, want)
+    npt.assert_array_equal(first, spans - basis.degree)
+    assert n == basis.num_basis - 1
 
 
 class TestBatchedSideIntegrals:
@@ -383,9 +440,10 @@ class TestBatchedSideIntegrals:
             system = assemble_vvp([make_spaces(3, 5) for _ in range(4)], build_taylor_couette())
         else:
             system, _ = manufactured_system(p_vel=2, spans=5, patch=curved_square_patch())
+        integrals = _side_flux_integrals(system, {key: vfun for key in system.boundary})
         for p, side in system.boundary:
             want = looped_side_flux(system, p, side, vfun)
-            got = _side_flux_integrals(system, p, side, vfun)
+            got = integrals[p, side]
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -558,8 +616,8 @@ class TestSubspaceSolve:
         factors = []
         original = assembly._factor
 
-        def recorded(matrix, what, permc_spec):
-            lu = original(matrix, what, permc_spec)
+        def recorded(matrix, what, permc_spec, *record):
+            lu = original(matrix, what, permc_spec, *record)
             factors.append((what, lu))
             return lu
 
@@ -582,7 +640,7 @@ class TestSubspaceSolve:
         group = rng.integers(0, 4, n0)
         group[0] = 0
         gauged = np.array([g for g in range(1, 4) if np.any(group == g)])
-        pos = assembly._node_paired_positions(A_ww, group, gauged)
+        pos = assembly._node_paired_positions(A_ww, group, gauged, {})
         npt.assert_array_equal(np.sort(pos), np.arange(n0 + gauged.size))
         perm_c = spla.splu(-A_ww, permc_spec="MMD_AT_PLUS_A").perm_c
         npt.assert_array_equal(np.argsort(pos[:n0]), np.argsort(perm_c))
@@ -591,7 +649,7 @@ class TestSubspaceSolve:
 
     def test_exactly_singular_factor_raises(self):
         with pytest.raises(SingularSystemError):
-            assembly._factor(sp.csc_matrix(np.ones((3, 3))), "test matrix", "NATURAL")
+            assembly._factor(sp.csc_matrix(np.ones((3, 3))), "test matrix", "NATURAL", {}, "T")
 
     def test_tiny_viscosity_is_a_rescaling(self):
         # the cavity of `run cavity --nu 1e-8 --spans 12`: Stokes velocity and
@@ -618,6 +676,21 @@ class TestSubspaceSolve:
         assert stats["unknowns"] == system.n0 + interior + 1
         assert stats["lu_nnz"] > stats["unknowns"]
         assert stats["refine_steps"] == 1
+
+    def test_stats_of_factors_residual_and_conditioning(self):
+        zero_normal = solve(_annulus_case()).stats
+        assert zero_normal["histopolation_cond"] is None  # zero data needs no histopolation
+        system = _manufactured_case(curved_square_patch())
+        sol = solve(system)
+        stats = sol.stats
+        assert set(stats["factors"]) == {"L", "order", "K", "M2"}
+        for entry in stats["factors"].values():
+            assert entry["nnz"] > 0 and entry["seconds"] >= 0.0
+        assert stats["factors"]["K"]["nnz"] == stats["lu_nnz"]
+        assert stats["residual"] == sol.residual
+        basis = system.spaces[0][0].nodal_bases[0]
+        want = build_histopolation(EdgeBasis1D(basis)).cond
+        assert stats["histopolation_cond"] == want
 
 
 def scattered_matrix(system):

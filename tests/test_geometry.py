@@ -6,6 +6,7 @@ import pytest
 
 from splineforms.errors import ConstructionError, DegenerateGeometryError
 from splineforms.geometry import (
+    SIDES,
     MultiPatch,
     NurbsPatch,
     build_taylor_couette,
@@ -166,4 +167,27 @@ class TestPullback:
             fd[:, d] = (4 * fine - coarse) / 3
         pulled = patch.pullback_components(1, uv, gradT(patch.map_point(uv)))
         assert np.abs(fd - pulled).max() < 1e-10
+
+
+
+SIDE_CURVE_PATCHES = {
+    "curved-square": curved_square_patch,
+    "curved-square-3-spans": lambda: curved_square_patch(spans=3),
+    **{f"annulus-{q}": (lambda q=q: build_taylor_couette().patches[q]) for q in range(4)},
+}
+
+
+class TestSideCurve:
+    @pytest.mark.parametrize("name", sorted(SIDE_CURVE_PATCHES))
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_matches_tensor_product_map(self, name, side):
+        patch = SIDE_CURVE_PATCHES[name]()
+        curve = patch.side_curve(side)
+        assert patch.side_curve(side) is curve
+        t = np.linspace(0.0, 1.0, 29)
+        points, tangent = curve.frame(curve.basis.window(t))
+        want_points = patch.map_point(patch.side_points(side, t))
+        want_tangent = patch.side_tangent(side, t)
+        assert np.abs(points - want_points).max() <= 1e-14 * np.abs(want_points).max()
+        assert np.abs(tangent - want_tangent).max() <= 1e-14 * np.abs(want_tangent).max()
 

@@ -124,6 +124,48 @@ def test_error_quadrature_independence():
         assert abs(a - b) < 1e-3 * abs(b)
 
 
+# errors of `run manufactured --degree 1 --levels 2` before sides were evaluated
+# as curves: (err_w, err_u, err_p) per level
+ERRORS_BEFORE_SIDE_CURVES = {
+    "unit-square": [
+        (0.41872577455272403, 0.08960222994507294, 0.017037409701352563),
+        (0.035527235911165585, 0.01762031132989612, 0.0041263798620237106),
+    ],
+    "curved-square": [
+        (0.41933544437671155, 0.09369093223528421, 0.07479981205612747),
+        (0.041569401816268614, 0.018869248412227927, 0.014115965362114994),
+    ],
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(ERRORS_BEFORE_SIDE_CURVES))
+def test_errors_unchanged_at_default_rule(geometry):
+    records, _ = run_manufactured(CaseConfig(degree=1, levels=2, geometry=geometry))
+    for rec, want in zip(records, ERRORS_BEFORE_SIDE_CURVES[geometry]):
+        got = (rec.err_w, rec.err_u, rec.err_p)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), (got, want)
+
+
+@pytest.mark.parametrize("base_spans", [1, 4])
+def test_pointwise_divergence_on_at_least_500_points(monkeypatch, base_spans):
+    from splineforms.assembly import _PatchGrid
+
+    sizes = []
+    original = _PatchGrid.reconstruct
+
+    def recorded(grid, form, comp):
+        if form.space.k == 2:
+            sizes.append(grid.det.size)
+        return original(grid, form, comp)
+
+    monkeypatch.setattr(_PatchGrid, "reconstruct", recorded)
+    config = CaseConfig(degree=1, levels=1, base_spans=base_spans, geometry="curved-square")
+    records, _ = run_manufactured(config)
+    divergence = sizes[1::2]  # pressure densities and divergences alternate
+    assert len(divergence) == 1 and divergence[0] >= 500
+    assert records[0].extra["div_pointwise"] < 1e-9
+
+
 def test_cavity_profiles_and_stream():
     config = CaseConfig(case="cavity", degree=2, spans=9)
     result = run_cavity(config)
@@ -153,7 +195,9 @@ def test_cavity_files(tmp_path):
     grid = np.loadtxt(tmp_path / "field_vorticity.dat")
     assert grid.shape == (101, 101)
     # solve statistics stay out of the bit-exact metadata
-    assert "lu_nnz" not in (tmp_path / "run_metadata.txt").read_text()
+    meta = (tmp_path / "run_metadata.txt").read_text()
+    for key in ("lu_nnz", "factors", "seconds", "histopolation_cond"):
+        assert key not in meta
 
 
 class TestCli:
@@ -227,6 +271,20 @@ class TestCli:
         assert not Path("IGNORED").exists()
         meta = (out / "run_metadata.txt").read_text()
         assert "degree=1" in meta and "levels=1" in meta
+
+    def test_config_case_must_match_positional_case(self, tmp_path):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("case=cavity\nspans=2\n")
+        out = tmp_path / "out"
+        proc = self.run_cli("run", "manufactured", "--levels", "1", "--config", str(cfg),
+                            "--out", str(out))
+        assert proc.returncode == 2
+        assert "case=cavity disagrees" in proc.stderr
+        assert not out.exists()
+        cfg.write_text("case=manufactured\ndegree=1\n")
+        proc = self.run_cli("run", "manufactured", "--levels", "1", "--config", str(cfg),
+                            "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

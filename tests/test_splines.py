@@ -75,6 +75,14 @@ class TestKnotVector:
             KnotVector([0, 0, 0, 1, 1, 1, 1, 2, 2, 2], 2)
 
 
+    def test_breakpoints_built_once_read_only(self):
+        kv = KnotVector([0, 0, 0, 0.25, 0.25, 0.7, 1, 1, 1], 2)
+        assert kv.breakpoints is kv.breakpoints
+        npt.assert_array_equal(kv.breakpoints, [0.0, 0.25, 0.7, 1.0])
+        assert not kv.breakpoints.flags.writeable
+        assert kv.num_spans == 3
+
+
 class TestNodalBasis:
     def test_bernstein_values(self):
         b = bspline_basis([0, 0, 0, 1, 1, 1], 2)
