@@ -18,20 +18,10 @@ from .errors import (
     SingularSystemError,
 )
 from .splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
-from .topology import (
-    CellComplex,
-    Chain,
-    Cochain,
-    IncidenceMatrix,
-    boundary,
-    build_incidence,
-    coboundary,
-    duality_pairing,
-)
-from .spaces import DiscreteForm, DiscreteFormSpace, dimension, vvp_spaces
+from .topology import CellComplex
+from .spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
 from .projection import (
     ChangeOfBasis,
-    ReducedCochain,
     build_histopolation,
     build_interpolation,
     greville_edges,

@@ -46,7 +46,7 @@ from .errors import (
     FluxCompatibilityError,
     SingularSystemError,
 )
-from .geometry import SIDES, MultiPatch, NurbsPatch, boundary_sides
+from .geometry import SIDES, MultiPatch, NurbsPatch, adjugate_apply, boundary_sides, mass_metric
 from .projection import build_histopolation, greville_edges
 from .spaces import DiscreteForm, DiscreteFormSpace
 from .splines import EdgeBasis1D, edge_window
@@ -181,29 +181,6 @@ class _PatchGrid:
         """Collocation matrices of a form block's two factors."""
         return tuple(axis.colloc[j in block.dirs] for j, axis in enumerate(self.axes))
 
-    def mass_weights(self, k: int):
-        """Gauss weight times the k-form inner-product metric, per component pair, (Q1, Q2).
-
-        0-forms carry det J, 2-form densities 1/det J and 1-forms
-        J^{-1} J^{-T} det J.
-        """
-        if k == 0:
-            return {(0, 0): self.det * self.w}
-        scaled = self.w / self.det
-        if k == 2:
-            return {(0, 0): scaled}
-        a = self.jac[..., 0, 0]
-        b = self.jac[..., 0, 1]
-        c = self.jac[..., 1, 0]
-        d = self.jac[..., 1, 1]
-        g01 = -(c * d + a * b) * scaled
-        return {
-            (0, 0): (d * d + b * b) * scaled,
-            (0, 1): g01,
-            (1, 0): g01,
-            (1, 1): (c * c + a * a) * scaled,
-        }
-
     def reconstruct(self, form: DiscreteForm, comp: int) -> np.ndarray:
         """One component of the reconstruction at every Gauss point, (Q1, Q2)."""
         b1, b2 = self.collocation(form.space.blocks[comp])
@@ -230,7 +207,7 @@ def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid) -> sp.csc
     flat (Fortran) order, which is the order of ``rank`` in direction 2
     and then in direction 1.
     """
-    weights = grid.mass_weights(space.k)
+    weights = mass_metric(space.k, grid.jac, grid.det, grid.w)
     per_col = np.zeros(space.dim, dtype=np.int64)
     parts = []
     for ib, B in enumerate(space.blocks):
@@ -267,11 +244,7 @@ def _forcing_vector(space: DiscreteFormSpace, grid: _PatchGrid, forcing) -> np.n
     yq = grid.phys[..., 1]
     f0 = np.asarray(fx(xq, yq), dtype=float)
     f1 = np.asarray(fy(xq, yq), dtype=float)
-    a = grid.jac[..., 0, 0]
-    b = grid.jac[..., 0, 1]
-    c = grid.jac[..., 1, 0]
-    d = grid.jac[..., 1, 1]
-    pulled = (d * f0 - b * f1, -c * f0 + a * f1)  # det J * J^{-1} f
+    pulled = adjugate_apply(grid.jac, f0, f1)  # det J * J^{-1} f
     out = np.empty(space.dim)
     for comp, block in enumerate(space.blocks):
         b1, b2 = grid.collocation(block)
@@ -378,7 +351,8 @@ class Solution:
     ``stats`` describes the solve: ``dofs`` (size of the mixed system),
     ``unknowns`` (size of the factored system), ``lu_nnz`` (nonzeros of
     its LU factors), ``refine_steps`` (iterative-refinement steps),
-    ``factors`` (``nnz`` and ``seconds`` of each factorization: ``L``, the
+    ``factors`` (``nnz``, ``fill_ratio`` (LU nonzeros over matrix
+    nonzeros) and ``seconds`` of each factorization: ``L``, the
     2-cell Laplacian; ``order``, the ordering-only LU of the vorticity
     mass matrix; ``K``, the vorticity-stream system; ``M2``, the 2-form
     mass matrix), ``residual`` (the gated solve residual) and
@@ -488,7 +462,7 @@ class SaddleSystem:
         return (np.abs(diff.data).max() / scale) if diff.nnz else 0.0
 
 
-def _normalize_side_data(system: SaddleSystem, velocity, sides):
+def _normalize_side_data(velocity, sides):
     """Resolve per-side velocity callables; None means zero data."""
     if velocity is None or callable(velocity):
         return {key: velocity for key in sides}
@@ -579,7 +553,7 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
     condition number of the histopolations used is kept as
     ``system.histopolation_cond``.
     """
-    data = _normalize_side_data(system, velocity, list(system.bc.normal_sides))
+    data = _normalize_side_data(velocity, list(system.bc.normal_sides))
     net = 0.0
     scale = 0.0
     histopolation = {}  # one per distinct side basis
@@ -608,13 +582,10 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
 
     Returns the global contribution vector and adds nu * B1 to the
     right-hand side.  Only sides listed (or all boundary sides for a
-    plain callable) contribute; missing sides mean zero data.
+    plain callable) contribute; missing sides mean zero data, and data
+    for a side that is not a boundary side raises ConstructionError.
     """
-    sides = system.boundary
-    if isinstance(velocity, dict):
-        entries = {k: velocity.get(k) for k in sides}
-    else:
-        entries = {k: velocity for k in sides}
+    entries = _normalize_side_data(velocity, system.boundary)
     rules = _SideRules(system, _panel_side_rule)
     b1 = np.zeros(system.n0)
     for (p, side), vfun in entries.items():
@@ -673,13 +644,14 @@ def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
     ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
     pivot, so the elimination follows the given column order
     symmetrically.  An exactly singular factor raises; pivot growth
-    shows in the solve residual.  The factor's nonzeros and seconds go
-    into ``factors[key]``.
+    shows in the solve residual.  The factor's nonzeros, their ratio to
+    the nonzeros of the matrix and the seconds go into ``factors[key]``.
     """
     start = time.perf_counter()
+    matrix = matrix.tocsc()
     try:
         lu = spla.splu(
-            matrix.tocsc(),
+            matrix,
             permc_spec=permc_spec,
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -689,7 +661,8 @@ def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
             f"factorization of the {what} failed: {exc}",
             nullspace_hint="system may be rank deficient",
         ) from exc
-    factors[key] = {"nnz": int(lu.nnz), "seconds": time.perf_counter() - start}
+    seconds = time.perf_counter() - start
+    factors[key] = {"nnz": int(lu.nnz), "fill_ratio": lu.nnz / matrix.nnz, "seconds": seconds}
     return lu
 
 
@@ -720,6 +693,38 @@ def _fixed_fluxes(system: SaddleSystem):
     e_fixed = np.zeros(system.n1)
     e_fixed[fixed] = [system.fixed[i] for i in fixed]
     return fixed, free, e_fixed
+
+
+def _flux_carriers(system: SaddleSystem, free, D21_free, lu_L, keep2) -> sp.csr_matrix:
+    """Divergence-free velocities (n1, m) that carry flux between boundary loops.
+
+    A stream function puts no net flux through a closed loop of boundary
+    1-cells.  When two or more loops hold a free cell (both circles of the
+    annulus, say), flux can pass from one to another, so the free
+    divergence-free velocities are im D10 C plus one carrier for each of
+    these loops past the first: the unit flux at the loop's first free
+    cell, projected onto ker D21_f through the 2-cell Laplacian.  A
+    carrier's net flux through its own loop exceeds the sum of its fluxes
+    through the other carried loops, so the carriers are independent
+    modulo im D10 C.
+    """
+    if system.gauge:  # every boundary cell is fixed: no flux passes a loop
+        return sp.csr_matrix((system.n1, 0))
+    cells = np.concatenate([
+        system.map1[p][_side_cell_ids(system.spaces[p][1], side)] for p, side in system.boundary
+    ])
+    links = abs(system.D10[cells]).tocsr()
+    _, loop = connected_components(links.T @ links, directed=False)
+    free_cells = free[cells]
+    loops = loop[links.indices[links.indptr[:-1]]][free_cells]
+    _, first = np.unique(loops, return_index=True)
+    carriers = cells[free_cells][np.sort(first)[1:]]
+    H = np.zeros((system.n1, carriers.size))
+    H[carriers, np.arange(carriers.size)] = 1.0
+    psi = np.zeros((system.n2, carriers.size))
+    psi[keep2] = lu_L.solve((D21_free @ H[free])[keep2])
+    H[free] -= D21_free.T @ psi
+    return sp.csr_matrix(H)
 
 
 def _reduced_residual(system: SaddleSystem, omega, u, p, lam) -> float:
@@ -755,13 +760,16 @@ def solve(system: SaddleSystem) -> Solution:
 
     ``ker D21 = im D10`` holds in integers, so every velocity with the
     prescribed boundary flux and zero divergence cochain is
-    ``u = u0 + D10 C y``: ``u0`` is a divergence-free lift of the fixed
-    fluxes through the integer 2-cell Laplacian ``L = D21_f D21_f^T``
-    (``D21_f`` the columns of the free 1-cells), and ``C`` maps one
-    constant per group of nodes joined by fixed cells onto the nodes
-    (the annulus gets its inner-circle constant this way), minus one
-    constant for the stream gauge.  Pressure leaves the factored system:
-    with ``Z = D10 C``, ``A_ww = -M0`` and ``A_wu = D10^T M1``, taken
+    ``u = u0 + Z y`` with ``Z = D10 C``: ``u0`` is a divergence-free lift
+    of the fixed fluxes through the integer 2-cell Laplacian
+    ``L = D21_f D21_f^T`` (``D21_f`` the columns of the free 1-cells), and
+    ``C`` maps one constant per group of nodes joined by fixed cells onto
+    the nodes (the annulus gets its inner-circle constant this way), minus
+    one constant for the stream gauge.  On a domain with holes, flux that
+    passes between two boundary loops through free cells is no such curl;
+    one flux carrier per extra loop (``_flux_carriers``) joins the columns
+    of ``Z`` and comes last in the elimination order.  Pressure leaves the
+    factored system: with ``A_ww = -M0`` and ``A_wu = D10^T M1``, taken
     straight from the system's glued blocks, the symmetric ``(omega, y)``
     system ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored.  It is
     permuted once into a node-paired order (the minimum-degree order of
@@ -803,17 +811,21 @@ def solve(system: SaddleSystem) -> Solution:
         (np.ones(n0, dtype=np.int64), (np.arange(n0), group)), shape=(n0, n_groups)
     )[:, gauged]
     Z = D10 @ C
+    carriers = _flux_carriers(system, free, D21_free, lu_L, keep2)
+    if carriers.shape[1]:
+        Z = sp.hstack([Z, carriers], format="csr")
 
     # the nu = 1 problem: vorticity and momentum rows divided by nu
     A_ww = -system.M0.tocsr()  # CSR blocks keep the stacking of K on its fast path
     A_wu = (system.M1 @ D10).T
     B = A_wu @ Z
     pos = _node_paired_positions(A_ww, group, gauged, factors)
+    pos = np.concatenate((pos, np.arange(pos.size, n0 + Z.shape[1])))  # flux carriers last
     # rows of K taken in the node-paired order and columns relabelled; the
     # transpose into CSC then leaves every column sorted, with no sort pass
     K = sp.vstack(
         [sp.hstack([A_ww, B], format="csr"),
-         sp.hstack([B.T.tocsr(), sp.csr_matrix((gauged.size, gauged.size))], format="csr")],
+         sp.hstack([B.T.tocsr(), sp.csr_matrix((Z.shape[1], Z.shape[1]))], format="csr")],
         format="csr",
     )[np.argsort(pos)]
     K = sp.csr_matrix((K.data, pos[K.indices], K.indptr), shape=K.shape).tocsc()

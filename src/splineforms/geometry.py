@@ -4,7 +4,10 @@ A patch maps the reference square onto a planar region through a
 tensor-product rational basis with separable weights, so the map is a
 product of univariate rational bases.  Pullbacks move 0/1/2-form
 components between the physical and reference pictures; integrals over
-mapped cells are then plain reference-domain quadratures.
+mapped cells are then plain reference-domain quadratures.  All of the
+2x2 algebra (determinant, adjugate, pullback, pushforward and the mass
+metric) lives in the functions below that act on an evaluated Jacobian
+``jac[..., component, direction]``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ __all__ = [
     "build_taylor_couette",
     "SIDES",
     "boundary_sides",
+    "jacobian_det",
+    "adjugate_apply",
+    "adjugate_transpose_apply",
+    "pullback",
+    "pushforward_1form",
+    "mass_metric",
 ]
 
 # side name -> (axis, end): 'left' is u1=0, 'right' u1=1, 'bottom' u2=0, 'top' u2=1
@@ -41,6 +50,69 @@ def boundary_sides(n_patches: int, glue):
         for side in ("left", "right", "bottom", "top")
         if (p, side) not in used
     ]
+
+
+# -- 2x2 pullback algebra on an evaluated Jacobian jac[..., component, direction]
+
+
+def jacobian_det(jac):
+    """det J."""
+    return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 1, 0] * jac[..., 0, 1]
+
+
+def adjugate_apply(jac, v0, v1):
+    """Components of adj(J) v = det J * J^{-1} v."""
+    a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
+    return d * v0 - b * v1, -c * v0 + a * v1
+
+
+def adjugate_transpose_apply(jac, v0, v1):
+    """Components of adj(J)^T v = det J * J^{-T} v."""
+    a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
+    return d * v0 - c * v1, -b * v0 + a * v1
+
+
+def pullback(k: int, jac, components):
+    """Reference components of a physical k-form, given J at the same points.
+
+    0-forms compose; 1-form components transform by J^T; 2-form
+    densities pick up the factor det J, so integrals over mapped cells
+    equal reference integrals of the pulled-back form.
+    """
+    if k == 0:
+        return components
+    if k == 1:
+        return np.einsum("...cd,...c->...d", jac, components)
+    if k == 2:
+        return components * jacobian_det(jac)
+    raise ConstructionError("pullback implemented for k in {0, 1, 2}")
+
+
+def pushforward_1form(jac, det, v0, v1):
+    """Physical components J^{-T} v of a 1-form with reference components (v0, v1)."""
+    x, y = adjugate_transpose_apply(jac, v0, v1)
+    return x / det, y / det
+
+
+def mass_metric(k: int, jac, det, w):
+    """Weight w times the k-form inner-product metric, per component pair.
+
+    0-forms carry det J, 2-form densities 1/det J and 1-forms
+    J^{-1} J^{-T} det J = adj(J) adj(J)^T / det J.
+    """
+    if k == 0:
+        return {(0, 0): det * w}
+    scaled = w / det
+    if k == 2:
+        return {(0, 0): scaled}
+    a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
+    g01 = -(c * d + a * b) * scaled
+    return {
+        (0, 0): (d * d + b * b) * scaled,
+        (0, 1): g01,
+        (1, 0): g01,
+        (1, 1): (c * c + a * a) * scaled,
+    }
 
 
 @dataclass(frozen=True)
@@ -69,8 +141,8 @@ class SideCurve:
         points = np.einsum("mk,mkc->mc", vals, control)
         tangent = np.einsum("mk,mkc->mc", ders, control)
         across = np.einsum("mk,mkc->mc", vals, self.transverse[rows])
-        col1, col2 = (across, tangent) if self.axis == 0 else (tangent, across)
-        det = col1[:, 0] * col2[:, 1] - col1[:, 1] * col2[:, 0]
+        cols = (across, tangent) if self.axis == 0 else (tangent, across)
+        det = jacobian_det(np.stack(cols, axis=-1))
         if np.any(det <= 0.0):
             raise DegenerateGeometryError(
                 f"nonpositive Jacobian determinant on a side (min {det.min():.3e})"
@@ -145,11 +217,8 @@ class NurbsPatch:
 
     def _jacobian_on_grid(self, tables):
         (v1, d1), (v2, d2) = tables
-        col1 = self._on_grid(d1, v2)
-        col2 = self._on_grid(v1, d2)
-        jac = np.stack((col1, col2), axis=-1)  # [..., component, direction]
-        det = col1[..., 0] * col2[..., 1] - col1[..., 1] * col2[..., 0]
-        return jac, det
+        jac = np.stack((self._on_grid(d1, v2), self._on_grid(v1, d2)), axis=-1)
+        return jac, jacobian_det(jac)
 
     def jacobian_grid(self, x_axis, y_axis):
         """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid."""
@@ -173,41 +242,27 @@ class NurbsPatch:
         u = np.asarray(u, dtype=float)
         pts = u.reshape(-1, 2)
         (v1, d1), (v2, d2) = self._tables((pts[:, 0], pts[:, 1]))
-        col1 = self._at_points(d1, v2)
-        col2 = self._at_points(v1, d2)
-        det = col1[:, 0] * col2[:, 1] - col1[:, 1] * col2[:, 0]
-        if np.any(det <= 0.0):
+        jac = np.stack((self._at_points(d1, v2), self._at_points(v1, d2)), axis=-1)
+        if np.any(jacobian_det(jac) <= 0.0):
             raise DegenerateGeometryError("nonpositive Jacobian determinant")
-        return np.stack((col1, col2), axis=-1).reshape(u.shape + (2,))
+        return jac.reshape(u.shape + (2,))
 
     def pullback_components(self, k: int, u, components) -> np.ndarray:
-        """Reference components of a physical k-form at parametric points.
-
-        0-forms compose; 1-form components transform by J^T; 2-form
-        densities pick up the factor det J, so integrals over mapped
-        cells equal reference integrals of the pulled-back form.
-        """
-        u = np.asarray(u, dtype=float)
-        components = np.asarray(components, dtype=float)
-        if k == 0:
-            return components
-        jac = self.jacobian(u)
-        if k == 1:
-            return np.einsum("...cd,...c->...d", jac, components)
-        if k == 2:
-            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            return components * det
-        raise ConstructionError("pullback implemented for k in {0, 1, 2}")
+        """Reference components of a physical k-form at parametric points (see ``pullback``)."""
+        return pullback(k, self.jacobian(u), np.asarray(components, dtype=float))
 
     # -- sides --------------------------------------------------------------
 
     def side_points(self, side: str, t) -> np.ndarray:
-        """Parametric points of a side at 1D coordinates t (along the side axis)."""
+        """Parametric points of a side at 1D coordinates t (along the side axis).
+
+        The side sits at the start or end of the knot domain across it.
+        """
         axis, end = SIDES[side]
         t = np.asarray(t, dtype=float)
         uv = np.empty(t.shape + (2,))
         uv[..., 1 - axis] = t
-        uv[..., axis] = float(end)
+        uv[..., axis] = self.bases[axis].domain[end]
         return uv
 
     def side_tangent(self, side: str, t) -> np.ndarray:
@@ -265,10 +320,15 @@ class MultiPatch:
             self._check_interfaces()
 
     def _check_interfaces(self, tol: float = 1e-12):
-        t = np.linspace(0.0, 1.0, 33)
+        """Compare glued sides at 33 points spread over each side's own knot domain."""
+
+        def side_samples(patch, side):
+            t = np.linspace(*patch.bases[1 - SIDES[side][0]].domain, 33)
+            return patch.map_point(patch.side_points(side, t))
+
         for a, side_a, b, side_b, _ in self.glue:
-            pa = self.patches[a].map_point(self.patches[a].side_points(side_a, t))
-            pb = self.patches[b].map_point(self.patches[b].side_points(side_b, t))
+            pa = side_samples(self.patches[a], side_a)
+            pb = side_samples(self.patches[b], side_b)
             gap = np.abs(pa - pb).max()
             if gap > tol:
                 raise ConstructionError(
@@ -278,10 +338,6 @@ class MultiPatch:
     @property
     def n_patches(self) -> int:
         return len(self.patches)
-
-    def boundary_sides(self):
-        """(patch index, side) pairs not consumed by any interface."""
-        return boundary_sides(self.n_patches, self.glue)
 
 
 def _linear_basis(n_spans: int = 1) -> Basis1D:

@@ -24,7 +24,13 @@ from .assembly import (
     solve,
 )
 from .errors import ConstructionError
-from .geometry import build_taylor_couette, curved_square_patch, unit_square_patch
+from .geometry import (
+    build_taylor_couette,
+    curved_square_patch,
+    jacobian_det,
+    pushforward_1form,
+    unit_square_patch,
+)
 from .spaces import DiscreteForm, vvp_spaces
 from .splines import Basis1D, KnotVector, uniform_open_knots
 
@@ -196,14 +202,9 @@ def _h_max(patches, triples) -> float:
 
 def _physical_velocity(grid: _PatchGrid, fu):
     """Velocity vector components at the grid's quadrature points."""
-    u1 = grid.reconstruct(fu, 0)
-    u2 = grid.reconstruct(fu, 1)
-    a = grid.jac[..., 0, 0]
-    b = grid.jac[..., 0, 1]
-    c = grid.jac[..., 1, 0]
-    d = grid.jac[..., 1, 1]
-    comp_x = (d * u1 - c * u2) / grid.det
-    comp_y = (-b * u1 + a * u2) / grid.det
+    comp_x, comp_y = pushforward_1form(
+        grid.jac, grid.det, grid.reconstruct(fu, 0), grid.reconstruct(fu, 1)
+    )
     return comp_y, -comp_x  # flux form (a dy - b dx) carries the vector (a, b)
 
 
@@ -330,9 +331,7 @@ def run_taylor_couette(config: CaseConfig):
             comps = fu.eval_grid((np.array([uval]), t))
             uv = np.column_stack((np.full_like(t, uval), t))
             jac = multipatch.patches[0].jacobian(uv)
-            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            cx = (jac[..., 1, 1] * comps[0][0] - jac[..., 1, 0] * comps[1][0]) / det
-            cy = (-jac[..., 0, 1] * comps[0][0] + jac[..., 0, 0] * comps[1][0]) / det
+            cx, cy = pushforward_1form(jac, jacobian_det(jac), comps[0][0], comps[1][0])
             speeds[r] = np.hypot(cy, -cx)
         records.append(
             ConvergenceRecord(

@@ -10,8 +10,6 @@ differentiating and then projecting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -19,10 +17,8 @@ from ._quadrature import interval_rule
 from .errors import ConstructionError, IllPosedNodesError
 from .spaces import DiscreteForm, DiscreteFormSpace
 from .splines import Basis1D, EdgeBasis1D
-from .topology import Cochain
 
 __all__ = [
-    "ReducedCochain",
     "ChangeOfBasis",
     "reduce_0form",
     "reduce_1form",
@@ -33,20 +29,6 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_KINDS = ("node-values", "edge-integrals", "face-integrals", "volume-integrals")
-
-
-@dataclass(frozen=True)
-class ReducedCochain:
-    """Cochain of measurements plus the kind of cell it was measured on."""
-
-    cochain: Cochain
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConstructionError(f"kind must be one of {_KINDS}")
-
 
 class ChangeOfBasis:
     """Invertible square map between measurement cochains and coefficients.
@@ -85,17 +67,17 @@ class ChangeOfBasis:
         return np.moveaxis(self.solve(moved), 0, axis)
 
 
-def reduce_0form(f, nodes) -> ReducedCochain:
-    """Sample a scalar function at interpolation nodes (1D de Rham map)."""
+def reduce_0form(f, nodes) -> np.ndarray:
+    """Cochain of node values of a scalar function (1D de Rham map)."""
     nodes = np.asarray(nodes, dtype=float)
     vals = np.asarray(f(nodes), dtype=float)
     if vals.shape != nodes.shape:
         vals = np.broadcast_to(vals, nodes.shape).copy()
-    return ReducedCochain(Cochain(0, vals), "node-values")
+    return vals
 
 
-def reduce_1form(f, edges, n_gauss: int = 5, breakpoints=None) -> ReducedCochain:
-    """Integrate a 1-form component over parametric intervals.
+def reduce_1form(f, edges, n_gauss: int = 5, breakpoints=None) -> np.ndarray:
+    """Cochain of integrals of a 1-form component over parametric intervals.
 
     Parameters
     ----------
@@ -119,7 +101,7 @@ def reduce_1form(f, edges, n_gauss: int = 5, breakpoints=None) -> ReducedCochain
     if not np.all(np.isfinite(fx)):
         raise FloatingPointError("non-finite 1-form values during reduction")
     vals = np.bincount(owner, weights=fx * wts, minlength=edges.shape[0])
-    return ReducedCochain(Cochain(1, vals), "edge-integrals")
+    return vals
 
 
 def greville_edges(basis: Basis1D) -> np.ndarray:

@@ -16,7 +16,7 @@ from .errors import ConstructionError, DomainError
 from .splines import Basis1D, EdgeBasis1D
 from .topology import CellComplex, direction_subsets
 
-__all__ = ["DiscreteFormSpace", "DiscreteForm", "FormBlock", "dimension", "vvp_spaces"]
+__all__ = ["DiscreteFormSpace", "DiscreteForm", "FormBlock", "vvp_spaces"]
 
 
 class FormBlock:
@@ -82,9 +82,6 @@ class DiscreteFormSpace:
         if self.dim != self.complex.num_cells(k):
             raise ConstructionError("space dimension does not match the cell count")
 
-    def dimension(self) -> int:
-        return self.dim
-
     def derivative_space(self) -> "DiscreteFormSpace":
         if self.k >= self.d:
             raise ConstructionError("top-degree forms have no exterior derivative")
@@ -99,11 +96,6 @@ class DiscreteFormSpace:
 
     def __repr__(self):
         return f"DiscreteFormSpace(d={self.d}, k={self.k}, dim={self.dim})"
-
-
-def dimension(space: DiscreteFormSpace) -> int:
-    """Total number of coefficients (sum of block sizes)."""
-    return space.dim
 
 
 def vvp_spaces(nodal_bases):

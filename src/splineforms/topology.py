@@ -1,9 +1,10 @@
-"""Tensor-product cell complexes, chains/cochains and incidence matrices.
+"""Tensor-product cell complexes and their integer incidence matrices.
 
 All connectivity is purely combinatorial: a complex knows only its
-per-direction cell counts.  Boundary and coboundary act through sparse
-integer incidence matrices, so identities like "boundary of boundary is
-empty" hold in exact arithmetic.
+per-direction cell counts.  Chains and cochains are plain coefficient
+vectors; boundary and coboundary are products with sparse integer
+incidence matrices, so identities like "boundary of boundary is empty"
+hold in exact arithmetic.
 
 Numbering convention: cells are ordered lexicographically with the first
 direction fastest.  One-cells are grouped by the axis they run along
@@ -14,23 +15,12 @@ right-handed orientation of the axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConstructionError
 
-__all__ = [
-    "CellComplex",
-    "Chain",
-    "Cochain",
-    "IncidenceMatrix",
-    "build_incidence",
-    "boundary",
-    "coboundary",
-    "duality_pairing",
-]
+__all__ = ["CellComplex"]
 
 
 def direction_subsets(d: int, k: int):
@@ -55,19 +45,6 @@ def block_orientation(d: int, k: int, subset) -> int:
     if d == 3 and k == 2 and tuple(subset) == (0, 2):
         return -1
     return 1
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Signed integer connectivity E_{k-1,k} between k-cells and their boundary cells."""
-
-    k_from: int
-    k_to: int
-    matrix: sp.csc_matrix
-
-    def __post_init__(self):
-        if self.k_to != self.k_from - 1:
-            raise ConstructionError("incidence matrix must map k-cells to (k-1)-cells")
 
 
 class CellComplex:
@@ -106,10 +83,10 @@ class CellComplex:
             self._coboundary_cache[k] = self._build_coboundary(k)
         return self._coboundary_cache[k]
 
-    def incidence(self, k: int) -> IncidenceMatrix:
-        """Boundary incidence E_{k-1,k}; its transpose is D_{k,k-1}."""
+    def incidence(self, k: int) -> sp.csc_matrix:
+        """Signed integer boundary incidence E_{k-1,k}; its transpose is D_{k,k-1}."""
         self._check_k(k)
-        return IncidenceMatrix(k, k - 1, self.coboundary_matrix(k - 1).T.tocsc())
+        return self.coboundary_matrix(k - 1).T.tocsc()
 
     def _check_k(self, k: int, allow_zero: bool = False):
         lo = 0 if allow_zero else 1
@@ -152,74 +129,3 @@ class CellComplex:
 
     def __repr__(self):
         return f"CellComplex(dims={self.dims})"
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Integer combination of k-cells with coefficients in {-1, 0, 1}."""
-
-    k: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.int64)
-        if coeffs.ndim != 1:
-            raise ConstructionError("chain coefficients must be a vector")
-        if np.any(np.abs(coeffs) > 1):
-            raise ConstructionError("chain coefficients must lie in {-1, 0, 1}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
-@dataclass(frozen=True)
-class Cochain:
-    """Real value attached to every k-cell of a complex."""
-
-    k: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs)
-        if coeffs.ndim != 1:
-            raise ConstructionError("cochain coefficients must be a vector")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
-def build_incidence(complex_: CellComplex, k: int) -> IncidenceMatrix:
-    """Incidence matrix E_{k-1,k} of a complex (1 <= k <= d)."""
-    return complex_.incidence(k)
-
-
-def boundary(chain: Chain, incidence: IncidenceMatrix) -> Chain:
-    """Boundary of a k-chain: coefficients E_{k-1,k} @ c."""
-    if chain.k != incidence.k_from:
-        raise ConstructionError(
-            f"chain degree {chain.k} does not match incidence k_from {incidence.k_from}"
-        )
-    if chain.coeffs.size != incidence.matrix.shape[1]:
-        raise ConstructionError("chain length does not match the incidence matrix")
-    out = incidence.matrix @ chain.coeffs
-    # boundaries of valid chains may leave {-1,0,1}; clip is wrong, so keep raw ints
-    result = Chain.__new__(Chain)
-    object.__setattr__(result, "k", incidence.k_to)
-    object.__setattr__(result, "coeffs", np.asarray(out, dtype=np.int64))
-    return result
-
-
-def coboundary(cochain: Cochain, incidence: IncidenceMatrix) -> Cochain:
-    """Coboundary of a (k-1)-cochain: coefficients E_{k-1,k}^T @ b."""
-    if cochain.k != incidence.k_to:
-        raise ConstructionError(
-            f"cochain degree {cochain.k} does not match incidence k_to {incidence.k_to}"
-        )
-    if cochain.coeffs.size != incidence.matrix.shape[0]:
-        raise ConstructionError("cochain length does not match the incidence matrix")
-    return Cochain(incidence.k_from, incidence.matrix.T @ cochain.coeffs)
-
-
-def duality_pairing(cochain: Cochain, chain: Chain) -> float:
-    """Summation pairing <a, c> = a^T c."""
-    if cochain.k != chain.k:
-        raise ConstructionError("cochain and chain degrees differ")
-    if cochain.coeffs.size != chain.coeffs.size:
-        raise ConstructionError("cochain and chain lengths differ")
-    return float(np.dot(cochain.coeffs, chain.coeffs))

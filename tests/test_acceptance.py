@@ -75,7 +75,7 @@ def test_criterion_1_topological_exactness():
     for dims in dims_list:
         cx = CellComplex(dims)
         for k in range(2, len(dims) + 1):
-            worst = max(worst, (cx.incidence(k - 1).matrix @ cx.incidence(k).matrix).nnz)
+            worst = max(worst, (cx.incidence(k - 1) @ cx.incidence(k)).nnz)
         for k in range(len(dims) - 1):
             d_lo, d_hi = cx.coboundary_matrix(k), cx.coboundary_matrix(k + 1)
             for _ in range(100 // len(dims_list)):

@@ -319,6 +319,16 @@ class TestBoundaryConditions:
         b1 = apply_weak_tangential_velocity(system, None)
         assert np.abs(b1).max() == 0.0
 
+    @pytest.mark.parametrize("apply", [apply_strong_normal_velocity, apply_weak_tangential_velocity])
+    def test_data_for_a_side_that_is_not_a_boundary_side_raises(self, apply):
+        system, _ = manufactured_system(p_vel=1, spans=4)
+        rhs = system.rhs.copy()
+        lid = {(0, "tpo"): lambda x, y: (np.ones_like(x), np.zeros_like(y))}
+        with pytest.raises(ConstructionError, match="non-applicable"):
+            apply(system, lid)
+        npt.assert_array_equal(system.rhs, rhs)
+        assert not system.fixed
+
 
 def looped_side_flux(system, p, side, vfun):
     """Side flux integrals one Greville interval at a time."""
@@ -577,8 +587,8 @@ def _manufactured_case(patch, bc=None, nu=1.0):
     return system
 
 
-def _annulus_case(normal=None, tangential=None, nu=1.0):
-    system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette(), nu=nu)
+def _annulus_case(normal=None, tangential=None, nu=1.0, bc=None):
+    system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette(), nu=nu, bc=bc)
     apply_strong_normal_velocity(system, normal)
     apply_weak_tangential_velocity(system, tangential)
     return system
@@ -599,6 +609,11 @@ SOLVE_CASES = {
         unit_square_patch(), BCSpec(normal_sides=((0, "left"), (0, "right"), (0, "bottom")))
     ),
     "annulus-source-flow": lambda: _annulus_case(_source_flow, _source_flow),
+    # a free side on each circle: flux passes between the circles, which
+    # needs one flux carrier besides the stream function
+    "annulus-flux-between-circles": lambda: _annulus_case(
+        _source_flow, _source_flow, bc=BCSpec(normal_sides=((0, "left"), (2, "right")))
+    ),
 }
 
 
@@ -606,7 +621,7 @@ class TestSubspaceSolve:
     @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
     def test_matches_mixed_reference(self, case):
         system = SOLVE_CASES[case]()
-        assert system.gauge == (case != "top-side-free")
+        assert system.gauge == (case not in ("top-side-free", "annulus-flux-between-circles"))
         sol = solve(system)
         for got, ref in zip((sol.omega, sol.u, sol.p), mixed_reference(system)):
             assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
@@ -686,6 +701,8 @@ class TestSubspaceSolve:
         assert set(stats["factors"]) == {"L", "order", "K", "M2"}
         for entry in stats["factors"].values():
             assert entry["nnz"] > 0 and entry["seconds"] >= 0.0
+            assert 1.0 <= entry["fill_ratio"] < 100.0
+        assert stats["factors"]["M2"]["fill_ratio"] == stats["factors"]["M2"]["nnz"] / system.M2.nnz
         assert stats["factors"]["K"]["nnz"] == stats["lu_nnz"]
         assert stats["residual"] == sol.residual
         basis = system.spaces[0][0].nodal_bases[0]
@@ -865,6 +882,44 @@ def test_seeded_sweep_matches_mixed_reference(seed):
     # the same vorticity-stream system, which agree with each other to 4e-13
     for got, ref in zip((sol.omega, sol.u, sol.p), mixed_reference(system)):
         assert np.abs(got - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
+
+
+def annulus_sweep_case(seed, nu=None):
+    """Source flow on the annulus with seeded random field bases, viscosity and normal sides.
+
+    The radial field basis runs along every glued side, so the four
+    patches share it; each patch draws its own angular basis.  Both carry
+    jittered knots and random weights.  Normal velocity is prescribed on
+    a random proper subset of the eight boundary sides, so no pressure
+    gauge is set.  ``nu`` defaults to a log-uniform draw in [1e-8, 1e4].
+    """
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    radial = random_open_basis(p, rng, True)
+    triples = [vvp_spaces((radial, random_open_basis(p, rng, True))) for _ in range(4)]
+    drawn_nu = 10.0 ** rng.uniform(-8.0, 4.0)
+    sides = [(q, side) for q in range(4) for side in ("left", "right")]
+    chosen = rng.permutation(len(sides))[: rng.integers(1, len(sides))]
+    bc = BCSpec(normal_sides=tuple(sides[i] for i in sorted(chosen)))
+    system = assemble_vvp(triples, build_taylor_couette(), nu=drawn_nu if nu is None else nu, bc=bc)
+    apply_strong_normal_velocity(system, _source_flow)
+    apply_weak_tangential_velocity(system, _source_flow)
+    return system
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_seeded_annulus_sweep(seed):
+    system = annulus_sweep_case(seed)
+    assert not system.gauge
+    sol = solve(system)
+    assert sol.residual <= 1e-10
+    assert max(np.abs(sol.divergence_cochain(q)).max() for q in range(4)) <= 1e-9
+    for got, ref in zip((sol.omega, sol.u, sol.p), mixed_reference(system)):
+        assert np.abs(got - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
+    # Stokes flow: velocity and vorticity do not depend on nu, pressure scales with it
+    unit = solve(annulus_sweep_case(seed, nu=1.0))
+    for a, b in ((sol.omega, unit.omega), (sol.u, unit.u), (sol.p / system.nu, unit.p)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestPointwiseDivergence:

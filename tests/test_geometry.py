@@ -9,11 +9,19 @@ from splineforms.geometry import (
     SIDES,
     MultiPatch,
     NurbsPatch,
+    adjugate_apply,
+    adjugate_transpose_apply,
+    boundary_sides,
     build_taylor_couette,
     curved_square_patch,
+    jacobian_det,
+    mass_metric,
+    pullback,
+    pushforward_1form,
     quarter_annulus_patch,
     unit_square_patch,
 )
+from splineforms.splines import Basis1D, KnotVector
 from splineforms.verification import fd_jacobian
 from splineforms._quadrature import gauss_rule
 
@@ -108,7 +116,7 @@ class TestAnnulus:
 
     def test_boundary_sides_are_circles(self):
         mp = build_taylor_couette()
-        assert set(mp.boundary_sides()) == {
+        assert set(boundary_sides(mp.n_patches, mp.glue)) == {
             (p, side) for p in range(4) for side in ("left", "right")
         }
 
@@ -168,6 +176,86 @@ class TestPullback:
         pulled = patch.pullback_components(1, uv, gradT(patch.map_point(uv)))
         assert np.abs(fd - pulled).max() < 1e-10
 
+
+class TestPullbackAlgebra:
+    """The 2x2 helpers against dense linear algebra on random Jacobians."""
+
+    @pytest.fixture
+    def jac(self):
+        rng = np.random.default_rng(4)
+        jac = rng.uniform(-2.0, 2.0, size=(5, 3, 2, 2))
+        jac[..., 0, 0] += 5.0  # keep det J away from zero
+        jac[..., 1, 1] += 5.0
+        return jac
+
+    def test_det_and_adjugates(self, jac):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=jac.shape[:-1])
+        det = jacobian_det(jac)
+        npt.assert_allclose(det, np.linalg.det(jac), rtol=1e-13)
+        inv = np.linalg.inv(jac)
+        want = det[..., None] * np.einsum("...ij,...j->...i", inv, v)
+        npt.assert_allclose(np.stack(adjugate_apply(jac, v[..., 0], v[..., 1]), -1), want, rtol=1e-12)
+        want_t = det[..., None] * np.einsum("...ji,...j->...i", inv, v)
+        got_t = np.stack(adjugate_transpose_apply(jac, v[..., 0], v[..., 1]), -1)
+        npt.assert_allclose(got_t, want_t, rtol=1e-12)
+
+    def test_pushforward_inverts_pullback(self, jac):
+        rng = np.random.default_rng(6)
+        phys = rng.normal(size=jac.shape[:-1])
+        ref = pullback(1, jac, phys)
+        back = pushforward_1form(jac, jacobian_det(jac), ref[..., 0], ref[..., 1])
+        npt.assert_allclose(np.stack(back, -1), phys, rtol=1e-12, atol=1e-13)
+        npt.assert_allclose(pullback(2, jac, np.ones(jac.shape[:-2])), jacobian_det(jac))
+
+    def test_mass_metric(self, jac):
+        w = np.linspace(0.5, 1.5, jac.shape[0] * jac.shape[1]).reshape(jac.shape[:-2])
+        det = jacobian_det(jac)
+        inv = np.linalg.inv(jac)
+        metric = np.einsum("...ik,...jk->...ij", inv, inv) * (det * w)[..., None, None]
+        got = mass_metric(1, jac, det, w)
+        for (i, j), weight in got.items():
+            npt.assert_allclose(weight, metric[..., i, j], rtol=1e-12)
+        npt.assert_allclose(mass_metric(0, jac, det, w)[0, 0], det * w)
+        npt.assert_allclose(mass_metric(2, jac, det, w)[0, 0], w / det)
+
+
+def _bilinear_on_0_2(x0=0.0, y0=0.0, end=2.0):
+    """Unit square offset by (x0, y0) as a bilinear patch over the knot domain [0, end]^2."""
+    b = Basis1D(KnotVector([0.0, 0.0, end, end], 1))
+    grid = np.array([0.0, 1.0])
+    control = np.stack(np.meshgrid(grid + x0, grid + y0, indexing="ij"), axis=-1)
+    return NurbsPatch((b, b), control)
+
+
+class TestNonUnitKnotDomain:
+    """Sides sit at the ends of the knot domain, here [0, 2], not at 0 and 1."""
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_side_points_and_tangent(self, side):
+        patch = _bilinear_on_0_2()
+        t = np.array([0.0, 1.0, 2.0])
+        axis, end = SIDES[side]
+        points = patch.map_point(patch.side_points(side, t))
+        npt.assert_allclose(points[:, axis], float(end), atol=1e-15)
+        npt.assert_allclose(points[:, 1 - axis], t / 2.0, atol=1e-15)
+        tangent = patch.side_tangent(side, t)
+        want = np.zeros((3, 2))
+        want[:, 1 - axis] = 0.5
+        npt.assert_allclose(tangent, want, atol=1e-15)
+        curve = patch.side_curve(side)
+        c_points, c_tangent = curve.frame(curve.basis.window(t))
+        npt.assert_allclose(c_points, points, atol=1e-15)
+        npt.assert_allclose(c_tangent, tangent, atol=1e-15)
+
+    def test_glue_check(self):
+        left = _bilinear_on_0_2()
+        glue = [(0, "right", 1, "left", 1)]
+        MultiPatch([left, _bilinear_on_0_2(x0=1.0)], glue)
+        # each side is sampled over its own knot domain, here [0, 2] against [0, 1]
+        MultiPatch([left, _bilinear_on_0_2(x0=1.0, end=1.0)], glue)
+        with pytest.raises(ConstructionError, match="disagree"):
+            MultiPatch([left, _bilinear_on_0_2(x0=1.0, y0=0.25)], glue)
 
 
 SIDE_CURVE_PATCHES = {

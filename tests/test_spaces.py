@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from splineforms.errors import ConstructionError
-from splineforms.spaces import DiscreteForm, DiscreteFormSpace, dimension
+from splineforms.spaces import DiscreteForm, DiscreteFormSpace
 from splineforms.splines import Basis1D, KnotVector, uniform_open_knots
 from splineforms._quadrature import panel_rule
 
@@ -23,9 +23,9 @@ def mixed_bases():
 
 def test_dimensions_2d(mixed_bases):
     bx, by = mixed_bases
-    assert dimension(DiscreteFormSpace((bx, by), 0)) == 12
-    assert dimension(DiscreteFormSpace((bx, by), 1)) == 17
-    assert dimension(DiscreteFormSpace((bx, by), 2)) == 6
+    assert DiscreteFormSpace((bx, by), 0).dim == 12
+    assert DiscreteFormSpace((bx, by), 1).dim == 17
+    assert DiscreteFormSpace((bx, by), 2).dim == 6
 
 
 def test_dimensions_3d():
