@@ -159,6 +159,11 @@ class _PatchGrid:
         nodal_bases = tuple(nodal_bases)
         self.axes = []
         for j, b in enumerate(nodal_bases):
+            if np.abs(np.subtract(b.domain, patch.bases[j].domain)).max() > 1e-12:
+                raise ConstructionError(
+                    f"field knot domain {b.domain} differs from the geometry knot "
+                    f"domain {patch.bases[j].domain} in direction {j}"
+                )
             breaks = b.breakpoints
             inner = patch.bases[j].breakpoints[1:-1]
             if inner.size and np.min(np.abs(inner[:, None] - breaks[None, :]), axis=1).max() > 1e-12:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 from .errors import (
@@ -21,7 +24,6 @@ from .harness import (
     run_cavity,
     run_manufactured,
     run_taylor_couette,
-    rates,
 )
 
 _NUMERICAL_ERRORS = (
@@ -122,24 +124,53 @@ def _make_config(args) -> CaseConfig:
     return CaseConfig(**merged)
 
 
+def _write_stats(config: CaseConfig, run_s: float, output_s: float, solve_stats: dict) -> Path:
+    """Write ``stats.json``: wall times, peak RSS and the last solve's statistics.
+
+    It is outside the bit-exact output set: times and memory change
+    from run to run.  ``peak_rss_mb`` is ``ru_maxrss`` (KiB on Linux).
+    """
+    stats = {
+        "case": config.case,
+        "run_s": run_s,
+        "output_s": output_s,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "solve": solve_stats,
+    }
+    path = Path(config.out_dir) / "stats.json"
+    path.write_text(json.dumps(stats, indent=1, sort_keys=True) + "\n")
+    return path
+
+
 def _cmd_run(args) -> int:
     try:
         config = _make_config(args)
     except (ConstructionError, OSError, ValueError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
+    start = time.perf_counter()
+    records = result = None
+    if config.case == "cavity":
+        result = run_cavity(config)
+        solve_stats = result.stats
+    else:
+        runner = run_manufactured if config.case == "manufactured" else run_taylor_couette
+        records, (solution, _) = runner(config)
+        solve_stats = solution.stats
+    run_s = time.perf_counter() - start
+    start = time.perf_counter()
+    paths = emit_outputs(config, records=records, cavity=result)
+    output_s = time.perf_counter() - start
+    paths.append(_write_stats(config, run_s, output_s, solve_stats))
+
     if config.case == "manufactured":
-        records, _ = run_manufactured(config)
-        paths = emit_outputs(config, records=records)
-        for rec, rate in zip(records, rates(records)):
+        for rec in records:
             print(
                 f"level {rec.level}: h={rec.h_max:.4e} dof={rec.dofs} "
                 f"err_w={rec.err_w:.3e} err_u={rec.err_u:.3e} err_p={rec.err_p:.3e} "
                 f"div={rec.div_max:.2e}"
             )
     elif config.case == "taylor-couette":
-        records, _ = run_taylor_couette(config)
-        paths = emit_outputs(config, records=records)
         for rec in records:
             print(
                 f"level {rec.level}: h={rec.h_max:.4e} dof={rec.dofs} "
@@ -147,8 +178,6 @@ def _cmd_run(args) -> int:
                 f"div={rec.div_max:.2e}"
             )
     else:
-        result = run_cavity(config)
-        paths = emit_outputs(config, cavity=result)
         print(
             f"cavity {result.spans}x{result.spans} degree {result.degree}: "
             f"dof={result.dofs} div={result.div_max:.2e} "

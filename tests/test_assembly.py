@@ -283,6 +283,32 @@ class TestSystemAssembly:
             assemble_vvp(make_spaces(2, 2), unit_square_patch(), nu=nu)
 
 
+class TestKnotDomains:
+    """A field basis must span the geometry's knot domain, not part of it."""
+
+    @staticmethod
+    def stretched_knot_patch():
+        # identity onto the unit square, parametrized over [0, 2] x [0, 2]
+        b = Basis1D(KnotVector([0.0, 0.0, 2.0, 2.0], 1))
+        control = np.stack(np.meshgrid([0.0, 1.0], [0.0, 1.0], indexing="ij"), axis=-1)
+        return NurbsPatch((b, b), control)
+
+    def test_mass_rejects_domain_mismatch(self):
+        f = make_basis(2, 3)
+        with pytest.raises(ConstructionError, match="knot domain"):
+            assemble_mass(DiscreteFormSpace((f, f), 0), self.stretched_knot_patch())
+
+    def test_vvp_rejects_domain_mismatch(self):
+        with pytest.raises(ConstructionError, match="knot domain"):
+            assemble_vvp(make_spaces(2, 3), self.stretched_knot_patch())
+
+    def test_matching_domain_integrates_the_area(self):
+        f = Basis1D(KnotVector(2.0 * uniform_open_knots(2, 3), 2))
+        M0 = assemble_mass(DiscreteFormSpace((f, f), 0), self.stretched_knot_patch()).matrix
+        ones = np.ones(M0.shape[0])
+        assert abs(ones @ M0 @ ones - 1.0) < 1e-13
+
+
 class TestBoundaryConditions:
     def test_manufactured_normal_dofs_are_exact_integrals(self):
         system, _ = manufactured_system(p_vel=2, spans=6)

@@ -1,6 +1,7 @@
 """Harness tests: analytic data, output files, determinism, CLI contract."""
 
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 import splineforms
 from splineforms.harness import (
     CaseConfig,
+    _table,
+    _version_stamp,
     couette_speed,
     emit_outputs,
     manufactured_fields,
@@ -93,23 +96,73 @@ def test_csv_contents_and_rate_definition(small_run):
     assert rates(records)[1][1] == pytest.approx(expected)
 
 
-def test_rerun_is_bit_identical(tmp_path):
-    dirs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
+def _run_and_emit(case, out):
+    if case == "cavity":
+        config = CaseConfig(case="cavity", degree=1, spans=5, out_dir=str(out))
+        emit_outputs(config, cavity=run_cavity(config))
+    else:
         config = CaseConfig(case="manufactured", degree=1, levels=2, out_dir=str(out))
         records, _ = run_manufactured(config)
         emit_outputs(config, records=records)
-        dirs.append(out)
-    files = sorted(p.name for p in dirs[0].iterdir())
-    assert files
-    for name in files:
-        if name == "run_metadata.txt":
-            a = (dirs[0] / name).read_text().replace(str(dirs[0]), "OUT")
-            b = (dirs[1] / name).read_text().replace(str(dirs[1]), "OUT")
-            assert a == b
-        else:
-            assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False)
+
+
+def test_rerun_is_bit_identical(tmp_path):
+    for case in ("manufactured", "cavity"):
+        dirs = [tmp_path / case / name for name in ("a", "b")]
+        for out in dirs:
+            _run_and_emit(case, out)
+        files = sorted(p.name for p in dirs[0].iterdir())
+        assert files
+        for name in files:
+            if name == "run_metadata.txt":
+                a = (dirs[0] / name).read_text().replace(str(dirs[0]), "OUT")
+                b = (dirs[1] / name).read_text().replace(str(dirs[1]), "OUT")
+                assert a == b
+            else:
+                assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False)
+
+
+def _per_value_table(grid):
+    """The writer's oracle: one format call per value."""
+    return "\n".join(" ".join(f"{v:.17e}" for v in row) for row in grid) + "\n"
+
+
+def test_table_matches_per_value_format():
+    config = CaseConfig(case="cavity", degree=1, spans=5)
+    result = run_cavity(config)
+    grids = list(result.fields.values()) + [
+        np.column_stack((result.y_line, result.vx_centerline)),
+        np.column_stack((result.x_line, result.vy_centerline)),
+    ]
+    special = np.array(
+        [
+            [-0.0, 0.0, np.nan, -np.nan],
+            [np.inf, -np.inf, 5e-324, -5e-324],
+            [1e-300, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308],
+        ]
+    )
+    assert np.signbit(special[0, 0]) and np.signbit(special[0, 3])
+    for grid in grids + [special, special.T, special[:1]]:
+        assert _table(grid) == _per_value_table(grid)
+    assert _table(special).splitlines()[0].split() == ["-0.00000000000000000e+00",
+                                                       "0.00000000000000000e+00", "nan", "nan"]
+
+
+def test_version_stamp_forks_git_at_most_once(monkeypatch, tmp_path):
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    _version_stamp.cache_clear()
+    config = CaseConfig(case="manufactured", degree=1, levels=1, out_dir=str(tmp_path))
+    records, _ = run_manufactured(config)
+    emit_outputs(config, records=records)
+    emit_outputs(config, records=records)
+    assert len(calls) <= 1
 
 
 def test_error_quadrature_independence():
@@ -285,6 +338,19 @@ class TestCli:
         proc = self.run_cli("run", "manufactured", "--levels", "1", "--config", str(cfg),
                             "--out", str(out))
         assert proc.returncode == 0, proc.stderr
+
+    def test_run_writes_stats_json(self, tmp_path):
+        proc = self.run_cli("run", "cavity", "--degree", "1", "--spans", "4", "--out",
+                            str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert {"case", "run_s", "output_s", "peak_rss_mb", "solve"} <= stats.keys()
+        assert stats["case"] == "cavity"
+        assert stats["run_s"] > 0 and stats["output_s"] > 0 and stats["peak_rss_mb"] > 0
+        assert {"dofs", "lu_nnz", "factors", "residual"} <= stats["solve"].keys()
+        meta = (tmp_path / "run_metadata.txt").read_text()
+        for key in ("run_s", "output_s", "peak_rss", "seconds", "lu_nnz"):
+            assert key not in meta
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
