@@ -38,7 +38,6 @@ from .geometry import (
     unit_square_patch,
 )
 from .assembly import (
-    BCSpec,
     MassMatrix,
     SaddleSystem,
     Solution,

@@ -36,12 +36,6 @@ def panel_rule(breaks, n: int):
     return lo + half * (pts[None, :] + 1.0), half * wts[None, :]
 
 
-def integrate_panels(func, breaks, n: int) -> float:
-    """Integrate a vectorized scalar callable over [breaks[0], breaks[-1]]."""
-    pts, wts = panel_rule(breaks, n)
-    return float(np.sum(func(pts.ravel()) * wts.ravel()))
-
-
 def split_interval(a: float, b: float, inner_breaks) -> np.ndarray:
     """Breakpoints of [a, b] refined by any inner_breaks lying strictly inside."""
     inner = np.asarray(inner_breaks, dtype=float)

@@ -40,21 +40,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ._quadrature import interval_rule, panel_rule
+from ._quadrature import panel_rule
 from .errors import (
     ConstructionError,
     FluxCompatibilityError,
     SingularSystemError,
 )
 from .geometry import SIDES, MultiPatch, NurbsPatch, adjugate_apply, boundary_sides, mass_metric
-from .projection import build_histopolation, greville_edges
+from .projection import build_histopolation, greville_rule
 from .spaces import DiscreteForm, DiscreteFormSpace
 from .splines import EdgeBasis1D, edge_window
 
 __all__ = [
     "MassMatrix",
     "SaddleSystem",
-    "BCSpec",
     "Solution",
     "assemble_mass",
     "assemble_vvp",
@@ -63,10 +62,11 @@ __all__ = [
     "solve",
 ]
 
-# outward-flux sign of a side cell's cochain value, and the sign of the
-# side parametrization within the induced boundary traversal
-_OUTWARD_SIGN = {"bottom": 1.0, "top": -1.0, "right": 1.0, "left": -1.0}
-_TRAVERSAL_SIGN = {"bottom": 1.0, "right": 1.0, "top": -1.0, "left": -1.0}
+# +1 where a side's parameter runs with the counter-clockwise traversal of
+# its patch's boundary.  A side cell's flux cochain pairs the velocity with
+# the side tangent turned clockwise, which points outward exactly on those
+# sides, so the same table gives the sign of a side cell's outward flux.
+_SIDE_SIGN = {"bottom": 1.0, "right": 1.0, "top": -1.0, "left": -1.0}
 
 
 def _check_n_quad(n_quad):
@@ -261,28 +261,21 @@ def _forcing_vector(space: DiscreteFormSpace, grid: _PatchGrid, forcing) -> np.n
 # -- side bookkeeping ---------------------------------------------------------
 
 
-def _side_nodal_ids(space0: DiscreteFormSpace, side: str) -> np.ndarray:
-    """Flat ids of the 0-form coefficients on one side, ordered along it."""
+def _side_ids(space: DiscreteFormSpace, side: str) -> np.ndarray:
+    """Flat ids of the coefficients lying on one side, ordered along it.
+
+    They live in the block with no edge factor across the side: the
+    nodes of a 0-form space, the normal-flux cells of a 1-form space.
+    """
     axis, end = SIDES[side]
-    s0, s1 = space0.blocks[0].shape
-    if axis == 0:
-        i0 = 0 if end == 0 else s0 - 1
-        return i0 + s0 * np.arange(s1)
-    i1 = 0 if end == 0 else s1 - 1
-    return np.arange(s0) + s0 * i1
+    block = next(b for b in space.blocks if axis not in b.dirs)
+    ids = block.offset + np.arange(block.size).reshape(block.shape, order="F")
+    return np.take(ids, -end, axis=axis)
 
 
-def _side_cell_ids(space1: DiscreteFormSpace, side: str) -> np.ndarray:
-    """Flat ids of the 1-form cells lying on one side (normal-flux carriers)."""
-    axis, end = SIDES[side]
-    if axis == 0:
-        block = space1.blocks[1]  # cells running along direction 2
-        s0 = block.shape[0]
-        i0 = 0 if end == 0 else s0 - 1
-        return block.offset + i0 + s0 * np.arange(block.shape[1])
-    block = space1.blocks[0]
-    i1 = 0 if end == 0 else block.shape[1] - 1
-    return block.offset + np.arange(block.shape[0]) + block.shape[0] * i1
+def _along(bases, side: str):
+    """The basis of a per-direction pair that runs along a side."""
+    return bases[1 - SIDES[side][0]]
 
 
 def _glued_numbering(sizes, pairs):
@@ -327,8 +320,8 @@ def _glued(parts, shape):
 def _check_glued_bases(spaces, glue):
     """Raise unless every glued side pair carries the same field basis along it."""
     for a, side_a, b, side_b, _ in glue:
-        ba = spaces[a][0].nodal_bases[1 - SIDES[side_a][0]]
-        bb = spaces[b][0].nodal_bases[1 - SIDES[side_b][0]]
+        ba = _along(spaces[a][0].nodal_bases, side_a)
+        bb = _along(spaces[b][0].nodal_bases, side_b)
         ka, kb = ba.knot_vector.knots, bb.knot_vector.knots
         if not (
             ba.degree == bb.degree
@@ -340,13 +333,6 @@ def _check_glued_bases(spaces, glue):
                 f"glued sides {side_a} of patch {a} and {side_b} of patch {b} carry "
                 f"different field bases; their degree, knots and weights must coincide"
             )
-
-
-@dataclass
-class BCSpec:
-    """Which sides carry strongly prescribed normal velocity."""
-
-    normal_sides: tuple = ()
 
 
 @dataclass
@@ -395,34 +381,40 @@ class SaddleSystem:
     ``M0``, ``M1``, ``M2`` are the mass matrices and ``D10``, ``D21`` the
     integer coboundaries in the glued numbering, each built once; a
     glued 1-cell has one row in ``D10``.  Unknowns are ordered (omega, u,
-    p) plus the multiplier when ``gauge`` is set.
+    p) plus the multiplier when ``gauge`` is set.  ``normal_sides`` are
+    the (patch, side) boundary sides whose normal fluxes
+    ``apply_strong_normal_velocity`` pins: it clears their cells in the
+    ``free`` mask and writes their values into ``e_fixed`` (length n1).
     """
 
-    def __init__(self, spaces, patches, glue, nu, bc, n_quad=None, forcing=None):
+    def __init__(self, spaces, patches, glue, nu, normal_sides=None, n_quad=None, forcing=None):
+        n_patches = len(patches)
+        self.boundary = boundary_sides(n_patches, glue)
+        if normal_sides is None:
+            normal_sides = self.boundary
+        bad = [s for s in normal_sides if s not in self.boundary]
+        if bad:
+            raise ConstructionError(
+                f"normal_sides {bad} are not boundary sides; pick from {self.boundary}"
+            )
+        self.normal_sides = tuple(normal_sides)
+        self.gauge = set(self.normal_sides) >= set(self.boundary)
         self.spaces = spaces  # list of (L0, L1, L2) per patch
         self.patches = patches
-        self.glue = glue
         self.nu = float(nu)
-        self.bc = bc
         self.n_quad = n_quad
 
-        n_patches = len(patches)
-        sizes0 = [s[0].dim for s in spaces]
-        sizes1 = [s[1].dim for s in spaces]
-        pairs0, pairs1 = [], []
-        for a, side_a, b, side_b, _sign in glue:
-            pairs0.append(((a, _side_nodal_ids(spaces[a][0], side_a)),
-                           (b, _side_nodal_ids(spaces[b][0], side_b))))
-            pairs1.append(((a, _side_cell_ids(spaces[a][1], side_a)),
-                           (b, _side_cell_ids(spaces[b][1], side_b))))
-        self.map0, self.n0 = _glued_numbering(sizes0, pairs0)
-        self.map1, self.n1 = _glued_numbering(sizes1, pairs1)
+        (self.map0, self.n0), (self.map1, self.n1) = (
+            _glued_numbering(
+                [s[k].dim for s in spaces],
+                [((a, _side_ids(spaces[a][k], side_a)), (b, _side_ids(spaces[b][k], side_b)))
+                 for a, side_a, b, side_b, _ in glue],
+            )
+            for k in (0, 1)
+        )
         offs2 = np.concatenate(([0], np.cumsum([s[2].dim for s in spaces])))
         self.map2 = [offs2[p] + np.arange(spaces[p][2].dim) for p in range(n_patches)]
         self.n2 = int(offs2[-1])
-
-        self.boundary = boundary_sides(n_patches, glue)
-        self.gauge = set(bc.normal_sides) >= set(self.boundary)
         self.size = self.n0 + self.n1 + self.n2 + (1 if self.gauge else 0)
 
         self.rhs = np.zeros(self.size)
@@ -445,7 +437,8 @@ class SaddleSystem:
         )
         self.D10 = _glued(d10, (self.n1, self.n0))
         self.D21 = _glued(d21, (self.n2, self.n1))
-        self.fixed: dict[int, float] = {}
+        self.free = np.ones(self.n1, dtype=bool)
+        self.e_fixed = np.zeros(self.n1)
         self.histopolation_cond = None  # set by apply_strong_normal_velocity
 
     @functools.cached_property
@@ -479,9 +472,8 @@ def _normalize_side_data(velocity, sides):
 
 def _side_basis(system, patch_index, side):
     """(nodal basis along the side, Gauss points per piece) for side integrals."""
-    t_dir = 1 - SIDES[side][0]
-    basis = system.spaces[patch_index][0].nodal_bases[t_dir]
-    return basis, basis.degree + system.patches[patch_index].bases[t_dir].degree + 3
+    basis = _along(system.spaces[patch_index][0].nodal_bases, side)
+    return basis, basis.degree + _along(system.patches[patch_index].bases, side).degree + 3
 
 
 class _SideRules:
@@ -517,11 +509,6 @@ class _SideRules:
         return np.broadcast_to(v, tan.shape), tan
 
 
-def _greville_side_rule(basis, n: int):
-    """Points, weights and owning cell of the Greville intervals of a side basis."""
-    return interval_rule(greville_edges(basis), basis.breakpoints, n)
-
-
 def _panel_side_rule(basis, n: int):
     """Points, weights and the sparse nodal collocation matrix of a side's panel rule."""
     pts, wts = panel_rule(basis.breakpoints, n)
@@ -535,7 +522,7 @@ def _side_flux_integrals(system, data) -> dict:
 
     ``data`` maps (patch, side) to a velocity callable or None (zero data).
     """
-    sides = _SideRules(system, _greville_side_rule)
+    sides = _SideRules(system, greville_rule)
     out = {}
     for (p, side), vfun in data.items():
         if vfun is None:
@@ -558,12 +545,12 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
     condition number of the histopolations used is kept as
     ``system.histopolation_cond``.
     """
-    data = _normalize_side_data(velocity, list(system.bc.normal_sides))
+    data = _normalize_side_data(velocity, system.normal_sides)
     net = 0.0
     scale = 0.0
     histopolation = {}  # one per distinct side basis
     for (p, side), integrals in _side_flux_integrals(system, data).items():
-        net += _OUTWARD_SIGN[side] * integrals.sum()
+        net += _SIDE_SIGN[side] * integrals.sum()
         scale += np.abs(integrals).sum()
         if data[p, side] is None:
             values = integrals
@@ -572,9 +559,9 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
             if basis not in histopolation:
                 histopolation[basis] = build_histopolation(EdgeBasis1D(basis))
             values = histopolation[basis].solve(integrals)
-        gids = system.map1[p][_side_cell_ids(system.spaces[p][1], side)]
-        for g, val in zip(gids, values):
-            system.fixed[int(g)] = float(val)
+        gids = system.map1[p][_side_ids(system.spaces[p][1], side)]
+        system.free[gids] = False
+        system.e_fixed[gids] = values
     if histopolation:
         system.histopolation_cond = max(h.cond for h in histopolation.values())
     if system.gauge and abs(net) > 1e-9 * max(1.0, scale):
@@ -598,14 +585,15 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
             continue
         _, wts, colloc = rules.rule(p, side)
         v, tan = rules.velocity(p, side, vfun)
-        local = -_TRAVERSAL_SIGN[side] * (colloc @ (np.einsum("mc,mc->m", v, tan) * wts))
-        gids = system.map0[p][_side_nodal_ids(system.spaces[p][0], side)]
+        local = -_SIDE_SIGN[side] * (colloc @ (np.einsum("mc,mc->m", v, tan) * wts))
+        gids = system.map0[p][_side_ids(system.spaces[p][0], side)]
         np.add.at(b1, gids, local)
     system.rhs[: system.n0] += system.nu * b1
     return b1
 
 
-def assemble_vvp(spaces, geometry, nu: float = 1.0, bc=None, forcing=None, n_quad=None) -> SaddleSystem:
+def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=None,
+                 n_quad=None) -> SaddleSystem:
     """Assemble the mixed Stokes saddle system on one patch or a multipatch.
 
     Parameters
@@ -615,9 +603,11 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, bc=None, forcing=None, n_qua
     nu : float
         Viscosity; scales the vorticity equation (both its blocks and its
         boundary term), keeping the operator symmetric.
-    bc : BCSpec, optional
-        Defaults to strong normal velocity on every boundary side, the
-        enclosed-flow setup (this activates the pressure gauge).
+    normal_sides : sequence of (patch, side), optional
+        Boundary sides with strongly prescribed normal velocity; each
+        must be a side no glue entry uses, or ConstructionError is
+        raised.  Defaults to every boundary side, the enclosed-flow setup
+        (this activates the pressure gauge).
     forcing : (fx, fy), optional
         Physical 1-form components of the momentum source.
     """
@@ -638,9 +628,8 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, bc=None, forcing=None, n_qua
         raise ConstructionError(f"nu must be finite and > 0, got {nu}")
     _check_n_quad(n_quad)
     _check_glued_bases(space_list, glue)
-    if bc is None:
-        bc = BCSpec(normal_sides=tuple(boundary_sides(len(patches), glue)))
-    return SaddleSystem(space_list, patches, glue, nu, bc, n_quad=n_quad, forcing=forcing)
+    return SaddleSystem(space_list, patches, glue, nu, normal_sides, n_quad=n_quad,
+                        forcing=forcing)
 
 
 def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
@@ -662,10 +651,7 @@ def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
-        raise SingularSystemError(
-            f"factorization of the {what} failed: {exc}",
-            nullspace_hint="system may be rank deficient",
-        ) from exc
+        raise SingularSystemError(f"factorization of the {what} failed: {exc}") from exc
     seconds = time.perf_counter() - start
     factors[key] = {"nnz": int(lu.nnz), "fill_ratio": lu.nnz / matrix.nnz, "seconds": seconds}
     return lu
@@ -690,16 +676,6 @@ def _node_paired_positions(A_ww, group, gauged, factors: dict) -> np.ndarray:
     return np.cumsum(used)[keys] - 1  # rank of each key
 
 
-def _fixed_fluxes(system: SaddleSystem):
-    """Sorted fixed 1-cell ids, the mask of the free ones, and the fixed values as an n1 vector."""
-    fixed = np.array(sorted(system.fixed), dtype=int)
-    free = np.ones(system.n1, dtype=bool)
-    free[fixed] = False
-    e_fixed = np.zeros(system.n1)
-    e_fixed[fixed] = [system.fixed[i] for i in fixed]
-    return fixed, free, e_fixed
-
-
 def _flux_carriers(system: SaddleSystem, free, D21_free, lu_L, keep2) -> sp.csr_matrix:
     """Divergence-free velocities (n1, m) that carry flux between boundary loops.
 
@@ -716,7 +692,7 @@ def _flux_carriers(system: SaddleSystem, free, D21_free, lu_L, keep2) -> sp.csr_
     if system.gauge:  # every boundary cell is fixed: no flux passes a loop
         return sp.csr_matrix((system.n1, 0))
     cells = np.concatenate([
-        system.map1[p][_side_cell_ids(system.spaces[p][1], side)] for p, side in system.boundary
+        system.map1[p][_side_ids(system.spaces[p][1], side)] for p, side in system.boundary
     ])
     links = abs(system.D10[cells]).tocsr()
     _, loop = connected_components(links.T @ links, directed=False)
@@ -742,7 +718,7 @@ def _reduced_residual(system: SaddleSystem, omega, u, p, lam) -> float:
     """
     n0, n1, n2, nu = system.n0, system.n1, system.n2, system.nu
     M0, M1, M2, D10, D21 = system.M0, system.M1, system.M2, system.D10, system.D21
-    _, free, e_fixed = _fixed_fluxes(system)
+    free, e_fixed = system.free, system.e_fixed
     f_w, f_u, f_p, f_g = np.split(system.rhs, [n0, n0 + n1, n0 + n1 + n2])
     lam = lam if system.gauge else 0.0  # without the gauge, f_g is empty and lam unused
     r = np.concatenate((
@@ -795,7 +771,7 @@ def solve(system: SaddleSystem) -> Solution:
     n0, n2, nu = system.n0, system.n2, system.nu
     D10, D21 = system.D10, system.D21
     f_u = system.rhs[n0 : n0 + system.n1]
-    fixed, free, e_fixed = _fixed_fluxes(system)
+    free, e_fixed = system.free, system.e_fixed
 
     # divergence-free lift of the fixed fluxes; pin one 2-cell under the gauge
     D21_free = D21[:, free]
@@ -809,7 +785,7 @@ def solve(system: SaddleSystem) -> Solution:
     u0[free] += D21_free.T @ phi
 
     # stream unknowns: one constant per node group joined by fixed cells
-    links = abs(D10[fixed])
+    links = abs(D10[np.flatnonzero(~free)])
     n_groups, group = connected_components(links.T @ links, directed=False)
     gauged = np.flatnonzero(np.arange(n_groups) != group[0])  # psi = 0 on node 0's group
     C = sp.csr_matrix(
@@ -858,10 +834,7 @@ def solve(system: SaddleSystem) -> Solution:
 
     resid = _reduced_residual(system, omega, u, p, lam)
     if not np.isfinite(resid) or resid > 1e-10:
-        raise SingularSystemError(
-            f"solve residual {resid:.3e} exceeds 1e-10",
-            nullspace_hint="system may be rank deficient",
-        )
+        raise SingularSystemError(f"solve residual {resid:.3e} exceeds 1e-10")
     return Solution(
         system=system,
         omega=omega,

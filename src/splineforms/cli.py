@@ -102,7 +102,7 @@ _CONFIG_TYPES = {
 
 
 def _make_config(args) -> CaseConfig:
-    merged = {"case": args.case, "out_dir": "out"}
+    merged = {"case": args.case}
     if args.config:
         for key, value in _read_config_file(args.config).items():
             if key == "out":
@@ -119,8 +119,6 @@ def _make_config(args) -> CaseConfig:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    merged.setdefault("degree", 2)
-    merged.setdefault("levels", 4)
     return CaseConfig(**merged)
 
 

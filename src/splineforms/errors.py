@@ -20,10 +20,6 @@ class DegenerateGeometryError(ValueError):
 class SingularSystemError(RuntimeError):
     """Factorization of the saddle-point system failed."""
 
-    def __init__(self, message, nullspace_hint=None):
-        super().__init__(message)
-        self.nullspace_hint = nullspace_hint
-
 
 class FluxCompatibilityError(ValueError):
     """Prescribed normal-velocity data has nonzero net boundary flux."""

@@ -47,7 +47,7 @@ def boundary_sides(n_patches: int, glue):
     return [
         (p, side)
         for p in range(n_patches)
-        for side in ("left", "right", "bottom", "top")
+        for side in SIDES
         if (p, side) not in used
     ]
 

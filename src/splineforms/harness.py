@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +47,13 @@ __all__ = [
     "couette_speed",
 ]
 
-CASES = ("manufactured", "taylor-couette", "cavity")
-GEOMETRIES = ("unit-square", "curved-square", "annulus")
+# case -> the geometries it runs on, the default first
+_CASE_GEOMETRIES = {
+    "manufactured": ("unit-square", "curved-square"),
+    "taylor-couette": ("annulus",),
+    "cavity": ("unit-square",),
+}
+CASES = tuple(_CASE_GEOMETRIES)
 
 
 @dataclass
@@ -70,16 +75,13 @@ class CaseConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise ConstructionError(f"unknown case {self.case!r}; pick from {CASES}")
+        allowed = _CASE_GEOMETRIES[self.case]
         if not self.geometry:
-            self.geometry = {
-                "manufactured": "unit-square",
-                "taylor-couette": "annulus",
-                "cavity": "unit-square",
-            }[self.case]
-        if self.case == "manufactured" and self.geometry not in ("unit-square", "curved-square"):
-            raise ConstructionError("manufactured case runs on unit-square or curved-square")
-        if self.case == "taylor-couette" and self.geometry != "annulus":
-            raise ConstructionError("taylor-couette runs on the annulus")
+            self.geometry = allowed[0]
+        if self.geometry not in allowed:
+            raise ConstructionError(
+                f"{self.case} runs on {' or '.join(allowed)}, not {self.geometry!r}"
+            )
         if self.degree < 1:
             raise ConstructionError("degree must be >= 1")
         if self.levels < 1:
@@ -491,20 +493,7 @@ def emit_outputs(config: CaseConfig, records=None, cavity: CavityResult | None =
             emit(out / f"field_{name}.dat", _table(grid))
 
     meta = [f"# {_version_stamp()}"]
-    for key in (
-        "case",
-        "degree",
-        "levels",
-        "geometry",
-        "nu",
-        "quad",
-        "out_dir",
-        "base_spans",
-        "spans",
-        "profile_points",
-        "field_points",
-    ):
-        meta.append(f"{key}={getattr(config, key)}")
+    meta += [f"{f.name}={getattr(config, f.name)}" for f in fields(config)]
     if records:
         for rec in records:
             extra = " ".join(f"{k}={v:.17e}" for k, v in sorted(rec.extra.items()))

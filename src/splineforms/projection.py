@@ -25,6 +25,7 @@ __all__ = [
     "build_interpolation",
     "build_histopolation",
     "greville_edges",
+    "greville_rule",
     "project_form",
 ]
 
@@ -110,6 +111,16 @@ def greville_edges(basis: Basis1D) -> np.ndarray:
     return np.column_stack((nodes[:-1], nodes[1:]))
 
 
+def greville_rule(basis: Basis1D, n_gauss=None):
+    """Points, weights and owning interval of a Gauss rule over the Greville intervals.
+
+    Each interval is split at the basis breakpoints and every piece gets
+    ``n_gauss`` points (default max(degree + 1, 5)); see ``interval_rule``.
+    """
+    n = n_gauss or max(basis.degree + 1, 5)
+    return interval_rule(greville_edges(basis), basis.breakpoints, n)
+
+
 def build_interpolation(basis: Basis1D, nodes=None) -> ChangeOfBasis:
     """Square interpolation matrix of a nodal basis at given nodes (default Greville)."""
     if nodes is None:
@@ -120,15 +131,9 @@ def build_interpolation(basis: Basis1D, nodes=None) -> ChangeOfBasis:
     return ChangeOfBasis(basis.eval_nodal_many(nodes))
 
 
-def build_histopolation(edge_basis: EdgeBasis1D, edges=None, n_gauss=None) -> ChangeOfBasis:
-    """Square matrix of edge-function integrals over histopolation intervals."""
-    if edges is None:
-        edges = greville_edges(edge_basis.parent)
-    edges = np.asarray(edges, dtype=float)
-    if edges.shape != (edge_basis.num_basis, 2):
-        raise ConstructionError("need exactly one interval per edge function")
-    n = n_gauss or max(edge_basis.parent.degree + 1, 5)
-    pts, wts, owner = interval_rule(edges, edge_basis.breakpoints, n)
+def build_histopolation(edge_basis: EdgeBasis1D, n_gauss=None) -> ChangeOfBasis:
+    """Square matrix of edge-function integrals over the Greville intervals."""
+    pts, wts, owner = greville_rule(edge_basis.parent, n_gauss)
     spans, vals = edge_basis.window(pts)
     # row owner, column spans - p + r: segmented sum of weighted window values
     nb = edge_basis.num_basis
@@ -154,9 +159,8 @@ class _Projector:
 
     def _histopolation(self, j: int) -> ChangeOfBasis:
         if j not in self._histo:
-            edge = EdgeBasis1D(self.space.nodal_bases[j])
-            n = self.n_gauss or max(edge.parent.degree + 1, 5)
-            self._histo[j] = build_histopolation(edge, n_gauss=n)
+            self._histo[j] = build_histopolation(EdgeBasis1D(self.space.nodal_bases[j]),
+                                                 self.n_gauss)
         return self._histo[j]
 
     def _direction_rule(self, j: int, is_edge: bool):
@@ -170,8 +174,7 @@ class _Projector:
         basis = self.space.nodal_bases[j]
         if not is_edge:
             return basis.greville_points(), None, None
-        n = self.n_gauss or max(basis.degree + 1, 5)
-        pts, wts, owner = interval_rule(greville_edges(basis), basis.breakpoints, n)
+        pts, wts, owner = greville_rule(basis, self.n_gauss)
         return pts, wts, np.searchsorted(owner, np.arange(basis.n))
 
     def reduce_block(self, block, component) -> np.ndarray:

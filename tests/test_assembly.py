@@ -8,11 +8,9 @@ import scipy.sparse.linalg as spla
 
 from splineforms import assembly
 from splineforms.assembly import (
-    BCSpec,
     _PatchGrid,
     _SideRules,
     _glued_numbering,
-    _greville_side_rule,
     _side_flux_integrals,
     apply_strong_normal_velocity,
     apply_weak_tangential_velocity,
@@ -29,6 +27,7 @@ from splineforms.errors import (
 from splineforms.geometry import (
     SIDES,
     NurbsPatch,
+    boundary_sides,
     build_taylor_couette,
     curved_square_patch,
     unit_square_patch,
@@ -36,7 +35,7 @@ from splineforms.geometry import (
 from splineforms.harness import _bases, manufactured_fields
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
 from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
-from splineforms.projection import build_histopolation, greville_edges
+from splineforms.projection import build_histopolation, greville_edges, greville_rule
 from splineforms._quadrature import panel_rule, split_interval
 
 
@@ -315,14 +314,14 @@ class TestBoundaryConditions:
         apply_strong_normal_velocity(system, EXACT["velocity"])
         # the sinusoidal field has zero normal trace on the whole boundary;
         # each side carries one coefficient per edge function (spans + degree)
-        vals = np.array(list(system.fixed.values()))
+        vals = system.e_fixed[~system.free]
         assert vals.size == 4 * (6 + 2)
         assert np.abs(vals).max() < 1e-13
 
     def test_cavity_compatibility_sum(self):
         system, _ = manufactured_system(p_vel=1, spans=5)
         apply_strong_normal_velocity(system)  # zero data everywhere
-        assert np.abs(np.array(list(system.fixed.values()))).max() == 0.0
+        assert np.abs(system.e_fixed[~system.free]).max() == 0.0
 
     def test_incompatible_data_raises(self):
         system, _ = manufactured_system(p_vel=1, spans=4)
@@ -353,7 +352,21 @@ class TestBoundaryConditions:
         with pytest.raises(ConstructionError, match="non-applicable"):
             apply(system, lid)
         npt.assert_array_equal(system.rhs, rhs)
-        assert not system.fixed
+        assert system.free.all()
+
+    @pytest.mark.parametrize(
+        "geometry, side",
+        [("annulus", (0, "top")), ("unit-square", (0, "tpo")), ("unit-square", (1, "top"))],
+        ids=["glued-side", "misspelled-side", "patch-out-of-range"],
+    )
+    def test_normal_side_that_is_not_a_boundary_side_raises(self, geometry, side):
+        if geometry == "annulus":
+            geometry, spaces = build_taylor_couette(), [make_spaces(2, 3) for _ in range(4)]
+            sides = boundary_sides(4, geometry.glue)
+        else:
+            geometry, spaces, sides = unit_square_patch(), make_spaces(2, 3), boundary_sides(1, [])
+        with pytest.raises(ConstructionError, match="not boundary sides"):
+            assemble_vvp(spaces, geometry, normal_sides=[*sides, side])
 
 
 def looped_side_flux(system, p, side, vfun):
@@ -390,7 +403,7 @@ class TestSideEvaluationCounts:
         system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette())
         patch = system.patches[2]
         patch.side_curve(side)  # built once per patch and side
-        rules = _SideRules(system, _greville_side_rule)
+        rules = _SideRules(system, greville_rule)
         t = rules.rule(2, side)[0]
         vfun = lambda x, y: (x * y, x - y)
         want_points = patch.map_point(patch.side_points(side, t))
@@ -527,8 +540,8 @@ def union_find_numbering(sizes, pairs):
 def test_annulus_numbering_matches_union_find(spans):
     mp = build_taylor_couette()
     spaces = [make_spaces(3, spans) for _ in range(4)]
-    for k, side_ids in ((0, assembly._side_nodal_ids), (1, assembly._side_cell_ids)):
-        pairs = [((a, side_ids(spaces[a][k], sa)), (b, side_ids(spaces[b][k], sb)))
+    for k in (0, 1):
+        pairs = [((a, assembly._side_ids(spaces[a][k], sa)), (b, assembly._side_ids(spaces[b][k], sb)))
                  for a, sa, b, sb, _ in mp.glue]
         sizes = [s[k].dim for s in spaces]
         maps, n = _glued_numbering(sizes, pairs)
@@ -571,7 +584,7 @@ class TestSolve:
         x_shift = x.copy()
         x_shift[system.n0 + system.n1 : system.n0 + system.n1 + system.n2] += shift
         delta = system.matrix @ (x_shift - x)
-        fixed = system.n0 + np.array(sorted(system.fixed))
+        fixed = system.n0 + np.flatnonzero(~system.free)
         free = np.setdiff1d(np.arange(system.size - 1), fixed)
         assert np.abs(delta[free]).max() < 1e-11
         assert abs(delta[-1]) > 0.1  # the gauge row sees the shift
@@ -595,8 +608,8 @@ class TestSolve:
 def mixed_reference(system):
     """Test-only reference: spsolve of the reduced mixed (omega, u, p, lambda) system."""
     n0, n1, n2 = system.n0, system.n1, system.n2
-    fixed = n0 + np.array(sorted(system.fixed), dtype=int)
-    values = np.array([system.fixed[i - n0] for i in fixed])
+    fixed = n0 + np.flatnonzero(~system.free)
+    values = system.e_fixed[fixed - n0]
     keep = np.setdiff1d(np.arange(system.size), fixed)
     A = system.matrix.tocsc()
     b = system.rhs - A[:, fixed] @ values
@@ -606,15 +619,17 @@ def mixed_reference(system):
     return x[:n0], x[n0 : n0 + n1], x[n0 + n1 : n0 + n1 + n2]
 
 
-def _manufactured_case(patch, bc=None, nu=1.0):
-    system = assemble_vvp(make_spaces(3, 6), patch, nu=nu, bc=bc, forcing=EXACT["forcing"])
+def _manufactured_case(patch, normal_sides=None, nu=1.0):
+    system = assemble_vvp(make_spaces(3, 6), patch, nu=nu, normal_sides=normal_sides,
+                          forcing=EXACT["forcing"])
     apply_strong_normal_velocity(system, EXACT["velocity"])
     apply_weak_tangential_velocity(system, EXACT["velocity"])
     return system
 
 
-def _annulus_case(normal=None, tangential=None, nu=1.0, bc=None):
-    system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette(), nu=nu, bc=bc)
+def _annulus_case(normal=None, tangential=None, nu=1.0, normal_sides=None):
+    system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette(), nu=nu,
+                          normal_sides=normal_sides)
     apply_strong_normal_velocity(system, normal)
     apply_weak_tangential_velocity(system, tangential)
     return system
@@ -632,13 +647,13 @@ SOLVE_CASES = {
         tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)}
     ),
     "top-side-free": lambda: _manufactured_case(
-        unit_square_patch(), BCSpec(normal_sides=((0, "left"), (0, "right"), (0, "bottom")))
+        unit_square_patch(), ((0, "left"), (0, "right"), (0, "bottom"))
     ),
     "annulus-source-flow": lambda: _annulus_case(_source_flow, _source_flow),
     # a free side on each circle: flux passes between the circles, which
     # needs one flux carrier besides the stream function
     "annulus-flux-between-circles": lambda: _annulus_case(
-        _source_flow, _source_flow, bc=BCSpec(normal_sides=((0, "left"), (2, "right")))
+        _source_flow, _source_flow, normal_sides=((0, "left"), (2, "right"))
     ),
 }
 
@@ -778,9 +793,9 @@ def matrix_residual(system, omega, u, p, lam):
     """Test-only oracle: the reduced, nu-scaled relative residual through ``system.matrix``."""
     n0, n1, n2, nu = system.n0, system.n1, system.n2, system.nu
     A = system.matrix
-    fixed = np.array(sorted(system.fixed), dtype=int)
+    fixed = np.flatnonzero(~system.free)
     lifted = np.zeros(system.size)
-    lifted[n0 + fixed] = [system.fixed[i] for i in fixed]
+    lifted[n0 + fixed] = system.e_fixed[fixed]
     full = np.concatenate((omega, u, p, [lam] if system.gauge else []))
     row_scale = np.ones(system.size)
     row_scale[: n0 + n1] = 1.0 / nu
@@ -795,7 +810,7 @@ BLOCK_CASES = {
     "unit-square": lambda nu: _manufactured_case(unit_square_patch(), nu=nu),
     "curved-square": lambda nu: _manufactured_case(curved_square_patch(), nu=nu),
     "top-side-free": lambda nu: _manufactured_case(
-        unit_square_patch(), BCSpec(normal_sides=((0, "left"), (0, "right"), (0, "bottom"))), nu=nu
+        unit_square_patch(), ((0, "left"), (0, "right"), (0, "bottom")), nu=nu
     ),
     "annulus": lambda nu: _annulus_case(_source_flow, _source_flow, nu=nu),
 }
@@ -926,8 +941,9 @@ def annulus_sweep_case(seed, nu=None):
     drawn_nu = 10.0 ** rng.uniform(-8.0, 4.0)
     sides = [(q, side) for q in range(4) for side in ("left", "right")]
     chosen = rng.permutation(len(sides))[: rng.integers(1, len(sides))]
-    bc = BCSpec(normal_sides=tuple(sides[i] for i in sorted(chosen)))
-    system = assemble_vvp(triples, build_taylor_couette(), nu=drawn_nu if nu is None else nu, bc=bc)
+    normal_sides = tuple(sides[i] for i in sorted(chosen))
+    system = assemble_vvp(triples, build_taylor_couette(), nu=drawn_nu if nu is None else nu,
+                          normal_sides=normal_sides)
     apply_strong_normal_velocity(system, _source_flow)
     apply_weak_tangential_velocity(system, _source_flow)
     return system

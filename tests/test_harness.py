@@ -43,6 +43,8 @@ def test_config_validation():
         CaseConfig(case="manufactured", levels=0)
     with pytest.raises(ConstructionError):
         CaseConfig(case="taylor-couette", geometry="unit-square")
+    with pytest.raises(ConstructionError, match="cavity runs on unit-square"):
+        CaseConfig(case="cavity", geometry="annulus")
     cfg = CaseConfig(case="cavity")
     assert cfg.geometry == "unit-square"
 
@@ -285,6 +287,7 @@ class TestCli:
             (("--quad", "1"), "quad must be >= 2"),
             (("--spans", "0"), "spans must be >= 1"),
             (("--base-spans", "0"), "base_spans must be >= 1"),
+            (("--geometry", "annulus"), "cavity runs on unit-square"),
         ],
     )
     def test_out_of_range_arguments_exit_2(self, tmp_path, flags, message):
