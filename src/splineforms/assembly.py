@@ -9,8 +9,9 @@ a block of the Gram matrix is G1 W G2^T for the weighted metric W on the
 tensor Gauss grid.  The pattern of a block is the Kronecker product of
 the two pair sets, so each entry of G1 W G2^T is one nonzero, written
 straight into its place in the final CSC arrays.  Forcing vectors
-(B1 V B2^T) and reconstructions (B1^T C B2) use the per-direction
-collocation matrices B the same way.
+(B1^T V B2) and reconstructions (B1 C B2^T) use the per-direction
+(points, functions) collocation matrices B of ``splines.collocation``
+the same way, and so do the side rules of the boundary conditions.
 
 The mixed system is never needed as one matrix.  ``SaddleSystem`` holds
 the glued global mass matrices M0, M1, M2 and the integer coboundaries
@@ -49,7 +50,7 @@ from .errors import (
 from .geometry import SIDES, MultiPatch, NurbsPatch, adjugate_apply, boundary_sides, mass_metric
 from .projection import build_histopolation, greville_rule
 from .spaces import DiscreteForm, DiscreteFormSpace
-from .splines import EdgeBasis1D, edge_window
+from .splines import EdgeBasis1D, collocation, edge_window, grid_values, stored_window
 
 __all__ = [
     "MassMatrix",
@@ -77,18 +78,8 @@ def _check_n_quad(n_quad):
         raise ConstructionError(f"n_quad must be None or an integer >= 1, got {n_quad!r}")
 
 
-def _collocation(first, vals, n: int) -> sp.csc_matrix:
-    """Sparse (functions, points) collocation matrix of a window table.
-
-    Point q carries functions first[q] .. first[q] + width - 1 with values vals[q].
-    """
-    m, width = vals.shape
-    rows = (first[:, None] + np.arange(width)[None, :]).ravel()
-    return sp.csc_matrix((vals.ravel(), rows, np.arange(0, m * width + 1, width)), shape=(n, m))
-
-
 class _PairOperator:
-    """Sparse 1D operator G[(I, J), q] = A_I(q) B_J(q) of two window tables.
+    """Sparse 1D operator G[(I, J), q] = A_I(q) B_J(q) of two collocation matrices.
 
     Its rows are the index pairs (I, J) whose functions share an element,
     sorted by J and then I: column J of the 1D Gram matrix holds
@@ -96,14 +87,11 @@ class _PairOperator:
     within its column.
     """
 
-    def __init__(self, table_a, table_b):
-        (fa, va, na), (fb, vb, nb) = table_a, table_b
-        m, wa = va.shape
-        wb = vb.shape[1]
-        rows = fa[:, None, None] + np.arange(wa)[None, :, None]
-        cols = fb[:, None, None] + np.arange(wb)[None, None, :]
-        keys, pair = np.unique((cols * na + rows).ravel(), return_inverse=True)
-        point = np.broadcast_to(np.arange(m)[:, None, None], (m, wa, wb)).ravel()
+    def __init__(self, a, b):
+        (m, na), nb = a.shape, b.shape[1]
+        (ia, va), (ib, vb) = stored_window(a), stored_window(b)
+        keys, pair = np.unique((ib[:, None, :] * na + ia[:, :, None]).ravel(), return_inverse=True)
+        point = np.broadcast_to(np.arange(m)[:, None, None], (m, va.shape[1], vb.shape[1])).ravel()
         vals = (va[:, :, None] * vb[:, None, :]).ravel()
         self.matrix = sp.csr_matrix((vals, (pair.ravel(), point)), shape=(keys.size, m))
         self.rows = keys % na
@@ -114,11 +102,12 @@ class _PairOperator:
 
 
 class _Axis:
-    """Gauss rule of one direction with the tables of its nodal and edge bases.
+    """Gauss rule of one direction with the collocation matrices of its nodal and edge bases.
 
     ``colloc[edge]`` is the collocation matrix of the nodal (edge False)
-    or edge (edge True) family; ``pair(edge_a, edge_b)`` is the pair
-    operator of two families, built on first use.
+    or edge (edge True) family, both from one ``window`` call;
+    ``pair(edge_a, edge_b)`` is the pair operator of two families, built
+    on first use.
     """
 
     def __init__(self, basis, nq: int):
@@ -128,17 +117,16 @@ class _Axis:
         self.w = wts.ravel()
         spans, nvals, nders = basis.window(self.pts)
         first = spans - basis.degree
-        self._tables = {
-            False: (first, nvals, basis.num_basis),
-            True: (first, edge_window(nders), basis.num_basis - 1),
+        self.colloc = {
+            False: collocation(first, nvals, basis.num_basis),
+            True: collocation(first, edge_window(nders), basis.num_basis - 1),
         }
-        self.colloc = {edge: _collocation(*table) for edge, table in self._tables.items()}
         self._pairs = {}
 
     def pair(self, edge_a: bool, edge_b: bool) -> _PairOperator:
         key = (edge_a, edge_b)
         if key not in self._pairs:
-            self._pairs[key] = _PairOperator(self._tables[edge_a], self._tables[edge_b])
+            self._pairs[key] = _PairOperator(self.colloc[edge_a], self.colloc[edge_b])
         return self._pairs[key]
 
 
@@ -188,8 +176,7 @@ class _PatchGrid:
 
     def reconstruct(self, form: DiscreteForm, comp: int) -> np.ndarray:
         """One component of the reconstruction at every Gauss point, (Q1, Q2)."""
-        b1, b2 = self.collocation(form.space.blocks[comp])
-        return b1.T @ (b2.T @ form.block_coeffs(comp).T).T
+        return grid_values(form.block_coeffs(comp), self.collocation(form.space.blocks[comp]))
 
 
 @dataclass(frozen=True)
@@ -253,7 +240,7 @@ def _forcing_vector(space: DiscreteFormSpace, grid: _PatchGrid, forcing) -> np.n
     out = np.empty(space.dim)
     for comp, block in enumerate(space.blocks):
         b1, b2 = grid.collocation(block)
-        local = b1 @ (b2 @ (pulled[comp] * grid.w).T).T
+        local = grid_values(pulled[comp] * grid.w, (b1.T, b2.T))
         out[block.offset : block.offset + block.size] = local.ravel(order="F")
     return out
 
@@ -482,7 +469,7 @@ class _SideRules:
     A side's rule depends only on its field basis along the side and its
     point count, so ``make_rule(basis, n)`` runs once per distinct pair;
     the first entry of a rule is its points.  The geometry of a side is
-    its ``side_curve`` at those points, so one ``window`` call of the
+    its ``side_curve`` at those points, so one collocation of the
     along-side geometry basis serves every side that shares it and the rule.
     """
 
@@ -490,7 +477,7 @@ class _SideRules:
         self.system = system
         self.make_rule = make_rule
         self._rules = {}
-        self._tables = {}
+        self._colloc = {}
 
     def rule(self, p: int, side: str):
         key = _side_basis(self.system, p, side)
@@ -502,28 +489,31 @@ class _SideRules:
         """Velocity data and physical side tangents at the side's rule points, each (m, 2)."""
         curve = self.system.patches[p].side_curve(side)
         key = (curve.basis, *_side_basis(self.system, p, side))
-        if key not in self._tables:
-            self._tables[key] = curve.basis.window(self.rule(p, side)[0])
-        points, tan = curve.frame(self._tables[key])
+        if key not in self._colloc:
+            self._colloc[key] = curve.basis.collocation(self.rule(p, side)[0])
+        points, tan = curve.frame(self._colloc[key])
         v = np.asarray(vfun(*points.T), dtype=float).T
         return np.broadcast_to(v, tan.shape), tan
 
 
 def _panel_side_rule(basis, n: int):
-    """Points, weights and the sparse nodal collocation matrix of a side's panel rule."""
+    """Points, weights and the sparse (functions, points) nodal matrix of a side's panel rule."""
     pts, wts = panel_rule(basis.breakpoints, n)
     t = pts.ravel()
-    spans, vals, _ = basis.window(t)
-    return t, wts.ravel(), _collocation(spans - basis.degree, vals, basis.num_basis)
+    return t, wts.ravel(), basis.collocation(t)[0].T
 
 
-def _side_flux_integrals(system, data) -> dict:
+def _side_flux_integrals(system, data):
     """Line integrals of the velocity flux form over each side's boundary cells.
 
     ``data`` maps (patch, side) to a velocity callable or None (zero data).
+    Returns the integrals per side and ``size``, the integral of the
+    speed |v| over all of those sides, which bounds every flux sum and
+    scales with the velocity and the length of the domain alike.
     """
     sides = _SideRules(system, greville_rule)
     out = {}
+    size = 0.0
     for (p, side), vfun in data.items():
         if vfun is None:
             out[p, side] = np.zeros(_side_basis(system, p, side)[0].num_basis - 1)
@@ -532,7 +522,8 @@ def _side_flux_integrals(system, data) -> dict:
         v, tan = sides.velocity(p, side, vfun)
         flux = v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0]
         out[p, side] = np.bincount(owner, weights=flux * wts, minlength=owner[-1] + 1)
-    return out
+        size += np.sum(np.hypot(*v.T) * np.hypot(*tan.T) * wts)
+    return out, size
 
 
 def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleSystem:
@@ -541,17 +532,17 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
     The trace of the flux form on each constrained side is projected onto
     the side's edge functions (histopolation of the cell line integrals),
     and the matching velocity coefficients are pinned.  Raises when the
-    net prescribed flux of an enclosed flow is nonzero.  The largest
+    net prescribed flux of an enclosed flow is nonzero, relative to the
+    integral of the prescribed speed over the boundary.  The largest
     condition number of the histopolations used is kept as
     ``system.histopolation_cond``.
     """
     data = _normalize_side_data(velocity, system.normal_sides)
     net = 0.0
-    scale = 0.0
     histopolation = {}  # one per distinct side basis
-    for (p, side), integrals in _side_flux_integrals(system, data).items():
+    fluxes, size = _side_flux_integrals(system, data)
+    for (p, side), integrals in fluxes.items():
         net += _SIDE_SIGN[side] * integrals.sum()
-        scale += np.abs(integrals).sum()
         if data[p, side] is None:
             values = integrals
         else:
@@ -564,7 +555,7 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
         system.e_fixed[gids] = values
     if histopolation:
         system.histopolation_cond = max(h.cond for h in histopolation.values())
-    if system.gauge and abs(net) > 1e-9 * max(1.0, scale):
+    if system.gauge and abs(net) > 1e-9 * size:
         raise FluxCompatibilityError(net)
     return system
 

@@ -4,7 +4,10 @@ A patch maps the reference square onto a planar region through a
 tensor-product rational basis with separable weights, so the map is a
 product of univariate rational bases.  Pullbacks move 0/1/2-form
 components between the physical and reference pictures; integrals over
-mapped cells are then plain reference-domain quadratures.  All of the
+mapped cells are then plain reference-domain quadratures.  The map and
+its derivatives are contractions of the control net with the sparse
+collocation matrices of the two bases (``splines.grid_values``), on a
+tensor grid, at scattered points or along a side curve.  All of the
 2x2 algebra (determinant, adjugate, pullback, pushforward and the mass
 metric) lives in the functions below that act on an evaluated Jacobian
 ``jac[..., component, direction]``.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DegenerateGeometryError
-from .splines import Basis1D, KnotVector, uniform_open_knots
+from .splines import Basis1D, KnotVector, grid_values, stored_window, uniform_open_knots
 
 __all__ = [
     "NurbsPatch",
@@ -129,18 +132,16 @@ class SideCurve:
     control: np.ndarray
     transverse: np.ndarray
 
-    def frame(self, table):
-        """Physical points and tangents (m, 2) from a ``basis.window`` table of the side coordinates.
+    def frame(self, colloc):
+        """Physical points and tangents (m, 2) from ``basis.collocation`` of the side coordinates.
 
         Raises DegenerateGeometryError where the Jacobian determinant of
         the patch is not positive.
         """
-        spans, vals, ders = table
-        rows = spans[:, None] + np.arange(-self.basis.degree, 1)[None, :]
-        control = self.control[rows]
-        points = np.einsum("mk,mkc->mc", vals, control)
-        tangent = np.einsum("mk,mkc->mc", ders, control)
-        across = np.einsum("mk,mkc->mc", vals, self.transverse[rows])
+        vals, ders = colloc
+        points = vals @ self.control
+        tangent = ders @ self.control
+        across = vals @ self.transverse
         cols = (across, tangent) if self.axis == 0 else (tangent, across)
         det = jacobian_det(np.stack(cols, axis=-1))
         if np.any(det <= 0.0):
@@ -193,55 +194,46 @@ class NurbsPatch:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _tables(self, axes):
-        """Dense (values, derivatives) tables per direction, one window call each."""
-        out = []
-        for b, x in zip(self.bases, axes):
-            spans, vals, ders = b.window(np.asarray(x, dtype=float))
-            out.append((b._scatter(spans, vals), b._scatter(spans, ders)))
-        return out
+    def _collocation(self, axes):
+        """(values, derivatives) collocation matrices per direction, one window call each."""
+        return [b.collocation(x) for b, x in zip(self.bases, axes)]
 
-    def _on_grid(self, t1, t2) -> np.ndarray:
-        """sum_ij t1[x, i] t2[y, j] control[i, j], contracted one direction at a time."""
-        partial = np.tensordot(t1, self.control, axes=(1, 0))  # (m1, nb2, 2)
-        return np.einsum("yj,xjc->xyc", t2, partial, optimize=True)
-
-    def _at_points(self, t1, t2) -> np.ndarray:
-        """sum_ij t1[x, i] t2[x, j] control[i, j] at scattered points."""
-        return np.einsum("xj,xjc->xc", t2, np.tensordot(t1, self.control, axes=(1, 0)))
+    def _at_points(self, b1, b2) -> np.ndarray:
+        """sum_ij b1[x, i] b2[x, j] control[i, j] at scattered points x."""
+        partial = grid_values(self.control, (b1,))  # (m, nb2, 2)
+        cols, vals = stored_window(b2)
+        return np.einsum("xk,xkc->xc", vals, partial[np.arange(cols.shape[0])[:, None], cols])
 
     def map_grid(self, x_axis, y_axis) -> np.ndarray:
         """Physical points over a tensor grid, shape (m1, m2, 2)."""
-        (v1, _), (v2, _) = self._tables((x_axis, y_axis))
-        return self._on_grid(v1, v2)
+        (v1, _), (v2, _) = self._collocation((x_axis, y_axis))
+        return grid_values(self.control, (v1, v2))
 
-    def _jacobian_on_grid(self, tables):
-        (v1, d1), (v2, d2) = tables
-        jac = np.stack((self._on_grid(d1, v2), self._on_grid(v1, d2)), axis=-1)
+    def _jacobian_on_grid(self, colloc):
+        (v1, d1), (v2, d2) = colloc
+        jac = np.stack([grid_values(self.control, pair) for pair in ((d1, v2), (v1, d2))], axis=-1)
         return jac, jacobian_det(jac)
 
     def jacobian_grid(self, x_axis, y_axis):
         """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid."""
-        return self._jacobian_on_grid(self._tables((x_axis, y_axis)))
+        return self._jacobian_on_grid(self._collocation((x_axis, y_axis)))
 
     def frame_grid(self, x_axis, y_axis):
-        """``map_grid`` and ``jacobian_grid`` together, from one table pass."""
-        tables = self._tables((x_axis, y_axis))
-        (v1, _), (v2, _) = tables
-        return (self._on_grid(v1, v2), *self._jacobian_on_grid(tables))
+        """``map_grid`` and ``jacobian_grid`` together, from one window call per axis."""
+        colloc = self._collocation((x_axis, y_axis))
+        (v1, _), (v2, _) = colloc
+        return (grid_values(self.control, (v1, v2)), *self._jacobian_on_grid(colloc))
 
     def map_point(self, u) -> np.ndarray:
         """Physical image of scattered parametric points (..., 2)."""
         u = np.asarray(u, dtype=float)
-        pts = u.reshape(-1, 2)
-        (v1, _), (v2, _) = self._tables((pts[:, 0], pts[:, 1]))
+        (v1, _), (v2, _) = self._collocation(u.reshape(-1, 2).T)
         return self._at_points(v1, v2).reshape(u.shape)
 
     def jacobian(self, u) -> np.ndarray:
         """Jacobian at scattered parametric points (..., 2, 2); det must stay positive."""
         u = np.asarray(u, dtype=float)
-        pts = u.reshape(-1, 2)
-        (v1, d1), (v2, d2) = self._tables((pts[:, 0], pts[:, 1]))
+        (v1, d1), (v2, d2) = self._collocation(u.reshape(-1, 2).T)
         jac = np.stack((self._at_points(d1, v2), self._at_points(v1, d2)), axis=-1)
         if np.any(jacobian_det(jac) <= 0.0):
             raise DegenerateGeometryError("nonpositive Jacobian determinant")
@@ -283,13 +275,12 @@ class NurbsPatch:
             axis, end = SIDES[side]
             across = self.bases[axis]
             control = np.moveaxis(self.control, axis, 0)  # (across, along, 2)
-            spans, _, ders = across.window([across.domain[end]])
-            d_across = across._scatter(spans, ders)[0]
+            _, d_across = across.collocation([across.domain[end]])
             self._side_curves[side] = SideCurve(
                 axis=axis,
                 basis=self.bases[1 - axis],
                 control=control[-end],
-                transverse=np.tensordot(d_across, control, axes=(0, 0)),
+                transverse=grid_values(control, (d_across,))[0],
             )
         return self._side_curves[side]
 
@@ -320,11 +311,12 @@ class MultiPatch:
             self._check_interfaces()
 
     def _check_interfaces(self, tol: float = 1e-12):
-        """Compare glued sides at 33 points spread over each side's own knot domain."""
+        """Compare glued side curves at 33 points spread over each side's own knot domain."""
 
         def side_samples(patch, side):
-            t = np.linspace(*patch.bases[1 - SIDES[side][0]].domain, 33)
-            return patch.map_point(patch.side_points(side, t))
+            curve = patch.side_curve(side)
+            t = np.linspace(*curve.basis.domain, 33)
+            return curve.frame(curve.basis.collocation(t))[0]
 
         for a, side_a, b, side_b, _ in self.glue:
             pa = side_samples(self.patches[a], side_a)

@@ -5,7 +5,8 @@ point samples / cell integrals are taken on the Greville grid of the
 space, converted to basis coefficients by interpolation (nodal factors)
 or histopolation (edge factors), one direction at a time.  Built this
 way, projecting and then differentiating gives the same coefficients as
-differentiating and then projecting.
+differentiating and then projecting.  The change-of-basis matrices are
+dense views of the sparse collocation matrices of ``splines``.
 """
 
 from __future__ import annotations
@@ -128,19 +129,16 @@ def build_interpolation(basis: Basis1D, nodes=None) -> ChangeOfBasis:
     nodes = np.asarray(nodes, dtype=float)
     if nodes.shape != (basis.num_basis,):
         raise ConstructionError("need exactly one node per basis function")
-    return ChangeOfBasis(basis.eval_nodal_many(nodes))
+    return ChangeOfBasis(basis.collocation(nodes)[0].toarray())
 
 
 def build_histopolation(edge_basis: EdgeBasis1D, n_gauss=None) -> ChangeOfBasis:
     """Square matrix of edge-function integrals over the Greville intervals."""
     pts, wts, owner = greville_rule(edge_basis.parent, n_gauss)
-    spans, vals = edge_basis.window(pts)
-    # row owner, column spans - p + r: segmented sum of weighted window values
-    nb = edge_basis.num_basis
-    p = edge_basis.parent.degree
-    cells = owner[:, None] * nb + spans[:, None] + np.arange(-p, 0)[None, :]
-    mat = np.bincount(cells.ravel(), weights=(vals * wts[:, None]).ravel(), minlength=nb * nb)
-    return ChangeOfBasis(mat.reshape(nb, nb))
+    # column i holds the quadrature weights of the points in Greville interval i
+    weights = np.zeros((owner.size, edge_basis.num_basis))
+    weights[np.arange(owner.size), owner] = wts
+    return ChangeOfBasis((edge_basis.collocation(pts).T @ weights).T)
 
 
 class _Projector:

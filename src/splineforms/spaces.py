@@ -5,7 +5,9 @@ direction: every component block replaces the nodal basis by the derived
 edge basis in the k directions the component is attached to.  Coefficients
 are stored flat in Fortran order (first direction fastest), matching the
 cell numbering of the underlying complex, so the exterior derivative is a
-single integer sparse multiply.
+single integer sparse multiply.  A component is reconstructed on a tensor
+grid by contracting its coefficient block with one sparse collocation
+matrix per direction (``splines.grid_values``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .splines import Basis1D, EdgeBasis1D
+from .splines import Basis1D, EdgeBasis1D, grid_values
 from .topology import CellComplex, direction_subsets
 
 __all__ = ["DiscreteFormSpace", "DiscreteForm", "FormBlock", "vvp_spaces"]
@@ -29,17 +31,17 @@ class FormBlock:
         self.size = int(np.prod(self.shape))
         self.offset = int(offset)
 
-    def tables(self, axes, deriv_dir=None):
-        """Dense per-direction value tables at the given coordinate axes."""
+    def collocation(self, axes, deriv_dir=None):
+        """Per-direction sparse collocation matrices at the given coordinate axes."""
         out = []
         for j, (f, x) in enumerate(zip(self.factors, axes)):
-            want_deriv = deriv_dir == j
             if isinstance(f, EdgeBasis1D):
-                if want_deriv:
+                if deriv_dir == j:
                     raise ConstructionError("derivatives of edge factors are not provided")
-                out.append(f.eval_edge_many(x))
+                out.append(f.collocation(x))
             else:
-                out.append(f.eval_nodal_deriv_many(x) if want_deriv else f.eval_nodal_many(x))
+                vals, ders = f.collocation(x)
+                out.append(ders if deriv_dir == j else vals)
         return out
 
 
@@ -128,9 +130,7 @@ class DiscreteForm:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.space.d,):
             raise DomainError(f"expected a point with {self.space.d} coordinates")
-        axes = tuple(np.asarray([xi]) for xi in x)
-        return np.array([self.eval_grid(axes, comp)[0].ravel()[0]
-                         for comp in range(len(self.space.blocks))])
+        return np.array([v.ravel()[0] for v in self.eval_grid([[xi] for xi in x])])
 
     def eval_grid(self, axes, comp: int | None = None, deriv_dir: int | None = None):
         """Evaluate component reconstructions on a tensor grid of coordinates.
@@ -154,16 +154,8 @@ class DiscreteForm:
         if len(axes) != self.space.d:
             raise DomainError(f"expected {self.space.d} coordinate axes")
         which = range(len(self.space.blocks)) if comp is None else [comp]
-        out = []
-        for i in which:
-            block = self.space.blocks[i]
-            tables = block.tables(axes, deriv_dir=deriv_dir)
-            vals = self.block_coeffs(i)
-            for t in tables:
-                # contract the leading coefficient axis, park the point axis last
-                vals = np.moveaxis(np.tensordot(t, vals, axes=([1], [0])), 0, -1)
-            out.append(vals)
-        return out
+        return [grid_values(self.block_coeffs(i), self.space.blocks[i].collocation(axes, deriv_dir))
+                for i in which]
 
     def exterior_derivative(self) -> "DiscreteForm":
         """Coboundary of the coefficients, living in the (k+1)-form space."""

@@ -6,16 +6,24 @@ The edge family ``{M_i}`` collects the negated partial sums of the nodal
 derivatives, ``M_i = -sum_{j<i} N_j'``, so that differentiating a nodal
 expansion reduces to differencing its coefficients.  Each ``M_i`` has unit
 integral over the parametric domain.
+
+A basis is evaluated one way only: ``window`` gives the values (and
+derivatives) of the functions that are nonzero at each point, and
+``collocation`` stores such a window table as a sparse (points,
+functions) matrix.  Every table the package needs is one of these matrices;
+``grid_values`` contracts a coefficient tensor with one per direction.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._quadrature import panel_rule
 from .errors import ConstructionError, DomainError
 
-__all__ = ["KnotVector", "Basis1D", "EdgeBasis1D", "uniform_open_knots"]
+__all__ = ["KnotVector", "Basis1D", "EdgeBasis1D", "uniform_open_knots", "collocation",
+           "stored_window", "grid_values"]
 
 
 def uniform_open_knots(degree: int, n_spans: int, start: float = 0.0, end: float = 1.0):
@@ -87,16 +95,52 @@ class KnotVector:
         return int(self.find_spans(np.asarray([x]))[0])
 
     def find_spans(self, x) -> np.ndarray:
-        """Vectorized span lookup; raises DomainError for points outside the knots."""
+        """Vectorized span lookup; raises DomainError for points outside the knots (or NaN)."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.domain
-        if np.any(x < lo) or np.any(x > hi):
+        if not np.all((lo <= x) & (x <= hi)):
             raise DomainError(f"point outside parametric domain [{lo}, {hi}]")
         spans = np.searchsorted(self.knots, x, side="right") - 1
         return np.clip(spans, self.degree, self._last_span)
 
     def __repr__(self):
         return f"KnotVector(degree={self.degree}, knots={self.knots.tolist()})"
+
+
+def collocation(first, vals, n: int) -> sp.csr_matrix:
+    """Sparse (points, functions) collocation matrix of a window table.
+
+    Point q carries functions first[q] .. first[q] + width - 1 with values
+    vals[q]; row q stores exactly those ``width`` entries, in column order,
+    explicit zeros included (``stored_window`` reads them back).
+    """
+    m, width = vals.shape
+    # scipy's index type; handing it over ready saves scipy a checked copy per matrix
+    index = np.int32 if max(n, m * width) < 2**31 else np.int64
+    cols = (first[:, None] + np.arange(width)[None, :]).astype(index).ravel()
+    return sp.csr_matrix((vals.ravel(), cols, width * np.arange(m + 1, dtype=index)), shape=(m, n))
+
+
+def stored_window(matrix):
+    """Columns and values, each (points, width), that a ``collocation`` matrix stores per row."""
+    shape = (matrix.shape[0], matrix.nnz // matrix.shape[0])
+    return matrix.indices.reshape(shape), matrix.data.reshape(shape)
+
+
+def grid_values(coeffs, matrices) -> np.ndarray:
+    """Tensor-grid values ``sum_i coeffs[i_1, .., i_d, ...] prod_j B_j[q_j, i_j]``.
+
+    One sparse product per direction, the last direction first, with
+    ``matrices[j]`` the collocation matrix of direction j; trailing axes
+    of ``coeffs`` (vector components) ride along.  The result is shaped
+    (q_1, .., q_d, ...).
+    """
+    out = np.asarray(coeffs)
+    for j in reversed(range(len(matrices))):
+        front = np.moveaxis(out, j, 0)
+        flat = matrices[j] @ front.reshape(front.shape[0], -1)
+        out = np.moveaxis(flat.reshape((matrices[j].shape[0],) + front.shape[1:]), 0, j)
+    return out
 
 
 def _bspline_window(knots, p, spans, x):
@@ -202,31 +246,19 @@ class Basis1D:
             return spans, vals, ders
         return spans, b, db
 
-    def eval_nodal(self, x: float) -> np.ndarray:
-        """Dense vector of N_i(x), i = 0..n."""
-        return self.eval_nodal_many([x])[0]
-
-    def eval_nodal_deriv(self, x: float) -> np.ndarray:
-        """Dense vector of dN_i/dx(x), i = 0..n."""
-        return self.eval_nodal_deriv_many([x])[0]
+    def collocation(self, x):
+        """Sparse (m, n+1) collocation matrices of the values and of the derivatives."""
+        spans, vals, ders = self.window(x)
+        first = spans - self.degree
+        return collocation(first, vals, self.num_basis), collocation(first, ders, self.num_basis)
 
     def eval_nodal_many(self, x) -> np.ndarray:
         """Dense (m, n+1) table of nodal values at an array of points."""
-        spans, vals, _ = self.window(x)
-        return self._scatter(spans, vals)
+        return self.collocation(x)[0].toarray()
 
     def eval_nodal_deriv_many(self, x) -> np.ndarray:
         """Dense (m, n+1) table of nodal derivatives at an array of points."""
-        spans, _, ders = self.window(x)
-        return self._scatter(spans, ders)
-
-    def _scatter(self, spans, window_vals) -> np.ndarray:
-        m = spans.shape[0]
-        p = self.degree
-        out = np.zeros((m, self.num_basis))
-        cols = spans[:, None] + np.arange(-p, 1)[None, :]
-        out[np.arange(m)[:, None], cols] = window_vals
-        return out
+        return self.collocation(x)[1].toarray()
 
     def greville_points(self) -> np.ndarray:
         """Knot-average interpolation nodes, one per basis function."""
@@ -257,7 +289,7 @@ def edge_window(ders) -> np.ndarray:
 class EdgeBasis1D:
     """Edge functions M_i = -sum_{j<i} N_j' derived from a nodal basis.
 
-    There are n functions, indexed 1..n in formulas; dense vectors store
+    There are n functions, indexed 1..n in formulas; tables store
     M_{e+1} at position e.  Each function integrates to one over the
     parametric domain.
     """
@@ -285,34 +317,26 @@ class EdgeBasis1D:
     def window(self, x):
         """Nonzero-window evaluation: (spans, values) with values shaped (m, p).
 
-        The nonzero edge functions at x occupy dense positions
+        The nonzero edge functions at x occupy positions
         spans - p .. spans - 1, where p is the parent nodal degree.
         """
         spans, _, ders = self.parent.window(x)
         return spans, edge_window(ders)
 
-    def eval_edge(self, x: float) -> np.ndarray:
-        """Dense vector of M_i(x), i = 1..n (position i-1)."""
-        return self.eval_edge_many([x])[0]
+    def collocation(self, x) -> sp.csr_matrix:
+        """Sparse (m, n) collocation matrix; column e holds M_{e+1}."""
+        spans, vals = self.window(x)
+        return collocation(spans - self.parent.degree, vals, self.num_basis)
 
     def eval_edge_many(self, x) -> np.ndarray:
         """Dense (m, n) table of edge values at an array of points."""
-        spans, vals = self.window(x)
-        m = spans.shape[0]
-        p = self.parent.degree
-        out = np.zeros((m, self.num_basis))
-        if p == 0:
-            return out
-        cols = spans[:, None] + np.arange(-p, 0)[None, :]
-        out[np.arange(m)[:, None], cols] = vals
-        return out
+        return self.collocation(x).toarray()
 
     def integrals(self, n_gauss: int | None = None) -> np.ndarray:
         """Integral of each edge function over the full domain (all should be 1)."""
         n = n_gauss or max(self.parent.degree + 1, 5)
         pts, wts = panel_rule(self.breakpoints, n)
-        table = self.eval_edge_many(pts.ravel())
-        return table.T @ wts.ravel()
+        return self.collocation(pts.ravel()).T @ wts.ravel()
 
     def __repr__(self):
         return f"EdgeBasis1D(n={self.num_basis}, parent={self.parent!r})"

@@ -34,7 +34,7 @@ from splineforms.geometry import (
 )
 from splineforms.harness import _bases, manufactured_fields
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
-from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
+from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, stored_window, uniform_open_knots
 from splineforms.projection import build_histopolation, greville_edges, greville_rule
 from splineforms._quadrature import panel_rule, split_interval
 
@@ -202,6 +202,23 @@ class TestSumFactorizedMass:
                 got = grid.reconstruct(form, comp)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_one_reconstruction_on_the_curved_square(self, k):
+        # eval_grid at the Gauss points is the Gauss-grid reconstruction, bit for bit,
+        # and both match a product of dense tables
+        bases = (make_basis(3, 4), jittered_basis(2, 5, np.random.default_rng(2)))
+        grid = _PatchGrid(bases, curved_square_patch())
+        axes = (grid.axes[0].pts, grid.axes[1].pts)
+        space = DiscreteFormSpace(bases, k)
+        form = DiscreteForm(space, np.random.default_rng(8 + k).standard_normal(space.dim))
+        for comp, block in enumerate(space.blocks):
+            got = grid.reconstruct(form, comp)
+            npt.assert_array_equal(form.eval_grid(axes, comp=comp)[0], got)
+            t1, t2 = (f.eval_edge_many(x) if isinstance(f, EdgeBasis1D) else f.eval_nodal_many(x)
+                      for f, x in zip(block.factors, axes))
+            want = t1 @ form.block_coeffs(comp) @ t2.T
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_pair_operators_built_once_per_grid(self, monkeypatch):
         built = []
         original = assembly._PairOperator.__init__
@@ -328,6 +345,15 @@ class TestBoundaryConditions:
         expanding = lambda x, y: (x, y)  # net outward flux 2|domain|
         with pytest.raises(FluxCompatibilityError):
             apply_strong_normal_velocity(system, expanding)
+
+    @pytest.mark.parametrize("side", [1e-6, 1.0])
+    def test_flux_check_is_relative(self, side):
+        # nodal degree 2, 4 spans on a square of side L: the check scales with L
+        system = assemble_vvp(make_spaces(2, 4), scaled_patch(side))
+        with pytest.raises(FluxCompatibilityError):
+            apply_strong_normal_velocity(system, lambda x, y: (x, 0.0 * y))
+        system = assemble_vvp(make_spaces(2, 4), scaled_patch(side))
+        apply_strong_normal_velocity(system, lambda x, y: (x, -y))
 
     def test_lid_term_supported_on_top_row_only(self):
         system, spaces = manufactured_system(p_vel=2, spans=5)
@@ -475,10 +501,10 @@ def test_axis_edge_table_from_one_window_call(monkeypatch):
     axis = assembly._Axis(basis, 6)
     assert len(windows) == 1
     spans, want = EdgeBasis1D(basis).window(axis.pts)
-    first, got, n = axis._tables[True]
+    cols, got = stored_window(axis.colloc[True])
     npt.assert_array_equal(got, want)
-    npt.assert_array_equal(first, spans - basis.degree)
-    assert n == basis.num_basis - 1
+    npt.assert_array_equal(cols[:, 0], spans - basis.degree)
+    assert axis.colloc[True].shape == (axis.pts.size, basis.num_basis - 1)
 
 
 class TestBatchedSideIntegrals:
@@ -489,7 +515,7 @@ class TestBatchedSideIntegrals:
             system = assemble_vvp([make_spaces(3, 5) for _ in range(4)], build_taylor_couette())
         else:
             system, _ = manufactured_system(p_vel=2, spans=5, patch=curved_square_patch())
-        integrals = _side_flux_integrals(system, {key: vfun for key in system.boundary})
+        integrals, _ = _side_flux_integrals(system, {key: vfun for key in system.boundary})
         for p, side in system.boundary:
             want = looped_side_flux(system, p, side, vfun)
             got = integrals[p, side]

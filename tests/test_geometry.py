@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splineforms.errors import ConstructionError, DegenerateGeometryError
+from splineforms.errors import ConstructionError, DegenerateGeometryError, DomainError
 from splineforms.geometry import (
     SIDES,
     MultiPatch,
@@ -42,6 +42,14 @@ class TestMapping:
         npt.assert_allclose(
             patch.jacobian(pts), np.broadcast_to(np.eye(2), (4, 2, 2)), atol=1e-15
         )
+
+    def test_nan_points_rejected(self):
+        patch = unit_square_patch()
+        for uv in ([np.nan, 0.2], [0.2, np.nan]):
+            with pytest.raises(DomainError):
+                patch.map_point(uv)
+            with pytest.raises(DomainError):
+                patch.jacobian(uv)
 
     def test_affine_jacobian(self):
         patch = scaled_patch(2.0, 3.0)
@@ -244,7 +252,7 @@ class TestNonUnitKnotDomain:
         want[:, 1 - axis] = 0.5
         npt.assert_allclose(tangent, want, atol=1e-15)
         curve = patch.side_curve(side)
-        c_points, c_tangent = curve.frame(curve.basis.window(t))
+        c_points, c_tangent = curve.frame(curve.basis.collocation(t))
         npt.assert_allclose(c_points, points, atol=1e-15)
         npt.assert_allclose(c_tangent, tangent, atol=1e-15)
 
@@ -273,7 +281,7 @@ class TestSideCurve:
         curve = patch.side_curve(side)
         assert patch.side_curve(side) is curve
         t = np.linspace(0.0, 1.0, 29)
-        points, tangent = curve.frame(curve.basis.window(t))
+        points, tangent = curve.frame(curve.basis.collocation(t))
         want_points = patch.map_point(patch.side_points(side, t))
         want_tangent = patch.side_tangent(side, t)
         assert np.abs(points - want_points).max() <= 1e-14 * np.abs(want_points).max()

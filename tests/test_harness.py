@@ -1,6 +1,8 @@
 """Harness tests: analytic data, output files, determinism, CLI contract."""
 
+import contextlib
 import filecmp
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import splineforms
+from splineforms import cli
 from splineforms.harness import (
     CaseConfig,
     _table,
@@ -257,15 +260,32 @@ def test_cavity_files(tmp_path):
 
 class TestCli:
     def run_cli(self, *args):
+        """``cli.main`` in this process, with its output captured and SystemExit as the code."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+    def test_module_entry_point(self, tmp_path):
         # the child imports the same splineforms as this process, installed or not
         src = str(Path(splineforms.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        return subprocess.run(
-            [sys.executable, "-m", "splineforms.cli", *args],
+        proc = subprocess.run(
+            [sys.executable, "-m", "splineforms.cli", "run", "manufactured", "--degree", "1",
+             "--levels", "1", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+        assert proc.returncode == 0, proc.stderr
+        wrote = [line.split(maxsplit=1)[1] for line in proc.stdout.splitlines()
+                 if line.startswith("wrote ")]
+        assert {Path(w).name for w in wrote} >= {"convergence.csv", "run_metadata.txt",
+                                                  "stats.json"}
+        assert all(Path(w).is_file() for w in wrote)
 
     def test_list_cases(self):
         proc = self.run_cli("list-cases")

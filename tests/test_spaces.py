@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splineforms.errors import ConstructionError
+from splineforms.errors import ConstructionError, DomainError
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace
 from splineforms.splines import Basis1D, KnotVector, uniform_open_knots
 from splineforms._quadrature import panel_rule
@@ -165,6 +165,16 @@ def test_derivative_of_top_form_raises(mixed_bases):
     space = DiscreteFormSpace(mixed_bases, 2)
     with pytest.raises(ConstructionError):
         space.zero().exterior_derivative()
+
+
+def test_nan_eval_rejected(mixed_bases):
+    space = DiscreteFormSpace(mixed_bases, 1)
+    form = DiscreteForm(space, np.ones(space.dim))
+    for x in ([np.nan, 0.5], [0.5, np.nan]):
+        with pytest.raises(DomainError):
+            form.eval(x)
+        with pytest.raises(DomainError):
+            form.eval_grid((np.array([x[0]]), np.array([x[1]])))
 
 
 def test_out_of_domain_eval(mixed_bases):

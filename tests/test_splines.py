@@ -6,7 +6,14 @@ import pytest
 from scipy.interpolate import BSpline
 
 from splineforms.errors import ConstructionError, DomainError
-from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
+from splineforms.splines import (
+    Basis1D,
+    EdgeBasis1D,
+    KnotVector,
+    collocation,
+    stored_window,
+    uniform_open_knots,
+)
 
 
 def bspline_basis(knots, degree, weights=None):
@@ -61,6 +68,60 @@ class TestFindSpan:
             assert kv.find_span(4.0) == last
 
 
+def test_nan_points_rejected():
+    basis = bspline_basis([0, 0, 0, 0.5, 1, 1, 1], 2)
+    for x in ([np.nan], [0.25, np.nan, 1.0]):
+        with pytest.raises(DomainError):
+            basis.window(np.array(x))
+        with pytest.raises(DomainError):
+            EdgeBasis1D(basis).window(np.array(x))
+
+
+def dense_scatter(spans, table, n, p):
+    """Test-only oracle: a window table (functions spans - p ..) as a dense (points, n) array."""
+    m, width = table.shape
+    out = np.zeros((m, n))
+    out[np.arange(m)[:, None], spans[:, None] - p + np.arange(width)[None, :]] = table
+    return out
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", range(6))
+    def test_matches_dense_scatter(self, p, weighted):
+        rng = np.random.default_rng(60 + p)
+        inner = np.sort(rng.uniform(0.1, 0.9, 4))
+        inner = np.repeat(inner, rng.integers(1, p + 2, inner.size))  # repeated interior knots
+        kv = KnotVector(np.concatenate(([0.0] * (p + 1), inner, [1.0] * (p + 1))), p)
+        basis = Basis1D(kv, rng.uniform(0.3, 3.0, kv.num_basis) if weighted else None)
+        # random points, every breakpoint and the right end
+        xs = np.concatenate((rng.uniform(0.0, 1.0, 40), basis.breakpoints))
+        n = basis.num_basis
+        spans, vals, ders = basis.window(xs)
+        b, db = basis.collocation(xs)
+        edge = EdgeBasis1D(basis).collocation(xs)
+        assert b.shape == db.shape == (xs.size, n) and edge.shape == (xs.size, n - 1)
+        assert b.nnz == db.nnz == xs.size * (p + 1) and edge.nnz == xs.size * p
+        npt.assert_array_equal(b.toarray(), dense_scatter(spans, vals, n, p))
+        cols, stored = stored_window(db)
+        npt.assert_array_equal(cols, spans[:, None] - p + np.arange(p + 1))
+        npt.assert_array_equal(stored, ders)
+        npt.assert_array_equal(db.toarray(), dense_scatter(spans, ders, n, p))
+        # edge functions M_i = -sum_{j<i} N_j', from the dense derivative table
+        dense_d = dense_scatter(spans, ders, n, p)
+        want = -np.cumsum(dense_d, axis=1)[:, :-1]
+        assert np.abs(edge.toarray() - want).max() <= 1e-13 * max(1.0, np.abs(dense_d).max())
+        npt.assert_array_equal(basis.eval_nodal_many(xs), b.toarray())
+        npt.assert_array_equal(basis.eval_nodal_deriv_many(xs), db.toarray())
+        npt.assert_array_equal(EdgeBasis1D(basis).eval_edge_many(xs), edge.toarray())
+
+    def test_explicit_window(self):
+        first = np.array([0, 2, 1])
+        vals = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        want = np.array([[1.0, 2, 0, 0], [0, 0, 3, 4], [0, 5, 6, 0]])
+        npt.assert_array_equal(collocation(first, vals, 4).toarray(), want)
+
+
 class TestKnotVector:
     def test_rejects_non_open(self):
         with pytest.raises(ConstructionError):
@@ -86,7 +147,7 @@ class TestKnotVector:
 class TestNodalBasis:
     def test_bernstein_values(self):
         b = bspline_basis([0, 0, 0, 1, 1, 1], 2)
-        npt.assert_allclose(b.eval_nodal(0.5), [0.25, 0.5, 0.25], atol=1e-15)
+        npt.assert_allclose(b.eval_nodal_many([0.5])[0], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_partition_of_unity(self):
         plain, rational = fig8_bases()
@@ -109,8 +170,8 @@ class TestNodalBasis:
 
     def test_weight_reduces_center_function(self):
         plain, rational = fig8_bases()
-        v_plain = plain.eval_nodal(2.0)
-        v_rational = rational.eval_nodal(2.0)
+        v_plain = plain.eval_nodal_many([2.0])[0]
+        v_rational = rational.eval_nodal_many([2.0])[0]
         assert abs(v_rational.sum() - 1) < 1e-14
         assert v_rational[3] < v_plain[3]
 
@@ -138,14 +199,15 @@ class TestNodalDerivative:
 
     def test_linear_hats(self):
         b = bspline_basis([0, 0, 1, 1], 1)
-        npt.assert_allclose(b.eval_nodal_deriv(0.3), [-1.0, 1.0], atol=1e-14)
+        npt.assert_allclose(b.eval_nodal_deriv_many([0.3])[0], [-1.0, 1.0], atol=1e-14)
 
     def test_finite_difference_oracle(self):
         _, rational = fig8_bases()
         h = 1e-6
         for x in (0.37, 1.91, 2.5, 3.2):
-            fd = (rational.eval_nodal(x + h) - rational.eval_nodal(x - h)) / (2 * h)
-            an = rational.eval_nodal_deriv(x)
+            fd = (rational.eval_nodal_many([x + h])[0]
+                  - rational.eval_nodal_many([x - h])[0]) / (2 * h)
+            an = rational.eval_nodal_deriv_many([x])[0]
             scale = np.abs(an).max()
             assert np.abs(fd - an).max() < 1e-6 * scale
 
@@ -153,8 +215,8 @@ class TestNodalDerivative:
 class TestEdgeBasis:
     def test_piecewise_constant_for_hats(self):
         edge = EdgeBasis1D(bspline_basis([0, 0, 0.5, 1, 1], 1))
-        npt.assert_allclose(edge.eval_edge(0.2), [2.0, 0.0], atol=1e-14)
-        npt.assert_allclose(edge.eval_edge(0.7), [0.0, 2.0], atol=1e-14)
+        npt.assert_allclose(edge.eval_edge_many([0.2])[0], [2.0, 0.0], atol=1e-14)
+        npt.assert_allclose(edge.eval_edge_many([0.7])[0], [0.0, 2.0], atol=1e-14)
         npt.assert_allclose(edge.integrals(), [1.0, 1.0], atol=1e-14)
 
     def test_summation_identity(self):
