@@ -8,7 +8,9 @@ B_I(q) B_J(q) lists the index pairs whose functions share an element;
 a block of the Gram matrix is G1 W G2^T for the weighted metric W on the
 tensor Gauss grid.  The pattern of a block is the Kronecker product of
 the two pair sets, so each entry of G1 W G2^T is one nonzero, written
-straight into its place in the final CSC arrays.  Forcing vectors
+straight into its place in the final CSC arrays; that pattern depends
+only on the space and its Gauss axes, so patches that share them share
+it.  Forcing vectors
 (B1^T V B2) and reconstructions (B1 C B2^T) use the per-direction
 (points, functions) collocation matrices B of ``splines.collocation``
 the same way, and so do the side rules of the boundary conditions.
@@ -134,17 +136,20 @@ class _PatchGrid:
     """Tensor Gauss grid of one patch: per-direction tables and the geometry at every point.
 
     Point arrays are shaped (Q1, Q2), the Gauss points of direction 1 by
-    those of direction 2.  Two directions with the same nodal basis and
-    rule share one ``_Axis``, and with it its pair operators.  ``jac`` and
-    ``det`` are always there; ``phys``, the physical image of every Gauss
-    point, only with ``need_phys`` (forcing and error evaluation), from the
-    same geometry tables.
+    those of direction 2.  ``axes`` maps (nodal basis, rule) to its
+    ``_Axis``; directions and patches given the same basis object and
+    rule share one ``_Axis`` through it, and with it its pair operators,
+    so a caller that holds one dict across the patches of a system does
+    the per-basis work once.  ``jac`` and ``det`` are always there;
+    ``phys``, the physical image of every Gauss point, only with
+    ``need_phys`` (forcing and error evaluation), from the same geometry
+    tables.
     """
 
     def __init__(self, nodal_bases, patch: NurbsPatch, n_quad=None, extra: int = 0,
-                 need_phys: bool = False):
+                 need_phys: bool = False, axes=None):
         _check_n_quad(n_quad)
-        nodal_bases = tuple(nodal_bases)
+        axes = {} if axes is None else axes
         self.axes = []
         for j, b in enumerate(nodal_bases):
             if np.abs(np.subtract(b.domain, patch.bases[j].domain)).max() > 1e-12:
@@ -159,10 +164,9 @@ class _PatchGrid:
                     "field breakpoints must refine the geometry breakpoints"
                 )
             nq = (n_quad if n_quad is not None else patch.bases[j].degree + b.degree + 1) + extra
-            if j == 1 and b is nodal_bases[0] and nq == self.axes[0].nq:
-                self.axes.append(self.axes[0])
-            else:
-                self.axes.append(_Axis(b, nq))
+            if (b, nq) not in axes:
+                axes[b, nq] = _Axis(b, nq)
+            self.axes.append(axes[b, nq])
         x, y = self.axes[0].pts, self.axes[1].pts
         if need_phys:
             self.phys, self.jac, self.det = patch.frame_grid(x, y)
@@ -188,8 +192,8 @@ class MassMatrix:
     space: DiscreteFormSpace
 
 
-def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid) -> sp.csc_matrix:
-    """Gram matrix written entry by entry into its final CSC pattern.
+class _MassPattern:
+    """CSC pattern of a Gram matrix, which depends only on the space and its two axes.
 
     Block pair (A, B) with weight W is ``V = G1 W G2^T`` for the pair
     operators G1, G2 of its two directions; entry ((I1, J1), (I2, J2)) of
@@ -197,28 +201,49 @@ def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid) -> sp.csc
     because the pattern is the Kronecker product of the two pair sets.
     Within a column, rows come block by block and, inside a block, in
     flat (Fortran) order, which is the order of ``rank`` in direction 2
-    and then in direction 1.
+    and then in direction 1.  ``dest`` of a block pair is where V goes in
+    the data array.
     """
-    weights = mass_metric(space.k, grid.jac, grid.det, grid.w)
-    per_col = np.zeros(space.dim, dtype=np.int64)
-    parts = []
-    for ib, B in enumerate(space.blocks):
-        cols = B.offset + np.arange(B.size).reshape(B.shape, order="F")
-        for ia, A in enumerate(space.blocks):
-            if (ia, ib) not in weights:
-                continue
-            g1, g2 = (grid.axes[j].pair(j in A.dirs, j in B.dirs) for j in range(2))
-            parts.append((A, g1, g2, weights[ia, ib], cols, per_col[cols]))
-            per_col[cols] += np.outer(g1.per_col, g2.per_col)
-    indptr = np.concatenate(([0], np.cumsum(per_col)))
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for A, g1, g2, W, cols, before in parts:
-        first = (indptr[cols] + before)[g1.cols][:, g2.cols]
-        dest = first + g2.rank[None, :] * g1.per_col[g1.cols][:, None] + g1.rank[:, None]
-        data[dest] = (g2.matrix @ (g1.matrix @ W).T).T
-        indices[dest] = A.offset + g1.rows[:, None] + A.shape[0] * g2.rows[None, :]
-    return sp.csc_matrix((data, indices, indptr), shape=(space.dim, space.dim))
+
+    def __init__(self, space: DiscreteFormSpace, axes):
+        per_col = np.zeros(space.dim, dtype=np.int64)
+        parts = []
+        for ib, B in enumerate(space.blocks):
+            cols = B.offset + np.arange(B.size).reshape(B.shape, order="F")
+            for ia, A in enumerate(space.blocks):
+                g1, g2 = (axes[j].pair(j in A.dirs, j in B.dirs) for j in range(2))
+                parts.append(((ia, ib), A, g1, g2, cols, per_col[cols]))
+                per_col[cols] += np.outer(g1.per_col, g2.per_col)
+        self.shape = (space.dim, space.dim)
+        self.indptr = np.concatenate(([0], np.cumsum(per_col)))
+        self.indices = np.empty(self.indptr[-1], dtype=np.int64)
+        self.blocks = []
+        for key, A, g1, g2, cols, before in parts:
+            first = (self.indptr[cols] + before)[g1.cols][:, g2.cols]
+            dest = first + g2.rank[None, :] * g1.per_col[g1.cols][:, None] + g1.rank[:, None]
+            self.indices[dest] = A.offset + g1.rows[:, None] + A.shape[0] * g2.rows[None, :]
+            self.blocks.append((key, g1.matrix, g2.matrix, dest))
+
+    def matrix(self, weights) -> sp.csc_matrix:
+        """The Gram matrix for the weighted metric of every block pair (``mass_metric``)."""
+        data = np.empty(self.indptr[-1])
+        for key, g1, g2, dest in self.blocks:
+            data[dest] = (g2 @ (g1 @ weights[key]).T).T
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid,
+                           patterns=None) -> sp.csc_matrix:
+    """Gram matrix of a space on a patch grid, its values written into a ``_MassPattern``.
+
+    ``patterns`` maps (space, axis, axis) to its pattern; patches that
+    share the space and the axes share the pattern through it.
+    """
+    patterns = {} if patterns is None else patterns
+    key = (space, *grid.axes)
+    if key not in patterns:
+        patterns[key] = _MassPattern(space, grid.axes)
+    return patterns[key].matrix(mass_metric(space.k, grid.jac, grid.det, grid.w))
 
 
 def assemble_mass(space: DiscreteFormSpace, patch: NurbsPatch, n_quad=None) -> MassMatrix:
@@ -331,9 +356,10 @@ class Solution:
     its LU factors), ``refine_steps`` (iterative-refinement steps),
     ``factors`` (``nnz``, ``fill_ratio`` (LU nonzeros over matrix
     nonzeros) and ``seconds`` of each factorization: ``L``, the
-    2-cell Laplacian; ``order``, the ordering-only LU of the vorticity
-    mass matrix; ``K``, the vorticity-stream system; ``M2``, the 2-form
-    mass matrix), ``residual`` (the gated solve residual) and
+    2-cell Laplacian; ``K``, the vorticity-stream system; ``M2``, the
+    2-form mass matrix; and only ``seconds`` for ``order``, the
+    minimum-degree order of the vorticity mass matrix, read off an
+    incomplete factorization), ``residual`` (the gated solve residual) and
     ``histopolation_cond`` (the largest condition number of the side
     histopolations ``apply_strong_normal_velocity`` used, None if none).
     None of it goes into the output files.
@@ -372,6 +398,10 @@ class SaddleSystem:
     the (patch, side) boundary sides whose normal fluxes
     ``apply_strong_normal_velocity`` pins: it clears their cells in the
     ``free`` mask and writes their values into ``e_fixed`` (length n1).
+    Per-basis work is done once per system: patches given the same basis
+    objects share their Gauss axes and pair operators, and patches given
+    the same space triple also share the mass-matrix patterns and the
+    coboundaries.
     """
 
     def __init__(self, spaces, patches, glue, nu, normal_sides=None, n_quad=None, forcing=None):
@@ -407,12 +437,13 @@ class SaddleSystem:
         self.rhs = np.zeros(self.size)
         mass, d10, d21 = ([], [], []), [], []
         owned = np.zeros(self.n1, dtype=bool)
+        axes, patterns = {}, {}  # per-basis work, shared by every patch
         for p, (s0, s1, s2) in enumerate(spaces):
             grid = _PatchGrid(s0.nodal_bases, patches[p], n_quad=n_quad,
-                              need_phys=forcing is not None)
+                              need_phys=forcing is not None, axes=axes)
             maps = (self.map0[p], self.map1[p], self.map2[p])
             for k, space in enumerate((s0, s1, s2)):
-                mass[k].append((_assemble_mass_on_grid(space, grid), maps[k], maps[k]))
+                mass[k].append((_assemble_mass_on_grid(space, grid, patterns), maps[k], maps[k]))
             own = ~owned[maps[1]]  # a glued 1-cell keeps the D10 row of its first patch
             owned[maps[1]] = True
             d10.append((s0.coboundary_matrix()[own], maps[1][own], maps[0]))
@@ -590,6 +621,9 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=N
     Parameters
     ----------
     spaces : (L0, L1, L2) triple, or list of triples (one per patch)
+        Patches given the same triple (or the same basis objects) share
+        their per-basis work: Gauss axes, pair operators, mass-matrix
+        patterns, coboundaries and side rules.
     geometry : NurbsPatch or MultiPatch
     nu : float
         Viscosity; scales the vorticity equation (both its blocks and its
@@ -623,7 +657,8 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=N
                         forcing=forcing)
 
 
-def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
+def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str,
+            order_only: bool = False):
     """Sparse LU with diagonal pivots; failures become SingularSystemError.
 
     ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
@@ -631,20 +666,29 @@ def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
     symmetrically.  An exactly singular factor raises; pivot growth
     shows in the solve residual.  The factor's nonzeros, their ratio to
     the nonzeros of the matrix and the seconds go into ``factors[key]``.
+    With ``order_only`` only ``perm_c`` is wanted: SuperLU's incomplete
+    factorization with ``drop_tol=inf`` computes the same column order as
+    the full one and then keeps almost no entries, at a fraction of the
+    cost; only its seconds are recorded.
     """
     start = time.perf_counter()
     matrix = matrix.tocsc()
+    ilu = {"drop_tol": np.inf, "fill_factor": 1} if order_only else {}
     try:
-        lu = spla.splu(
+        lu = (spla.spilu if order_only else spla.splu)(
             matrix,
             permc_spec=permc_spec,
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
+            **ilu,
         )
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization of the {what} failed: {exc}") from exc
     seconds = time.perf_counter() - start
-    factors[key] = {"nnz": int(lu.nnz), "fill_ratio": lu.nnz / matrix.nnz, "seconds": seconds}
+    if order_only:
+        factors[key] = {"seconds": seconds}
+    else:
+        factors[key] = {"nnz": int(lu.nnz), "fill_ratio": lu.nnz / matrix.nnz, "seconds": seconds}
     return lu
 
 
@@ -658,7 +702,8 @@ def _node_paired_positions(A_ww, group, gauged, factors: dict) -> np.ndarray:
     made its diagonal nonzero.
     """
     n0 = A_ww.shape[0]
-    node_pos = _factor(-A_ww, "vorticity mass matrix", "MMD_AT_PLUS_A", factors, "order").perm_c
+    node_pos = _factor(-A_ww, "vorticity mass matrix", "MMD_AT_PLUS_A", factors, "order",
+                       True).perm_c
     last = np.zeros(group.max() + 1, dtype=np.int64)
     np.maximum.at(last, group, node_pos)
     keys = np.concatenate((2 * node_pos, 2 * last[gauged] + 1))  # distinct, below 2 n0

@@ -362,6 +362,13 @@ def curved_square_patch(amplitude: float = 0.1, spans: int = 1, degree: int = 4)
     return NurbsPatch((b, b), control)
 
 
+# the geometry bases of every quarter annulus: one object each, so the
+# four patches of the annulus share their per-basis work
+_RADIAL = _linear_basis()
+_ARC = Basis1D(KnotVector([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], 2),
+               np.array([1.0, np.sqrt(2.0) / 2.0, 1.0]))
+
+
 def quarter_annulus_patch(quadrant: int, r_in: float = 1.0, r_out: float = 2.0) -> NurbsPatch:
     """Exact quarter annulus: radial direction first (degree 1), angular second (degree 2).
 
@@ -374,14 +381,9 @@ def quarter_annulus_patch(quadrant: int, r_in: float = 1.0, r_out: float = 2.0) 
     # arc control points: ends on the circle, middle at the tangent intersection
     arc = np.column_stack((np.cos(angles), np.sin(angles)))
     arc[1] /= np.cos(0.25 * np.pi)
-    radial = _linear_basis()
-    angular = Basis1D(
-        KnotVector([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], 2),
-        np.array([1.0, np.sqrt(2.0) / 2.0, 1.0]),
-    )
     radii = np.array([r_in, r_out])
     control = radii[:, None, None] * arc[None, :, :]
-    return NurbsPatch((radial, angular), control)
+    return NurbsPatch((_RADIAL, _ARC), control)
 
 
 def build_taylor_couette(r_in: float = 1.0, r_out: float = 2.0) -> MultiPatch:

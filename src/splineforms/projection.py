@@ -132,13 +132,17 @@ def build_interpolation(basis: Basis1D, nodes=None) -> ChangeOfBasis:
     return ChangeOfBasis(basis.collocation(nodes)[0].toarray())
 
 
-def build_histopolation(edge_basis: EdgeBasis1D, n_gauss=None) -> ChangeOfBasis:
-    """Square matrix of edge-function integrals over the Greville intervals."""
-    pts, wts, owner = greville_rule(edge_basis.parent, n_gauss)
-    # column i holds the quadrature weights of the points in Greville interval i
-    weights = np.zeros((owner.size, edge_basis.num_basis))
-    weights[np.arange(owner.size), owner] = wts
-    return ChangeOfBasis((edge_basis.collocation(pts).T @ weights).T)
+def build_histopolation(edge_basis: EdgeBasis1D) -> ChangeOfBasis:
+    """Square matrix of edge-function integrals over the Greville intervals, exact.
+
+    The integral of M_i = -sum_{j<i} N_j' over [g_r, g_{r+1}] telescopes to
+    -sum_{j<i} (N_j(g_{r+1}) - N_j(g_r)), so the matrix follows from the
+    nodal collocation at the Greville points with no quadrature, for
+    rational bases too.
+    """
+    parent = edge_basis.parent
+    values = parent.collocation(parent.greville_points())[0].toarray()
+    return ChangeOfBasis(-np.diff(np.cumsum(values, axis=1)[:, :-1], axis=0))
 
 
 class _Projector:
@@ -157,8 +161,7 @@ class _Projector:
 
     def _histopolation(self, j: int) -> ChangeOfBasis:
         if j not in self._histo:
-            self._histo[j] = build_histopolation(EdgeBasis1D(self.space.nodal_bases[j]),
-                                                 self.n_gauss)
+            self._histo[j] = build_histopolation(EdgeBasis1D(self.space.nodal_bases[j]))
         return self._histo[j]
 
     def _direction_rule(self, j: int, is_edge: bool):

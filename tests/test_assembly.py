@@ -733,6 +733,26 @@ class TestSubspaceSolve:
         with pytest.raises(SingularSystemError):
             assembly._factor(sp.csc_matrix(np.ones((3, 3))), "test matrix", "NATURAL", {}, "T")
 
+    def test_exactly_singular_order_raises(self):
+        with pytest.raises(SingularSystemError):
+            assembly._factor(sp.csc_matrix(np.ones((3, 3))), "test matrix", "MMD_AT_PLUS_A", {},
+                             "T", True)
+
+    @pytest.mark.parametrize("case", ["cavity", "couette", "curved-square"])
+    def test_order_matches_the_full_factorization(self, case):
+        spaces = {"cavity": lambda: vvp_spaces(_bases(4, 24)),
+                  "couette": lambda: [vvp_spaces(_bases(3, 16))] * 4,
+                  "curved-square": lambda: make_spaces(4, 6)}[case]()
+        geometry = {"cavity": unit_square_patch, "couette": build_taylor_couette,
+                    "curved-square": curved_square_patch}[case]()
+        A = assemble_vvp(spaces, geometry).M0.tocsc()
+        want = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).perm_c
+        factors = {}
+        got = assembly._factor(-A, "test matrix", "MMD_AT_PLUS_A", factors, "order", True).perm_c
+        npt.assert_array_equal(got, want)
+        assert set(factors["order"]) == {"seconds"}
+
     def test_tiny_viscosity_is_a_rescaling(self):
         # the cavity of `run cavity --nu 1e-8 --spans 12`: Stokes velocity and
         # vorticity do not depend on nu, pressure scales with it
@@ -766,6 +786,9 @@ class TestSubspaceSolve:
         sol = solve(system)
         stats = sol.stats
         assert set(stats["factors"]) == {"L", "order", "K", "M2"}
+        # the order is read off an incomplete factorization: only its time is kept
+        order = stats["factors"].pop("order")
+        assert set(order) == {"seconds"} and order["seconds"] >= 0.0
         for entry in stats["factors"].values():
             assert entry["nnz"] > 0 and entry["seconds"] >= 0.0
             assert 1.0 <= entry["fill_ratio"] < 100.0
@@ -915,6 +938,25 @@ class TestGluedInterfaces:
         sol = solve(system)
         assert sol.residual <= 1e-10
         assert np.abs(sol.divergence_cochain(0)).max() <= 1e-9
+
+    def test_one_shared_triple_equals_four_equal_triples(self):
+        # sharing the per-basis work across patches changes no bit of the system
+        shared = [vvp_spaces(_bases(3, 4))] * 4
+        equal = [vvp_spaces(_bases(3, 4)) for _ in range(4)]
+        systems, solutions = [], []
+        for triples in (shared, equal):
+            system = assemble_vvp(triples, build_taylor_couette())
+            apply_strong_normal_velocity(system, _source_flow)
+            apply_weak_tangential_velocity(system, _source_flow)
+            systems.append(system)
+            solutions.append(solve(system))
+        for name in ("M0", "M1", "M2", "D10", "D21"):
+            a, b = (getattr(s, name) for s in systems)
+            for attr in ("data", "indices", "indptr"):
+                npt.assert_array_equal(getattr(a, attr), getattr(b, attr))
+        npt.assert_array_equal(systems[0].rhs, systems[1].rhs)
+        for name in ("omega", "u", "p"):
+            npt.assert_array_equal(*(getattr(s, name) for s in solutions))
 
 
 def random_open_basis(p, rng, weighted):

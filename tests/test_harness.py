@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import splineforms
-from splineforms import cli
+from splineforms import assembly, cli
 from splineforms.harness import (
     CaseConfig,
     _table,
@@ -24,8 +24,10 @@ from splineforms.harness import (
     rates,
     run_cavity,
     run_manufactured,
+    run_taylor_couette,
 )
 from splineforms.errors import ConstructionError
+from splineforms.topology import CellComplex
 
 
 def test_analytic_spot_checks():
@@ -99,6 +101,49 @@ def test_csv_contents_and_rate_definition(small_run):
     )
     assert abs(float(row[8]) - expected) < 1e-6
     assert rates(records)[1][1] == pytest.approx(expected)
+
+
+def test_couette_writes_no_rate_for_noise_errors(tmp_path):
+    # the exact vorticity and pressure lie in the discrete spaces: err_w and
+    # err_p are rounding noise, so their rates are nan on every level
+    config = CaseConfig(case="taylor-couette", degree=1, levels=3, out_dir=str(tmp_path))
+    records, _ = run_taylor_couette(config)
+    emit_outputs(config, records=records)
+    lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["rate_w"] for row in rows] == ["nan"] * 3
+    assert [row["rate_p"] for row in rows] == ["nan"] * 3
+    assert rows[0]["rate_u"] == "nan"
+    assert all(np.isfinite(float(row["rate_u"])) for row in rows[1:])
+    assert all(np.isfinite(rates(records)[2]))  # other cases keep all three rates
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_couette_does_per_basis_work_once_per_system(monkeypatch):
+    # the four patches share one space triple, hence one set of Gauss axes,
+    # pair operators, mass patterns and coboundaries per level
+    counted = [
+        count_calls(monkeypatch, owner, name) for owner, name in (
+            (assembly._Axis, "__init__"),
+            (assembly._PairOperator, "__init__"),
+            (assembly._MassPattern, "__init__"),
+            (CellComplex, "_build_coboundary"),
+        )
+    ]
+    run_taylor_couette(CaseConfig(case="taylor-couette", degree=2, levels=3))
+    assert [len(calls) for calls in counted] == [12, 24, 9, 6]
 
 
 def _run_and_emit(case, out):
