@@ -261,6 +261,8 @@ def _forcing_vector(space: DiscreteFormSpace, grid: _PatchGrid, forcing) -> np.n
     yq = grid.phys[..., 1]
     f0 = np.asarray(fx(xq, yq), dtype=float)
     f1 = np.asarray(fy(xq, yq), dtype=float)
+    if not (np.all(np.isfinite(f0)) and np.all(np.isfinite(f1))):
+        raise FloatingPointError("non-finite forcing values")
     pulled = adjugate_apply(grid.jac, f0, f1)  # det J * J^{-1} f
     out = np.empty(space.dim)
     for comp, block in enumerate(space.blocks):
@@ -524,6 +526,8 @@ class _SideRules:
             self._colloc[key] = curve.basis.collocation(self.rule(p, side)[0])
         points, tan = curve.frame(self._colloc[key])
         v = np.asarray(vfun(*points.T), dtype=float).T
+        if not np.all(np.isfinite(v)):
+            raise FloatingPointError(f"non-finite velocity data on side {side!r} of patch {p}")
         return np.broadcast_to(v, tan.shape), tan
 
 

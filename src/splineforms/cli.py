@@ -18,6 +18,7 @@ from .errors import (
     SingularSystemError,
 )
 from .harness import (
+    _CASE_SETTINGS,
     CASES,
     CaseConfig,
     emit_outputs,
@@ -119,7 +120,11 @@ def _make_config(args) -> CaseConfig:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    return CaseConfig(**merged)
+    config = CaseConfig(**merged)
+    unread = sorted(set(merged) - {"case"} - set(_CASE_SETTINGS[config.case]))
+    if unread:
+        raise ConstructionError(f"{config.case} does not read {', '.join(unread)}")
+    return config
 
 
 def _write_stats(config: CaseConfig, run_s: float, output_s: float, solve_stats: dict) -> Path:

@@ -54,6 +54,13 @@ _CASE_GEOMETRIES = {
     "cavity": ("unit-square",),
 }
 CASES = tuple(_CASE_GEOMETRIES)
+# case -> the CaseConfig fields its runner reads; the command line rejects setting any other
+_CASE_SETTINGS = {
+    "manufactured": ("degree", "levels", "geometry", "nu", "quad", "out_dir", "base_spans"),
+    "taylor-couette": ("degree", "levels", "geometry", "nu", "quad", "out_dir", "base_spans"),
+    "cavity": ("degree", "geometry", "nu", "quad", "out_dir", "spans", "profile_points",
+               "field_points"),
+}
 # case -> the errors that are rounding noise, because the exact field lies in
 # the discrete space (the Couette vorticity and pressure); no rate is written
 _NOISE_ERRORS = {"taylor-couette": ("err_w", "err_p")}

@@ -5,19 +5,21 @@ point samples / cell integrals are taken on the Greville grid of the
 space, converted to basis coefficients by interpolation (nodal factors)
 or histopolation (edge factors), one direction at a time.  Built this
 way, projecting and then differentiating gives the same coefficients as
-differentiating and then projecting.  The change-of-basis matrices are
-dense views of the sparse collocation matrices of ``splines``.
+differentiating and then projecting.  The reductions are sparse (cells,
+points) matrices contracted by ``splines.grid_values``; the changes of
+basis are dense views of the collocation matrices of ``splines``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from ._quadrature import interval_rule
 from .errors import ConstructionError, IllPosedNodesError
 from .spaces import DiscreteForm, DiscreteFormSpace
-from .splines import Basis1D, EdgeBasis1D
+from .splines import Basis1D, EdgeBasis1D, grid_values
 
 __all__ = [
     "ChangeOfBasis",
@@ -52,15 +54,13 @@ class ChangeOfBasis:
         self.cond = float(cond)
         self._lu = scipy.linalg.lu_factor(matrix)
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs (rhs may carry extra trailing dimensions)."""
         rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise FloatingPointError("non-finite values in a change-of-basis right-hand side")
         flat = rhs.reshape(rhs.shape[0], -1)
-        out = scipy.linalg.lu_solve(self._lu, flat)
+        out = scipy.linalg.lu_solve(self._lu, flat, check_finite=False)
         return out.reshape(rhs.shape)
 
     def solve_along(self, tensor: np.ndarray, axis: int) -> np.ndarray:
@@ -145,85 +145,20 @@ def build_histopolation(edge_basis: EdgeBasis1D) -> ChangeOfBasis:
     return ChangeOfBasis(-np.diff(np.cumsum(values, axis=1)[:, :-1], axis=0))
 
 
-class _Projector:
-    """Cached per-direction reduction grids and change-of-basis solves."""
+def _direction(basis: Basis1D, edge: bool, n_gauss=None):
+    """Points, sparse (cells, points) reduction matrix and change of basis of one direction.
 
-    def __init__(self, space: DiscreteFormSpace, n_gauss=None):
-        self.space = space
-        self.n_gauss = n_gauss
-        self._interp = {}
-        self._histo = {}
-
-    def _interpolation(self, j: int) -> ChangeOfBasis:
-        if j not in self._interp:
-            self._interp[j] = build_interpolation(self.space.nodal_bases[j])
-        return self._interp[j]
-
-    def _histopolation(self, j: int) -> ChangeOfBasis:
-        if j not in self._histo:
-            self._histo[j] = build_histopolation(EdgeBasis1D(self.space.nodal_bases[j]))
-        return self._histo[j]
-
-    def _direction_rule(self, j: int, is_edge: bool):
-        """(points, weights, starts) for one direction of the reduction grid.
-
-        For a nodal direction the points are the Greville nodes and there
-        is nothing to sum (weights and starts are None).  For an edge
-        direction the weighted values at points ``starts[i]`` up to
-        ``starts[i + 1]`` sum to the integral over Greville interval i.
-        """
-        basis = self.space.nodal_bases[j]
-        if not is_edge:
-            return basis.greville_points(), None, None
-        pts, wts, owner = greville_rule(basis, self.n_gauss)
-        return pts, wts, np.searchsorted(owner, np.arange(basis.n))
-
-    def reduce_block(self, block, component) -> np.ndarray:
-        """Reduction tensor of one component over the block's cells."""
-        rules = [self._direction_rule(j, j in block.dirs) for j in range(self.space.d)]
-        pts = [r[0] for r in rules]
-        if isinstance(component, DiscreteForm):
-            comp_index = component.space.blocks.index(
-                next(b for b in component.space.blocks if b.dirs == block.dirs)
-            )
-            vals = component.eval_grid(pts, comp=comp_index)[0]
-        else:
-            grids = np.meshgrid(*pts, indexing="ij")
-            vals = np.asarray(component(*grids), dtype=float)
-            vals = np.broadcast_to(vals, tuple(p.size for p in pts))
-        out = vals
-        for j, (_, wts, starts) in enumerate(rules):
-            if wts is not None:
-                shape = [1] * self.space.d
-                shape[j] = -1
-                out = np.add.reduceat(out * wts.reshape(shape), starts, axis=j)
-        return out
-
-    def solve_block(self, block, reduction: np.ndarray) -> np.ndarray:
-        coeffs = reduction
-        for j in range(self.space.d):
-            cob = self._histopolation(j) if j in block.dirs else self._interpolation(j)
-            coeffs = cob.solve_along(coeffs, j)
-        return coeffs
-
-    def project(self, components) -> DiscreteForm:
-        blocks = self.space.blocks
-        if isinstance(components, DiscreteForm):
-            source = [components] * len(blocks)
-        elif callable(components):
-            source = [components]
-        else:
-            source = list(components)
-        if len(source) != len(blocks):
-            raise ConstructionError(
-                f"expected {len(blocks)} component callables, got {len(source)}"
-            )
-        flat = np.empty(self.space.dim)
-        for block, comp in zip(blocks, source):
-            red = self.reduce_block(block, comp)
-            coeffs = self.solve_block(block, red)
-            flat[block.offset : block.offset + block.size] = coeffs.ravel(order="F")
-        return DiscreteForm(self.space, flat)
+    A nodal factor samples the Greville nodes (the reduction is the
+    identity) and interpolates.  An edge factor integrates over the
+    Greville intervals: row i holds the ``greville_rule`` weights of the
+    points interval i owns; it histopolates.
+    """
+    if not edge:
+        nodes = basis.greville_points()
+        return nodes, sp.identity(nodes.size, format="csr"), build_interpolation(basis)
+    pts, wts, owner = greville_rule(basis, n_gauss)
+    reduction = sp.csr_matrix((wts, (owner, np.arange(pts.size))), shape=(basis.n, pts.size))
+    return pts, reduction, build_histopolation(EdgeBasis1D(basis))
 
 
 def project_form(space: DiscreteFormSpace, components, n_gauss=None) -> DiscreteForm:
@@ -235,9 +170,36 @@ def project_form(space: DiscreteFormSpace, components, n_gauss=None) -> Discrete
     components : callable, sequence of callables, or DiscreteForm
         One vectorized component function per block, ordered like
         ``space.blocks`` (a single callable is allowed for one-block
-        spaces).  A DiscreteForm re-projects its own reconstruction.
+        spaces).  A DiscreteForm of the same d and k re-projects its own
+        reconstruction.
     n_gauss : int, optional
         Gauss points per smooth piece in the reductions
         (default max(degree + 1, 5)).
     """
-    return _Projector(space, n_gauss=n_gauss).project(components)
+    blocks = space.blocks
+    if isinstance(components, DiscreteForm):
+        source = [components] * len(blocks)
+    elif callable(components):
+        source = [components]
+    else:
+        source = list(components)
+    if len(source) != len(blocks):
+        raise ConstructionError(f"expected {len(blocks)} component callables, got {len(source)}")
+    flat = np.empty(space.dim)
+    for i, (block, comp) in enumerate(zip(blocks, source)):
+        pts, reductions, changes = zip(*(_direction(b, j in block.dirs, n_gauss)
+                                         for j, b in enumerate(space.nodal_bases)))
+        if isinstance(comp, DiscreteForm):
+            src = comp.space
+            if (src.d, src.k) != (space.d, space.k):
+                raise ConstructionError(f"cannot project a {src.d}D {src.k}-form onto "
+                                        f"{space.d}D {space.k}-forms")
+            samples = comp.eval_grid(pts, comp=i)[0]
+        else:
+            samples = np.asarray(comp(*np.meshgrid(*pts, indexing="ij")), dtype=float)
+            samples = np.broadcast_to(samples, tuple(p.size for p in pts))
+        coeffs = grid_values(samples, reductions)
+        for j, change in enumerate(changes):
+            coeffs = change.solve_along(coeffs, j)
+        flat[block.offset : block.offset + block.size] = coeffs.ravel(order="F")
+    return DiscreteForm(space, flat)

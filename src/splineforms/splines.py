@@ -57,6 +57,8 @@ class KnotVector:
             raise ConstructionError(
                 f"need at least {2 * (degree + 1)} knots for degree {degree}"
             )
+        if not np.all(np.isfinite(knots)):
+            raise ConstructionError("knots must be finite")
         if np.any(np.diff(knots) < 0.0):
             raise ConstructionError("knots must be nondecreasing")
         p = degree
@@ -194,8 +196,8 @@ class Basis1D:
             weights = np.ascontiguousarray(weights, dtype=float)
             if weights.shape != (nb,):
                 raise ConstructionError(f"expected {nb} weights, got {weights.shape}")
-            if np.any(weights <= 0.0):
-                raise ConstructionError("weights must be strictly positive")
+            if not np.all(np.isfinite(weights) & (weights > 0.0)):
+                raise ConstructionError("weights must be finite and strictly positive")
         self.weights = weights
         self.weights.flags.writeable = False
         self.is_bspline = bool(np.all(weights == 1.0))

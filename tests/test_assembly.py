@@ -493,6 +493,24 @@ def test_degenerate_side_raises_from_boundary_conditions(apply):
         apply(system, lambda x, y: (np.ones_like(x), np.zeros_like(y)))
 
 
+@pytest.mark.parametrize(
+    "apply", [apply_strong_normal_velocity, apply_weak_tangential_velocity]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_side_data_raises_naming_the_side(apply, bad):
+    system, _ = manufactured_system(p_vel=1, spans=4)
+    data = {(0, "left"): lambda x, y: (np.where(y > 0.5, bad, 0.0), 0.0 * y)}
+    with pytest.raises(FloatingPointError, match="side 'left' of patch 0"):
+        apply(system, data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_forcing_raises(bad):
+    forcing = (lambda x, y: np.where(x > 0.5, bad, x), lambda x, y: 0.0 * y)
+    with pytest.raises(FloatingPointError, match="forcing"):
+        assemble_vvp(make_spaces(2, 4), unit_square_patch(), forcing=forcing)
+
+
 def test_axis_edge_table_from_one_window_call(monkeypatch):
     rng = np.random.default_rng(3)
     basis = jittered_basis(3, 5, rng)

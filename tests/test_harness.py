@@ -420,6 +420,31 @@ class TestCli:
         for key in ("run_s", "output_s", "peak_rss", "seconds", "lu_nnz"):
             assert key not in meta
 
+    @pytest.mark.parametrize(
+        "case, flags, setting",
+        [
+            ("manufactured", ("--spans", "12"), "spans"),
+            ("taylor-couette", ("--spans", "12"), "spans"),
+            ("cavity", ("--levels", "7"), "levels"),
+            ("cavity", ("--levels", "7", "--base-spans", "3"), "base_spans, levels"),
+        ],
+    )
+    def test_setting_the_case_does_not_read_exit_2(self, tmp_path, case, flags, setting):
+        out = tmp_path / "out"
+        proc = self.run_cli("run", case, *flags, "--out", str(out))
+        assert proc.returncode == 2
+        assert f"{case} does not read {setting}" in proc.stderr
+        assert not out.exists()
+
+    def test_config_key_the_case_does_not_read_exit_2(self, tmp_path):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("case=cavity\nbase_spans=3\n")
+        out = tmp_path / "out"
+        proc = self.run_cli("run", "cavity", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert "cavity does not read base_spans" in proc.stderr
+        assert not out.exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frequency=11\n")

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splineforms.errors import IllPosedNodesError
+from splineforms.errors import ConstructionError, IllPosedNodesError
 from splineforms.geometry import curved_square_patch
 from splineforms.projection import (
     build_histopolation,
@@ -15,7 +15,7 @@ from splineforms.projection import (
     reduce_1form,
 )
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace
-from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
+from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, grid_values, uniform_open_knots
 from splineforms._quadrature import gauss_rule, panel_rule, split_interval
 
 
@@ -165,7 +165,7 @@ class TestBatchedIntervals:
         assert len(calls) == 1
 
     def test_reduction_tensor_matches_loop(self):
-        from splineforms.projection import _Projector
+        from splineforms.projection import _direction
 
         b0, b1 = BATCH_BASES["repeated interior knot"], BATCH_BASES["rational quadratic"]
         space = DiscreteFormSpace((b0, b1), 1)
@@ -173,7 +173,9 @@ class TestBatchedIntervals:
         rule = looped_rule(greville_edges(b0), b0.breakpoints, 5)
         nodes = b1.greville_points()
         want = np.array([[np.dot(g(pts, y), wts) for y in nodes] for pts, wts in rule])
-        got = _Projector(space).reduce_block(space.blocks[0], g)
+        pts, reductions, _ = zip(*(_direction(b, j in space.blocks[0].dirs)
+                                   for j, b in enumerate(space.nodal_bases)))
+        got = grid_values(g(*np.meshgrid(*pts, indexing="ij")), reductions)
         assert rel_gap(got, want) <= 1e-14
 
 
@@ -271,6 +273,24 @@ class TestProjection:
                 project_form(space, form).coeffs, form.coeffs, atol=1e-11
             )
 
+    @pytest.mark.parametrize("source, target", [((2, 0), (2, 1)), ((2, 0), (2, 2)),
+                                                ((1, 0), (2, 0)), ((2, 1), (1, 1))])
+    def test_form_of_another_dimension_or_degree_raises(self, source, target):
+        b = make_basis(2, 3)
+        form = DiscreteFormSpace((b,) * source[0], source[1]).zero()
+        space = DiscreteFormSpace((b,) * target[0], target[1])
+        for components in (form, [form] * len(space.blocks)):
+            with pytest.raises(ConstructionError, match="cannot project"):
+                project_form(space, components)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sample_raises(self, k, bad):
+        space = DiscreteFormSpace((make_basis(2, 3), make_basis(2, 4)), k)
+        g = lambda x, y: np.where(x + y > 1.5, bad, x * y)
+        with pytest.raises(FloatingPointError):
+            project_form(space, [g] * len(space.blocks))
+
     def test_commutes_with_pullback(self):
         # projecting the pulled-back form vs reducing over mapped cells
         # (the physical route uses finite-difference tangents only)
@@ -319,17 +339,16 @@ class TestProjection:
                     vals[i, j] = np.einsum("mc,mc,m->", avals, tangent, w)
             red[pos : pos + block.size] = vals.ravel(order="F")
             pos += block.size
-        from splineforms.projection import _Projector
+        from splineforms.projection import _direction
 
-        proj = _Projector(space, n_gauss=10)
         physical = np.empty(space.dim)
         for block in space.blocks:
             tensor = red[block.offset : block.offset + block.size].reshape(
                 block.shape, order="F"
             )
-            physical[block.offset : block.offset + block.size] = proj.solve_block(
-                block, tensor
-            ).ravel(order="F")
+            for j, basis in enumerate(space.nodal_bases):
+                tensor = _direction(basis, j in block.dirs, 10)[2].solve_along(tensor, j)
+            physical[block.offset : block.offset + block.size] = tensor.ravel(order="F")
         assert np.abs(physical - reference.coeffs).max() < 1e-10 * max(
             1.0, np.abs(reference.coeffs).max()
         )

@@ -135,6 +135,11 @@ class TestKnotVector:
         with pytest.raises(ConstructionError):
             KnotVector([0, 0, 0, 1, 1, 1, 1, 2, 2, 2], 2)
 
+    @pytest.mark.parametrize("knots", [[0, 0, np.nan, 1, 1], [0, 0, 1, np.inf, np.inf]])
+    def test_rejects_nonfinite_knots(self, knots):
+        with pytest.raises(ConstructionError, match="finite"):
+            KnotVector(knots, 1)
+
 
     def test_breakpoints_built_once_read_only(self):
         kv = KnotVector([0, 0, 0, 0.25, 0.25, 0.7, 1, 1, 1], 2)
@@ -188,6 +193,12 @@ class TestNodalBasis:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ConstructionError):
             bspline_basis([0, 0, 0, 1, 1, 1], 2, [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        kv = KnotVector([0, 0, 0.5, 1, 1], 1)
+        with pytest.raises(ConstructionError, match="finite"):
+            Basis1D(kv, [1.0, bad, 1.0])
 
 
 class TestNodalDerivative:
