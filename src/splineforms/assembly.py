@@ -50,9 +50,9 @@ from .errors import (
     SingularSystemError,
 )
 from .geometry import SIDES, MultiPatch, NurbsPatch, adjugate_apply, boundary_sides, mass_metric
-from .projection import build_histopolation, greville_rule
+from .projection import greville_reduction
 from .spaces import DiscreteForm, DiscreteFormSpace
-from .splines import EdgeBasis1D, collocation, edge_window, grid_values, stored_window
+from .splines import collocation, edge_window, grid_values, stored_window
 
 __all__ = [
     "MassMatrix",
@@ -132,6 +132,13 @@ class _Axis:
         return self._pairs[key]
 
 
+def _axis(axes, basis, nq: int) -> _Axis:
+    """The ``_Axis`` of (basis, nq) in ``axes``, built on first request."""
+    if (basis, nq) not in axes:
+        axes[basis, nq] = _Axis(basis, nq)
+    return axes[basis, nq]
+
+
 class _PatchGrid:
     """Tensor Gauss grid of one patch: per-direction tables and the geometry at every point.
 
@@ -164,9 +171,7 @@ class _PatchGrid:
                     "field breakpoints must refine the geometry breakpoints"
                 )
             nq = (n_quad if n_quad is not None else patch.bases[j].degree + b.degree + 1) + extra
-            if (b, nq) not in axes:
-                axes[b, nq] = _Axis(b, nq)
-            self.axes.append(axes[b, nq])
+            self.axes.append(_axis(axes, b, nq))
         x, y = self.axes[0].pts, self.axes[1].pts
         if need_phys:
             self.phys, self.jac, self.det = patch.frame_grid(x, y)
@@ -403,7 +408,8 @@ class SaddleSystem:
     Per-basis work is done once per system: patches given the same basis
     objects share their Gauss axes and pair operators, and patches given
     the same space triple also share the mass-matrix patterns and the
-    coboundaries.
+    coboundaries.  ``axes`` maps (nodal basis, Gauss points) to its
+    ``_Axis``, for the weak side rules and the harness's error grids too.
     """
 
     def __init__(self, spaces, patches, glue, nu, normal_sides=None, n_quad=None, forcing=None):
@@ -439,10 +445,10 @@ class SaddleSystem:
         self.rhs = np.zeros(self.size)
         mass, d10, d21 = ([], [], []), [], []
         owned = np.zeros(self.n1, dtype=bool)
-        axes, patterns = {}, {}  # per-basis work, shared by every patch
+        self.axes, patterns = {}, {}  # per-basis work, shared by every patch
         for p, (s0, s1, s2) in enumerate(spaces):
             grid = _PatchGrid(s0.nodal_bases, patches[p], n_quad=n_quad,
-                              need_phys=forcing is not None, axes=axes)
+                              need_phys=forcing is not None, axes=self.axes)
             maps = (self.map0[p], self.map1[p], self.map2[p])
             for k, space in enumerate((s0, s1, s2)):
                 mass[k].append((_assemble_mass_on_grid(space, grid, patterns), maps[k], maps[k]))
@@ -496,100 +502,53 @@ def _side_basis(system, patch_index, side):
     return basis, basis.degree + _along(system.patches[patch_index].bases, side).degree + 3
 
 
-class _SideRules:
-    """Side quadrature and side geometry of one boundary-condition call.
+def _side_velocity(system, p: int, side: str, vfun, points, frames: dict):
+    """Velocity data and physical side tangents at side parameters ``points``, each (m, 2).
 
-    A side's rule depends only on its field basis along the side and its
-    point count, so ``make_rule(basis, n)`` runs once per distinct pair;
-    the first entry of a rule is its points.  The geometry of a side is
-    its ``side_curve`` at those points, so one collocation of the
-    along-side geometry basis serves every side that shares it and the rule.
+    ``frames`` maps (along-side geometry basis, id of the cached points) to
+    their collocation, so sides that share both share one evaluation.
     """
-
-    def __init__(self, system: "SaddleSystem", make_rule):
-        self.system = system
-        self.make_rule = make_rule
-        self._rules = {}
-        self._colloc = {}
-
-    def rule(self, p: int, side: str):
-        key = _side_basis(self.system, p, side)
-        if key not in self._rules:
-            self._rules[key] = self.make_rule(*key)
-        return self._rules[key]
-
-    def velocity(self, p: int, side: str, vfun):
-        """Velocity data and physical side tangents at the side's rule points, each (m, 2)."""
-        curve = self.system.patches[p].side_curve(side)
-        key = (curve.basis, *_side_basis(self.system, p, side))
-        if key not in self._colloc:
-            self._colloc[key] = curve.basis.collocation(self.rule(p, side)[0])
-        points, tan = curve.frame(self._colloc[key])
-        v = np.asarray(vfun(*points.T), dtype=float).T
-        if not np.all(np.isfinite(v)):
-            raise FloatingPointError(f"non-finite velocity data on side {side!r} of patch {p}")
-        return np.broadcast_to(v, tan.shape), tan
-
-
-def _panel_side_rule(basis, n: int):
-    """Points, weights and the sparse (functions, points) nodal matrix of a side's panel rule."""
-    pts, wts = panel_rule(basis.breakpoints, n)
-    t = pts.ravel()
-    return t, wts.ravel(), basis.collocation(t)[0].T
-
-
-def _side_flux_integrals(system, data):
-    """Line integrals of the velocity flux form over each side's boundary cells.
-
-    ``data`` maps (patch, side) to a velocity callable or None (zero data).
-    Returns the integrals per side and ``size``, the integral of the
-    speed |v| over all of those sides, which bounds every flux sum and
-    scales with the velocity and the length of the domain alike.
-    """
-    sides = _SideRules(system, greville_rule)
-    out = {}
-    size = 0.0
-    for (p, side), vfun in data.items():
-        if vfun is None:
-            out[p, side] = np.zeros(_side_basis(system, p, side)[0].num_basis - 1)
-            continue
-        _, wts, owner = sides.rule(p, side)
-        v, tan = sides.velocity(p, side, vfun)
-        flux = v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0]
-        out[p, side] = np.bincount(owner, weights=flux * wts, minlength=owner[-1] + 1)
-        size += np.sum(np.hypot(*v.T) * np.hypot(*tan.T) * wts)
-    return out, size
+    curve = system.patches[p].side_curve(side)
+    key = (curve.basis, id(points))
+    if key not in frames:
+        frames[key] = curve.basis.collocation(points)
+    xy, tan = curve.frame(frames[key])
+    v = np.asarray(vfun(*xy.T), dtype=float).T
+    if not np.all(np.isfinite(v)):
+        raise FloatingPointError(f"non-finite velocity data on side {side!r} of patch {p}")
+    return np.broadcast_to(v, tan.shape), tan
 
 
 def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleSystem:
     """Fix boundary normal-flux coefficients from prescribed velocity data.
 
-    The trace of the flux form on each constrained side is projected onto
-    the side's edge functions (histopolation of the cell line integrals),
-    and the matching velocity coefficients are pinned.  Raises when the
-    net prescribed flux of an enclosed flow is nonzero, relative to the
-    integral of the prescribed speed over the boundary.  The largest
-    condition number of the histopolations used is kept as
-    ``system.histopolation_cond``.
+    Each constrained side's flux form goes through the 1D commuting
+    projection of its along-side basis (``greville_reduction``): line
+    integrals over the side's cells, then histopolation; the matching
+    velocity coefficients are pinned.  Raises when the net flux of an
+    enclosed flow is nonzero relative to the integral of the speed over
+    the boundary, which bounds every flux sum and scales like it.  The
+    largest histopolation condition number goes to ``histopolation_cond``.
     """
     data = _normalize_side_data(velocity, system.normal_sides)
-    net = 0.0
-    histopolation = {}  # one per distinct side basis
-    fluxes, size = _side_flux_integrals(system, data)
-    for (p, side), integrals in fluxes.items():
-        net += _SIDE_SIGN[side] * integrals.sum()
-        if data[p, side] is None:
-            values = integrals
+    net = size = 0.0
+    frames, conds = {}, []
+    for (p, side), vfun in data.items():
+        basis, n = _side_basis(system, p, side)
+        if vfun is None:
+            integrals = values = np.zeros(basis.num_basis - 1)
         else:
-            basis, _ = _side_basis(system, p, side)
-            if basis not in histopolation:
-                histopolation[basis] = build_histopolation(EdgeBasis1D(basis))
-            values = histopolation[basis].solve(integrals)
+            points, reduction, change = greville_reduction(basis, True, n)
+            v, tan = _side_velocity(system, p, side, vfun, points, frames)
+            integrals = reduction @ (v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0])
+            size += np.sum(reduction @ (np.hypot(*v.T) * np.hypot(*tan.T)))
+            values = change.solve(integrals)
+            conds.append(change.cond)
+        net += _SIDE_SIGN[side] * integrals.sum()
         gids = system.map1[p][_side_ids(system.spaces[p][1], side)]
         system.free[gids] = False
         system.e_fixed[gids] = values
-    if histopolation:
-        system.histopolation_cond = max(h.cond for h in histopolation.values())
+    system.histopolation_cond = max(conds, default=system.histopolation_cond)
     if system.gauge and abs(net) > 1e-9 * size:
         raise FluxCompatibilityError(net)
     return system
@@ -602,16 +561,19 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
     right-hand side.  Only sides listed (or all boundary sides for a
     plain callable) contribute; missing sides mean zero data, and data
     for a side that is not a boundary side raises ConstructionError.
+    Each side is integrated on the Gauss axis of its along-side basis
+    in ``system.axes``.
     """
     entries = _normalize_side_data(velocity, system.boundary)
-    rules = _SideRules(system, _panel_side_rule)
+    frames = {}
     b1 = np.zeros(system.n0)
     for (p, side), vfun in entries.items():
         if vfun is None:
             continue
-        _, wts, colloc = rules.rule(p, side)
-        v, tan = rules.velocity(p, side, vfun)
-        local = -_SIDE_SIGN[side] * (colloc @ (np.einsum("mc,mc->m", v, tan) * wts))
+        axis = _axis(system.axes, *_side_basis(system, p, side))
+        v, tan = _side_velocity(system, p, side, vfun, axis.pts, frames)
+        tangential = np.einsum("mc,mc->m", v, tan) * axis.w
+        local = -_SIDE_SIGN[side] * (axis.colloc[False].T @ tangential)
         gids = system.map0[p][_side_ids(system.spaces[p][0], side)]
         np.add.at(b1, gids, local)
     system.rhs[: system.n0] += system.nu * b1
@@ -661,8 +623,7 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=N
                         forcing=forcing)
 
 
-def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str,
-            order_only: bool = False):
+def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
     """Sparse LU with diagonal pivots; failures become SingularSystemError.
 
     ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
@@ -670,29 +631,16 @@ def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str,
     symmetrically.  An exactly singular factor raises; pivot growth
     shows in the solve residual.  The factor's nonzeros, their ratio to
     the nonzeros of the matrix and the seconds go into ``factors[key]``.
-    With ``order_only`` only ``perm_c`` is wanted: SuperLU's incomplete
-    factorization with ``drop_tol=inf`` computes the same column order as
-    the full one and then keeps almost no entries, at a fraction of the
-    cost; only its seconds are recorded.
     """
     start = time.perf_counter()
     matrix = matrix.tocsc()
-    ilu = {"drop_tol": np.inf, "fill_factor": 1} if order_only else {}
     try:
-        lu = (spla.spilu if order_only else spla.splu)(
-            matrix,
-            permc_spec=permc_spec,
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-            **ilu,
-        )
+        lu = spla.splu(matrix, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization of the {what} failed: {exc}") from exc
     seconds = time.perf_counter() - start
-    if order_only:
-        factors[key] = {"seconds": seconds}
-    else:
-        factors[key] = {"nnz": int(lu.nnz), "fill_ratio": lu.nnz / matrix.nnz, "seconds": seconds}
+    factors[key] = {"nnz": int(lu.nnz), "fill_ratio": lu.nnz / matrix.nnz, "seconds": seconds}
     return lu
 
 
@@ -703,11 +651,20 @@ def _node_paired_positions(A_ww, group, gauged, factors: dict) -> np.ndarray:
     whose pattern is the node graph of every block of the system; each
     stream unknown ``y_g`` comes right after the last node of its group
     ``g``, so it is eliminated only once a coupled vorticity pivot has
-    made its diagonal nonzero.
+    made its diagonal nonzero.  The order is read off SuperLU's incomplete
+    factorization with ``drop_tol=inf``: the same column order as the full
+    one, which keeps almost no entries; its seconds go to ``factors``.
     """
     n0 = A_ww.shape[0]
-    node_pos = _factor(-A_ww, "vorticity mass matrix", "MMD_AT_PLUS_A", factors, "order",
-                       True).perm_c
+    start = time.perf_counter()
+    try:
+        node_pos = spla.spilu((-A_ww).tocsc(), drop_tol=np.inf, fill_factor=1,
+                              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                              options={"SymmetricMode": True}).perm_c
+    except RuntimeError as exc:
+        raise SingularSystemError(
+            f"factorization of the vorticity mass matrix failed: {exc}") from exc
+    factors["order"] = {"seconds": time.perf_counter() - start}
     last = np.zeros(group.max() + 1, dtype=np.int64)
     np.maximum.at(last, group, node_pos)
     keys = np.concatenate((2 * node_pos, 2 * last[gauged] + 1))  # distinct, below 2 n0
@@ -807,11 +764,19 @@ def solve(system: SaddleSystem) -> Solution:
     ``f / nu``, and the pressure is scaled back by ``nu``.  The relative
     residual of the full reduced mixed system, in those rows and computed
     block by block (``_reduced_residual``), must stay below 1e-10.
+    Every side of ``system.normal_sides`` must have been pinned by
+    ``apply_strong_normal_velocity``, or ConstructionError names those
+    that were not.
     """
     n0, n2, nu = system.n0, system.n2, system.nu
     D10, D21 = system.D10, system.D21
     f_u = system.rhs[n0 : n0 + system.n1]
     free, e_fixed = system.free, system.e_fixed
+    unpinned = [(p, side) for p, side in system.normal_sides
+                if free[system.map1[p][_side_ids(system.spaces[p][1], side)]].any()]
+    if unpinned:
+        raise ConstructionError(f"normal_sides {unpinned} still have free flux cells; "
+                                "apply_strong_normal_velocity pins them")
 
     # divergence-free lift of the fixed fluxes; pin one 2-cell under the gauge
     D21_free = D21[:, free]

@@ -58,8 +58,7 @@ CASES = tuple(_CASE_GEOMETRIES)
 _CASE_SETTINGS = {
     "manufactured": ("degree", "levels", "geometry", "nu", "quad", "out_dir", "base_spans"),
     "taylor-couette": ("degree", "levels", "geometry", "nu", "quad", "out_dir", "base_spans"),
-    "cavity": ("degree", "geometry", "nu", "quad", "out_dir", "spans", "profile_points",
-               "field_points"),
+    "cavity": ("degree", "geometry", "nu", "quad", "out_dir", "spans"),
 }
 # case -> the errors that are rounding noise, because the exact field lies in
 # the discrete space (the Couette vorticity and pressure); no rate is written
@@ -79,8 +78,6 @@ class CaseConfig:
     out_dir: str = "out"
     base_spans: int = 4
     spans: int | None = None  # cavity resolution (spans per direction)
-    profile_points: int = 101
-    field_points: int = 101
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -232,10 +229,10 @@ def _solution_errors(solution, exact, extra_quad: int = 2, quad=None):
     sysm = solution.system
     e_w2 = e_u2 = e_p2 = 0.0
     div_pt = 0.0
-    axes = {}  # per-basis tables, shared by every patch
     for p, patch in enumerate(sysm.patches):
         bases = sysm.spaces[p][0].nodal_bases
-        grid = _PatchGrid(bases, patch, n_quad=quad, extra=extra_quad, need_phys=True, axes=axes)
+        grid = _PatchGrid(bases, patch, n_quad=quad, extra=extra_quad, need_phys=True,
+                          axes=sysm.axes)  # the system's per-basis tables
         W = grid.w * grid.det
         X = grid.phys[..., 0]
         Y = grid.phys[..., 1]
@@ -249,7 +246,7 @@ def _solution_errors(solution, exact, extra_quad: int = 2, quad=None):
         # points per element the divergence check lacks for 23 per direction
         more = max(-(-23 // (axis.pts.size // axis.nq)) - axis.nq for axis in grid.axes)
         if more > 0:
-            grid = _PatchGrid(bases, patch, n_quad=quad, extra=extra_quad + more, axes=axes)
+            grid = _PatchGrid(bases, patch, n_quad=quad, extra=extra_quad + more, axes=sysm.axes)
         div = grid.reconstruct(fu.exterior_derivative(), 0) / grid.det
         div_pt = max(div_pt, float(np.abs(div).max()))
     return np.sqrt(e_w2), np.sqrt(e_u2), np.sqrt(e_p2), div_pt
@@ -401,19 +398,16 @@ def run_cavity(config: CaseConfig) -> CavityResult:
     div_max = float(np.abs(solution.divergence_cochain(0)).max())
 
     fo, fu, fp = solution.forms(0)
-    n = config.profile_points
-    line = np.linspace(0.0, 1.0, n)
+    line = np.linspace(0.0, 1.0, 101)  # samples of the profiles and of each field direction
     comps_v = fu.eval_grid((np.array([0.5]), line))
     vx_center = comps_v[1][0]  # horizontal velocity = dy-component of the flux form
     comps_h = fu.eval_grid((line, np.array([0.5])))
     vy_center = -comps_h[0][:, 0]
 
-    m = config.field_points
-    gx = np.linspace(0.0, 1.0, m)
     psi, stream_resid = _stream_function(solution)
-    stream = DiscreteForm(system.spaces[0][0], psi).eval_grid((gx, gx))[0]
-    vort = fo.eval_grid((gx, gx))[0]
-    pres = fp.eval_grid((gx, gx))[0]  # identity map: density = reference values
+    stream = DiscreteForm(system.spaces[0][0], psi).eval_grid((line, line))[0]
+    vort = fo.eval_grid((line, line))[0]
+    pres = fp.eval_grid((line, line))[0]  # identity map: density = reference values
     return CavityResult(
         spans=spans,
         degree=config.degree,

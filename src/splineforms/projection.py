@@ -12,6 +12,8 @@ basis are dense views of the collocation matrices of ``splines``.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -28,6 +30,7 @@ __all__ = [
     "build_interpolation",
     "build_histopolation",
     "greville_edges",
+    "greville_reduction",
     "greville_rule",
     "project_form",
 ]
@@ -145,20 +148,34 @@ def build_histopolation(edge_basis: EdgeBasis1D) -> ChangeOfBasis:
     return ChangeOfBasis(-np.diff(np.cumsum(values, axis=1)[:, :-1], axis=0))
 
 
-def _direction(basis: Basis1D, edge: bool, n_gauss=None):
+# immutable basis (hashed by identity) -> {(edge, n_gauss): (points, reduction, change)}
+_REDUCTIONS = weakref.WeakKeyDictionary()
+
+
+def greville_reduction(basis: Basis1D, edge: bool, n_gauss=None):
     """Points, sparse (cells, points) reduction matrix and change of basis of one direction.
 
     A nodal factor samples the Greville nodes (the reduction is the
     identity) and interpolates.  An edge factor integrates over the
     Greville intervals: row i holds the ``greville_rule`` weights of the
-    points interval i owns; it histopolates.
+    points interval i owns; it histopolates.  Built once per basis and
+    rule, kept while the basis lives; the points are read-only.
     """
-    if not edge:
-        nodes = basis.greville_points()
-        return nodes, sp.identity(nodes.size, format="csr"), build_interpolation(basis)
-    pts, wts, owner = greville_rule(basis, n_gauss)
-    reduction = sp.csr_matrix((wts, (owner, np.arange(pts.size))), shape=(basis.n, pts.size))
-    return pts, reduction, build_histopolation(EdgeBasis1D(basis))
+    cache = _REDUCTIONS.setdefault(basis, {})
+    key = (edge, n_gauss if edge else None)
+    if key not in cache:
+        if edge:
+            pts, wts, owner = greville_rule(basis, n_gauss)
+            reduction = sp.csr_matrix((wts, (owner, np.arange(pts.size))),
+                                      shape=(basis.n, pts.size))
+            change = build_histopolation(EdgeBasis1D(basis))
+        else:
+            pts = basis.greville_points()
+            reduction = sp.identity(pts.size, format="csr")
+            change = build_interpolation(basis)
+        pts.flags.writeable = False
+        cache[key] = pts, reduction, change
+    return cache[key]
 
 
 def project_form(space: DiscreteFormSpace, components, n_gauss=None) -> DiscreteForm:
@@ -187,7 +204,7 @@ def project_form(space: DiscreteFormSpace, components, n_gauss=None) -> Discrete
         raise ConstructionError(f"expected {len(blocks)} component callables, got {len(source)}")
     flat = np.empty(space.dim)
     for i, (block, comp) in enumerate(zip(blocks, source)):
-        pts, reductions, changes = zip(*(_direction(b, j in block.dirs, n_gauss)
+        pts, reductions, changes = zip(*(greville_reduction(b, j in block.dirs, n_gauss)
                                          for j, b in enumerate(space.nodal_bases)))
         if isinstance(comp, DiscreteForm):
             src = comp.space

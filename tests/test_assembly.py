@@ -6,12 +6,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from splineforms import assembly
+from splineforms import assembly, projection
 from splineforms.assembly import (
     _PatchGrid,
-    _SideRules,
     _glued_numbering,
-    _side_flux_integrals,
+    _side_basis,
+    _side_velocity,
     apply_strong_normal_velocity,
     apply_weak_tangential_velocity,
     assemble_mass,
@@ -35,7 +35,7 @@ from splineforms.geometry import (
 from splineforms.harness import _bases, manufactured_fields
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
 from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, stored_window, uniform_open_knots
-from splineforms.projection import build_histopolation, greville_edges, greville_rule
+from splineforms.projection import build_histopolation, greville_edges, greville_reduction
 from splineforms._quadrature import panel_rule, split_interval
 
 
@@ -429,15 +429,16 @@ class TestSideEvaluationCounts:
         system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette())
         patch = system.patches[2]
         patch.side_curve(side)  # built once per patch and side
-        rules = _SideRules(system, greville_rule)
-        t = rules.rule(2, side)[0]
+        basis, n = _side_basis(system, 2, side)
+        t = greville_reduction(basis, True, n)[0]
         vfun = lambda x, y: (x * y, x - y)
         want_points = patch.map_point(patch.side_points(side, t))
         want_tan = patch.side_tangent(side, t)
         windows = count_calls(monkeypatch, Basis1D, "window")
-        v, tan = rules.velocity(2, side, vfun)
+        frames = {}
+        v, tan = _side_velocity(system, 2, side, vfun, t, frames)
         assert len(windows) == 1  # the along-side geometry basis at the rule's points
-        rules.velocity(2, side, vfun)
+        _side_velocity(system, 2, side, vfun, t, frames)
         assert len(windows) == 1
         assert np.abs(tan - want_tan).max() <= 1e-14 * np.abs(want_tan).max()
         want_v = np.column_stack(vfun(*want_points.T))
@@ -452,7 +453,7 @@ class TestSideEvaluationCounts:
         else:
             system = assemble_vvp(vvp_spaces(_bases(3, 5)), unit_square_patch())
             distinct = 1
-        builds = count_calls(monkeypatch, assembly, "build_histopolation")
+        builds = count_calls(monkeypatch, projection, "build_histopolation")
         apply_strong_normal_velocity(system, lambda x, y: (0.0 * x, 0.0 * y))
         assert len(builds) == distinct
         assert len({id(args[0].parent) for args in builds}) == distinct
@@ -533,10 +534,12 @@ class TestBatchedSideIntegrals:
             system = assemble_vvp([make_spaces(3, 5) for _ in range(4)], build_taylor_couette())
         else:
             system, _ = manufactured_system(p_vel=2, spans=5, patch=curved_square_patch())
-        integrals, _ = _side_flux_integrals(system, {key: vfun for key in system.boundary})
         for p, side in system.boundary:
             want = looped_side_flux(system, p, side, vfun)
-            got = integrals[p, side]
+            basis, n = _side_basis(system, p, side)
+            points, reduction, _ = greville_reduction(basis, True, n)
+            v, tan = _side_velocity(system, p, side, vfun, points, {})
+            got = reduction @ (v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0])
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -714,14 +717,20 @@ class TestSubspaceSolve:
     @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
     def test_every_pivot_on_the_diagonal(self, case, monkeypatch):
         factors = []
-        original = assembly._factor
+        original, original_ilu = assembly._factor, spla.spilu
 
         def recorded(matrix, what, permc_spec, *record):
             lu = original(matrix, what, permc_spec, *record)
             factors.append((what, lu))
             return lu
 
+        def recorded_ilu(*args, **kwargs):  # the order of the vorticity mass matrix
+            lu = original_ilu(*args, **kwargs)
+            factors.append(("vorticity mass matrix", lu))
+            return lu
+
         monkeypatch.setattr(assembly, "_factor", recorded)
+        monkeypatch.setattr(spla, "spilu", recorded_ilu)
         solve(SOLVE_CASES[case]())
         assert [what for what, _ in factors] == [
             "2-cell Laplacian", "vorticity mass matrix", "vorticity-stream system",
@@ -753,8 +762,8 @@ class TestSubspaceSolve:
 
     def test_exactly_singular_order_raises(self):
         with pytest.raises(SingularSystemError):
-            assembly._factor(sp.csc_matrix(np.ones((3, 3))), "test matrix", "MMD_AT_PLUS_A", {},
-                             "T", True)
+            assembly._node_paired_positions(sp.csc_matrix(-np.ones((3, 3))), np.zeros(3, int),
+                                            np.zeros(0, int), {})
 
     @pytest.mark.parametrize("case", ["cavity", "couette", "curved-square"])
     def test_order_matches_the_full_factorization(self, case):
@@ -767,9 +776,28 @@ class TestSubspaceSolve:
         want = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True}).perm_c
         factors = {}
-        got = assembly._factor(-A, "test matrix", "MMD_AT_PLUS_A", factors, "order", True).perm_c
+        # with no stream unknowns the node-paired positions are the order itself
+        got = assembly._node_paired_positions(-A, np.zeros(A.shape[0], int), np.zeros(0, int),
+                                              factors)
         npt.assert_array_equal(got, want)
         assert set(factors["order"]) == {"seconds"}
+
+    def test_unpinned_normal_sides_raise(self):
+        # a lid with no wall data: the walls that normal_sides constrains are open
+        system = assemble_vvp(make_spaces(3, 6), unit_square_patch())
+        apply_weak_tangential_velocity(
+            system, {(0, "top"): lambda x, y: (np.ones_like(x), np.zeros_like(y))})
+        with pytest.raises(ConstructionError, match="apply_strong_normal_velocity") as info:
+            solve(system)
+        for key in system.normal_sides:
+            assert str(key) in str(info.value)
+        apply_strong_normal_velocity(system)
+        left = system.map1[0][assembly._side_ids(system.spaces[0][1], "left")]
+        system.free[left[1:2]] = True
+        with pytest.raises(ConstructionError, match=r"\[\(0, 'left'\)\]"):
+            solve(system)
+        system.free[left] = False
+        assert solve(system).residual < 1e-10
 
     def test_tiny_viscosity_is_a_rescaling(self):
         # the cavity of `run cavity --nu 1e-8 --spans 12`: Stokes velocity and

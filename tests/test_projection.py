@@ -1,15 +1,19 @@
 """Projection tests: reductions, change of basis, commuting diagrams."""
 
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from splineforms import projection
 from splineforms.errors import ConstructionError, IllPosedNodesError
 from splineforms.geometry import curved_square_patch
 from splineforms.projection import (
     build_histopolation,
     build_interpolation,
     greville_edges,
+    greville_reduction,
     project_form,
     reduce_0form,
     reduce_1form,
@@ -165,18 +169,61 @@ class TestBatchedIntervals:
         assert len(calls) == 1
 
     def test_reduction_tensor_matches_loop(self):
-        from splineforms.projection import _direction
-
         b0, b1 = BATCH_BASES["repeated interior knot"], BATCH_BASES["rational quadratic"]
         space = DiscreteFormSpace((b0, b1), 1)
         g = lambda x, y: np.sin(2 * x + y) + x * y**2
         rule = looped_rule(greville_edges(b0), b0.breakpoints, 5)
         nodes = b1.greville_points()
         want = np.array([[np.dot(g(pts, y), wts) for y in nodes] for pts, wts in rule])
-        pts, reductions, _ = zip(*(_direction(b, j in space.blocks[0].dirs)
+        pts, reductions, _ = zip(*(greville_reduction(b, j in space.blocks[0].dirs)
                                    for j, b in enumerate(space.nodal_bases)))
         got = grid_values(g(*np.meshgrid(*pts, indexing="ij")), reductions)
         assert rel_gap(got, want) <= 1e-14
+
+
+def jittered_basis(rng, degree=3, spans=8):
+    inner = (np.arange(1, spans) + rng.uniform(-0.3, 0.3, spans - 1)) / spans
+    return Basis1D(KnotVector(np.r_[[0.0] * (degree + 1), inner, [1.0] * (degree + 1)], degree))
+
+
+class TestReductionCache:
+    def test_forms_sequence_builds_each_change_of_basis_once(self, monkeypatch):
+        # a 0-, 1- and 2-form and the analytic dF and dW on two jittered bases:
+        # 14 blocks' directions, but only a nodal and an edge matrix per basis
+        rng = np.random.default_rng(11)
+        bases = (jittered_basis(rng), jittered_basis(rng))
+        s0, s1, s2 = (DiscreteFormSpace(bases, k) for k in (0, 1, 2))
+        builds = []
+        original = projection.ChangeOfBasis.__init__
+
+        def counted(self, matrix):
+            builds.append(matrix.shape)
+            original(self, matrix)
+
+        monkeypatch.setattr(projection.ChangeOfBasis, "__init__", counted)
+        project_form(s0, lambda x, y: np.sin(x + 2 * y))
+        project_form(s1, [lambda x, y: np.cos(x) * y, lambda x, y: x * y**2])
+        project_form(s2, lambda x, y: np.exp(x - y))
+        project_form(s1, [lambda x, y: np.cos(x + 2 * y), lambda x, y: 2 * np.cos(x + 2 * y)])
+        project_form(s2, lambda x, y: 2 * x * y - np.cos(x))
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_points_are_read_only(self, edge):
+        points = greville_reduction(make_basis(2, 4), edge)[0]
+        with pytest.raises(ValueError):
+            points[0] = 0.5
+
+    def test_entry_dies_with_its_basis(self):
+        gc.collect()
+        before = len(projection._REDUCTIONS)
+        basis = make_basis(3, 5)
+        greville_reduction(basis, True)
+        greville_reduction(basis, False)
+        assert len(projection._REDUCTIONS) == before + 1
+        del basis
+        gc.collect()
+        assert len(projection._REDUCTIONS) == before
 
 
 class TestProjection:
@@ -339,15 +386,13 @@ class TestProjection:
                     vals[i, j] = np.einsum("mc,mc,m->", avals, tangent, w)
             red[pos : pos + block.size] = vals.ravel(order="F")
             pos += block.size
-        from splineforms.projection import _direction
-
         physical = np.empty(space.dim)
         for block in space.blocks:
             tensor = red[block.offset : block.offset + block.size].reshape(
                 block.shape, order="F"
             )
             for j, basis in enumerate(space.nodal_bases):
-                tensor = _direction(basis, j in block.dirs, 10)[2].solve_along(tensor, j)
+                tensor = greville_reduction(basis, j in block.dirs, 10)[2].solve_along(tensor, j)
             physical[block.offset : block.offset + block.size] = tensor.ravel(order="F")
         assert np.abs(physical - reference.coeffs).max() < 1e-10 * max(
             1.0, np.abs(reference.coeffs).max()
