@@ -108,8 +108,9 @@ class _Axis:
 
     ``colloc[edge]`` is the collocation matrix of the nodal (edge False)
     or edge (edge True) family, both from one ``window`` call;
-    ``pair(edge_a, edge_b)`` is the pair operator of two families, built
-    on first use.
+    ``pair(edge_a, edge_b)`` is the pair operator of two families and
+    ``geometry(basis)`` the (values, derivatives) collocation of a
+    geometry basis at the points, each built on first use.
     """
 
     def __init__(self, basis, nq: int):
@@ -124,12 +125,18 @@ class _Axis:
             True: collocation(first, edge_window(nders), basis.num_basis - 1),
         }
         self._pairs = {}
+        self._geometry = {}
 
     def pair(self, edge_a: bool, edge_b: bool) -> _PairOperator:
         key = (edge_a, edge_b)
         if key not in self._pairs:
             self._pairs[key] = _PairOperator(self.colloc[edge_a], self.colloc[edge_b])
         return self._pairs[key]
+
+    def geometry(self, basis):
+        if basis not in self._geometry:
+            self._geometry[basis] = basis.collocation(self.pts)
+        return self._geometry[basis]
 
 
 def _axis(axes, basis, nq: int) -> _Axis:
@@ -145,12 +152,12 @@ class _PatchGrid:
     Point arrays are shaped (Q1, Q2), the Gauss points of direction 1 by
     those of direction 2.  ``axes`` maps (nodal basis, rule) to its
     ``_Axis``; directions and patches given the same basis object and
-    rule share one ``_Axis`` through it, and with it its pair operators,
-    so a caller that holds one dict across the patches of a system does
-    the per-basis work once.  ``jac`` and ``det`` are always there;
-    ``phys``, the physical image of every Gauss point, only with
-    ``need_phys`` (forcing and error evaluation), from the same geometry
-    tables.
+    rule share one ``_Axis`` through it, and with it its pair operators
+    and its geometry tables, so a caller that holds one dict across the
+    patches of a system does the per-basis work once.  ``jac`` and
+    ``det`` are always there; ``phys``, the physical image of every Gauss
+    point, only with ``need_phys`` (forcing and error evaluation), from
+    the same geometry tables.
     """
 
     def __init__(self, nodal_bases, patch: NurbsPatch, n_quad=None, extra: int = 0,
@@ -172,11 +179,10 @@ class _PatchGrid:
                 )
             nq = (n_quad if n_quad is not None else patch.bases[j].degree + b.degree + 1) + extra
             self.axes.append(_axis(axes, b, nq))
-        x, y = self.axes[0].pts, self.axes[1].pts
+        colloc = [axis.geometry(geo) for axis, geo in zip(self.axes, patch.bases)]
+        self.jac, self.det = patch.jacobian_from(colloc)
         if need_phys:
-            self.phys, self.jac, self.det = patch.frame_grid(x, y)
-        else:
-            self.jac, self.det = patch.jacobian_grid(x, y)
+            self.phys = patch.map_from(colloc)
         self.w = np.outer(self.axes[0].w, self.axes[1].w)
 
     def collocation(self, block):
@@ -318,22 +324,28 @@ def _glued_numbering(sizes, pairs):
 
 
 def _glued(parts, shape):
-    """Sum of per-patch matrices placed through their (row map, column map) pairs.
+    """Sum of per-patch CSR or CSC matrices placed through their (row map, column map) pairs.
 
-    Without gluing (one part whose maps cover the whole shape, hence the
-    identity) the part itself is returned.
+    Each part's compressed arrays expand straight into global rows and
+    columns (its map of the compressed axis repeated over ``indptr``, its
+    other map gathered at ``indices``); one CSR of all of them sums the
+    entries that gluing puts in the same place.  Without gluing (one part
+    whose maps cover the whole shape, hence the identity) the part itself
+    is returned.
     """
     if len(parts) == 1 and parts[0][1].size == shape[0] and parts[0][2].size == shape[1]:
         return parts[0][0]
-    coo = [(m.tocoo(), rows, cols) for m, rows, cols in parts]
-    return sp.csr_matrix(
-        (
-            np.concatenate([m.data for m, _, _ in coo]),
-            (np.concatenate([rows[m.row] for m, rows, _ in coo]),
-             np.concatenate([cols[m.col] for m, _, cols in coo])),
-        ),
-        shape=shape,
-    )
+    rows, cols = [], []
+    for m, row_map, col_map in parts:
+        counts = np.diff(m.indptr)
+        if m.format == "csr":
+            rows.append(np.repeat(row_map, counts))
+            cols.append(col_map[m.indices])
+        else:
+            rows.append(row_map[m.indices])
+            cols.append(np.repeat(col_map, counts))
+    data = np.concatenate([m.data for m, _, _ in parts])
+    return sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
 
 def _check_glued_bases(spaces, glue):
@@ -452,7 +464,11 @@ class SaddleSystem:
             maps = (self.map0[p], self.map1[p], self.map2[p])
             for k, space in enumerate((s0, s1, s2)):
                 mass[k].append((_assemble_mass_on_grid(space, grid, patterns), maps[k], maps[k]))
-            own = ~owned[maps[1]]  # a glued 1-cell keeps the D10 row of its first patch
+            # a glued 1-cell keeps one D10 row, that of its first copy, even
+            # when both copies lie in one patch glued to itself
+            own = np.zeros(maps[1].size, dtype=bool)
+            own[np.unique(maps[1], return_index=True)[1]] = True
+            own &= ~owned[maps[1]]
             owned[maps[1]] = True
             d10.append((s0.coboundary_matrix()[own], maps[1][own], maps[0]))
             d21.append((s1.coboundary_matrix(), maps[2], maps[1]))

@@ -127,18 +127,21 @@ def _make_config(args) -> CaseConfig:
     return config
 
 
-def _write_stats(config: CaseConfig, run_s: float, output_s: float, solve_stats: dict) -> Path:
-    """Write ``stats.json``: wall times, peak RSS and the last solve's statistics.
+def _write_stats(config: CaseConfig, run_s: float, output_s: float, level_stats) -> Path:
+    """Write ``stats.json``: wall times, peak RSS and the statistics of every solve.
 
-    It is outside the bit-exact output set: times and memory change
-    from run to run.  ``peak_rss_mb`` is ``ru_maxrss`` (KiB on Linux).
+    ``levels`` lists the ``Solution.stats`` of each level (the cavity
+    has one) and ``solve`` repeats the last.  It is outside the
+    bit-exact output set: times and memory change from run to run.
+    ``peak_rss_mb`` is ``ru_maxrss`` (KiB on Linux).
     """
     stats = {
         "case": config.case,
         "run_s": run_s,
         "output_s": output_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "solve": solve_stats,
+        "solve": level_stats[-1],
+        "levels": level_stats,
     }
     path = Path(config.out_dir) / "stats.json"
     path.write_text(json.dumps(stats, indent=1, sort_keys=True) + "\n")
@@ -155,16 +158,16 @@ def _cmd_run(args) -> int:
     records = result = None
     if config.case == "cavity":
         result = run_cavity(config)
-        solve_stats = result.stats
+        level_stats = [result.stats]
     else:
         runner = run_manufactured if config.case == "manufactured" else run_taylor_couette
-        records, (solution, _) = runner(config)
-        solve_stats = solution.stats
+        records, _ = runner(config)
+        level_stats = [rec.stats for rec in records]
     run_s = time.perf_counter() - start
     start = time.perf_counter()
     paths = emit_outputs(config, records=records, cavity=result)
     output_s = time.perf_counter() - start
-    paths.append(_write_stats(config, run_s, output_s, solve_stats))
+    paths.append(_write_stats(config, run_s, output_s, level_stats))
 
     if config.case == "manufactured":
         for rec in records:

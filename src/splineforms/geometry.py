@@ -30,6 +30,7 @@ __all__ = [
     "curved_square_patch",
     "quarter_annulus_patch",
     "build_taylor_couette",
+    "build_self_glued_annulus",
     "SIDES",
     "boundary_sides",
     "jacobian_det",
@@ -206,23 +207,25 @@ class NurbsPatch:
 
     def map_grid(self, x_axis, y_axis) -> np.ndarray:
         """Physical points over a tensor grid, shape (m1, m2, 2)."""
-        (v1, _), (v2, _) = self._collocation((x_axis, y_axis))
-        return grid_values(self.control, (v1, v2))
-
-    def _jacobian_on_grid(self, colloc):
-        (v1, d1), (v2, d2) = colloc
-        jac = np.stack([grid_values(self.control, pair) for pair in ((d1, v2), (v1, d2))], axis=-1)
-        return jac, jacobian_det(jac)
+        return self.map_from(self._collocation((x_axis, y_axis)))
 
     def jacobian_grid(self, x_axis, y_axis):
         """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid."""
-        return self._jacobian_on_grid(self._collocation((x_axis, y_axis)))
+        return self.jacobian_from(self._collocation((x_axis, y_axis)))
 
-    def frame_grid(self, x_axis, y_axis):
-        """``map_grid`` and ``jacobian_grid`` together, from one window call per axis."""
-        colloc = self._collocation((x_axis, y_axis))
+    def map_from(self, colloc) -> np.ndarray:
+        """``map_grid`` from per-direction (values, derivatives) collocations of ``bases``.
+
+        Patches and directions with the same geometry basis and points can pass one table.
+        """
         (v1, _), (v2, _) = colloc
-        return (grid_values(self.control, (v1, v2)), *self._jacobian_on_grid(colloc))
+        return grid_values(self.control, (v1, v2))
+
+    def jacobian_from(self, colloc):
+        """``jacobian_grid`` from per-direction (values, derivatives) collocations of ``bases``."""
+        (v1, d1), (v2, d2) = colloc
+        jac = np.stack([grid_values(self.control, pair) for pair in ((d1, v2), (v1, d2))], axis=-1)
+        return jac, jacobian_det(jac)
 
     def map_point(self, u) -> np.ndarray:
         """Physical image of scattered parametric points (..., 2)."""
@@ -311,20 +314,29 @@ class MultiPatch:
             self._check_interfaces()
 
     def _check_interfaces(self, tol: float = 1e-12):
-        """Compare glued side curves at 33 points spread over each side's own knot domain."""
+        """Compare glued side curves at 33 points spread over each side's own knot domain.
+
+        The gap may be ``tol`` times the largest distance of a sample from
+        the origin, so the check reads the same at every length scale.
+        Sides with the same along-side basis share one collocation table.
+        """
+        tables = {}  # along-side basis -> its collocation at the 33 samples
 
         def side_samples(patch, side):
             curve = patch.side_curve(side)
-            t = np.linspace(*curve.basis.domain, 33)
-            return curve.frame(curve.basis.collocation(t))[0]
+            if curve.basis not in tables:
+                tables[curve.basis] = curve.basis.collocation(np.linspace(*curve.basis.domain, 33))
+            return curve.frame(tables[curve.basis])[0]
 
         for a, side_a, b, side_b, _ in self.glue:
             pa = side_samples(self.patches[a], side_a)
             pb = side_samples(self.patches[b], side_b)
             gap = np.abs(pa - pb).max()
-            if gap > tol:
+            scale = np.hypot(*np.concatenate((pa, pb)).T).max()
+            if gap > tol * scale:
                 raise ConstructionError(
-                    f"glued sides of patches {a} and {b} disagree by {gap:.3e}"
+                    f"glued sides of patches {a} and {b} disagree by {gap:.3e}, "
+                    f"more than {tol:.0e} times the largest |side point| {scale:.3e}"
                 )
 
     @property
@@ -395,3 +407,21 @@ def build_taylor_couette(r_in: float = 1.0, r_out: float = 2.0) -> MultiPatch:
     patches = [quarter_annulus_patch(q, r_in, r_out) for q in range(4)]
     glue = [(q, "top", (q + 1) % 4, "bottom", 1) for q in range(4)]
     return MultiPatch(patches, glue)
+
+
+def build_self_glued_annulus() -> MultiPatch:
+    """The annulus between radii 1 and 2 as one patch whose two angular ends are glued.
+
+    Radial direction linear, angular direction the closed rational
+    quadratic circle of four quarter arcs (double knots at the quarter
+    points).  Sides are named as in ``build_taylor_couette``; the seam at
+    angle 0 is the glue ``(0, 'top', 0, 'bottom', 1)``.
+    """
+    middle = np.sqrt(2.0) / 2.0
+    circle = Basis1D(KnotVector([0.0] * 3 + [0.25, 0.25, 0.5, 0.5, 0.75, 0.75] + [1.0] * 3, 2),
+                     np.array([1.0, middle] * 4 + [1.0]))
+    angles = np.arange(9) * 0.25 * np.pi
+    ring = np.column_stack((np.cos(angles), np.sin(angles)))
+    ring[1::2] /= middle  # tangent intersections of neighbouring quarter points
+    control = np.array([1.0, 2.0])[:, None, None] * ring[None, :, :]
+    return MultiPatch([NurbsPatch((_RADIAL, circle), control)], [(0, "top", 0, "bottom", 1)])

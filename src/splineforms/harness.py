@@ -45,6 +45,7 @@ __all__ = [
     "emit_outputs",
     "manufactured_fields",
     "couette_speed",
+    "couette_fields",
 ]
 
 # case -> the geometries it runs on, the default first
@@ -110,7 +111,12 @@ class CaseConfig:
 
 @dataclass
 class ConvergenceRecord:
-    """Per-level error summary (pressure-constancy deviation where relevant)."""
+    """Per-level error summary (pressure-constancy deviation where relevant).
+
+    ``extra`` goes into ``run_metadata.txt``; ``stats``, the level's
+    ``Solution.stats``, does not (the command line copies it into
+    ``stats.json``).
+    """
 
     level: int
     h_max: float
@@ -120,6 +126,7 @@ class ConvergenceRecord:
     err_p: float
     div_max: float
     extra: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -192,6 +199,22 @@ def couette_speed(r, r_in: float = 1.0, r_out: float = 2.0, omega_in: float = 1.
     return a * r + b / r
 
 
+def couette_fields():
+    """Exact annulus flow between radii 1 and 2, inner cylinder at unit angular velocity.
+
+    Constant vorticity -2/3 and zero pressure, in the keys of
+    ``manufactured_fields`` that the error norms read.
+    """
+    return {
+        "omega": lambda x, y: np.full_like(np.asarray(x, dtype=float), -2.0 / 3.0),
+        "velocity": lambda x, y: (
+            -couette_speed(np.hypot(x, y)) * y / np.hypot(x, y),
+            couette_speed(np.hypot(x, y)) * x / np.hypot(x, y),
+        ),
+        "pressure": lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+    }
+
+
 # -- shared machinery ----------------------------------------------------------
 
 
@@ -202,9 +225,15 @@ def _bases(degree_nodal: int, spans: int):
 
 
 def _h_max(patches, triples) -> float:
+    """Largest cell diameter over the patches, from the mapped breakpoint grid of each."""
     worst = 0.0
+    tables = {}  # (geometry basis, field basis) -> geometry table at the field breakpoints
     for (s0, _, _), patch in zip(triples, patches):
-        corners = patch.map_grid(s0.nodal_bases[0].breakpoints, s0.nodal_bases[1].breakpoints)
+        pairs = list(zip(patch.bases, s0.nodal_bases))
+        for geo, field_basis in pairs:
+            if (geo, field_basis) not in tables:
+                tables[geo, field_basis] = geo.collocation(field_basis.breakpoints)
+        corners = patch.map_from([tables[pair] for pair in pairs])
         d1 = np.linalg.norm(corners[1:, 1:] - corners[:-1, :-1], axis=-1)
         d2 = np.linalg.norm(corners[1:, :-1] - corners[:-1, 1:], axis=-1)
         worst = max(worst, d1.max(), d2.max())
@@ -303,6 +332,7 @@ def run_manufactured(config: CaseConfig):
                 err_p=e_p,
                 div_max=div_max,
                 extra={"div_pointwise": div_pt, "residual": solution.residual},
+                stats=solution.stats,
             )
         )
         last = (solution, triples)
@@ -312,14 +342,7 @@ def run_manufactured(config: CaseConfig):
 def run_taylor_couette(config: CaseConfig):
     """Annulus flow between a rotating inner and a fixed outer cylinder."""
     multipatch = build_taylor_couette()
-    exact = {
-        "omega": lambda x, y: np.full_like(np.asarray(x, dtype=float), -2.0 / 3.0),
-        "velocity": lambda x, y: (
-            -couette_speed(np.hypot(x, y)) * y / np.hypot(x, y),
-            couette_speed(np.hypot(x, y)) * x / np.hypot(x, y),
-        ),
-        "pressure": lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-    }
+    exact = couette_fields()
     tangential = {}
     for p in range(4):
         tangential[(p, "left")] = lambda x, y: (-y, x)  # unit angular velocity at r=1
@@ -364,6 +387,7 @@ def run_taylor_couette(config: CaseConfig):
                     "div_pointwise": div_pt,
                     "residual": solution.residual,
                 },
+                stats=solution.stats,
             )
         )
         last = (solution, triples)

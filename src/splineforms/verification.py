@@ -10,8 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from ._quadrature import gauss_rule
-from .assembly import assemble_vvp
-from .geometry import build_taylor_couette, curved_square_patch, unit_square_patch
+from .assembly import (
+    apply_strong_normal_velocity,
+    apply_weak_tangential_velocity,
+    assemble_vvp,
+    solve,
+)
+from .geometry import (
+    build_self_glued_annulus,
+    build_taylor_couette,
+    curved_square_patch,
+    unit_square_patch,
+)
+from .harness import _bases, _solution_errors, couette_fields
 from .projection import project_form
 from .spaces import DiscreteFormSpace, vvp_spaces
 from .splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
@@ -183,6 +194,26 @@ def _check_symmetry(rng):
     return worst < 1e-12, f"max relative asymmetry = {worst:.2e}"
 
 
+def _check_self_glued(rng):
+    """Taylor-Couette on the annulus as one patch glued to itself along its seam.
+
+    Both copies of a seam 1-cell lie in the same patch; the glued D10 must
+    keep one integer row for it, so ``D21 D10 = 0`` and the solve passes
+    its residual gate with a divergence-free velocity near the exact flow.
+    """
+    system = assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
+    dd = (system.D21 @ system.D10).count_nonzero()
+    d10_max = abs(system.D10).max()
+    apply_strong_normal_velocity(system)
+    apply_weak_tangential_velocity(system, {(0, "left"): lambda x, y: (-y, x)})
+    solution = solve(system)
+    div = np.abs(solution.divergence_cochain(0)).max()
+    err_u = _solution_errors(solution, couette_fields())[1]
+    ok = dd == 0 and d10_max == 1 and div < 1e-12 and err_u < 2e-4
+    return ok, (f"D21 D10 nonzeros {dd}, max |D10| {d10_max}, residual {solution.residual:.2e}, "
+                f"divergence {div:.2e}, err_u {err_u:.2e}")
+
+
 def run_verification():
     """Run the property suite; returns (name, passed, detail) triples."""
     rng = np.random.default_rng(20240815)
@@ -192,6 +223,7 @@ def run_verification():
         ("edge basis properties (PoU, unit integrals)", _check_edge_properties),
         ("pullback adjointness (independent quadratures)", _check_pullback),
         ("saddle-system symmetry", _check_symmetry),
+        ("self-glued one-patch annulus solve", _check_self_glued),
     ]
     results = []
     for name, fn in checks:

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from splineforms import assembly, projection
 from splineforms.assembly import (
     _PatchGrid,
+    _glued,
     _glued_numbering,
     _side_basis,
     _side_velocity,
@@ -28,11 +29,12 @@ from splineforms.geometry import (
     SIDES,
     NurbsPatch,
     boundary_sides,
+    build_self_glued_annulus,
     build_taylor_couette,
     curved_square_patch,
     unit_square_patch,
 )
-from splineforms.harness import _bases, manufactured_fields
+from splineforms.harness import _bases, _solution_errors, couette_fields, manufactured_fields
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
 from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, stored_window, uniform_open_knots
 from splineforms.projection import build_histopolation, greville_edges, greville_reduction
@@ -945,6 +947,106 @@ class TestBlockSystem:
         system = BLOCK_CASES["annulus"](1.0)
         solve(system)
         assert "matrix" not in vars(system)
+
+
+class TestSelfGluedPatch:
+    """The annulus as one patch glued to itself: both copies of a seam cell lie in that patch."""
+
+    def test_seam_cell_keeps_one_integer_d10_row(self):
+        system = assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
+        npt.assert_array_equal(abs(system.D10).sum(axis=1), 2)
+        assert abs(system.D10).max() == 1
+        assert (system.D21 @ system.D10).nnz == 0
+
+    def test_couette_solve(self):
+        system = assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
+        apply_strong_normal_velocity(system)
+        apply_weak_tangential_velocity(system, {(0, "left"): lambda x, y: (-y, x)})
+        sol = solve(system)
+        assert sol.residual <= 1e-12
+        assert np.abs(sol.divergence_cochain(0)).max() <= 1e-14
+        assert _solution_errors(sol, couette_fields())[1] <= 1e-4  # 7.95e-5
+
+
+def coo_glued(parts, shape):
+    """Test-only oracle: every part through COO triplets, as the placement once was."""
+    coo = [(m.tocoo(), rows, cols) for m, rows, cols in parts]
+    return sp.csr_matrix(
+        (np.concatenate([m.data for m, _, _ in coo]),
+         (np.concatenate([rows[m.row] for m, rows, _ in coo]),
+          np.concatenate([cols[m.col] for m, _, cols in coo]))),
+        shape=shape,
+    )
+
+
+class TestGlued:
+    def random_parts(self, seed, shape):
+        # CSR and CSC parts whose maps overlap, across parts (interfaces) and
+        # within one part (a patch glued to itself)
+        rng = np.random.default_rng(seed)
+        parts = []
+        for fmt, (m, n) in zip(("csr", "csc", "csr", "csc"), ((4, 5), (5, 6), (3, 3), (6, 2))):
+            dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+            parts.append((sp.csr_matrix(dense).asformat(fmt),
+                          rng.integers(0, shape[0], m), rng.integers(0, shape[1], n)))
+        return parts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_sum(self, seed):
+        shape = (7, 9)
+        parts = self.random_parts(seed, shape)
+        want = np.zeros(shape)
+        for m, rows, cols in parts:
+            np.add.at(want, (rows[:, None], cols[None, :]), m.toarray())
+        got = _glued(parts, shape)
+        assert got.format == "csr" and got.has_canonical_format
+        npt.assert_allclose(got.toarray(), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_coo_placement(self, seed):
+        shape = (7, 9)
+        parts = self.random_parts(seed, shape)
+        got, want = _glued(parts, shape), coo_glued(parts, shape)
+        for attr in ("indptr", "indices", "data"):
+            npt.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+    def test_couette_blocks_bit_identical_to_coo_placement(self, monkeypatch):
+        placed = []
+
+        def recorded(parts, shape):
+            placed.append((parts, shape))
+            return _glued(parts, shape)
+
+        monkeypatch.setattr(assembly, "_glued", recorded)
+        assemble_vvp([vvp_spaces(_bases(3, 4))] * 4, build_taylor_couette())
+        assert {m.format for parts, _ in placed for m, _, _ in parts} == {"csr", "csc"}
+        for parts, shape in placed:
+            got, want = _glued(parts, shape), coo_glued(parts, shape)
+            for attr in ("indptr", "indices", "data"):
+                npt.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+    def test_identity_part_returned_as_is(self):
+        m = sp.random(5, 4, density=0.5, format="csc", random_state=3)
+        assert _glued([(m, np.arange(5), np.arange(4))], (5, 4)) is m
+
+
+class TestSharedGeometryTables:
+    @pytest.mark.parametrize("geometry, tables", [("annulus", 2), ("curved-square", 1)])
+    def test_grid_equals_direct_evaluation(self, geometry, tables):
+        # the four quarter patches share one table per direction; the curved
+        # square's two directions share one basis and one axis, hence one table
+        patches = (build_taylor_couette().patches if geometry == "annulus"
+                   else [curved_square_patch()])
+        bases = _bases(3, 4)
+        axes = {}
+        for patch in patches:
+            grid = _PatchGrid(bases, patch, need_phys=True, axes=axes)
+            x, y = grid.axes[0].pts, grid.axes[1].pts
+            jac, det = patch.jacobian_grid(x, y)
+            npt.assert_array_equal(grid.jac, jac)
+            npt.assert_array_equal(grid.det, det)
+            npt.assert_array_equal(grid.phys, patch.map_grid(x, y))
+        assert sum(len(axis._geometry) for axis in axes.values()) == tables
 
 
 def _perturbed_annulus_spaces(direction, what="knot"):

@@ -12,6 +12,7 @@ from splineforms.geometry import (
     adjugate_apply,
     adjugate_transpose_apply,
     boundary_sides,
+    build_self_glued_annulus,
     build_taylor_couette,
     curved_square_patch,
     jacobian_det,
@@ -132,6 +133,25 @@ class TestAnnulus:
         mp = build_taylor_couette()
         with pytest.raises(ConstructionError):
             MultiPatch(mp.patches, [(0, "top", 2, "bottom", 1)])
+
+    @pytest.mark.parametrize("r_in", [1e4, 1e6])
+    def test_glue_check_accepts_rounding_at_large_radii(self, r_in):
+        # the sides agree to rounding: 4.9e-12 apart at radius 1e4, 4.9e-10 at 1e6
+        assert build_taylor_couette(r_in, 2.0 * r_in).n_patches == 4
+
+    def test_glue_check_rejects_a_small_gap_at_small_radii(self):
+        patches = build_taylor_couette(1e-6, 2e-6).patches
+        moved = NurbsPatch(patches[0].bases, patches[0].control + 5e-13)  # 2.5e-7 relative
+        with pytest.raises(ConstructionError, match="disagree"):
+            MultiPatch([moved] + patches[1:], build_taylor_couette().glue)
+
+    def test_self_glued_annulus(self):
+        mp = build_self_glued_annulus()
+        patch = mp.patches[0]
+        t = np.linspace(0, 1, 50)
+        radius = np.linalg.norm(patch.map_point(patch.side_points("left", t)), axis=1)
+        assert np.abs(radius - 1.0).max() < 1e-13
+        assert boundary_sides(mp.n_patches, mp.glue) == [(0, "left"), (0, "right")]
 
 
 class TestPullback:

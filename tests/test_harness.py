@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import splineforms
-from splineforms import assembly, cli
+from splineforms import assembly, cli, geometry, harness
 from splineforms.harness import (
     CaseConfig,
+    _h_max,
     _table,
     _version_stamp,
     couette_speed,
@@ -27,6 +28,8 @@ from splineforms.harness import (
     run_taylor_couette,
 )
 from splineforms.errors import ConstructionError
+from splineforms.spaces import vvp_spaces
+from splineforms.splines import Basis1D
 from splineforms.topology import CellComplex
 
 
@@ -144,6 +147,44 @@ def test_couette_does_per_basis_work_once_per_system(monkeypatch):
     ]
     run_taylor_couette(CaseConfig(case="taylor-couette", degree=2, levels=3))
     assert [len(calls) for calls in counted] == [12, 24, 9, 6]
+
+
+def count_geometry_collocations(monkeypatch):
+    """Record each collocation of a quarter-annulus geometry basis."""
+    calls = []
+    original = Basis1D.collocation
+
+    def counted(basis, x):
+        if basis is geometry._RADIAL or basis is geometry._ARC:
+            calls.append(basis)
+        return original(basis, x)
+
+    monkeypatch.setattr(Basis1D, "collocation", counted)
+    return calls
+
+
+def test_couette_builds_each_geometry_table_once_per_system_and_axis(monkeypatch):
+    calls = count_geometry_collocations(monkeypatch)
+    multipatch = geometry.build_taylor_couette()
+    assert len(calls) == 17  # regularity 8, side curves 8, one interface table
+    calls.clear()
+    monkeypatch.setattr(harness, "build_taylor_couette", lambda: multipatch)
+    _, (solution, triples) = run_taylor_couette(
+        CaseConfig(case="taylor-couette", degree=2, levels=3))
+    assert len(calls) <= 41
+    # per level: the assembly and the error grids each hold one table per
+    # direction for all four patches, and _h_max makes one per direction
+    assert sum(len(axis._geometry) for axis in solution.system.axes.values()) == 4
+    calls.clear()
+    _h_max(multipatch.patches, triples)
+    assert len(calls) == 2
+
+
+def test_records_carry_the_stats_of_every_level():
+    records, (solution, _) = run_manufactured(CaseConfig(degree=1, levels=2))
+    assert [rec.stats["dofs"] for rec in records] == [rec.dofs for rec in records]
+    assert records[-1].stats is solution.stats
+    assert all("factors" not in rec.extra and "lu_nnz" not in rec.extra for rec in records)
 
 
 def _run_and_emit(case, out):
@@ -373,7 +414,7 @@ class TestCli:
     def test_verify_passes(self):
         proc = self.run_cli("verify")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert [line.split()[0] for line in proc.stdout.splitlines()] == ["PASS"] * 5
+        assert [line.split()[0] for line in proc.stdout.splitlines()] == ["PASS"] * 6
 
     def test_tiny_viscosity_runs(self, tmp_path):
         proc = self.run_cli("run", "cavity", "--nu", "1e-8", "--spans", "12", "--out", str(tmp_path))
@@ -418,6 +459,20 @@ class TestCli:
         assert {"dofs", "lu_nnz", "factors", "residual"} <= stats["solve"].keys()
         meta = (tmp_path / "run_metadata.txt").read_text()
         for key in ("run_s", "output_s", "peak_rss", "seconds", "lu_nnz"):
+            assert key not in meta
+
+    def test_stats_json_lists_every_level(self, tmp_path):
+        proc = self.run_cli("run", "manufactured", "--degree", "1", "--levels", "2", "--out",
+                            str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        dofs = [int(line.split(",")[2]) for line in
+                (tmp_path / "convergence.csv").read_text().splitlines()[1:]]
+        assert [level["dofs"] for level in stats["levels"]] == dofs
+        assert stats["levels"][-1] == stats["solve"]
+        assert all({"lu_nnz", "factors", "residual"} <= level.keys() for level in stats["levels"])
+        meta = (tmp_path / "run_metadata.txt").read_text()
+        for key in ("lu_nnz", "factors", "seconds", "unknowns"):
             assert key not in meta
 
     @pytest.mark.parametrize(
