@@ -49,7 +49,15 @@ from .errors import (
     FluxCompatibilityError,
     SingularSystemError,
 )
-from .geometry import SIDES, MultiPatch, NurbsPatch, adjugate_apply, boundary_sides, mass_metric
+from .geometry import (
+    SIDES,
+    GridAxis,
+    MultiPatch,
+    NurbsPatch,
+    adjugate_apply,
+    boundary_sides,
+    mass_metric,
+)
 from .projection import greville_reduction
 from .spaces import DiscreteForm, DiscreteFormSpace
 from .splines import collocation, edge_window, grid_values, stored_window
@@ -103,20 +111,20 @@ class _PairOperator:
         self.rank = np.arange(keys.size) - start[self.cols]
 
 
-class _Axis:
+class _Axis(GridAxis):
     """Gauss rule of one direction with the collocation matrices of its nodal and edge bases.
 
     ``colloc[edge]`` is the collocation matrix of the nodal (edge False)
     or edge (edge True) family, both from one ``window`` call;
     ``pair(edge_a, edge_b)`` is the pair operator of two families and
-    ``geometry(basis)`` the (values, derivatives) collocation of a
-    geometry basis at the points, each built on first use.
+    ``geometry(basis)`` (from ``GridAxis``) the table of a geometry basis
+    at the points, each built on first use.
     """
 
     def __init__(self, basis, nq: int):
         self.nq = nq
         pts, wts = panel_rule(basis.breakpoints, nq)
-        self.pts = pts.ravel()
+        super().__init__(pts.ravel())
         self.w = wts.ravel()
         spans, nvals, nders = basis.window(self.pts)
         first = spans - basis.degree
@@ -125,18 +133,12 @@ class _Axis:
             True: collocation(first, edge_window(nders), basis.num_basis - 1),
         }
         self._pairs = {}
-        self._geometry = {}
 
     def pair(self, edge_a: bool, edge_b: bool) -> _PairOperator:
         key = (edge_a, edge_b)
         if key not in self._pairs:
             self._pairs[key] = _PairOperator(self.colloc[edge_a], self.colloc[edge_b])
         return self._pairs[key]
-
-    def geometry(self, basis):
-        if basis not in self._geometry:
-            self._geometry[basis] = basis.collocation(self.pts)
-        return self._geometry[basis]
 
 
 def _axis(axes, basis, nq: int) -> _Axis:
@@ -179,10 +181,9 @@ class _PatchGrid:
                 )
             nq = (n_quad if n_quad is not None else patch.bases[j].degree + b.degree + 1) + extra
             self.axes.append(_axis(axes, b, nq))
-        colloc = [axis.geometry(geo) for axis, geo in zip(self.axes, patch.bases)]
-        self.jac, self.det = patch.jacobian_from(colloc)
+        self.jac, self.det = patch.jacobian_grid(*self.axes)
         if need_phys:
-            self.phys = patch.map_from(colloc)
+            self.phys = patch.map_grid(*self.axes)
         self.w = np.outer(self.axes[0].w, self.axes[1].w)
 
     def collocation(self, block):

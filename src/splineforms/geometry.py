@@ -23,6 +23,7 @@ from .errors import ConstructionError, DegenerateGeometryError
 from .splines import Basis1D, KnotVector, grid_values, stored_window, uniform_open_knots
 
 __all__ = [
+    "GridAxis",
     "NurbsPatch",
     "SideCurve",
     "MultiPatch",
@@ -152,6 +153,25 @@ class SideCurve:
         return points, tangent
 
 
+class GridAxis:
+    """Parametric points of one grid direction with the geometry tables at them.
+
+    ``geometry(basis)`` is the (values, derivatives) collocation of a
+    geometry basis at ``pts``, built on first request.  Patches and
+    directions handed one ``GridAxis`` share its tables, for as long as
+    its owner keeps it: a system's Gauss axis, or one call.
+    """
+
+    def __init__(self, pts):
+        self.pts = pts
+        self._tables = {}
+
+    def geometry(self, basis):
+        if basis not in self._tables:
+            self._tables[basis] = basis.collocation(self.pts)
+        return self._tables[basis]
+
+
 class NurbsPatch:
     """Rational tensor-product map from [0,1]^2 with separable weights.
 
@@ -196,8 +216,13 @@ class NurbsPatch:
     # -- evaluation ---------------------------------------------------------
 
     def _collocation(self, axes):
-        """(values, derivatives) collocation matrices per direction, one window call each."""
-        return [b.collocation(x) for b, x in zip(self.bases, axes)]
+        """(values, derivatives) collocation matrices of ``bases``, one per direction.
+
+        An axis is an array of parametric coordinates (one window call) or
+        a ``GridAxis``, whose table other patches and directions may share.
+        """
+        return [(a if isinstance(a, GridAxis) else GridAxis(a)).geometry(b)
+                for b, a in zip(self.bases, axes)]
 
     def _at_points(self, b1, b2) -> np.ndarray:
         """sum_ij b1[x, i] b2[x, j] control[i, j] at scattered points x."""
@@ -207,23 +232,12 @@ class NurbsPatch:
 
     def map_grid(self, x_axis, y_axis) -> np.ndarray:
         """Physical points over a tensor grid, shape (m1, m2, 2)."""
-        return self.map_from(self._collocation((x_axis, y_axis)))
+        (v1, _), (v2, _) = self._collocation((x_axis, y_axis))
+        return grid_values(self.control, (v1, v2))
 
     def jacobian_grid(self, x_axis, y_axis):
         """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid."""
-        return self.jacobian_from(self._collocation((x_axis, y_axis)))
-
-    def map_from(self, colloc) -> np.ndarray:
-        """``map_grid`` from per-direction (values, derivatives) collocations of ``bases``.
-
-        Patches and directions with the same geometry basis and points can pass one table.
-        """
-        (v1, _), (v2, _) = colloc
-        return grid_values(self.control, (v1, v2))
-
-    def jacobian_from(self, colloc):
-        """``jacobian_grid`` from per-direction (values, derivatives) collocations of ``bases``."""
-        (v1, d1), (v2, d2) = colloc
+        (v1, d1), (v2, d2) = self._collocation((x_axis, y_axis))
         jac = np.stack([grid_values(self.control, pair) for pair in ((d1, v2), (v1, d2))], axis=-1)
         return jac, jacobian_det(jac)
 
@@ -317,8 +331,11 @@ class MultiPatch:
         """Compare glued side curves at 33 points spread over each side's own knot domain.
 
         The gap may be ``tol`` times the largest distance of a sample from
-        the origin, so the check reads the same at every length scale.
-        Sides with the same along-side basis share one collocation table.
+        the origin, the rounding floor of coordinates that large.  So a
+        domain scaled about the origin reads the same at every size, but
+        one moved far from the origin accepts gaps in proportion to its
+        distance.  Sides with the same along-side basis share one
+        collocation table.
         """
         tables = {}  # along-side basis -> its collocation at the 33 samples
 

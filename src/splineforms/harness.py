@@ -26,6 +26,7 @@ from .assembly import (
 )
 from .errors import ConstructionError
 from .geometry import (
+    GridAxis,
     build_taylor_couette,
     curved_square_patch,
     jacobian_det,
@@ -227,13 +228,12 @@ def _bases(degree_nodal: int, spans: int):
 def _h_max(patches, triples) -> float:
     """Largest cell diameter over the patches, from the mapped breakpoint grid of each."""
     worst = 0.0
-    tables = {}  # (geometry basis, field basis) -> geometry table at the field breakpoints
+    axes = {}  # field basis -> its breakpoints, which patches sharing it share
     for (s0, _, _), patch in zip(triples, patches):
-        pairs = list(zip(patch.bases, s0.nodal_bases))
-        for geo, field_basis in pairs:
-            if (geo, field_basis) not in tables:
-                tables[geo, field_basis] = geo.collocation(field_basis.breakpoints)
-        corners = patch.map_from([tables[pair] for pair in pairs])
+        for b in s0.nodal_bases:
+            if b not in axes:
+                axes[b] = GridAxis(b.breakpoints)
+        corners = patch.map_grid(*(axes[b] for b in s0.nodal_bases))
         d1 = np.linalg.norm(corners[1:, 1:] - corners[:-1, :-1], axis=-1)
         d2 = np.linalg.norm(corners[1:, :-1] - corners[:-1, 1:], axis=-1)
         worst = max(worst, d1.max(), d2.max())

@@ -145,6 +145,20 @@ class TestAnnulus:
         with pytest.raises(ConstructionError, match="disagree"):
             MultiPatch([moved] + patches[1:], build_taylor_couette().glue)
 
+    @pytest.mark.parametrize("shift, accepted", [(5e-7, True), (5e-6, False)])
+    def test_glue_check_far_from_the_origin(self, shift, accepted):
+        # the tolerance follows the coordinates' magnitude, not the domain's
+        # size: the unit annulus moved to x = 1e6 accepts gaps below 1e-6
+        mp = build_taylor_couette()
+        far = [NurbsPatch(p.bases, p.control + [1e6, 0.0]) for p in mp.patches]
+        assert MultiPatch(far, mp.glue).n_patches == 4
+        moved = NurbsPatch(far[0].bases, far[0].control + shift)
+        if accepted:
+            assert MultiPatch([moved] + far[1:], mp.glue).n_patches == 4
+        else:
+            with pytest.raises(ConstructionError, match="disagree"):
+                MultiPatch([moved] + far[1:], mp.glue)
+
     def test_self_glued_annulus(self):
         mp = build_self_glued_annulus()
         patch = mp.patches[0]

@@ -174,7 +174,7 @@ def test_couette_builds_each_geometry_table_once_per_system_and_axis(monkeypatch
     assert len(calls) <= 41
     # per level: the assembly and the error grids each hold one table per
     # direction for all four patches, and _h_max makes one per direction
-    assert sum(len(axis._geometry) for axis in solution.system.axes.values()) == 4
+    assert sum(len(axis._tables) for axis in solution.system.axes.values()) == 4
     calls.clear()
     _h_max(multipatch.patches, triples)
     assert len(calls) == 2
