@@ -28,7 +28,11 @@ construction, and only the symmetric (vorticity, y) system is factored,
 with diagonal pivots along a node-paired order; pressure and multiplier
 are recovered afterwards from the momentum and pressure rows through the
 integer 2-cell Laplacian.  The residual of the full mixed system, taken
-block by block, gates the solve.
+block by block, gates the solve.  Its topological part is index
+arithmetic on the compressed arrays of the coboundaries, whose rows have
+a fixed structure (two end nodes per 1-cell, four sides per 2-cell):
+the node groups of the stream constants, the columns of ``C`` and the
+place of every entry of the node-paired matrix.
 """
 
 from __future__ import annotations
@@ -519,17 +523,14 @@ def _side_basis(system, patch_index, side):
     return basis, basis.degree + _along(system.patches[patch_index].bases, side).degree + 3
 
 
-def _side_velocity(system, p: int, side: str, vfun, points, frames: dict):
-    """Velocity data and physical side tangents at side parameters ``points``, each (m, 2).
+def _side_velocity(system, p: int, side: str, vfun, axis: GridAxis):
+    """Velocity data and physical side tangents at the side parameters of ``axis``, each (m, 2).
 
-    ``frames`` maps (along-side geometry basis, id of the cached points) to
-    their collocation, so sides that share both share one evaluation.
+    The along-side geometry table comes from ``axis``, which keeps it for
+    every side, call and grid that shares the axis and the geometry basis.
     """
     curve = system.patches[p].side_curve(side)
-    key = (curve.basis, id(points))
-    if key not in frames:
-        frames[key] = curve.basis.collocation(points)
-    xy, tan = curve.frame(frames[key])
+    xy, tan = curve.frame(axis.geometry(curve.basis))
     v = np.asarray(vfun(*xy.T), dtype=float).T
     if not np.all(np.isfinite(v)):
         raise FloatingPointError(f"non-finite velocity data on side {side!r} of patch {p}")
@@ -549,14 +550,14 @@ def apply_strong_normal_velocity(system: SaddleSystem, velocity=None) -> SaddleS
     """
     data = _normalize_side_data(velocity, system.normal_sides)
     net = size = 0.0
-    frames, conds = {}, []
+    conds = []
     for (p, side), vfun in data.items():
         basis, n = _side_basis(system, p, side)
         if vfun is None:
             integrals = values = np.zeros(basis.num_basis - 1)
         else:
             points, reduction, change = greville_reduction(basis, True, n)
-            v, tan = _side_velocity(system, p, side, vfun, points, frames)
+            v, tan = _side_velocity(system, p, side, vfun, points)
             integrals = reduction @ (v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0])
             size += np.sum(reduction @ (np.hypot(*v.T) * np.hypot(*tan.T)))
             values = change.solve(integrals)
@@ -579,18 +580,20 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
     plain callable) contribute; missing sides mean zero data, and data
     for a side that is not a boundary side raises ConstructionError.
     Each side is integrated on the Gauss axis of its along-side basis
-    in ``system.axes``.
+    in ``system.axes``: the stored window of its nodal table, weighted by
+    the tangential data, summed per function with ``np.bincount``.
     """
     entries = _normalize_side_data(velocity, system.boundary)
-    frames = {}
     b1 = np.zeros(system.n0)
     for (p, side), vfun in entries.items():
         if vfun is None:
             continue
         axis = _axis(system.axes, *_side_basis(system, p, side))
-        v, tan = _side_velocity(system, p, side, vfun, axis.pts, frames)
+        v, tan = _side_velocity(system, p, side, vfun, axis)
         tangential = np.einsum("mc,mc->m", v, tan) * axis.w
-        local = -_SIDE_SIGN[side] * (axis.colloc[False].T @ tangential)
+        cols, vals = stored_window(axis.colloc[False])
+        local = -_SIDE_SIGN[side] * np.bincount(
+            cols.ravel(), (vals * tangential[:, None]).ravel(), axis.colloc[False].shape[1])
         gids = system.map0[p][_side_ids(system.spaces[p][0], side)]
         np.add.at(b1, gids, local)
     system.rhs[: system.n0] += system.nu * b1
@@ -661,36 +664,104 @@ def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
     return lu
 
 
-def _node_paired_positions(A_ww, group, gauged, factors: dict) -> np.ndarray:
+def _node_paired_positions(M0, group, gauged, factors: dict) -> np.ndarray:
     """Position of each (omega, y) unknown in the node-paired elimination order.
 
-    The nodes follow the minimum-degree order of the SPD block ``-A_ww``,
-    whose pattern is the node graph of every block of the system; each
-    stream unknown ``y_g`` comes right after the last node of its group
-    ``g``, so it is eliminated only once a coupled vorticity pivot has
-    made its diagonal nonzero.  The order is read off SuperLU's incomplete
-    factorization with ``drop_tol=inf``: the same column order as the full
-    one, which keeps almost no entries; its seconds go to ``factors``.
+    The nodes follow the minimum-degree order of the SPD vorticity mass
+    matrix ``M0``, whose pattern is the node graph of every block of the
+    system; each stream unknown ``y_g`` comes right after the last node of
+    its group ``g``, so it is eliminated only once a coupled vorticity
+    pivot has made its diagonal nonzero.  The order is read off SuperLU's
+    incomplete factorization with ``drop_tol=inf``: the same column order
+    as the full one, which keeps almost no entries; its seconds go to
+    ``factors``.  ``M0`` is symmetric, so a CSR's arrays serve as its CSC.
     """
-    n0 = A_ww.shape[0]
+    n0 = M0.shape[0]
     start = time.perf_counter()
     try:
-        node_pos = spla.spilu((-A_ww).tocsc(), drop_tol=np.inf, fill_factor=1,
-                              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        node_pos = spla.spilu(M0 if M0.format == "csc" else M0.T, drop_tol=np.inf,
+                              fill_factor=1, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                               options={"SymmetricMode": True}).perm_c
     except RuntimeError as exc:
         raise SingularSystemError(
             f"factorization of the vorticity mass matrix failed: {exc}") from exc
     factors["order"] = {"seconds": time.perf_counter() - start}
-    last = np.zeros(group.max() + 1, dtype=np.int64)
+    index = np.int32 if 2 * n0 < 2**31 else np.int64
+    last = np.zeros(group.max() + 1, dtype=index)
     np.maximum.at(last, group, node_pos)
     keys = np.concatenate((2 * node_pos, 2 * last[gauged] + 1))  # distinct, below 2 n0
-    used = np.zeros(2 * n0, dtype=np.int64)
+    used = np.zeros(2 * n0, dtype=index)
     used[keys] = 1
-    return np.cumsum(used)[keys] - 1  # rank of each key
+    return np.cumsum(used, dtype=index)[keys] - 1  # rank of each key
 
 
-def _flux_carriers(system: SaddleSystem, free, D21_free, lu_L, keep2) -> sp.csr_matrix:
+def _node_paired_matrix(M0, B, pos) -> sp.csc_matrix:
+    """CSC of the (omega, y) system ``[[-M0, B], [B^T, 0]]`` with row and column i at ``pos[i]``.
+
+    Every row is scattered straight into its place in CSR arrays, each
+    column index relabelled by ``pos``: row i of ``-M0`` and of ``B`` for a
+    node, column c of ``B`` (read off its CSC) for a stream unknown.
+    ``M0`` is symmetric, so its compressed arrays list its rows whatever
+    its format.  The CSR -> CSC transpose then leaves every column sorted,
+    with no sort pass.
+    """
+    n0, m = B.shape
+    Br, Bc = B.tocsr(), B.tocsc()  # one of them is B itself
+    m0_counts = np.diff(M0.indptr)
+    counts = np.concatenate((m0_counts + np.diff(Br.indptr), np.diff(Bc.indptr)))
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, n0 + m) < 2**31 else np.int64
+    indptr = np.zeros(n0 + m + 1, dtype=index)
+    indptr[1:][pos] = counts
+    np.cumsum(indptr, out=indptr)
+    first = indptr[pos]  # start of each row of the unpermuted matrix
+    indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
+    for ptr, cols, labels, vals, start in (
+        (M0.indptr, M0.indices, pos[:n0], -M0.data, first[:n0]),
+        (Br.indptr, Br.indices, pos[n0:], Br.data, first[:n0] + m0_counts),
+        (Bc.indptr, Bc.indices, pos[:n0], Bc.data, first[n0:]),
+    ):
+        dest = np.repeat((start - ptr[:-1]).astype(index, copy=False), np.diff(ptr))
+        dest += np.arange(ptr[-1], dtype=index)
+        indices[dest] = labels[cols]
+        data[dest] = vals
+    return sp.csr_matrix((data, indices, indptr), shape=(n0 + m, n0 + m)).tocsc()
+
+
+def _node_groups(D10, cells):
+    """Groups of nodes joined by the given 1-cells: their count and the labels of nodes, then cells.
+
+    One ``connected_components`` on the bipartite (node, cell) graph whose
+    row n0 + i holds the nodes of ``cells[i]``, read straight off the CSR
+    arrays of ``D10[cells]``.  Nodes come first, so the labels follow the
+    smallest node of each group, as those of the node graph
+    ``|D10_c|^T |D10_c|`` do, and a cell gets the label of its nodes.
+    """
+    n0 = D10.shape[1]
+    links = D10[cells]
+    indptr = np.concatenate((np.zeros(n0, dtype=links.indptr.dtype), links.indptr))
+    graph = sp.csr_matrix((np.ones(links.nnz), links.indices, indptr),
+                          shape=(n0 + cells.size, n0 + cells.size))
+    return connected_components(graph, directed=False)
+
+
+def _free_rows(D21, free, first: int) -> sp.csr_matrix:
+    """Rows ``first:`` of ``D21`` as floats, with the entries of fixed 1-cells masked out.
+
+    The columns keep the global 1-cell numbering, so the matrix acts on
+    full-length velocity vectors and ignores their fixed entries.
+    """
+    lo = D21.indptr[first]
+    keep = free[D21.indices[lo:]]
+    before = np.zeros(keep.size + 1, dtype=D21.indptr.dtype)
+    np.cumsum(keep, out=before[1:])
+    return sp.csr_matrix(
+        (D21.data[lo:][keep].astype(float), D21.indices[lo:][keep], before[D21.indptr[first:] - lo]),
+        shape=(D21.shape[0] - first, D21.shape[1]),
+    )
+
+
+def _flux_carriers(system: SaddleSystem, D21f, D21fT, lu_L) -> np.ndarray:
     """Divergence-free velocities (n1, m) that carry flux between boundary loops.
 
     A stream function puts no net flux through a closed loop of boundary
@@ -701,25 +772,23 @@ def _flux_carriers(system: SaddleSystem, free, D21_free, lu_L, keep2) -> sp.csr_
     cell, projected onto ker D21_f through the 2-cell Laplacian.  A
     carrier's net flux through its own loop exceeds the sum of its fluxes
     through the other carried loops, so the carriers are independent
-    modulo im D10 C.
+    modulo im D10 C.  The loops are the groups of ``_node_groups`` on the
+    boundary cells.
     """
     if system.gauge:  # every boundary cell is fixed: no flux passes a loop
-        return sp.csr_matrix((system.n1, 0))
+        return np.zeros((system.n1, 0))
+    free = system.free
     cells = np.concatenate([
         system.map1[p][_side_ids(system.spaces[p][1], side)] for p, side in system.boundary
     ])
-    links = abs(system.D10[cells]).tocsr()
-    _, loop = connected_components(links.T @ links, directed=False)
+    loop = _node_groups(system.D10, cells)[1][system.n0:]
     free_cells = free[cells]
-    loops = loop[links.indices[links.indptr[:-1]]][free_cells]
-    _, first = np.unique(loops, return_index=True)
+    _, first = np.unique(loop[free_cells], return_index=True)
     carriers = cells[free_cells][np.sort(first)[1:]]
     H = np.zeros((system.n1, carriers.size))
     H[carriers, np.arange(carriers.size)] = 1.0
-    psi = np.zeros((system.n2, carriers.size))
-    psi[keep2] = lu_L.solve((D21_free @ H[free])[keep2])
-    H[free] -= D21_free.T @ psi
-    return sp.csr_matrix(H)
+    H[free] -= (D21fT @ lu_L.solve(D21f @ H))[free]
+    return H
 
 
 def _reduced_residual(system: SaddleSystem, omega, u, p, lam) -> float:
@@ -735,14 +804,15 @@ def _reduced_residual(system: SaddleSystem, omega, u, p, lam) -> float:
     free, e_fixed = system.free, system.e_fixed
     f_w, f_u, f_p, f_g = np.split(system.rhs, [n0, n0 + n1, n0 + n1 + n2])
     lam = lam if system.gauge else 0.0  # without the gauge, f_g is empty and lam unused
+    D10t, D21t = D10.T, D21.T
     r = np.concatenate((
-        D10.T @ (M1 @ u) - M0 @ omega - f_w / nu,
-        (M1 @ (D10 @ omega) + D21.T @ (M2 @ p) / nu - f_u / nu)[free],
+        D10t @ (M1 @ u) - M0 @ omega - f_w / nu,
+        (M1 @ (D10 @ omega) + D21t @ (M2 @ p) / nu - f_u / nu)[free],
         M2 @ (D21 @ u) + lam - f_p,
         (p.sum() - f_g) / nu,
     ))
     b = np.concatenate((
-        f_w / nu - D10.T @ (M1 @ e_fixed),
+        f_w / nu - D10t @ (M1 @ e_fixed),
         f_u[free] / nu,
         f_p - M2 @ (D21 @ e_fixed),
         f_g / nu,
@@ -757,10 +827,14 @@ def solve(system: SaddleSystem) -> Solution:
     prescribed boundary flux and zero divergence cochain is
     ``u = u0 + Z y`` with ``Z = D10 C``: ``u0`` is a divergence-free lift
     of the fixed fluxes through the integer 2-cell Laplacian
-    ``L = D21_f D21_f^T`` (``D21_f`` the columns of the free 1-cells), and
-    ``C`` maps one constant per group of nodes joined by fixed cells onto
-    the nodes (the annulus gets its inner-circle constant this way), minus
-    one constant for the stream gauge.  On a domain with holes, flux that
+    ``L = D21_f D21_f^T`` (``D21_f`` the rows of ``D21`` with the entries
+    of fixed 1-cells masked out, ``_free_rows``), and ``C`` maps one
+    constant per group of nodes joined by fixed cells onto the nodes (the
+    annulus gets its inner-circle constant this way), minus one constant
+    for the stream gauge.  The groups are the components of the graph of
+    nodes and fixed cells read off the rows of ``D10``, two nodes each
+    (``_node_groups``); ``C`` holds one entry per node outside the group
+    of node 0, so ``Z`` is one product.  On a domain with holes, flux that
     passes between two boundary loops through free cells is no such curl;
     one flux carrier per extra loop (``_flux_carriers``) joins the columns
     of ``Z`` and comes last in the elimination order.  Pressure leaves the
@@ -771,10 +845,13 @@ def solve(system: SaddleSystem) -> Solution:
     the nodes, each stream unknown right after the last node of its
     group) and factored along that order with diagonal pivots: every
     zero diagonal of the stream block is filled by a coupled vorticity
-    pivot before it is reached.  Pressure is recovered afterwards from
-    the free momentum rows ``D21_f^T (M2 p) = r`` through the same ``L``
-    and a factor of ``M2``, shifted to zero sum when the gauge is set,
-    and the multiplier from the pressure rows ``M2 D21 u``.
+    pivot before it is reached.  Its compressed arrays are written in that
+    order straight from ``M0``, ``B = A_wu Z`` and the columns of ``B``
+    (``_node_paired_matrix``); ``M0`` is read as it is, no copy.
+    Pressure is recovered afterwards from the free momentum rows
+    ``D21_f^T (M2 p) = r`` through the same ``L`` and a factor of ``M2``,
+    shifted to zero sum when the gauge is set, and the multiplier from the
+    pressure rows ``M2 D21 u``.
 
     ``nu`` is a pure rescaling: the vorticity and momentum rows are
     divided by ``nu``, which is the ``nu = 1`` problem with forcing
@@ -796,44 +873,37 @@ def solve(system: SaddleSystem) -> Solution:
                                 "apply_strong_normal_velocity pins them")
 
     # divergence-free lift of the fixed fluxes; pin one 2-cell under the gauge
-    D21_free = D21[:, free]
-    L = (D21_free @ D21_free.T).astype(float)
-    keep2 = slice(1, None) if system.gauge else slice(None)
+    first = 1 if system.gauge else 0
+    D21f = _free_rows(D21, free, first)
+    D21fT = D21f.T
     factors = {}
-    lu_L = _factor(L[keep2, keep2], "2-cell Laplacian", "MMD_AT_PLUS_A", factors, "L")
-    phi = np.zeros(n2)
-    phi[keep2] = lu_L.solve(-(D21 @ e_fixed)[keep2])
+    lu_L = _factor(D21f @ D21fT, "2-cell Laplacian", "MMD_AT_PLUS_A", factors, "L")
+    phi = lu_L.solve(-(D21 @ e_fixed)[first:])
     u0 = e_fixed.copy()
-    u0[free] += D21_free.T @ phi
+    u0[free] += (D21fT @ phi)[free]
 
-    # stream unknowns: one constant per node group joined by fixed cells
-    links = abs(D10[np.flatnonzero(~free)])
-    n_groups, group = connected_components(links.T @ links, directed=False)
-    gauged = np.flatnonzero(np.arange(n_groups) != group[0])  # psi = 0 on node 0's group
-    C = sp.csr_matrix(
-        (np.ones(n0, dtype=np.int64), (np.arange(n0), group)), shape=(n0, n_groups)
-    )[:, gauged]
+    # stream unknowns: one constant per node group joined by fixed cells; node
+    # 0's group has label 0 and carries the gauge psi = 0
+    n_groups, labels = _node_groups(D10, np.flatnonzero(~free))
+    group = labels[:n0]
+    stream = group > 0
+    indptr = np.zeros(n0 + 1, dtype=group.dtype)
+    np.cumsum(stream, out=indptr[1:])
+    C = sp.csr_matrix((np.ones(indptr[-1], dtype=D10.dtype), group[stream] - 1, indptr),
+                      shape=(n0, n_groups - 1))
     Z = D10 @ C
-    carriers = _flux_carriers(system, free, D21_free, lu_L, keep2)
-    if carriers.shape[1]:
-        Z = sp.hstack([Z, carriers], format="csr")
+    H = _flux_carriers(system, D21f, D21fT, lu_L)
+    if H.shape[1]:
+        Z = sp.hstack([Z, sp.csr_matrix(H)], format="csr")
 
     # the nu = 1 problem: vorticity and momentum rows divided by nu
-    A_ww = -system.M0.tocsr()  # CSR blocks keep the stacking of K on its fast path
-    A_wu = (system.M1 @ D10).T
-    B = A_wu @ Z
-    pos = _node_paired_positions(A_ww, group, gauged, factors)
-    pos = np.concatenate((pos, np.arange(pos.size, n0 + Z.shape[1])))  # flux carriers last
-    # rows of K taken in the node-paired order and columns relabelled; the
-    # transpose into CSC then leaves every column sorted, with no sort pass
-    K = sp.vstack(
-        [sp.hstack([A_ww, B], format="csr"),
-         sp.hstack([B.T.tocsr(), sp.csr_matrix((Z.shape[1], Z.shape[1]))], format="csr")],
-        format="csr",
-    )[np.argsort(pos)]
-    K = sp.csr_matrix((K.data, pos[K.indices], K.indptr), shape=K.shape).tocsc()
+    W = system.M1 @ D10  # A_wu = W^T
+    Wt = W.T
+    pos = _node_paired_positions(system.M0, group, np.arange(1, n_groups), factors)
+    pos = np.concatenate((pos, np.arange(pos.size, n0 + Z.shape[1], dtype=pos.dtype)))
+    K = _node_paired_matrix(system.M0, Wt @ Z, pos)  # flux carriers last
     rhs = np.empty(K.shape[0])
-    rhs[pos] = np.concatenate((system.rhs[:n0] / nu - A_wu @ u0, Z.T @ f_u / nu))
+    rhs[pos] = np.concatenate((system.rhs[:n0] / nu - Wt @ u0, Z.T @ f_u / nu))
     lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
     x = lu.solve(rhs)
     x += lu.solve(rhs - K @ x)
@@ -842,9 +912,8 @@ def solve(system: SaddleSystem) -> Solution:
     u = u0 + Z @ x[n0:]
 
     # pressure from the free momentum rows: D21_f^T q = r with q = M2 p
-    r = (f_u / nu - A_wu.T @ omega)[free]
     q = np.zeros(n2)
-    q[keep2] = lu_L.solve((D21_free @ r)[keep2])
+    q[first:] = lu_L.solve(D21f @ (f_u / nu - W @ omega))
     lu_M2 = _factor(system.M2, "2-form mass matrix", "MMD_AT_PLUS_A", factors, "M2")
     if system.gauge:  # shift along the constant physical pressure M2^{-1} 1
         p, constant = lu_M2.solve(np.column_stack((q, np.ones(n2)))).T

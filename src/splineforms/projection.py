@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from ._quadrature import interval_rule
 from .errors import ConstructionError, IllPosedNodesError
+from .geometry import GridAxis
 from .spaces import DiscreteForm, DiscreteFormSpace
 from .splines import Basis1D, EdgeBasis1D, grid_values
 
@@ -159,7 +160,10 @@ def greville_reduction(basis: Basis1D, edge: bool, n_gauss=None):
     identity) and interpolates.  An edge factor integrates over the
     Greville intervals: row i holds the ``greville_rule`` weights of the
     points interval i owns; it histopolates.  Built once per basis and
-    rule, kept while the basis lives; the points are read-only.
+    rule, kept while the basis lives.  The points come as a
+    ``geometry.GridAxis``, whose ``pts`` are read-only and which keeps
+    the geometry tables at them (the side data of the strong boundary
+    conditions) with the rest of the entry.
     """
     cache = _REDUCTIONS.setdefault(basis, {})
     key = (edge, n_gauss if edge else None)
@@ -174,7 +178,7 @@ def greville_reduction(basis: Basis1D, edge: bool, n_gauss=None):
             reduction = sp.identity(pts.size, format="csr")
             change = build_interpolation(basis)
         pts.flags.writeable = False
-        cache[key] = pts, reduction, change
+        cache[key] = GridAxis(pts), reduction, change
     return cache[key]
 
 
@@ -204,8 +208,9 @@ def project_form(space: DiscreteFormSpace, components, n_gauss=None) -> Discrete
         raise ConstructionError(f"expected {len(blocks)} component callables, got {len(source)}")
     flat = np.empty(space.dim)
     for i, (block, comp) in enumerate(zip(blocks, source)):
-        pts, reductions, changes = zip(*(greville_reduction(b, j in block.dirs, n_gauss)
-                                         for j, b in enumerate(space.nodal_bases)))
+        axes, reductions, changes = zip(*(greville_reduction(b, j in block.dirs, n_gauss)
+                                          for j, b in enumerate(space.nodal_bases)))
+        pts = [axis.pts for axis in axes]
         if isinstance(comp, DiscreteForm):
             src = comp.space
             if (src.d, src.k) != (space.d, space.k):

@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._compressed import _cs_matrix
+from scipy.sparse.csgraph import connected_components
 
 from splineforms import assembly, projection
 from splineforms.assembly import (
@@ -12,6 +14,7 @@ from splineforms.assembly import (
     _glued,
     _glued_numbering,
     _side_basis,
+    _side_ids,
     _side_velocity,
     apply_strong_normal_velocity,
     apply_weak_tangential_velocity,
@@ -432,15 +435,15 @@ class TestSideEvaluationCounts:
         patch = system.patches[2]
         patch.side_curve(side)  # built once per patch and side
         basis, n = _side_basis(system, 2, side)
-        t = greville_reduction(basis, True, n)[0]
+        axis = greville_reduction(basis, True, n)[0]  # keeps the side tables at its points
+        t = axis.pts
         vfun = lambda x, y: (x * y, x - y)
         want_points = patch.map_point(patch.side_points(side, t))
         want_tan = patch.side_tangent(side, t)
         windows = count_calls(monkeypatch, Basis1D, "window")
-        frames = {}
-        v, tan = _side_velocity(system, 2, side, vfun, t, frames)
+        v, tan = _side_velocity(system, 2, side, vfun, axis)
         assert len(windows) == 1  # the along-side geometry basis at the rule's points
-        _side_velocity(system, 2, side, vfun, t, frames)
+        _side_velocity(system, 2, side, vfun, axis)
         assert len(windows) == 1
         assert np.abs(tan - want_tan).max() <= 1e-14 * np.abs(want_tan).max()
         want_v = np.column_stack(vfun(*want_points.T))
@@ -540,7 +543,7 @@ class TestBatchedSideIntegrals:
             want = looped_side_flux(system, p, side, vfun)
             basis, n = _side_basis(system, p, side)
             points, reduction, _ = greville_reduction(basis, True, n)
-            v, tan = _side_velocity(system, p, side, vfun, points, {})
+            v, tan = _side_velocity(system, p, side, vfun, points)
             got = reduction @ (v[:, 0] * tan[:, 1] - v[:, 1] * tan[:, 0])
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -707,6 +710,82 @@ SOLVE_CASES = {
 }
 
 
+def _self_glued_case():
+    system = assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
+    apply_strong_normal_velocity(system)
+    apply_weak_tangential_velocity(system, {(0, "left"): lambda x, y: (-y, x)})
+    return system
+
+
+ORACLE_CASES = {**SOLVE_CASES, "self-glued-annulus": _self_glued_case}
+
+
+def node_graph_groups(D10, cells):
+    """Test-only oracle: components of the node graph |D10_c|^T |D10_c|, as once built."""
+    links = abs(D10[cells])
+    return connected_components(links.T @ links, directed=False)
+
+
+def stacked_paired_matrix(M0, B, pos):
+    """Test-only oracle: K stacked, its rows permuted and its columns relabelled, as once built."""
+    m = B.shape[1]
+    K = sp.vstack(
+        [sp.hstack([-M0.tocsr(), B], format="csr"),
+         sp.hstack([B.T.tocsr(), sp.csr_matrix((m, m))], format="csr")],
+        format="csr",
+    )[np.argsort(pos)]
+    return sp.csr_matrix((K.data, pos[K.indices], K.indptr), shape=K.shape).tocsc()
+
+
+class TestIndexArithmeticOracles:
+    """The node groups and the node-paired K against the sparse products they replace."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_node_groups_match_the_node_graph(self, case):
+        system = ORACLE_CASES[case]()
+        n0 = system.n0
+        boundary = np.concatenate([system.map1[p][_side_ids(system.spaces[p][1], side)]
+                                   for p, side in system.boundary])
+        for cells in (np.flatnonzero(~system.free), boundary):
+            n_want, want = node_graph_groups(system.D10, cells)
+            n_got, got = assembly._node_groups(system.D10, cells)
+            assert n_got == n_want
+            npt.assert_array_equal(got[:n0], want)
+            # a cell carries the group of its nodes
+            npt.assert_array_equal(got[n0:], want[system.D10[cells].indices[::2]])
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_paired_matrix_matches_the_stacked_construction(self, case, monkeypatch):
+        system = ORACLE_CASES[case]()
+        built = []
+        original = assembly._node_paired_matrix
+
+        def recorded(M0, B, pos):
+            K = original(M0, B, pos)
+            built.append((M0, B, pos, K))
+            return K
+
+        monkeypatch.setattr(assembly, "_node_paired_matrix", recorded)
+        solve(system)
+        (M0, B, pos, got), = built
+        assert M0 is system.M0  # taken as it is, no copy
+        want = stacked_paired_matrix(M0, B, pos)
+        assert got.format == "csc" and got.has_sorted_indices
+        for attr in ("indptr", "indices", "data"):
+            npt.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def test_solve_builds_at_most_30_compressed_matrices(monkeypatch):
+    # nodal degree 3, 8 spans on the curved square; the scipy.sparse round
+    # trips of the node groups, Z and K once built 52
+    system = assemble_vvp(make_spaces(3, 8), curved_square_patch(), forcing=EXACT["forcing"])
+    apply_strong_normal_velocity(system, EXACT["velocity"])
+    apply_weak_tangential_velocity(system, EXACT["velocity"])
+    builds = count_calls(monkeypatch, _cs_matrix, "__init__")
+    solve(system)
+    assert len(builds) <= 30
+
+
 class TestSubspaceSolve:
     @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
     def test_matches_mixed_reference(self, case):
@@ -751,7 +830,7 @@ class TestSubspaceSolve:
         group = rng.integers(0, 4, n0)
         group[0] = 0
         gauged = np.array([g for g in range(1, 4) if np.any(group == g)])
-        pos = assembly._node_paired_positions(A_ww, group, gauged, {})
+        pos = assembly._node_paired_positions(-A_ww, group, gauged, {})
         npt.assert_array_equal(np.sort(pos), np.arange(n0 + gauged.size))
         perm_c = spla.splu(-A_ww, permc_spec="MMD_AT_PLUS_A").perm_c
         npt.assert_array_equal(np.argsort(pos[:n0]), np.argsort(perm_c))
@@ -764,7 +843,7 @@ class TestSubspaceSolve:
 
     def test_exactly_singular_order_raises(self):
         with pytest.raises(SingularSystemError):
-            assembly._node_paired_positions(sp.csc_matrix(-np.ones((3, 3))), np.zeros(3, int),
+            assembly._node_paired_positions(sp.csc_matrix(np.ones((3, 3))), np.zeros(3, int),
                                             np.zeros(0, int), {})
 
     @pytest.mark.parametrize("case", ["cavity", "couette", "curved-square"])
@@ -779,7 +858,7 @@ class TestSubspaceSolve:
                          options={"SymmetricMode": True}).perm_c
         factors = {}
         # with no stream unknowns the node-paired positions are the order itself
-        got = assembly._node_paired_positions(-A, np.zeros(A.shape[0], int), np.zeros(0, int),
+        got = assembly._node_paired_positions(A, np.zeros(A.shape[0], int), np.zeros(0, int),
                                               factors)
         npt.assert_array_equal(got, want)
         assert set(factors["order"]) == {"seconds"}

@@ -180,6 +180,15 @@ def test_couette_builds_each_geometry_table_once_per_system_and_axis(monkeypatch
     assert len(calls) == 2
 
 
+def test_couette_collocations_per_run(monkeypatch):
+    # once 70: the weak side data now read their table off the system's Gauss
+    # axis, and each level evaluates both cylinders in one jacobian and one
+    # eval_grid call
+    calls = count_calls(monkeypatch, Basis1D, "collocation")
+    run_taylor_couette(CaseConfig(case="taylor-couette", degree=2, levels=3))
+    assert len(calls) <= 55
+
+
 def test_records_carry_the_stats_of_every_level():
     records, (solution, _) = run_manufactured(CaseConfig(degree=1, levels=2))
     assert [rec.stats["dofs"] for rec in records] == [rec.dofs for rec in records]

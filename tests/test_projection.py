@@ -175,9 +175,9 @@ class TestBatchedIntervals:
         rule = looped_rule(greville_edges(b0), b0.breakpoints, 5)
         nodes = b1.greville_points()
         want = np.array([[np.dot(g(pts, y), wts) for y in nodes] for pts, wts in rule])
-        pts, reductions, _ = zip(*(greville_reduction(b, j in space.blocks[0].dirs)
-                                   for j, b in enumerate(space.nodal_bases)))
-        got = grid_values(g(*np.meshgrid(*pts, indexing="ij")), reductions)
+        axes, reductions, _ = zip(*(greville_reduction(b, j in space.blocks[0].dirs)
+                                    for j, b in enumerate(space.nodal_bases)))
+        got = grid_values(g(*np.meshgrid(*(a.pts for a in axes), indexing="ij")), reductions)
         assert rel_gap(got, want) <= 1e-14
 
 
@@ -210,7 +210,7 @@ class TestReductionCache:
 
     @pytest.mark.parametrize("edge", [False, True])
     def test_points_are_read_only(self, edge):
-        points = greville_reduction(make_basis(2, 4), edge)[0]
+        points = greville_reduction(make_basis(2, 4), edge)[0].pts
         with pytest.raises(ValueError):
             points[0] = 0.5
 
