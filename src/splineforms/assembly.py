@@ -10,10 +10,14 @@ tensor Gauss grid.  The pattern of a block is the Kronecker product of
 the two pair sets, so each entry of G1 W G2^T is one nonzero, written
 straight into its place in the final CSC arrays; that pattern depends
 only on the space and its Gauss axes, so patches that share them share
-it.  Forcing vectors
-(B1^T V B2) and reconstructions (B1 C B2^T) use the per-direction
-(points, functions) collocation matrices B of ``splines.collocation``
-the same way, and so do the side rules of the boundary conditions.
+it.  The Gram matrix is symmetric entry for entry, so only its upper
+half is multiplied (the block pairs A < B and, on the diagonal, the
+direction-1 pairs I <= J); one gather mirrors the rest.  The pattern's
+index arrays are int32 where they fit, so scipy keeps them as they are.
+Forcing vectors (B1^T V B2) and reconstructions (B1 C B2^T) use the
+per-direction (points, functions) collocation matrices B of
+``splines.collocation`` the same way, and so do the side rules of the
+boundary conditions.
 
 The mixed system is never needed as one matrix.  ``SaddleSystem`` holds
 the glued global mass matrices M0, M1, M2 and the integer coboundaries
@@ -96,23 +100,59 @@ class _PairOperator:
     """Sparse 1D operator G[(I, J), q] = A_I(q) B_J(q) of two collocation matrices.
 
     Its rows are the index pairs (I, J) whose functions share an element,
-    sorted by J and then I: column J of the 1D Gram matrix holds
-    ``per_col[J]`` consecutive pairs, and ``rank`` is the place of a pair
-    within its column.
+    sorted by J and then I, except that an operator of one family with
+    itself (``mirrored``) lists the pairs with I <= J first: ``upper`` is
+    the operator of those (P + n) / 2 rows, which a diagonal Gram block
+    multiplies (for two families, the whole operator).  Column J
+    of the 1D Gram matrix holds ``per_col[J]`` pairs (``col_size`` per
+    row), and ``rank`` is the place of a pair within its column, in
+    order of I.
     """
 
     def __init__(self, a, b):
         (m, na), nb = a.shape, b.shape[1]
         (ia, va), (ib, vb) = stored_window(a), stored_window(b)
-        keys, pair = np.unique((ib[:, None, :] * na + ia[:, :, None]).ravel(), return_inverse=True)
-        point = np.broadcast_to(np.arange(m)[:, None, None], (m, va.shape[1], vb.shape[1])).ravel()
-        vals = (va[:, :, None] * vb[:, None, :]).ravel()
-        self.matrix = sp.csr_matrix((vals, (pair.ravel(), point)), shape=(keys.size, m))
-        self.rows = keys % na
-        self.cols = keys // na
-        self.per_col = np.bincount(self.cols, minlength=nb)
-        start = np.cumsum(self.per_col) - self.per_col
-        self.rank = np.arange(keys.size) - start[self.cols]
+        self.shape, self.mirrored = (na, nb), a is b
+        # the points of one element share both windows: pair them once per run
+        moved = (ia[1:, 0] != ia[:-1, 0]) | (ib[1:, 0] != ib[:-1, 0])
+        start = np.flatnonzero(np.append(True, moved))
+        keys = self.key(ia[start, :, None].astype(np.int64), ib[start, None, :].astype(np.int64))
+        width = keys[0].size
+        order = np.argsort(keys, axis=None, kind="stable")
+        keys = keys.ravel()[order]
+        new = np.append(True, keys[1:] != keys[:-1])
+        self.keys = keys[new]
+        # row of a pair: the points of every run that holds it, in order
+        run, slot = np.divmod(order, width)
+        n_pts = (np.append(start[1:], m) - start)[run]
+        end = np.cumsum(n_pts)
+        point = np.repeat(start[run] + n_pts - end, n_pts) + np.arange(end[-1])
+        vals = (va[:, :, None] * vb[:, None, :]).ravel()[point * width + np.repeat(slot, n_pts)]
+        ptr = np.append((end - n_pts)[new], end[-1]).astype(np.int32)
+        self.matrix = sp.csr_matrix((vals, point.astype(np.int32), ptr), shape=(self.keys.size, m))
+        self.rows = (self.keys % na).astype(np.int32)
+        self.cols = (self.keys // na % nb).astype(np.int32)
+        self.per_col = np.bincount(self.cols, minlength=nb).astype(np.int32)
+        self.col_size = self.per_col[self.cols]
+        by_col = np.lexsort((self.rows, self.cols))
+        self.rank = np.empty_like(self.rows)
+        self.rank[by_col] = np.arange(by_col.size) - (np.cumsum(self.per_col) - self.per_col)[
+            self.cols[by_col]]
+        self.upper = self.matrix
+        if self.mirrored:
+            n = np.count_nonzero(self.rows <= self.cols)
+            part = (vals[: ptr[n]], self.matrix.indices[: ptr[n]], ptr[: n + 1])
+            self.upper = sp.csr_matrix(part, shape=(n, m))
+
+    def key(self, i, j):
+        """Sort key of the pairs (i, j): by j and then i, for one family the i <= j half first."""
+        na, nb = self.shape
+        return ((i > j) * (na * nb) if self.mirrored else 0) + j * na + i
+
+    def swap(self, partner):
+        """Per row (I, J), the row of ``partner`` (the two families swapped) that holds (J, I)."""
+        swapped = partner.key(self.cols.astype(np.int64), self.rows.astype(np.int64))
+        return np.searchsorted(partner.keys, swapped)
 
 
 class _Axis(GridAxis):
@@ -120,9 +160,10 @@ class _Axis(GridAxis):
 
     ``colloc[edge]`` is the collocation matrix of the nodal (edge False)
     or edge (edge True) family, both from one ``window`` call;
-    ``pair(edge_a, edge_b)`` is the pair operator of two families and
-    ``geometry(basis)`` (from ``GridAxis``) the table of a geometry basis
-    at the points, each built on first use.
+    ``pair(edge_a, edge_b)`` is the pair operator of two families,
+    ``swap(edge_a, edge_b)`` where its swapped pairs lie in
+    ``pair(edge_b, edge_a)``, and ``geometry(basis)`` (from ``GridAxis``)
+    the table of a geometry basis at the points, each built on first use.
     """
 
     def __init__(self, basis, nq: int):
@@ -136,13 +177,19 @@ class _Axis(GridAxis):
             False: collocation(first, nvals, basis.num_basis),
             True: collocation(first, edge_window(nders), basis.num_basis - 1),
         }
-        self._pairs = {}
+        self._pairs, self._swaps = {}, {}
 
     def pair(self, edge_a: bool, edge_b: bool) -> _PairOperator:
         key = (edge_a, edge_b)
         if key not in self._pairs:
             self._pairs[key] = _PairOperator(self.colloc[edge_a], self.colloc[edge_b])
         return self._pairs[key]
+
+    def swap(self, edge_a: bool, edge_b: bool) -> np.ndarray:
+        key = (edge_a, edge_b)
+        if key not in self._swaps:
+            self._swaps[key] = self.pair(*key).swap(self.pair(edge_b, edge_a))
+        return self._swaps[key]
 
 
 def _axis(axes, basis, nq: int) -> _Axis:
@@ -217,34 +264,59 @@ class _MassPattern:
     because the pattern is the Kronecker product of the two pair sets.
     Within a column, rows come block by block and, inside a block, in
     flat (Fortran) order, which is the order of ``rank`` in direction 2
-    and then in direction 1.  ``dest`` of a block pair is where V goes in
-    the data array.
+    and then in direction 1.
+
+    The Gram matrix is symmetric entry for entry: the transposed entry
+    multiplies the same products of basis values, in the same order,
+    with the same weight.  So ``blocks`` holds only the upper half, the
+    block pairs A < B and the rows I1 <= J1 of the diagonal pairs, each
+    with ``dest``, where its V^T goes in the data array; ``matrix``
+    copies the other entries, at ``fill``, from their transposes, at
+    ``src``.  ``indptr`` and ``indices`` are int32 where they fit, which
+    scipy keeps without a copy.
     """
 
     def __init__(self, space: DiscreteFormSpace, axes):
         per_col = np.zeros(space.dim, dtype=np.int64)
-        parts = []
+        parts = {}
         for ib, B in enumerate(space.blocks):
             cols = B.offset + np.arange(B.size).reshape(B.shape, order="F")
             for ia, A in enumerate(space.blocks):
-                g1, g2 = (axes[j].pair(j in A.dirs, j in B.dirs) for j in range(2))
-                parts.append(((ia, ib), A, g1, g2, cols, per_col[cols]))
+                edges = (0 in A.dirs, 0 in B.dirs), (1 in A.dirs, 1 in B.dirs)
+                g1, g2 = axes[0].pair(*edges[0]), axes[1].pair(*edges[1])
+                parts[ia, ib] = (A, g1, g2, edges, cols, per_col[cols])
                 per_col[cols] += np.outer(g1.per_col, g2.per_col)
+        nnz = int(per_col.sum())
+        index = np.int32 if max(nnz, space.dim) < 2**31 else np.int64
         self.shape = (space.dim, space.dim)
-        self.indptr = np.concatenate(([0], np.cumsum(per_col)))
-        self.indices = np.empty(self.indptr[-1], dtype=np.int64)
-        self.blocks = []
-        for key, A, g1, g2, cols, before in parts:
-            first = (self.indptr[cols] + before)[g1.cols][:, g2.cols]
-            dest = first + g2.rank[None, :] * g1.per_col[g1.cols][:, None] + g1.rank[:, None]
-            self.indices[dest] = A.offset + g1.rows[:, None] + A.shape[0] * g2.rows[None, :]
-            self.blocks.append((key, g1.matrix, g2.matrix, dest))
+        self.indptr = np.concatenate(([0], np.cumsum(per_col))).astype(index)
+        self.indices = np.empty(nnz, dtype=index)
+        self.blocks, fill, src, dests = [], [], [], {}
+        for (ia, ib), (A, g1, g2, edges, cols, before) in parts.items():
+            # data positions, shaped (direction-2 rows, direction-1 rows) like V^T
+            first = (self.indptr[cols] + before).astype(index).T[:, g1.cols] + g1.rank
+            dests[ia, ib] = dest = first[g2.cols] + g2.rank[:, None] * g1.col_size
+            self.indices[dest] = index(A.offset) + g1.rows + index(A.shape[0]) * g2.rows[:, None]
+            n = g1.rows.size if ia < ib else g1.upper.shape[0] if ia == ib else 0
+            if n:
+                self.blocks.append(((ia, ib), g1.upper if ia == ib else g1.matrix, g2.matrix,
+                                    dest[:, :n]))
+            if ia >= ib:  # the rest mirrors block pair (ib, ia), which may come later
+                fill.append(dest[:, n:])
+                src.append(((ib, ia), axes[1].swap(*edges[1]), axes[0].swap(*edges[0])[n:]))
+        src = [dests[key][s2][:, s1] for key, s2, s1 in src]
+        self.fill, self.src = np.concatenate(fill, axis=None), np.concatenate(src, axis=None)
 
     def matrix(self, weights) -> sp.csc_matrix:
-        """The Gram matrix for the weighted metric of every block pair (``mass_metric``)."""
+        """The Gram matrix for the weighted metric of every block pair (``mass_metric``).
+
+        Only the block pairs A <= B are read: a metric is symmetric, so
+        the weights of B, A equal those of A, B.
+        """
         data = np.empty(self.indptr[-1])
         for key, g1, g2, dest in self.blocks:
-            data[dest] = (g2 @ (g1 @ weights[key]).T).T
+            data[dest] = g2 @ (g1 @ weights[key]).T
+        data[self.fill] = data[self.src]
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 

@@ -127,19 +127,22 @@ def _make_config(args) -> CaseConfig:
     return config
 
 
-def _write_stats(config: CaseConfig, run_s: float, output_s: float, level_stats) -> Path:
+def _write_stats(config: CaseConfig, run_s: float, output_s: float, minor_faults: int,
+                 level_stats) -> Path:
     """Write ``stats.json``: wall times, peak RSS and the statistics of every solve.
 
     ``levels`` lists the ``Solution.stats`` of each level (the cavity
     has one) and ``solve`` repeats the last.  It is outside the
     bit-exact output set: times and memory change from run to run.
-    ``peak_rss_mb`` is ``ru_maxrss`` (KiB on Linux).
+    ``peak_rss_mb`` is ``ru_maxrss`` (KiB on Linux); ``minor_faults``
+    counts the pages the run and its output first touched (``ru_minflt``).
     """
     stats = {
         "case": config.case,
         "run_s": run_s,
         "output_s": output_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "minor_faults": minor_faults,
         "solve": level_stats[-1],
         "levels": level_stats,
     }
@@ -154,6 +157,7 @@ def _cmd_run(args) -> int:
     except (ConstructionError, OSError, ValueError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     records = result = None
     if config.case == "cavity":
@@ -167,7 +171,8 @@ def _cmd_run(args) -> int:
     start = time.perf_counter()
     paths = emit_outputs(config, records=records, cavity=result)
     output_s = time.perf_counter() - start
-    paths.append(_write_stats(config, run_s, output_s, level_stats))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    paths.append(_write_stats(config, run_s, output_s, faults, level_stats))
 
     if config.case == "manufactured":
         for rec in records:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConstructionError, DegenerateGeometryError
 from .splines import Basis1D, KnotVector, grid_values, stored_window, uniform_open_knots
@@ -103,21 +104,24 @@ def mass_metric(k: int, jac, det, w):
     """Weight w times the k-form inner-product metric, per component pair.
 
     0-forms carry det J, 2-form densities 1/det J and 1-forms
-    J^{-1} J^{-T} det J = adj(J) adj(J)^T / det J.
+    J^{-1} J^{-T} det J = adj(J) adj(J)^T / det J, computed in place.
     """
+    if k not in (0, 1, 2):
+        raise ConstructionError(f"mass metric implemented for k in {{0, 1, 2}}, got {k!r}")
     if k == 0:
         return {(0, 0): det * w}
     scaled = w / det
     if k == 2:
         return {(0, 0): scaled}
     a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
-    g01 = -(c * d + a * b) * scaled
-    return {
-        (0, 0): (d * d + b * b) * scaled,
-        (0, 1): g01,
-        (1, 0): g01,
-        (1, 1): (c * c + a * a) * scaled,
-    }
+    g00, g01, g11 = d * d, c * d, c * c
+    g00 += b * b
+    g01 += a * b
+    g11 += a * a
+    np.negative(g01, out=g01)
+    for g in (g00, g01, g11):
+        g *= scaled
+    return {(0, 0): g00, (0, 1): g01, (1, 0): g01, (1, 1): g11}
 
 
 @dataclass(frozen=True)
@@ -236,9 +240,25 @@ class NurbsPatch:
         return grid_values(self.control, (v1, v2))
 
     def jacobian_grid(self, x_axis, y_axis):
-        """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid."""
+        """Jacobian (m1, m2, 2, 2) and its determinant (m1, m2) on a tensor grid.
+
+        The Jacobian views a component-major (2, 2, m1, m2) buffer, filled
+        by one product with the block-diagonal direction-1 tables after
+        direction 2 is contracted (the order of ``grid_values``).
+        """
         (v1, d1), (v2, d2) = self._collocation((x_axis, y_axis))
-        jac = np.stack([grid_values(self.control, pair) for pair in ((d1, v2), (v1, d2))], axis=-1)
+        nb1, nb2, _ = self.control.shape
+        front = self.control.transpose(1, 0, 2).reshape(nb2, 2 * nb1)
+        half = [(b2 @ front).reshape(-1, nb1, 2) for b2 in (v2, d2)]
+        ops = (d1, v1) * 2
+        ends = np.cumsum([0] + [op.nnz for op in ops])
+        blocks = sp.csr_matrix(
+            (np.concatenate([op.data for op in ops]),
+             np.concatenate([op.indices + i * nb1 for i, op in enumerate(ops)]),
+             np.concatenate([op.indptr[:-1] + end for op, end in zip(ops, ends)] + [ends[-1:]])),
+            shape=(4 * v1.shape[0], 4 * nb1))
+        buf = blocks @ np.concatenate([half[d][..., c].T for c in range(2) for d in range(2)])
+        jac = buf.reshape(2, 2, v1.shape[0], v2.shape[0]).transpose(2, 3, 0, 1)
         return jac, jacobian_det(jac)
 
     def map_point(self, u) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Mass matrices, the mixed saddle system, boundary conditions and the solve."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -35,6 +37,7 @@ from splineforms.geometry import (
     build_self_glued_annulus,
     build_taylor_couette,
     curved_square_patch,
+    mass_metric,
     unit_square_patch,
 )
 from splineforms.harness import _bases, manufactured_fields
@@ -178,6 +181,104 @@ def oracle_case(name):
 
 
 ORACLE_CASES = ["curved-jittered", "annulus-rational", "repeated-knot"]
+
+
+def full_pair_operator(a, b):
+    """Test-only oracle: the pair operator of two collocation matrices, every point through COO."""
+    (m, na), nb = a.shape, b.shape[1]
+    (ia, va), (ib, vb) = stored_window(a), stored_window(b)
+    keys, pair = np.unique((ib[:, None, :] * na + ia[:, :, None]).ravel(), return_inverse=True)
+    point = np.broadcast_to(np.arange(m)[:, None, None], (m, va.shape[1], vb.shape[1])).ravel()
+    vals = (va[:, :, None] * vb[:, None, :]).ravel()
+    per_col = np.bincount(keys // na, minlength=nb)
+    return SimpleNamespace(
+        matrix=sp.csr_matrix((vals, (pair.ravel(), point)), shape=(keys.size, m)),
+        rows=keys % na, cols=keys // na, per_col=per_col,
+        rank=np.arange(keys.size) - (np.cumsum(per_col) - per_col)[keys // na],
+    )
+
+
+def full_product_mass(space, axes, weights):
+    """Test-only oracle: every entry of every block pair G1 W G2^T, on int64 patterns.
+
+    The assembly as it was before it mirrored the upper half: the same
+    pair operators (rows sorted by J and then I) and the same products,
+    written straight into the CSC arrays.
+    """
+    per_col = np.zeros(space.dim, dtype=np.int64)
+    parts = []
+    for ib, B in enumerate(space.blocks):
+        cols = B.offset + np.arange(B.size).reshape(B.shape, order="F")
+        for ia, A in enumerate(space.blocks):
+            g1, g2 = (full_pair_operator(axes[j].colloc[j in A.dirs], axes[j].colloc[j in B.dirs])
+                      for j in range(2))
+            parts.append(((ia, ib), A, g1, g2, cols, per_col[cols]))
+            per_col[cols] += np.outer(g1.per_col, g2.per_col)
+    indptr = np.concatenate(([0], np.cumsum(per_col)))
+    indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+    for key, A, g1, g2, cols, before in parts:
+        first = (indptr[cols] + before)[g1.cols][:, g2.cols]
+        dest = first + g2.rank[None, :] * g1.per_col[g1.cols][:, None] + g1.rank[:, None]
+        indices[dest] = A.offset + g1.rows[:, None] + A.shape[0] * g2.rows[None, :]
+        data[dest] = (g2.matrix @ (g1.matrix @ weights[key]).T).T
+    return sp.csc_matrix((data, indices, indptr), shape=(space.dim, space.dim))
+
+
+def full_product_on_grid(space, grid, patterns=None):
+    """``_assemble_mass_on_grid`` with the full-product oracle."""
+    return full_product_mass(space, grid.axes, mass_metric(space.k, grid.jac, grid.det, grid.w))
+
+
+def assert_bit_identical(got, want):
+    for attr in ("indptr", "indices", "data"):
+        npt.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    assert (got != got.T).nnz == 0  # exactly symmetric
+
+
+class TestUpperHalfMass:
+    """Each Gram matrix is computed from its upper half and mirrored, bit for bit."""
+
+    @pytest.mark.parametrize("n_quad", [None, 7])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_bit_identical_to_full_product(self, case, n_quad):
+        bases, patch = oracle_case(case)
+        grid = _PatchGrid(bases, patch, n_quad=n_quad)
+        for k in (0, 1, 2):
+            space = DiscreteFormSpace(bases, k)
+            got = assemble_mass(space, patch, n_quad=n_quad).matrix
+            assert_bit_identical(got, full_product_on_grid(space, grid))
+
+    @pytest.mark.parametrize("geometry", ["couette", "self-glued"])
+    def test_glued_system_blocks_bit_identical(self, geometry, monkeypatch):
+        if geometry == "couette":
+            build = lambda: assemble_vvp([vvp_spaces(_bases(3, 4))] * 4, build_taylor_couette())
+        else:
+            build = lambda: assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
+        got = build()
+        monkeypatch.setattr(assembly, "_assemble_mass_on_grid", full_product_on_grid)
+        want = build()
+        for name in ("M0", "M1", "M2"):
+            assert_bit_identical(getattr(got, name), getattr(want, name))
+
+    def test_only_the_upper_half_is_multiplied(self, monkeypatch):
+        patterns = []
+        original = assembly._MassPattern.__init__
+        monkeypatch.setattr(assembly._MassPattern, "__init__",
+                            lambda self, *args: (patterns.append(self), original(self, *args))[1])
+        bases, patch = oracle_case("curved-jittered")
+        axis = _PatchGrid(bases, patch).axes[0]
+        for k in (0, 1, 2):
+            space = DiscreteFormSpace(bases, k)
+            matrix = assemble_mass(space, patch).matrix
+            pattern = patterns[-1]
+            assert all(ia <= ib for (ia, ib), *_ in pattern.blocks)
+            for (ia, ib), g1, _, _ in pattern.blocks:
+                if ia == ib:  # (P + n) / 2 of the P pairs of n functions
+                    table = axis.colloc[0 in space.blocks[ia].dirs]
+                    pairs = full_pair_operator(table, table).matrix.shape[0]
+                    assert g1.shape[0] == (pairs + table.shape[1]) // 2
+            assert matrix.indices.dtype == np.int32
+            assert np.shares_memory(matrix.indices, pattern.indices)
 
 
 class TestSumFactorizedMass:

@@ -261,6 +261,12 @@ class TestPullbackAlgebra:
         npt.assert_allclose(mass_metric(0, jac, det, w)[0, 0], det * w)
         npt.assert_allclose(mass_metric(2, jac, det, w)[0, 0], w / det)
 
+    @pytest.mark.parametrize("k", [3, -1, 1.5])
+    def test_mass_metric_rejects_a_form_degree_outside_0_1_2(self, jac, k):
+        # like pullback; a bad k used to get the 1-form metric
+        with pytest.raises(ConstructionError, match="mass metric"):
+            mass_metric(k, jac, jacobian_det(jac), np.ones(jac.shape[:-2]))
+
 
 def _bilinear_on_0_2(x0=0.0, y0=0.0, end=2.0):
     """Unit square offset by (x0, y0) as a bilinear patch over the knot domain [0, end]^2."""

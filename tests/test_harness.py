@@ -462,12 +462,13 @@ class TestCli:
                             str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         stats = json.loads((tmp_path / "stats.json").read_text())
-        assert {"case", "run_s", "output_s", "peak_rss_mb", "solve"} <= stats.keys()
+        assert {"case", "run_s", "output_s", "peak_rss_mb", "minor_faults", "solve"} <= stats.keys()
         assert stats["case"] == "cavity"
         assert stats["run_s"] > 0 and stats["output_s"] > 0 and stats["peak_rss_mb"] > 0
+        assert isinstance(stats["minor_faults"], int) and stats["minor_faults"] >= 0
         assert {"dofs", "lu_nnz", "factors", "residual"} <= stats["solve"].keys()
         meta = (tmp_path / "run_metadata.txt").read_text()
-        for key in ("run_s", "output_s", "peak_rss", "seconds", "lu_nnz"):
+        for key in ("run_s", "output_s", "peak_rss", "minor_faults", "seconds", "lu_nnz"):
             assert key not in meta
 
     def test_stats_json_lists_every_level(self, tmp_path):
