@@ -124,8 +124,12 @@ def collocation(first, vals, n: int) -> sp.csr_matrix:
 
 
 def stored_window(matrix):
-    """Columns and values, each (points, width), that a ``collocation`` matrix stores per row."""
-    shape = (matrix.shape[0], matrix.nnz // matrix.shape[0])
+    """Columns and values, each (points, width), that a ``collocation`` matrix stores per row.
+
+    A matrix of no points stores nothing, so its windows are (0, 0).
+    """
+    points = matrix.shape[0]
+    shape = (points, matrix.nnz // points if points else 0)
     return matrix.indices.reshape(shape), matrix.data.reshape(shape)
 
 

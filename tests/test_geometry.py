@@ -52,6 +52,12 @@ class TestMapping:
             with pytest.raises(DomainError):
                 patch.jacobian(uv)
 
+    def test_empty_point_arrays(self):
+        patch = curved_square_patch()
+        assert patch.map_point(np.zeros((0, 2))).shape == (0, 2)
+        assert patch.jacobian(np.zeros((0, 2))).shape == (0, 2, 2)
+        assert patch.map_point(np.zeros((3, 0, 2))).shape == (3, 0, 2)
+
     def test_affine_jacobian(self):
         patch = scaled_patch(2.0, 3.0)
         jac = patch.jacobian(np.array([0.4, 0.6]))

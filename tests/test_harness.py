@@ -4,9 +4,12 @@ import contextlib
 import filecmp
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import ROUND_FLOOR, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from splineforms import assembly, cli, geometry, harness
 from splineforms.harness import (
     CaseConfig,
     _h_max,
+    _percent_table,
     _table,
     _version_stamp,
     couette_speed,
@@ -246,6 +250,122 @@ def test_table_matches_per_value_format():
         assert _table(grid) == _per_value_table(grid)
     assert _table(special).splitlines()[0].split() == ["-0.00000000000000000e+00",
                                                        "0.00000000000000000e+00", "nan", "nan"]
+
+
+def _fallback_rows(monkeypatch):
+    """Record the rows, as tuples, that ``_table`` hands to the per-row ``%`` path."""
+    rows = []
+    real = harness._percent_table
+
+    def counting(grid):
+        rows.extend(map(tuple, np.asarray(grid).tolist()))
+        return real(grid)
+
+    monkeypatch.setattr(harness, "_percent_table", counting)
+    return rows
+
+
+def _outside_kernel(grid):
+    """Row mask of values the kernel never writes: non-finite, or nonzero outside [1e-250, 1e250]."""
+    a = np.abs(np.asarray(grid, dtype=float))
+    inside = (a == 0.0) | ((a >= 1e-250) & (a <= 1e250))
+    return ~inside.reshape(a.shape[0], -1).all(axis=1)
+
+
+def _near_tie(x):
+    """Whether |x| 10^(17-k), k = floor(log10|x|), lies within 1e-6 of a half, in exact arithmetic."""
+    with localcontext(prec=1000):
+        y = abs(Decimal(x))
+        y = y.scaleb(17 - y.adjusted())
+        return abs(y - y.to_integral_value(ROUND_FLOOR) - Decimal("0.5")) < Decimal("1e-6")
+
+
+def test_table_matches_oracle_on_random_bit_patterns(monkeypatch):
+    rng = np.random.default_rng(1801)
+    grid = rng.integers(0, 2**64, size=(2**19, 2), dtype=np.uint64).view(np.float64)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072009e-308]
+    grid.ravel()[rng.choice(grid.size, 700, replace=False)] = np.repeat(specials, 100)
+    a = np.abs(grid)
+    assert (a == 0).sum() >= 200 and np.isinf(a).sum() >= 200 and np.isnan(a).sum() >= 100
+    assert ((a > 0) & (a < 2.2250738585072014e-308)).sum() >= 200  # subnormals
+    rows = _fallback_rows(monkeypatch)
+    assert _table(grid) == _per_value_table(grid.tolist())
+    # the rows that went to ``%``: those the kernel never writes, and near ties
+    keys = {np.array(row).tobytes() for row in rows}
+    fallback = np.array([row.tobytes() in keys for row in grid])
+    outside = _outside_kernel(grid)
+    assert len(rows) == fallback.sum() and np.all(fallback[outside])
+    assert 0.25 * len(grid) < outside.sum() < 0.45 * len(grid)
+    ties = grid[fallback & ~outside]
+    assert 0 < len(ties) < 1000
+    assert all(any(_near_tie(x) for x in row) for row in ties.tolist())
+
+
+def test_table_matches_oracle_on_powers_of_ten(monkeypatch):
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    grid = np.column_stack((np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)))
+    grid = np.concatenate((grid, -grid))
+    rows = _fallback_rows(monkeypatch)
+    assert _table(grid) == _per_value_table(grid)
+    # 1e-300 .. 1e-250 and 1e250 .. 1e300, and 1e15, whose upper neighbour
+    # 1000000000000000.125 is an exact tie
+    tie = np.abs(grid[:, 1]) == 1e15
+    assert _outside_kernel(grid).sum() == 2 * (51 + 51)
+    assert sorted(rows) == sorted(map(tuple, grid[_outside_kernel(grid) | tie].tolist()))
+
+
+def test_table_matches_oracle_on_integers():
+    rng = np.random.default_rng(1802)
+    ints = np.concatenate((rng.integers(-(2**53), 2**53, 3999, endpoint=True),
+                           [0, 1, 9, 10, 2**53 - 1, 2**53, -(2**53)], 10 ** np.arange(16),
+                           2 ** np.arange(54))).reshape(-1, 4)
+    assert _table(ints) == _per_value_table(ints)
+    assert _table(ints.astype(float)) == _per_value_table(ints)
+
+
+def test_table_takes_the_fallback_on_exact_ties(monkeypatch):
+    # n 2^-e with n odd has e decimals, the last a 5; in [10^d, 10^(d+1)) with
+    # e = 18 - d that makes 19 significant digits: a tie at the 18th
+    rng = np.random.default_rng(1803)
+    ties = []
+    for d in range(-5, 14):
+        e = 18 - d
+        lo, hi = (math.ceil(Fraction(10) ** t * 2**e) for t in (d, d + 1))
+        odd = rng.integers(lo // 2, hi // 2, 80) * 2 + 1
+        ties.extend(float(n) * 2.0**-e for n in odd if lo <= n < hi)
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 19 and digits[-1] == 5
+    grid = np.concatenate((ties, np.negative(ties)))[:, None]
+    rows = _fallback_rows(monkeypatch)
+    assert _table(grid) == _per_value_table(grid)
+    assert len(rows) == len(grid) > 2000
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (1, 1), (7, 1)])
+def test_table_shapes(shape):
+    grid = np.random.default_rng(1804).standard_normal(shape)
+    assert _table(grid) == _per_value_table(grid) == _percent_table(grid)
+
+
+def test_table_reads_fortran_and_strided_input():
+    grid = np.random.default_rng(1805).standard_normal((9, 5)) * 1e3
+    for view in (np.asfortranarray(grid), grid.T, grid[::2, ::-2]):
+        assert _table(view) == _per_value_table(view)
+
+
+def test_table_fallback_rows(monkeypatch):
+    """The kernel writes every cavity table; one nan sends exactly its row back to ``%``."""
+    rows = _fallback_rows(monkeypatch)
+    result = run_cavity(CaseConfig(case="cavity", degree=3, spans=9))
+    for grid in list(result.fields.values()) + [np.column_stack((result.y_line, result.vx_centerline))]:
+        assert _table(grid) == _per_value_table(grid)
+    assert rows == []
+    grid = result.fields["stream"].copy()
+    grid[17, 40] = np.nan
+    assert _table(grid) == _per_value_table(grid)
+    assert len(rows) == 1 and np.isnan(rows[0][40])
+    assert np.array_equal(rows[0], grid[17], equal_nan=True)
 
 
 def test_version_stamp_forks_git_at_most_once(monkeypatch, tmp_path):

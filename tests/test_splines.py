@@ -115,6 +115,12 @@ class TestCollocation:
         npt.assert_array_equal(basis.eval_nodal_deriv_many(xs), db.toarray())
         npt.assert_array_equal(EdgeBasis1D(basis).eval_edge_many(xs), edge.toarray())
 
+    def test_empty_window(self):
+        b, db = Basis1D(KnotVector(uniform_open_knots(2, 3), 2)).collocation(np.zeros(0))
+        for matrix in (b, db, collocation(np.zeros(0, dtype=int), np.zeros((0, 3)), 5)):
+            cols, vals = stored_window(matrix)
+            assert cols.shape == vals.shape == (0, 0)
+
     def test_explicit_window(self):
         first = np.array([0, 2, 1])
         vals = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
