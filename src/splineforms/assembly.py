@@ -10,10 +10,10 @@ tensor Gauss grid.  The pattern of a block is the Kronecker product of
 the two pair sets, so each entry of G1 W G2^T is one nonzero, written
 straight into its place in the final CSC arrays; that pattern depends
 only on the space and its Gauss axes, so patches that share them share
-it.  The Gram matrix is symmetric entry for entry, so only its upper
-half is multiplied (the block pairs A < B and, on the diagonal, the
-direction-1 pairs I <= J); one gather mirrors the rest.  The pattern's
-index arrays are int32 where they fit, so scipy keeps them as they are.
+it.  Every block pair is multiplied in full.  The pattern's index arrays
+are int32 where they fit, so scipy keeps them as they are.  A Gauss axis
+is kept per nodal basis object and rule (``_axis``), with its pair
+operators and geometry tables, while the basis lives.
 Forcing vectors (B1^T V B2) and reconstructions (B1 C B2^T) use the
 per-direction (points, functions) collocation matrices B of
 ``splines.collocation`` the same way, and so do the side rules of the
@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import numbers
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,7 @@ from .geometry import (
 )
 from .projection import greville_reduction
 from .spaces import DiscreteForm, DiscreteFormSpace
-from .splines import collocation, edge_window, grid_values, stored_window
+from .splines import collocation, edge_window, grid_values, per_basis, stored_window
 
 __all__ = [
     "MassMatrix",
@@ -100,28 +101,23 @@ class _PairOperator:
     """Sparse 1D operator G[(I, J), q] = A_I(q) B_J(q) of two collocation matrices.
 
     Its rows are the index pairs (I, J) whose functions share an element,
-    sorted by J and then I, except that an operator of one family with
-    itself (``mirrored``) lists the pairs with I <= J first: ``upper`` is
-    the operator of those (P + n) / 2 rows, which a diagonal Gram block
-    multiplies (for two families, the whole operator).  Column J
-    of the 1D Gram matrix holds ``per_col[J]`` pairs (``col_size`` per
-    row), and ``rank`` is the place of a pair within its column, in
-    order of I.
+    sorted by J and then I.  Column J of the 1D Gram matrix holds
+    ``per_col[J]`` pairs (``col_size`` per row), and ``rank`` is the
+    place of a pair within its column, in order of I.
     """
 
     def __init__(self, a, b):
         (m, na), nb = a.shape, b.shape[1]
         (ia, va), (ib, vb) = stored_window(a), stored_window(b)
-        self.shape, self.mirrored = (na, nb), a is b
         # the points of one element share both windows: pair them once per run
         moved = (ia[1:, 0] != ia[:-1, 0]) | (ib[1:, 0] != ib[:-1, 0])
         start = np.flatnonzero(np.append(True, moved))
-        keys = self.key(ia[start, :, None].astype(np.int64), ib[start, None, :].astype(np.int64))
+        keys = ib[start, None, :].astype(np.int64) * na + ia[start, :, None]
         width = keys[0].size
         order = np.argsort(keys, axis=None, kind="stable")
         keys = keys.ravel()[order]
         new = np.append(True, keys[1:] != keys[:-1])
-        self.keys = keys[new]
+        keys = keys[new]
         # row of a pair: the points of every run that holds it, in order
         run, slot = np.divmod(order, width)
         n_pts = (np.append(start[1:], m) - start)[run]
@@ -129,30 +125,15 @@ class _PairOperator:
         point = np.repeat(start[run] + n_pts - end, n_pts) + np.arange(end[-1])
         vals = (va[:, :, None] * vb[:, None, :]).ravel()[point * width + np.repeat(slot, n_pts)]
         ptr = np.append((end - n_pts)[new], end[-1]).astype(np.int32)
-        self.matrix = sp.csr_matrix((vals, point.astype(np.int32), ptr), shape=(self.keys.size, m))
-        self.rows = (self.keys % na).astype(np.int32)
-        self.cols = (self.keys // na % nb).astype(np.int32)
+        self.matrix = sp.csr_matrix((vals, point.astype(np.int32), ptr), shape=(keys.size, m))
+        self.rows = (keys % na).astype(np.int32)
+        self.cols = (keys // na).astype(np.int32)
         self.per_col = np.bincount(self.cols, minlength=nb).astype(np.int32)
         self.col_size = self.per_col[self.cols]
         by_col = np.lexsort((self.rows, self.cols))
         self.rank = np.empty_like(self.rows)
         self.rank[by_col] = np.arange(by_col.size) - (np.cumsum(self.per_col) - self.per_col)[
             self.cols[by_col]]
-        self.upper = self.matrix
-        if self.mirrored:
-            n = np.count_nonzero(self.rows <= self.cols)
-            part = (vals[: ptr[n]], self.matrix.indices[: ptr[n]], ptr[: n + 1])
-            self.upper = sp.csr_matrix(part, shape=(n, m))
-
-    def key(self, i, j):
-        """Sort key of the pairs (i, j): by j and then i, for one family the i <= j half first."""
-        na, nb = self.shape
-        return ((i > j) * (na * nb) if self.mirrored else 0) + j * na + i
-
-    def swap(self, partner):
-        """Per row (I, J), the row of ``partner`` (the two families swapped) that holds (J, I)."""
-        swapped = partner.key(self.cols.astype(np.int64), self.rows.astype(np.int64))
-        return np.searchsorted(partner.keys, swapped)
 
 
 class _Axis(GridAxis):
@@ -160,10 +141,9 @@ class _Axis(GridAxis):
 
     ``colloc[edge]`` is the collocation matrix of the nodal (edge False)
     or edge (edge True) family, both from one ``window`` call;
-    ``pair(edge_a, edge_b)`` is the pair operator of two families,
-    ``swap(edge_a, edge_b)`` where its swapped pairs lie in
-    ``pair(edge_b, edge_a)``, and ``geometry(basis)`` (from ``GridAxis``)
-    the table of a geometry basis at the points, each built on first use.
+    ``pair(edge_a, edge_b)`` is the pair operator of two families and
+    ``geometry(basis)`` (from ``GridAxis``) the table of a geometry basis
+    at the points, each built on first use.
     """
 
     def __init__(self, basis, nq: int):
@@ -177,7 +157,7 @@ class _Axis(GridAxis):
             False: collocation(first, nvals, basis.num_basis),
             True: collocation(first, edge_window(nders), basis.num_basis - 1),
         }
-        self._pairs, self._swaps = {}, {}
+        self._pairs = {}
 
     def pair(self, edge_a: bool, edge_b: bool) -> _PairOperator:
         key = (edge_a, edge_b)
@@ -185,38 +165,31 @@ class _Axis(GridAxis):
             self._pairs[key] = _PairOperator(self.colloc[edge_a], self.colloc[edge_b])
         return self._pairs[key]
 
-    def swap(self, edge_a: bool, edge_b: bool) -> np.ndarray:
-        key = (edge_a, edge_b)
-        if key not in self._swaps:
-            self._swaps[key] = self.pair(*key).swap(self.pair(edge_b, edge_a))
-        return self._swaps[key]
+
+# immutable nodal basis (hashed by identity) -> {Gauss points per piece: _Axis}
+_AXES = weakref.WeakKeyDictionary()
 
 
-def _axis(axes, basis, nq: int) -> _Axis:
-    """The ``_Axis`` of (basis, nq) in ``axes``, built on first request."""
-    if (basis, nq) not in axes:
-        axes[basis, nq] = _Axis(basis, nq)
-    return axes[basis, nq]
+def _axis(basis, nq: int) -> _Axis:
+    """The ``_Axis`` of (basis, nq), built on first request and kept while the basis lives."""
+    return per_basis(_AXES, basis, nq, lambda: _Axis(basis, nq))
 
 
 class _PatchGrid:
     """Tensor Gauss grid of one patch: per-direction tables and the geometry at every point.
 
     Point arrays are shaped (Q1, Q2), the Gauss points of direction 1 by
-    those of direction 2.  ``axes`` maps (nodal basis, rule) to its
-    ``_Axis``; directions and patches given the same basis object and
-    rule share one ``_Axis`` through it, and with it its pair operators
-    and its geometry tables, so a caller that holds one dict across the
-    patches of a system does the per-basis work once.  ``jac`` and
-    ``det`` are always there; ``phys``, the physical image of every Gauss
-    point, only with ``need_phys`` (forcing and error evaluation), from
-    the same geometry tables.
+    those of direction 2.  Directions, patches and calls given the same
+    basis object and rule share one ``_Axis`` (``_axis``), and with it its
+    pair operators and its geometry tables.  ``jac`` and ``det`` are
+    always there; ``phys``, the physical image of every Gauss point, only
+    with ``need_phys`` (forcing and error evaluation), from the same
+    geometry tables.
     """
 
     def __init__(self, nodal_bases, patch: NurbsPatch, n_quad=None, extra: int = 0,
-                 need_phys: bool = False, axes=None):
+                 need_phys: bool = False):
         _check_n_quad(n_quad)
-        axes = {} if axes is None else axes
         self.axes = []
         for j, b in enumerate(nodal_bases):
             if np.abs(np.subtract(b.domain, patch.bases[j].domain)).max() > 1e-12:
@@ -231,7 +204,7 @@ class _PatchGrid:
                     "field breakpoints must refine the geometry breakpoints"
                 )
             nq = (n_quad if n_quad is not None else patch.bases[j].degree + b.degree + 1) + extra
-            self.axes.append(_axis(axes, b, nq))
+            self.axes.append(_axis(b, nq))
         self.jac, self.det = patch.jacobian_grid(*self.axes)
         if need_phys:
             self.phys = patch.map_grid(*self.axes)
@@ -264,59 +237,39 @@ class _MassPattern:
     because the pattern is the Kronecker product of the two pair sets.
     Within a column, rows come block by block and, inside a block, in
     flat (Fortran) order, which is the order of ``rank`` in direction 2
-    and then in direction 1.
-
-    The Gram matrix is symmetric entry for entry: the transposed entry
-    multiplies the same products of basis values, in the same order,
-    with the same weight.  So ``blocks`` holds only the upper half, the
-    block pairs A < B and the rows I1 <= J1 of the diagonal pairs, each
-    with ``dest``, where its V^T goes in the data array; ``matrix``
-    copies the other entries, at ``fill``, from their transposes, at
-    ``src``.  ``indptr`` and ``indices`` are int32 where they fit, which
+    and then in direction 1.  ``blocks`` holds every block pair with its
+    two pair operators and ``dest``, where its V^T goes in the data
+    array.  ``indptr`` and ``indices`` are int32 where they fit, which
     scipy keeps without a copy.
     """
 
     def __init__(self, space: DiscreteFormSpace, axes):
         per_col = np.zeros(space.dim, dtype=np.int64)
-        parts = {}
+        parts = []
         for ib, B in enumerate(space.blocks):
             cols = B.offset + np.arange(B.size).reshape(B.shape, order="F")
             for ia, A in enumerate(space.blocks):
-                edges = (0 in A.dirs, 0 in B.dirs), (1 in A.dirs, 1 in B.dirs)
-                g1, g2 = axes[0].pair(*edges[0]), axes[1].pair(*edges[1])
-                parts[ia, ib] = (A, g1, g2, edges, cols, per_col[cols])
+                g1, g2 = (axis.pair(j in A.dirs, j in B.dirs) for j, axis in enumerate(axes))
+                parts.append(((ia, ib), A, g1, g2, cols, per_col[cols]))
                 per_col[cols] += np.outer(g1.per_col, g2.per_col)
         nnz = int(per_col.sum())
         index = np.int32 if max(nnz, space.dim) < 2**31 else np.int64
         self.shape = (space.dim, space.dim)
         self.indptr = np.concatenate(([0], np.cumsum(per_col))).astype(index)
         self.indices = np.empty(nnz, dtype=index)
-        self.blocks, fill, src, dests = [], [], [], {}
-        for (ia, ib), (A, g1, g2, edges, cols, before) in parts.items():
+        self.blocks = []
+        for key, A, g1, g2, cols, before in parts:
             # data positions, shaped (direction-2 rows, direction-1 rows) like V^T
             first = (self.indptr[cols] + before).astype(index).T[:, g1.cols] + g1.rank
-            dests[ia, ib] = dest = first[g2.cols] + g2.rank[:, None] * g1.col_size
+            dest = first[g2.cols] + g2.rank[:, None] * g1.col_size
             self.indices[dest] = index(A.offset) + g1.rows + index(A.shape[0]) * g2.rows[:, None]
-            n = g1.rows.size if ia < ib else g1.upper.shape[0] if ia == ib else 0
-            if n:
-                self.blocks.append(((ia, ib), g1.upper if ia == ib else g1.matrix, g2.matrix,
-                                    dest[:, :n]))
-            if ia >= ib:  # the rest mirrors block pair (ib, ia), which may come later
-                fill.append(dest[:, n:])
-                src.append(((ib, ia), axes[1].swap(*edges[1]), axes[0].swap(*edges[0])[n:]))
-        src = [dests[key][s2][:, s1] for key, s2, s1 in src]
-        self.fill, self.src = np.concatenate(fill, axis=None), np.concatenate(src, axis=None)
+            self.blocks.append((key, g1.matrix, g2.matrix, dest))
 
     def matrix(self, weights) -> sp.csc_matrix:
-        """The Gram matrix for the weighted metric of every block pair (``mass_metric``).
-
-        Only the block pairs A <= B are read: a metric is symmetric, so
-        the weights of B, A equal those of A, B.
-        """
+        """The Gram matrix for the weighted metric of every block pair (``mass_metric``)."""
         data = np.empty(self.indptr[-1])
         for key, g1, g2, dest in self.blocks:
             data[dest] = g2 @ (g1 @ weights[key]).T
-        data[self.fill] = data[self.src]
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -494,11 +447,10 @@ class SaddleSystem:
     the (patch, side) boundary sides whose normal fluxes
     ``apply_strong_normal_velocity`` pins: it clears their cells in the
     ``free`` mask and writes their values into ``e_fixed`` (length n1).
-    Per-basis work is done once per system: patches given the same basis
-    objects share their Gauss axes and pair operators, and patches given
-    the same space triple also share the mass-matrix patterns and the
-    coboundaries.  ``axes`` maps (nodal basis, Gauss points) to its
-    ``_Axis``, for the weak side rules and the harness's error grids too.
+    Patches given the same basis objects share their Gauss axes and pair
+    operators (``_axis``), and patches given the same space triple also
+    share the mass-matrix patterns, built once per system, and the
+    coboundaries.
     """
 
     def __init__(self, spaces, patches, glue, nu, normal_sides=None, n_quad=None, forcing=None):
@@ -534,10 +486,10 @@ class SaddleSystem:
         self.rhs = np.zeros(self.size)
         mass, d10, d21 = ([], [], []), [], []
         owned = np.zeros(self.n1, dtype=bool)
-        self.axes, patterns = {}, {}  # per-basis work, shared by every patch
+        patterns = {}  # (space, axis, axis) -> _MassPattern, shared by every patch
         for p, (s0, s1, s2) in enumerate(spaces):
             grid = _PatchGrid(s0.nodal_bases, patches[p], n_quad=n_quad,
-                              need_phys=forcing is not None, axes=self.axes)
+                              need_phys=forcing is not None)
             maps = (self.map0[p], self.map1[p], self.map2[p])
             for k, space in enumerate((s0, s1, s2)):
                 mass[k].append((_assemble_mass_on_grid(space, grid, patterns), maps[k], maps[k]))
@@ -652,15 +604,15 @@ def apply_weak_tangential_velocity(system: SaddleSystem, velocity=None) -> np.nd
     plain callable) contribute; missing sides mean zero data, and data
     for a side that is not a boundary side raises ConstructionError.
     Each side is integrated on the Gauss axis of its along-side basis
-    in ``system.axes``: the stored window of its nodal table, weighted by
-    the tangential data, summed per function with ``np.bincount``.
+    (``_axis``): the stored window of its nodal table, weighted by the
+    tangential data, summed per function with ``np.bincount``.
     """
     entries = _normalize_side_data(velocity, system.boundary)
     b1 = np.zeros(system.n0)
     for (p, side), vfun in entries.items():
         if vfun is None:
             continue
-        axis = _axis(system.axes, *_side_basis(system, p, side))
+        axis = _axis(*_side_basis(system, p, side))
         v, tan = _side_velocity(system, p, side, vfun, axis)
         tangential = np.einsum("mc,mc->m", v, tan) * axis.w
         cols, vals = stored_window(axis.colloc[False])

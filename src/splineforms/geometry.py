@@ -15,6 +15,7 @@ metric) lives in the functions below that act on an evaluated Jacobian
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,7 @@ class SideCurve:
         """Physical points and tangents (m, 2) from ``basis.collocation`` of the side coordinates.
 
         Raises DegenerateGeometryError where the Jacobian determinant of
-        the patch is not positive.
+        the patch is not positive (or not a number).
         """
         vals, ders = colloc
         points = vals @ self.control
@@ -150,7 +151,7 @@ class SideCurve:
         across = vals @ self.transverse
         cols = (across, tangent) if self.axis == 0 else (tangent, across)
         det = jacobian_det(np.stack(cols, axis=-1))
-        if np.any(det <= 0.0):
+        if not np.all(det > 0.0):
             raise DegenerateGeometryError(
                 f"nonpositive Jacobian determinant on a side (min {det.min():.3e})"
             )
@@ -163,12 +164,14 @@ class GridAxis:
     ``geometry(basis)`` is the (values, derivatives) collocation of a
     geometry basis at ``pts``, built on first request.  Patches and
     directions handed one ``GridAxis`` share its tables, for as long as
-    its owner keeps it: a system's Gauss axis, or one call.
+    its owner keeps it: a per-basis cache entry, or one call.  The tables
+    hold their bases weakly: an entry kept for a field basis that is also
+    the geometry basis would otherwise keep that basis, and so itself, alive.
     """
 
     def __init__(self, pts):
         self.pts = pts
-        self._tables = {}
+        self._tables = weakref.WeakKeyDictionary()
 
     def geometry(self, basis):
         if basis not in self._tables:
@@ -186,8 +189,8 @@ class NurbsPatch:
     control : ndarray, shape (nb1, nb2, 2)
         Control point grid.
 
-    The Jacobian determinant is required to be strictly positive; this is
-    checked on a dense sample grid at construction.
+    Control points must be finite, and the Jacobian determinant strictly
+    positive; this is checked on a dense sample grid at construction.
     """
 
     def __init__(self, bases, control, check: bool = True):
@@ -198,6 +201,8 @@ class NurbsPatch:
         expected = (bases[0].num_basis, bases[1].num_basis, 2)
         if control.shape != expected:
             raise ConstructionError(f"control grid must have shape {expected}")
+        if not np.all(np.isfinite(control)):
+            raise ConstructionError("control points must be finite")
         self.bases = bases
         self.control = control
         self.control.flags.writeable = False
@@ -212,7 +217,7 @@ class NurbsPatch:
             fine = np.concatenate([np.linspace(a, c, 9)[:-1] for a, c in zip(brk, brk[1:])])
             axes.append(np.append(fine, brk[-1]))
         det = self.jacobian_grid(axes[0], axes[1])[1]
-        if np.any(det <= 0.0):
+        if not np.all(det > 0.0):
             raise DegenerateGeometryError(
                 f"nonpositive Jacobian determinant (min {det.min():.3e})"
             )
@@ -272,7 +277,7 @@ class NurbsPatch:
         u = np.asarray(u, dtype=float)
         (v1, d1), (v2, d2) = self._collocation(u.reshape(-1, 2).T)
         jac = np.stack((self._at_points(d1, v2), self._at_points(v1, d2)), axis=-1)
-        if np.any(jacobian_det(jac) <= 0.0):
+        if not np.all(jacobian_det(jac) > 0.0):
             raise DegenerateGeometryError("nonpositive Jacobian determinant")
         return jac.reshape(u.shape + (2,))
 

@@ -260,8 +260,7 @@ def _solution_errors(solution, exact, extra_quad: int = 2, quad=None):
     div_pt = 0.0
     for p, patch in enumerate(sysm.patches):
         bases = sysm.spaces[p][0].nodal_bases
-        grid = _PatchGrid(bases, patch, n_quad=quad, extra=extra_quad, need_phys=True,
-                          axes=sysm.axes)  # the system's per-basis tables
+        grid = _PatchGrid(bases, patch, n_quad=quad, extra=extra_quad, need_phys=True)
         W = grid.w * grid.det
         X = grid.phys[..., 0]
         Y = grid.phys[..., 1]
@@ -275,7 +274,7 @@ def _solution_errors(solution, exact, extra_quad: int = 2, quad=None):
         # points per element the divergence check lacks for 23 per direction
         more = max(-(-23 // (axis.pts.size // axis.nq)) - axis.nq for axis in grid.axes)
         if more > 0:
-            grid = _PatchGrid(bases, patch, n_quad=quad, extra=extra_quad + more, axes=sysm.axes)
+            grid = _PatchGrid(bases, patch, n_quad=quad, extra=extra_quad + more)
         div = grid.reconstruct(fu.exterior_derivative(), 0) / grid.det
         div_pt = max(div_pt, float(np.abs(div).max()))
     return np.sqrt(e_w2), np.sqrt(e_u2), np.sqrt(e_p2), div_pt

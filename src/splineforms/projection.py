@@ -22,7 +22,7 @@ from ._quadrature import interval_rule
 from .errors import ConstructionError, IllPosedNodesError
 from .geometry import GridAxis
 from .spaces import DiscreteForm, DiscreteFormSpace
-from .splines import Basis1D, EdgeBasis1D, grid_values
+from .splines import Basis1D, EdgeBasis1D, grid_values, per_basis
 
 __all__ = [
     "ChangeOfBasis",
@@ -160,14 +160,12 @@ def greville_reduction(basis: Basis1D, edge: bool, n_gauss=None):
     identity) and interpolates.  An edge factor integrates over the
     Greville intervals: row i holds the ``greville_rule`` weights of the
     points interval i owns; it histopolates.  Built once per basis and
-    rule, kept while the basis lives.  The points come as a
-    ``geometry.GridAxis``, whose ``pts`` are read-only and which keeps
-    the geometry tables at them (the side data of the strong boundary
-    conditions) with the rest of the entry.
+    rule, kept while the basis lives (``splines.per_basis``).  The points
+    come as a ``geometry.GridAxis``, whose ``pts`` are read-only and
+    which keeps the geometry tables at them (the side data of the strong
+    boundary conditions) with the rest of the entry.
     """
-    cache = _REDUCTIONS.setdefault(basis, {})
-    key = (edge, n_gauss if edge else None)
-    if key not in cache:
+    def build():
         if edge:
             pts, wts, owner = greville_rule(basis, n_gauss)
             reduction = sp.csr_matrix((wts, (owner, np.arange(pts.size))),
@@ -178,8 +176,9 @@ def greville_reduction(basis: Basis1D, edge: bool, n_gauss=None):
             reduction = sp.identity(pts.size, format="csr")
             change = build_interpolation(basis)
         pts.flags.writeable = False
-        cache[key] = GridAxis(pts), reduction, change
-    return cache[key]
+        return GridAxis(pts), reduction, change
+
+    return per_basis(_REDUCTIONS, basis, (edge, n_gauss if edge else None), build)
 
 
 def project_form(space: DiscreteFormSpace, components, n_gauss=None) -> DiscreteForm:

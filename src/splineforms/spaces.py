@@ -51,7 +51,8 @@ class DiscreteFormSpace:
     Parameters
     ----------
     nodal_bases : sequence of Basis1D
-        One partition-of-unity basis per direction (d = 1, 2 or 3).
+        One partition-of-unity basis of degree >= 1 per direction (d = 1,
+        2 or 3).
     k : int
         Form degree, 0 <= k <= d.
     """
@@ -63,6 +64,8 @@ class DiscreteFormSpace:
             raise ConstructionError("need 1, 2 or 3 directions")
         if not all(isinstance(b, Basis1D) for b in nodal_bases):
             raise ConstructionError("nodal_bases must be Basis1D instances")
+        if any(b.degree < 1 for b in nodal_bases):  # edge functions are their derivatives
+            raise ConstructionError("nodal_bases must have degree >= 1")
         if not 0 <= k <= d:
             raise ConstructionError(f"form degree {k} out of range for d={d}")
         self.nodal_bases = nodal_bases

@@ -23,7 +23,7 @@ from ._quadrature import panel_rule
 from .errors import ConstructionError, DomainError
 
 __all__ = ["KnotVector", "Basis1D", "EdgeBasis1D", "uniform_open_knots", "collocation",
-           "stored_window", "grid_values"]
+           "stored_window", "grid_values", "per_basis"]
 
 
 def uniform_open_knots(degree: int, n_spans: int, start: float = 0.0, end: float = 1.0):
@@ -147,6 +147,19 @@ def grid_values(coeffs, matrices) -> np.ndarray:
         flat = matrices[j] @ front.reshape(front.shape[0], -1)
         out = np.moveaxis(flat.reshape((matrices[j].shape[0],) + front.shape[1:]), 0, j)
     return out
+
+
+def per_basis(table, basis, key, build):
+    """``build()`` for (basis, key), kept in ``table`` for as long as ``basis`` lives.
+
+    ``table`` is a ``weakref.WeakKeyDictionary``; a basis is immutable and
+    hashed by identity, so its entry never goes stale and dies with it.
+    What ``build`` returns must not hold the basis, or the entry never dies.
+    """
+    entry = table.setdefault(basis, {})
+    if key not in entry:
+        entry[key] = build()
+    return entry[key]
 
 
 def _bspline_window(knots, p, spans, x):

@@ -1,5 +1,7 @@
 """Mass matrices, the mixed saddle system, boundary conditions and the solve."""
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,9 +203,8 @@ def full_pair_operator(a, b):
 def full_product_mass(space, axes, weights):
     """Test-only oracle: every entry of every block pair G1 W G2^T, on int64 patterns.
 
-    The assembly as it was before it mirrored the upper half: the same
-    pair operators (rows sorted by J and then I) and the same products,
-    written straight into the CSC arrays.
+    Pair operators built point by point through COO (rows sorted by J and
+    then I) and the same products, written straight into the CSC arrays.
     """
     per_col = np.zeros(space.dim, dtype=np.int64)
     parts = []
@@ -235,8 +236,17 @@ def assert_bit_identical(got, want):
     assert (got != got.T).nnz == 0  # exactly symmetric
 
 
+def kept_axes(bases):
+    """The ``_Axis`` objects kept for the distinct bases of ``bases``."""
+    return [axis for basis in set(bases) for axis in assembly._AXES.get(basis, {}).values()]
+
+
 class TestUpperHalfMass:
-    """Each Gram matrix is computed from its upper half and mirrored, bit for bit."""
+    """Each Gram matrix equals the full-product oracle, bit for bit.
+
+    (The name is kept from an assembly that multiplied only the upper half
+    and mirrored the rest; every block pair is now multiplied in full.)
+    """
 
     @pytest.mark.parametrize("n_quad", [None, 7])
     @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -260,25 +270,46 @@ class TestUpperHalfMass:
         for name in ("M0", "M1", "M2"):
             assert_bit_identical(getattr(got, name), getattr(want, name))
 
-    def test_only_the_upper_half_is_multiplied(self, monkeypatch):
+    def test_every_block_pair_is_multiplied_in_full(self, monkeypatch):
         patterns = []
         original = assembly._MassPattern.__init__
         monkeypatch.setattr(assembly._MassPattern, "__init__",
                             lambda self, *args: (patterns.append(self), original(self, *args))[1])
         bases, patch = oracle_case("curved-jittered")
-        axis = _PatchGrid(bases, patch).axes[0]
+        axes = _PatchGrid(bases, patch).axes
         for k in (0, 1, 2):
             space = DiscreteFormSpace(bases, k)
             matrix = assemble_mass(space, patch).matrix
             pattern = patterns[-1]
-            assert all(ia <= ib for (ia, ib), *_ in pattern.blocks)
-            for (ia, ib), g1, _, _ in pattern.blocks:
-                if ia == ib:  # (P + n) / 2 of the P pairs of n functions
-                    table = axis.colloc[0 in space.blocks[ia].dirs]
-                    pairs = full_pair_operator(table, table).matrix.shape[0]
-                    assert g1.shape[0] == (pairs + table.shape[1]) // 2
+            n = len(space.blocks)
+            assert [key for key, *_ in pattern.blocks] == [(a, b) for b in range(n) for a in range(n)]
+            for (ia, ib), g1, g2, dest in pattern.blocks:
+                A, B = space.blocks[ia], space.blocks[ib]
+                pairs = tuple(
+                    full_pair_operator(axes[j].colloc[j in A.dirs], axes[j].colloc[j in B.dirs])
+                    .matrix.shape[0] for j in range(2))
+                assert (g1.shape[0], g2.shape[0]) == pairs
+                assert dest.shape == pairs[::-1]
+            assert sum(dest.size for *_, dest in pattern.blocks) == matrix.nnz
             assert matrix.indices.dtype == np.int32
             assert np.shares_memory(matrix.indices, pattern.indices)
+
+    def test_mass_matrices_share_the_axes_of_their_bases(self, monkeypatch):
+        built = [count_calls(monkeypatch, owner, "__init__")
+                 for owner in (assembly._Axis, assembly._PairOperator)]
+        bases, patch = oracle_case("curved-jittered")
+        for k in (0, 1, 2):
+            assemble_mass(DiscreteFormSpace(bases, k), patch)
+        # one axis per basis, with its four pair operators NN, NE, EN, EE
+        assert [len(calls) for calls in built] == [2, 8]
+        assert len(kept_axes(bases)) == 2
+        for calls in built:
+            calls.clear()  # they hold the bases
+        gc.collect()
+        before = len(assembly._AXES)
+        del bases
+        gc.collect()
+        assert len(assembly._AXES) == before - 2
 
 
 class TestSumFactorizedMass:
@@ -630,6 +661,26 @@ def test_axis_edge_table_from_one_window_call(monkeypatch):
     npt.assert_array_equal(got, want)
     npt.assert_array_equal(cols[:, 0], spans - basis.degree)
     assert axis.colloc[True].shape == (axis.pts.size, basis.num_basis - 1)
+
+
+def test_isoparametric_basis_dies_with_its_cache_entries():
+    # the field basis is also the geometry basis, so the tables its cached
+    # side rule keeps are keyed by the basis the entry belongs to
+    gc.collect()
+    before = len(projection._REDUCTIONS)
+    basis = make_basis(2, 3)
+    g = basis.greville_points()
+    patch = NurbsPatch((basis, basis), np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1))
+    system = assemble_vvp(vvp_spaces((basis, basis)), patch)
+    flow = lambda x, y: (np.ones_like(x), np.zeros_like(y))
+    apply_strong_normal_velocity(system, flow)
+    apply_weak_tangential_velocity(system, flow)
+    assert len(projection._REDUCTIONS) == before + 1
+    alive = weakref.ref(basis)
+    del basis, patch, system
+    gc.collect()
+    assert alive() is None
+    assert len(projection._REDUCTIONS) == before
 
 
 class TestBatchedSideIntegrals:
@@ -1210,15 +1261,14 @@ class TestSharedGeometryTables:
         patches = (build_taylor_couette().patches if geometry == "annulus"
                    else [curved_square_patch()])
         bases = _bases(3, 4)
-        axes = {}
         for patch in patches:
-            grid = _PatchGrid(bases, patch, need_phys=True, axes=axes)
+            grid = _PatchGrid(bases, patch, need_phys=True)
             x, y = grid.axes[0].pts, grid.axes[1].pts
             jac, det = patch.jacobian_grid(x, y)
             npt.assert_array_equal(grid.jac, jac)
             npt.assert_array_equal(grid.det, det)
             npt.assert_array_equal(grid.phys, patch.map_grid(x, y))
-        assert sum(len(axis._tables) for axis in axes.values()) == tables
+        assert sum(len(axis._tables) for axis in kept_axes(bases)) == tables
 
     def test_grid_geometry_goes_through_the_public_grid_methods(self, monkeypatch):
         # per-layer timing wraps map_grid/jacobian_grid; the grids must call them

@@ -76,6 +76,29 @@ class TestMapping:
         with pytest.raises(DegenerateGeometryError):
             NurbsPatch(base.bases, ctrl)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_control_rejected(self, bad):
+        base = unit_square_patch()
+        ctrl = base.control.copy()
+        ctrl[1, 0, 1] = bad
+        with pytest.raises(ConstructionError, match="control points must be finite"):
+            NurbsPatch(base.bases, ctrl)
+
+    def test_not_a_number_determinant_rejected(self):
+        # finite control whose Jacobian products overflow: det J = inf - inf
+        base = unit_square_patch()
+        ctrl = np.array([[[0, 0], [1e200, 2e200]], [[1e200, 1e200], [2e200, 3e200]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateGeometryError):
+                NurbsPatch(base.bases, ctrl)
+            patch = NurbsPatch(base.bases, ctrl, check=False)
+            assert np.isnan(jacobian_det(patch.jacobian_grid([0.5], [0.5])[0])).all()
+            with pytest.raises(DegenerateGeometryError):
+                patch.jacobian([0.5, 0.5])
+            curve = patch.side_curve("bottom")
+            with pytest.raises(DegenerateGeometryError):
+                curve.frame(curve.basis.collocation([0.5]))
+
 
 GRID_PATCHES = {
     "rational annulus": lambda: quarter_annulus_patch(1),

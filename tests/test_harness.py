@@ -178,7 +178,8 @@ def test_couette_builds_each_geometry_table_once_per_system_and_axis(monkeypatch
     assert len(calls) <= 41
     # per level: the assembly and the error grids each hold one table per
     # direction for all four patches, and _h_max makes one per direction
-    assert sum(len(axis._tables) for axis in solution.system.axes.values()) == 4
+    field_bases = {b for s0, _, _ in solution.system.spaces for b in s0.nodal_bases}
+    assert sum(len(axis._tables) for b in field_bases for axis in assembly._AXES[b].values()) == 4
     calls.clear()
     _h_max(multipatch.patches, triples)
     assert len(calls) == 2

@@ -161,6 +161,14 @@ def test_discrete_sequence_exactness():
     assert np.abs(D10 @ psi - u).max() < 1e-10
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_degree_zero_nodal_basis_rejected(k):
+    # the edge functions are derivatives of the nodal ones
+    b0 = Basis1D(KnotVector([0.0, 0.5, 1.0], 0))
+    with pytest.raises(ConstructionError, match="degree >= 1"):
+        DiscreteFormSpace((b0, make_basis(2, 3)), k)
+
+
 def test_derivative_of_top_form_raises(mixed_bases):
     space = DiscreteFormSpace(mixed_bases, 2)
     with pytest.raises(ConstructionError):
