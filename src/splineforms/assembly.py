@@ -7,12 +7,11 @@ sum-factorized.  Per direction, a sparse pair operator G[(I, J), q] =
 B_I(q) B_J(q) lists the index pairs whose functions share an element;
 a block of the Gram matrix is G1 W G2^T for the weighted metric W on the
 tensor Gauss grid.  The pattern of a block is the Kronecker product of
-the two pair sets, so each entry of G1 W G2^T is one nonzero, written
-straight into its place in the final CSC arrays; that pattern depends
-only on the space and its Gauss axes, so patches that share them share
-it.  Every block pair is multiplied in full.  The pattern's index arrays
-are int32 where they fit, so scipy keeps them as they are.  A Gauss axis
-is kept per nodal basis object and rule (``_axis``), with its pair
+the two pair sets, so each entry of G1 W G2^T is one nonzero.  Every
+block pair is multiplied in full, and the products of all block pairs
+form one COO set whose rows arrive ascending within every column, which
+scipy compresses to CSC without sorting or summing.  A Gauss axis is
+kept per nodal basis object and rule (``_axis``), with its pair
 operators and geometry tables, while the basis lives.
 Forcing vectors (B1^T V B2) and reconstructions (B1 C B2^T) use the
 per-direction (points, functions) collocation matrices B of
@@ -42,7 +41,6 @@ place of every entry of the node-paired matrix.
 from __future__ import annotations
 
 import functools
-import numbers
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -57,6 +55,7 @@ from .errors import (
     ConstructionError,
     FluxCompatibilityError,
     SingularSystemError,
+    check_integer,
 )
 from .geometry import (
     SIDES,
@@ -93,7 +92,8 @@ def _check_n_quad(n_quad):
     """Reject a Gauss-point count that is neither None nor an integer >= 1."""
     if n_quad is None:
         return
-    if isinstance(n_quad, bool) or not isinstance(n_quad, numbers.Integral) or n_quad < 1:
+    check_integer("n_quad", n_quad)
+    if n_quad < 1:
         raise ConstructionError(f"n_quad must be None or an integer >= 1, got {n_quad!r}")
 
 
@@ -101,13 +101,11 @@ class _PairOperator:
     """Sparse 1D operator G[(I, J), q] = A_I(q) B_J(q) of two collocation matrices.
 
     Its rows are the index pairs (I, J) whose functions share an element,
-    sorted by J and then I.  Column J of the 1D Gram matrix holds
-    ``per_col[J]`` pairs (``col_size`` per row), and ``rank`` is the
-    place of a pair within its column, in order of I.
+    sorted by J and then I (``rows`` holds I, ``cols`` J).
     """
 
     def __init__(self, a, b):
-        (m, na), nb = a.shape, b.shape[1]
+        m, na = a.shape
         (ia, va), (ib, vb) = stored_window(a), stored_window(b)
         # the points of one element share both windows: pair them once per run
         moved = (ia[1:, 0] != ia[:-1, 0]) | (ib[1:, 0] != ib[:-1, 0])
@@ -128,12 +126,6 @@ class _PairOperator:
         self.matrix = sp.csr_matrix((vals, point.astype(np.int32), ptr), shape=(keys.size, m))
         self.rows = (keys % na).astype(np.int32)
         self.cols = (keys // na).astype(np.int32)
-        self.per_col = np.bincount(self.cols, minlength=nb).astype(np.int32)
-        self.col_size = self.per_col[self.cols]
-        by_col = np.lexsort((self.rows, self.cols))
-        self.rank = np.empty_like(self.rows)
-        self.rank[by_col] = np.arange(by_col.size) - (np.cumsum(self.per_col) - self.per_col)[
-            self.cols[by_col]]
 
 
 class _Axis(GridAxis):
@@ -228,63 +220,34 @@ class MassMatrix:
     space: DiscreteFormSpace
 
 
-class _MassPattern:
-    """CSC pattern of a Gram matrix, which depends only on the space and its two axes.
+def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid) -> sp.csc_matrix:
+    """Gram matrix of a space on a patch grid, one COO set of block-pair products.
 
     Block pair (A, B) with weight W is ``V = G1 W G2^T`` for the pair
     operators G1, G2 of its two directions; entry ((I1, J1), (I2, J2)) of
     V is the one nonzero at row (I1, I2) of A and column (J1, J2) of B,
     because the pattern is the Kronecker product of the two pair sets.
-    Within a column, rows come block by block and, inside a block, in
-    flat (Fortran) order, which is the order of ``rank`` in direction 2
-    and then in direction 1.  ``blocks`` holds every block pair with its
-    two pair operators and ``dest``, where its V^T goes in the data
-    array.  ``indptr`` and ``indices`` are int32 where they fit, which
-    scipy keeps without a copy.
+    Pair operators are sorted by (J, I) and the blocks A of a column come
+    in offset order, so within every column the triplets arrive with rows
+    ascending and no duplicates: scipy's stable conversion to CSC then
+    neither sorts nor sums.  The triplet buffers are int32 where they fit.
     """
-
-    def __init__(self, space: DiscreteFormSpace, axes):
-        per_col = np.zeros(space.dim, dtype=np.int64)
-        parts = []
-        for ib, B in enumerate(space.blocks):
-            cols = B.offset + np.arange(B.size).reshape(B.shape, order="F")
-            for ia, A in enumerate(space.blocks):
-                g1, g2 = (axis.pair(j in A.dirs, j in B.dirs) for j, axis in enumerate(axes))
-                parts.append(((ia, ib), A, g1, g2, cols, per_col[cols]))
-                per_col[cols] += np.outer(g1.per_col, g2.per_col)
-        nnz = int(per_col.sum())
-        index = np.int32 if max(nnz, space.dim) < 2**31 else np.int64
-        self.shape = (space.dim, space.dim)
-        self.indptr = np.concatenate(([0], np.cumsum(per_col))).astype(index)
-        self.indices = np.empty(nnz, dtype=index)
-        self.blocks = []
-        for key, A, g1, g2, cols, before in parts:
-            # data positions, shaped (direction-2 rows, direction-1 rows) like V^T
-            first = (self.indptr[cols] + before).astype(index).T[:, g1.cols] + g1.rank
-            dest = first[g2.cols] + g2.rank[:, None] * g1.col_size
-            self.indices[dest] = index(A.offset) + g1.rows + index(A.shape[0]) * g2.rows[:, None]
-            self.blocks.append((key, g1.matrix, g2.matrix, dest))
-
-    def matrix(self, weights) -> sp.csc_matrix:
-        """The Gram matrix for the weighted metric of every block pair (``mass_metric``)."""
-        data = np.empty(self.indptr[-1])
-        for key, g1, g2, dest in self.blocks:
-            data[dest] = g2 @ (g1 @ weights[key]).T
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-
-def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid,
-                           patterns=None) -> sp.csc_matrix:
-    """Gram matrix of a space on a patch grid, its values written into a ``_MassPattern``.
-
-    ``patterns`` maps (space, axis, axis) to its pattern; patches that
-    share the space and the axes share the pattern through it.
-    """
-    patterns = {} if patterns is None else patterns
-    key = (space, *grid.axes)
-    if key not in patterns:
-        patterns[key] = _MassPattern(space, grid.axes)
-    return patterns[key].matrix(mass_metric(space.k, grid.jac, grid.det, grid.w))
+    weights = mass_metric(space.k, grid.jac, grid.det, grid.w)
+    pairs = [(A, B, weights[ia, ib], *(axis.pair(j in A.dirs, j in B.dirs)
+                                       for j, axis in enumerate(grid.axes)))
+             for ib, B in enumerate(space.blocks) for ia, A in enumerate(space.blocks)]
+    ends = np.cumsum([0] + [g1.rows.size * g2.rows.size for *_, g1, g2 in pairs])
+    index = np.int32 if max(ends[-1], space.dim) < 2**31 else np.int64
+    data = np.empty(ends[-1])
+    rows, cols = np.empty(ends[-1], dtype=index), np.empty(ends[-1], dtype=index)
+    for (A, B, w, g1, g2), start, stop in zip(pairs, ends[:-1], ends[1:]):
+        # V^T, shaped (direction-2 pairs, direction-1 pairs)
+        data[start:stop] = (g2.matrix @ (g1.matrix @ w).T).ravel()
+        rows[start:stop] = (index(A.offset) + g1.rows
+                            + index(A.shape[0]) * g2.rows[:, None]).ravel()
+        cols[start:stop] = (index(B.offset) + g1.cols
+                            + index(B.shape[0]) * g2.cols[:, None]).ravel()
+    return sp.csc_matrix((data, (rows, cols)), shape=(space.dim, space.dim))
 
 
 def assemble_mass(space: DiscreteFormSpace, patch: NurbsPatch, n_quad=None) -> MassMatrix:
@@ -449,8 +412,7 @@ class SaddleSystem:
     ``free`` mask and writes their values into ``e_fixed`` (length n1).
     Patches given the same basis objects share their Gauss axes and pair
     operators (``_axis``), and patches given the same space triple also
-    share the mass-matrix patterns, built once per system, and the
-    coboundaries.
+    share the coboundaries.
     """
 
     def __init__(self, spaces, patches, glue, nu, normal_sides=None, n_quad=None, forcing=None):
@@ -486,13 +448,12 @@ class SaddleSystem:
         self.rhs = np.zeros(self.size)
         mass, d10, d21 = ([], [], []), [], []
         owned = np.zeros(self.n1, dtype=bool)
-        patterns = {}  # (space, axis, axis) -> _MassPattern, shared by every patch
         for p, (s0, s1, s2) in enumerate(spaces):
             grid = _PatchGrid(s0.nodal_bases, patches[p], n_quad=n_quad,
                               need_phys=forcing is not None)
             maps = (self.map0[p], self.map1[p], self.map2[p])
             for k, space in enumerate((s0, s1, s2)):
-                mass[k].append((_assemble_mass_on_grid(space, grid, patterns), maps[k], maps[k]))
+                mass[k].append((_assemble_mass_on_grid(space, grid), maps[k], maps[k]))
             # a glued 1-cell keeps one D10 row, that of its first copy, even
             # when both copies lie in one patch glued to itself
             own = np.zeros(maps[1].size, dtype=bool)
@@ -632,8 +593,8 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=N
     ----------
     spaces : (L0, L1, L2) triple, or list of triples (one per patch)
         Patches given the same triple (or the same basis objects) share
-        their per-basis work: Gauss axes, pair operators, mass-matrix
-        patterns, coboundaries and side rules.
+        their per-basis work: Gauss axes, pair operators, coboundaries
+        and side rules.
     geometry : NurbsPatch or MultiPatch
     nu : float
         Viscosity; scales the vorticity equation (both its blocks and its

@@ -1,4 +1,13 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its integer-argument check."""
+
+import numbers
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ConstructionError unless it is an integer (a bool is not one here)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConstructionError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class DomainError(ValueError):
@@ -14,7 +23,7 @@ class IllPosedNodesError(ValueError):
 
 
 class DegenerateGeometryError(ValueError):
-    """Geometry mapping has a nonpositive Jacobian determinant."""
+    """Geometry mapping has a nonpositive or overflowing Jacobian determinant."""
 
 
 class SingularSystemError(RuntimeError):

@@ -179,6 +179,12 @@ class GridAxis:
         return self._tables[basis]
 
 
+# det J and the mass metrics multiply Jacobian entries in pairs: entries up
+# to 1e150 keep those products below 1e300, with room for the points
+# between the samples of the regularity check
+_JACOBIAN_LIMIT = 1e150
+
+
 class NurbsPatch:
     """Rational tensor-product map from [0,1]^2 with separable weights.
 
@@ -190,7 +196,8 @@ class NurbsPatch:
         Control point grid.
 
     Control points must be finite, and the Jacobian determinant strictly
-    positive; this is checked on a dense sample grid at construction.
+    positive and its products finite; this is checked on a dense sample
+    grid at construction.
     """
 
     def __init__(self, bases, control, check: bool = True):
@@ -216,7 +223,14 @@ class NurbsPatch:
             brk = b.breakpoints
             fine = np.concatenate([np.linspace(a, c, 9)[:-1] for a, c in zip(brk, brk[1:])])
             axes.append(np.append(fine, brk[-1]))
-        det = self.jacobian_grid(axes[0], axes[1])[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac, det = self.jacobian_grid(axes[0], axes[1])
+        largest = np.abs(jac).max()
+        if not largest < _JACOBIAN_LIMIT:
+            raise DegenerateGeometryError(
+                f"Jacobian entries reach {largest:.3e}, above {_JACOBIAN_LIMIT:.0e}, "
+                f"where det J overflows"
+            )
         if not np.all(det > 0.0):
             raise DegenerateGeometryError(
                 f"nonpositive Jacobian determinant (min {det.min():.3e})"
@@ -355,11 +369,11 @@ class MultiPatch:
     def _check_interfaces(self, tol: float = 1e-12):
         """Compare glued side curves at 33 points spread over each side's own knot domain.
 
-        The gap may be ``tol`` times the largest distance of a sample from
-        the origin, the rounding floor of coordinates that large.  So a
-        domain scaled about the origin reads the same at every size, but
-        one moved far from the origin accepts gaps in proportion to its
-        distance.  Sides with the same along-side basis share one
+        The gap may be ``tol`` times the extent of the two sides' samples
+        (their bounding-box diagonal) plus a few ulps of their largest
+        coordinate, the rounding floor of coordinates that large.  So the
+        check reads the same for a domain scaled about any point or moved
+        anywhere.  Sides with the same along-side basis share one
         collocation table.
         """
         tables = {}  # along-side basis -> its collocation at the 33 samples
@@ -373,12 +387,14 @@ class MultiPatch:
         for a, side_a, b, side_b, _ in self.glue:
             pa = side_samples(self.patches[a], side_a)
             pb = side_samples(self.patches[b], side_b)
+            both = np.concatenate((pa, pb))
+            extent = np.hypot(*np.ptp(both, axis=0))
+            allowed = tol * extent + 4 * np.spacing(np.abs(both).max())
             gap = np.abs(pa - pb).max()
-            scale = np.hypot(*np.concatenate((pa, pb)).T).max()
-            if gap > tol * scale:
+            if gap > allowed:
                 raise ConstructionError(
-                    f"glued sides of patches {a} and {b} disagree by {gap:.3e}, "
-                    f"more than {tol:.0e} times the largest |side point| {scale:.3e}"
+                    f"glued sides of patches {a} and {b} disagree by {gap:.3e}, more than "
+                    f"{tol:.0e} times their extent {extent:.3e} plus coordinate rounding"
                 )
 
     @property

@@ -24,7 +24,7 @@ from .assembly import (
     assemble_vvp,
     solve,
 )
-from .errors import ConstructionError
+from .errors import ConstructionError, check_integer
 from .geometry import (
     GridAxis,
     build_taylor_couette,
@@ -91,6 +91,11 @@ class CaseConfig:
             raise ConstructionError(
                 f"{self.case} runs on {' or '.join(allowed)}, not {self.geometry!r}"
             )
+        for name in ("degree", "levels", "base_spans"):
+            check_integer(name, getattr(self, name))
+        for name in ("quad", "spans"):
+            if getattr(self, name) is not None:
+                check_integer(name, getattr(self, name))
         if self.degree < 1:
             raise ConstructionError("degree must be >= 1")
         if self.levels < 1:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._quadrature import panel_rule
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, check_integer
 
 __all__ = ["KnotVector", "Basis1D", "EdgeBasis1D", "uniform_open_knots", "collocation",
            "stored_window", "grid_values", "per_basis"]
@@ -49,7 +49,7 @@ class KnotVector:
     """
 
     def __init__(self, knots, degree: int):
-        degree = int(degree)
+        degree = check_integer("degree", degree)
         if degree < 0:
             raise ConstructionError("degree must be nonnegative")
         knots = np.ascontiguousarray(knots, dtype=float)

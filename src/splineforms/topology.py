@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConstructionError
+from .errors import ConstructionError, check_integer
 
 __all__ = ["CellComplex"]
 
@@ -51,7 +51,7 @@ class CellComplex:
     """Tensor-product complex with dims[j] cells along direction j (d in {1,2,3})."""
 
     def __init__(self, dims):
-        dims = tuple(int(n) for n in dims)
+        dims = tuple(check_integer("a cell count", n) for n in dims)
         if not 1 <= len(dims) <= 3:
             raise ConstructionError("dimension must be 1, 2 or 3")
         if any(n < 1 for n in dims):

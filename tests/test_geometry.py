@@ -88,9 +88,9 @@ class TestMapping:
         # finite control whose Jacobian products overflow: det J = inf - inf
         base = unit_square_patch()
         ctrl = np.array([[[0, 0], [1e200, 2e200]], [[1e200, 1e200], [2e200, 3e200]]])
+        with pytest.raises(DegenerateGeometryError, match="overflows"):
+            NurbsPatch(base.bases, ctrl)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DegenerateGeometryError):
-                NurbsPatch(base.bases, ctrl)
             patch = NurbsPatch(base.bases, ctrl, check=False)
             assert np.isnan(jacobian_det(patch.jacobian_grid([0.5], [0.5])[0])).all()
             with pytest.raises(DegenerateGeometryError):
@@ -174,10 +174,10 @@ class TestAnnulus:
         with pytest.raises(ConstructionError, match="disagree"):
             MultiPatch([moved] + patches[1:], build_taylor_couette().glue)
 
-    @pytest.mark.parametrize("shift, accepted", [(5e-7, True), (5e-6, False)])
+    @pytest.mark.parametrize("shift, accepted", [(1e-10, True), (5e-7, False), (5e-6, False)])
     def test_glue_check_far_from_the_origin(self, shift, accepted):
-        # the tolerance follows the coordinates' magnitude, not the domain's
-        # size: the unit annulus moved to x = 1e6 accepts gaps below 1e-6
+        # the tolerance follows the sides' extent, plus the rounding of
+        # coordinates near 1e6 (one ulp is 1.2e-10), not their magnitude
         mp = build_taylor_couette()
         far = [NurbsPatch(p.bases, p.control + [1e6, 0.0]) for p in mp.patches]
         assert MultiPatch(far, mp.glue).n_patches == 4
@@ -187,6 +187,22 @@ class TestAnnulus:
         else:
             with pytest.raises(ConstructionError, match="disagree"):
                 MultiPatch([moved] + far[1:], mp.glue)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-7])
+    def test_glue_check_rejects_a_small_gap_far_from_the_origin(self, gap):
+        # rejected at the origin, so also at x = y = 1e6
+        base = unit_square_patch()
+        left = NurbsPatch(base.bases, base.control + 1e6)
+        right = NurbsPatch(base.bases, base.control + [1e6 + 1.0 + gap, 1e6])
+        with pytest.raises(ConstructionError, match="disagree"):
+            MultiPatch([left, right], [(0, "right", 1, "left", 1)])
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e8])
+    def test_glue_check_accepts_the_annulus_far_from_the_origin(self, offset):
+        # its glued sides agree to 4.9e-16 wherever it sits
+        mp = build_taylor_couette()
+        far = [NurbsPatch(p.bases, p.control + [offset, 0.0]) for p in mp.patches]
+        assert MultiPatch(far, mp.glue).n_patches == 4
 
     def test_self_glued_annulus(self):
         mp = build_self_glued_annulus()

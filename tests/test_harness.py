@@ -61,6 +61,18 @@ def test_config_validation():
     assert cfg.geometry == "unit-square"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("degree", 2.5), ("degree", True), ("levels", True), ("levels", 2.0), ("quad", 5.0),
+    ("base_spans", 4.5), ("spans", 2.5),
+])
+def test_config_rejects_non_integers(field, value):
+    # degree and spans 2.5 used to fail later with a bare TypeError, and
+    # levels=True to run one level
+    case = "cavity" if field == "spans" else "manufactured"
+    with pytest.raises(ConstructionError, match=f"{field} must be an integer"):
+        CaseConfig(case=case, **{field: value})
+
+
 def test_quad_bound_follows_degree():
     for degree in (1, 2, 3):
         with pytest.raises(ConstructionError, match=rf"quad must be >= degree \+ 2 = {degree + 2}"):
@@ -140,17 +152,16 @@ def count_calls(monkeypatch, owner, name):
 
 def test_couette_does_per_basis_work_once_per_system(monkeypatch):
     # the four patches share one space triple, hence one set of Gauss axes,
-    # pair operators, mass patterns and coboundaries per level
+    # pair operators and coboundaries per level
     counted = [
         count_calls(monkeypatch, owner, name) for owner, name in (
             (assembly._Axis, "__init__"),
             (assembly._PairOperator, "__init__"),
-            (assembly._MassPattern, "__init__"),
             (CellComplex, "_build_coboundary"),
         )
     ]
     run_taylor_couette(CaseConfig(case="taylor-couette", degree=2, levels=3))
-    assert [len(calls) for calls in counted] == [12, 24, 9, 6]
+    assert [len(calls) for calls in counted] == [12, 24, 6]
 
 
 def count_geometry_collocations(monkeypatch):

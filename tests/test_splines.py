@@ -146,6 +146,11 @@ class TestKnotVector:
         with pytest.raises(ConstructionError, match="finite"):
             KnotVector(knots, 1)
 
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_degree(self, degree):
+        # 2.5 used to build degree 2
+        with pytest.raises(ConstructionError, match="degree must be an integer"):
+            KnotVector([0, 0, 0, 1, 1, 1], degree)
 
     def test_breakpoints_built_once_read_only(self):
         kv = KnotVector([0, 0, 0, 0.25, 0.25, 0.7, 1, 1, 1], 2)

@@ -218,3 +218,10 @@ def test_argument_errors():
         cx.incidence(0)
     with pytest.raises(ConstructionError):
         cx.coboundary_matrix(2)
+
+
+@pytest.mark.parametrize("dims", [(2.7, 3), (2, 3.0), (True, 3), ("2", 3)])
+def test_non_integer_cell_count_rejected(dims):
+    # (2.7, 3) used to build dims (2, 3)
+    with pytest.raises(ConstructionError, match="cell count must be an integer"):
+        CellComplex(dims)
