@@ -8,13 +8,13 @@ B_I(q) B_J(q) lists the index pairs whose functions share an element;
 a block of the Gram matrix is G1 W G2^T for the weighted metric W on the
 tensor Gauss grid.  The pattern of a block is the Kronecker product of
 the two pair sets, so each entry of G1 W G2^T is one nonzero.  Every
-block pair is multiplied in full, and the products of all block pairs
-form one COO set whose rows arrive ascending within every column, which
-scipy compresses to CSC without sorting or summing.  A Gauss axis is
-kept per nodal basis object and rule (``_axis``), with its pair
-operators and geometry tables, while the basis lives.
-Forcing vectors (B1^T V B2) and reconstructions (B1 C B2^T) use the
-per-direction (points, functions) collocation matrices B of
+block pair is multiplied in full, and the products of all block pairs of
+all patches form one COO set, written in the glued numbering: one
+patch's set compresses to CSC without sorting or summing, a glued set to
+one CSR.  A Gauss axis is kept per nodal basis object and rule
+(``_axis``), with its pair operators and geometry tables, while the
+basis lives.  Forcing vectors (B1^T V B2) and reconstructions (B1 C B2^T)
+use the per-direction (points, functions) collocation matrices B of
 ``splines.collocation`` the same way, and so do the side rules of the
 boundary conditions.
 
@@ -56,6 +56,7 @@ from .errors import (
     FluxCompatibilityError,
     SingularSystemError,
     check_integer,
+    check_real,
 )
 from .geometry import (
     SIDES,
@@ -220,8 +221,8 @@ class MassMatrix:
     space: DiscreteFormSpace
 
 
-def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid) -> sp.csc_matrix:
-    """Gram matrix of a space on a patch grid, one COO set of block-pair products.
+def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid, index_map=None):
+    """Gram triplets ``(data, (rows, cols))`` of a space on a patch grid, one COO set of block-pair products.
 
     Block pair (A, B) with weight W is ``V = G1 W G2^T`` for the pair
     operators G1, G2 of its two directions; entry ((I1, J1), (I2, J2)) of
@@ -230,7 +231,7 @@ def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid) -> sp.csc
     Pair operators are sorted by (J, I) and the blocks A of a column come
     in offset order, so within every column the triplets arrive with rows
     ascending and no duplicates: scipy's stable conversion to CSC then
-    neither sorts nor sums.  The triplet buffers are int32 where they fit.
+    neither sorts nor sums.  Indices, int32 where they fit, are written through ``index_map``.
     """
     weights = mass_metric(space.k, grid.jac, grid.det, grid.w)
     pairs = [(A, B, weights[ia, ib], *(axis.pair(j in A.dirs, j in B.dirs)
@@ -243,11 +244,12 @@ def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid) -> sp.csc
     for (A, B, w, g1, g2), start, stop in zip(pairs, ends[:-1], ends[1:]):
         # V^T, shaped (direction-2 pairs, direction-1 pairs)
         data[start:stop] = (g2.matrix @ (g1.matrix @ w).T).ravel()
-        rows[start:stop] = (index(A.offset) + g1.rows
-                            + index(A.shape[0]) * g2.rows[:, None]).ravel()
-        cols[start:stop] = (index(B.offset) + g1.cols
-                            + index(B.shape[0]) * g2.cols[:, None]).ravel()
-    return sp.csc_matrix((data, (rows, cols)), shape=(space.dim, space.dim))
+        r = index(A.offset) + g1.rows + index(A.shape[0]) * g2.rows[:, None]
+        c = index(B.offset) + g1.cols + index(B.shape[0]) * g2.cols[:, None]
+        if index_map is not None:
+            r, c = index_map[r], index_map[c]
+        rows[start:stop], cols[start:stop] = r.ravel(), c.ravel()
+    return data, (rows, cols)
 
 
 def assemble_mass(space: DiscreteFormSpace, patch: NurbsPatch, n_quad=None) -> MassMatrix:
@@ -255,7 +257,8 @@ def assemble_mass(space: DiscreteFormSpace, patch: NurbsPatch, n_quad=None) -> M
     if space.d != 2:
         raise ConstructionError("mass assembly is implemented for 2D spaces")
     grid = _PatchGrid(space.nodal_bases, patch, n_quad=n_quad)
-    return MassMatrix(space.k, _assemble_mass_on_grid(space, grid), space)
+    matrix = sp.csc_matrix(_assemble_mass_on_grid(space, grid), shape=(space.dim, space.dim))
+    return MassMatrix(space.k, matrix, space)
 
 
 def _forcing_vector(space: DiscreteFormSpace, grid: _PatchGrid, forcing) -> np.ndarray:
@@ -316,29 +319,31 @@ def _glued_numbering(sizes, pairs):
     return maps, n_global
 
 
-def _glued(parts, shape):
-    """Sum of per-patch CSR or CSC matrices placed through their (row map, column map) pairs.
+def _glued_mass(triplets, n: int, identity: bool):
+    """Gram matrix of the patches' ``(data, (rows, cols))`` triplets, one constructor call: the
+    kernel's CSC for an identity numbering, else one CSR summing what gluing puts in one place."""
+    if identity:
+        return sp.csc_matrix(triplets[0], shape=(n, n))
+    data, rows, cols = (np.concatenate(a) for a in zip(*((d, *rc) for d, rc in triplets)))
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
-    Each part's compressed arrays expand straight into global rows and
-    columns (its map of the compressed axis repeated over ``indptr``, its
-    other map gathered at ``indices``); one CSR of all of them sums the
-    entries that gluing puts in the same place.  Without gluing (one part
-    whose maps cover the whole shape, hence the identity) the part itself
-    is returned.
+
+def _glued_coboundary(parts, shape) -> sp.csr_matrix:
+    """CSR of a coboundary into which the patches' (matrix, row map, column map) parts write rows.
+
+    Every row holds as many entries as the others (two end nodes per 1-cell, four sides per
+    2-cell), its columns relabelled and sorted; both copies of a glued cell write alike.
     """
-    if len(parts) == 1 and parts[0][1].size == shape[0] and parts[0][2].size == shape[1]:
-        return parts[0][0]
-    rows, cols = [], []
+    width = parts[0][0].nnz // parts[0][0].shape[0]
+    indices = np.empty((shape[0], width), dtype=parts[0][2].dtype)
+    data = np.empty((shape[0], width), dtype=parts[0][0].dtype)
     for m, row_map, col_map in parts:
-        counts = np.diff(m.indptr)
-        if m.format == "csr":
-            rows.append(np.repeat(row_map, counts))
-            cols.append(col_map[m.indices])
-        else:
-            rows.append(row_map[m.indices])
-            cols.append(np.repeat(col_map, counts))
-    data = np.concatenate([m.data for m, _, _ in parts])
-    return sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+        cols = col_map[m.indices].reshape(-1, width)
+        order = np.argsort(cols, axis=1)
+        indices[row_map] = np.take_along_axis(cols, order, axis=1)
+        data[row_map] = np.take_along_axis(m.data.reshape(-1, width), order, axis=1)
+    return sp.csr_matrix((data.ravel(), indices.ravel(), np.arange(0, data.size + 1, width)),
+                         shape=shape)
 
 
 def _check_glued_bases(spaces, glue):
@@ -404,15 +409,17 @@ class SaddleSystem:
     """Glued global blocks of the mixed Stokes system with boundary-condition bookkeeping.
 
     ``M0``, ``M1``, ``M2`` are the mass matrices and ``D10``, ``D21`` the
-    integer coboundaries in the glued numbering, each built once; a
-    glued 1-cell has one row in ``D10``.  Unknowns are ordered (omega, u,
-    p) plus the multiplier when ``gauge`` is set.  ``normal_sides`` are
-    the (patch, side) boundary sides whose normal fluxes
-    ``apply_strong_normal_velocity`` pins: it clears their cells in the
-    ``free`` mask and writes their values into ``e_fixed`` (length n1).
-    Patches given the same basis objects share their Gauss axes and pair
-    operators (``_axis``), and patches given the same space triple also
-    share the coboundaries.
+    integer coboundaries in the glued numbering, each one constructor call
+    on the triplets or rows of all patches: the patch's own CSC or CSR
+    where the numbering is the identity (one patch, no glue), else a CSR.
+    A glued 1-cell has one row in ``D10``, which its copies write alike.
+    Unknowns are ordered (omega, u, p) plus the multiplier when ``gauge``
+    is set.  ``normal_sides`` are the (patch, side) boundary sides whose
+    normal fluxes ``apply_strong_normal_velocity`` pins: it clears their
+    cells in the ``free`` mask and writes their values into ``e_fixed``
+    (length n1).  Patches given the same basis objects share their Gauss
+    axes and pair operators (``_axis``), and patches given the same space
+    triple also share the coboundaries.
     """
 
     def __init__(self, spaces, patches, glue, nu, normal_sides=None, n_quad=None, forcing=None):
@@ -432,43 +439,32 @@ class SaddleSystem:
         self.nu = float(nu)
         self.n_quad = n_quad
 
-        (self.map0, self.n0), (self.map1, self.n1) = (
+        (self.map0, self.n0), (self.map1, self.n1), (self.map2, self.n2) = (
             _glued_numbering(
                 [s[k].dim for s in spaces],
                 [((a, _side_ids(spaces[a][k], side_a)), (b, _side_ids(spaces[b][k], side_b)))
-                 for a, side_a, b, side_b, _ in glue],
+                 for a, side_a, b, side_b, _ in glue if k < 2],  # 2-cells are never glued
             )
-            for k in (0, 1)
+            for k in (0, 1, 2)
         )
-        offs2 = np.concatenate(([0], np.cumsum([s[2].dim for s in spaces])))
-        self.map2 = [offs2[p] + np.arange(spaces[p][2].dim) for p in range(n_patches)]
-        self.n2 = int(offs2[-1])
         self.size = self.n0 + self.n1 + self.n2 + (1 if self.gauge else 0)
 
         self.rhs = np.zeros(self.size)
-        mass, d10, d21 = ([], [], []), [], []
-        owned = np.zeros(self.n1, dtype=bool)
-        for p, (s0, s1, s2) in enumerate(spaces):
-            grid = _PatchGrid(s0.nodal_bases, patches[p], n_quad=n_quad,
-                              need_phys=forcing is not None)
-            maps = (self.map0[p], self.map1[p], self.map2[p])
-            for k, space in enumerate((s0, s1, s2)):
-                mass[k].append((_assemble_mass_on_grid(space, grid), maps[k], maps[k]))
-            # a glued 1-cell keeps one D10 row, that of its first copy, even
-            # when both copies lie in one patch glued to itself
-            own = np.zeros(maps[1].size, dtype=bool)
-            own[np.unique(maps[1], return_index=True)[1]] = True
-            own &= ~owned[maps[1]]
-            owned[maps[1]] = True
-            d10.append((s0.coboundary_matrix()[own], maps[1][own], maps[0]))
-            d21.append((s1.coboundary_matrix(), maps[2], maps[1]))
-            if forcing is not None:
-                np.add.at(self.rhs, self.n0 + maps[1], _forcing_vector(s1, grid, forcing))
-        self.M0, self.M1, self.M2 = (
-            _glued(parts, (n, n)) for parts, n in zip(mass, (self.n0, self.n1, self.n2))
-        )
-        self.D10 = _glued(d10, (self.n1, self.n0))
-        self.D21 = _glued(d21, (self.n2, self.n1))
+        sizes = (self.n0, self.n1, self.n2)
+        identity = [n_patches == 1 and n == spaces[0][k].dim for k, n in enumerate(sizes)]
+        maps = list(zip(self.map0, self.map1, self.map2))
+        grids = [_PatchGrid(s[0].nodal_bases, patch, n_quad=n_quad, need_phys=forcing is not None)
+                 for s, patch in zip(spaces, patches)]
+        # block by block, so that the triplets of one block at a time are alive
+        self.M0, self.M1, self.M2 = (_glued_mass(
+            [_assemble_mass_on_grid(s[k], grid, None if identity[k] else m[k])
+             for s, grid, m in zip(spaces, grids, maps)], n, identity[k]) for k, n in enumerate(sizes))
+        self.D10, self.D21 = (spaces[0][k].coboundary_matrix() if identity[k] else _glued_coboundary(
+            [(s[k].coboundary_matrix(), m[k + 1], m[k]) for s, m in zip(spaces, maps)],
+            (sizes[k + 1], sizes[k])) for k in (0, 1))
+        if forcing is not None:
+            for s, grid, m in zip(spaces, grids, maps):
+                np.add.at(self.rhs, self.n0 + m[1], _forcing_vector(s[1], grid, forcing))
         self.free = np.ones(self.n1, dtype=bool)
         self.e_fixed = np.zeros(self.n1)
         self.histopolation_cond = None  # set by apply_strong_normal_velocity
@@ -620,7 +616,7 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=N
     for triple in space_list:
         if tuple(s.k for s in triple) != (0, 1, 2):
             raise ConstructionError("spaces must be the (0, 1, 2)-form triple")
-    if not (np.isfinite(nu) and nu > 0):
+    if not (np.isfinite(check_real("nu", nu)) and nu > 0):
         raise ConstructionError(f"nu must be finite and > 0, got {nu}")
     _check_n_quad(n_quad)
     _check_glued_bases(space_list, glue)
@@ -892,6 +888,7 @@ def solve(system: SaddleSystem) -> Solution:
     lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
     x = lu.solve(rhs)
     x += lu.solve(rhs - K @ x)
+    del K  # freed before pressure recovery, which then reuses its memory
     x = x[pos]
     omega = x[:n0]
     u = u0 + Z @ x[n0:]
@@ -920,7 +917,7 @@ def solve(system: SaddleSystem) -> Solution:
         residual=float(resid),
         stats={
             "dofs": system.size,
-            "unknowns": K.shape[0],
+            "unknowns": rhs.size,
             "lu_nnz": lu.nnz,
             "refine_steps": 1,
             "factors": factors,

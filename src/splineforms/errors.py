@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and its integer-argument check."""
+"""Exception types shared across the library, and its integer and real argument checks."""
 
 import numbers
 
@@ -8,6 +8,13 @@ def check_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConstructionError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float; ConstructionError unless it is a real number (a bool is not one here)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConstructionError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class DomainError(ValueError):

@@ -24,7 +24,7 @@ from .assembly import (
     assemble_vvp,
     solve,
 )
-from .errors import ConstructionError, check_integer
+from .errors import ConstructionError, check_integer, check_real
 from .geometry import (
     GridAxis,
     build_taylor_couette,
@@ -100,7 +100,7 @@ class CaseConfig:
             raise ConstructionError("degree must be >= 1")
         if self.levels < 1:
             raise ConstructionError("levels must be >= 1")
-        if not (np.isfinite(self.nu) and self.nu > 0):
+        if not (np.isfinite(check_real("nu", self.nu)) and self.nu > 0):
             raise ConstructionError(f"nu must be finite and > 0, got {self.nu}")
         if self.quad is not None and self.quad < 2:
             raise ConstructionError("quad must be >= 2 Gauss points per element")

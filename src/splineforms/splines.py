@@ -88,16 +88,11 @@ class KnotVector:
     def domain(self):
         return float(self.knots[0]), float(self.knots[-1])
 
-    @property
-    def num_spans(self) -> int:
-        return self.breakpoints.size - 1
-
-    def find_span(self, x: float) -> int:
-        """Index i with knots[i] <= x < knots[i+1] (last nonempty span at the right end)."""
-        return int(self.find_spans(np.asarray([x]))[0])
-
     def find_spans(self, x) -> np.ndarray:
-        """Vectorized span lookup; raises DomainError for points outside the knots (or NaN)."""
+        """Per point, i with knots[i] <= x < knots[i+1] (the last nonempty span at the right end).
+
+        Raises DomainError for points outside the knots (or NaN).
+        """
         x = np.asarray(x, dtype=float)
         lo, hi = self.domain
         if not np.all((lo <= x) & (x <= hi)):

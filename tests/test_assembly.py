@@ -15,7 +15,6 @@ from scipy.sparse.csgraph import connected_components
 from splineforms import assembly, projection
 from splineforms.assembly import (
     _PatchGrid,
-    _glued,
     _glued_numbering,
     _side_basis,
     _side_ids,
@@ -34,6 +33,7 @@ from splineforms.errors import (
 )
 from splineforms.geometry import (
     SIDES,
+    MultiPatch,
     NurbsPatch,
     boundary_sides,
     build_self_glued_annulus,
@@ -226,7 +226,7 @@ def full_product_mass(space, axes, weights):
 
 
 def full_product_on_grid(space, grid):
-    """``_assemble_mass_on_grid`` with the full-product oracle."""
+    """The CSC of ``_assemble_mass_on_grid``'s triplets, from the full-product oracle."""
     return full_product_mass(space, grid.axes, mass_metric(space.k, grid.jac, grid.det, grid.w))
 
 
@@ -259,16 +259,19 @@ class TestUpperHalfMass:
             assert_bit_identical(got, full_product_on_grid(space, grid))
 
     @pytest.mark.parametrize("geometry", ["couette", "self-glued"])
-    def test_glued_system_blocks_bit_identical(self, geometry, monkeypatch):
+    def test_glued_system_blocks_bit_identical(self, geometry):
+        # each patch's full-product oracle, placed as the placement once was
         if geometry == "couette":
-            build = lambda: assemble_vvp([vvp_spaces(_bases(3, 4))] * 4, build_taylor_couette())
+            system = assemble_vvp([vvp_spaces(_bases(3, 4))] * 4, build_taylor_couette())
         else:
-            build = lambda: assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
-        got = build()
-        monkeypatch.setattr(assembly, "_assemble_mass_on_grid", full_product_on_grid)
-        want = build()
-        for name in ("M0", "M1", "M2"):
-            assert_bit_identical(getattr(got, name), getattr(want, name))
+            system = assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
+        maps, sizes = (system.map0, system.map1, system.map2), (system.n0, system.n1, system.n2)
+        for k in (0, 1, 2):
+            parts = [(full_product_on_grid(triple[k], _PatchGrid(triple[0].nodal_bases, patch)),
+                      maps[k][p], maps[k][p])
+                     for p, (triple, patch) in enumerate(zip(system.spaces, system.patches))]
+            want = coo_placed((sizes[k],) * 2, parts)
+            assert_bit_identical(getattr(system, f"M{k}"), want)
 
     def test_every_block_pair_is_multiplied_in_full(self):
         bases, patch = oracle_case("curved-jittered")
@@ -428,6 +431,12 @@ class TestSystemAssembly:
     @pytest.mark.parametrize("nu", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_or_nonfinite_viscosity_rejected(self, nu):
         with pytest.raises(ConstructionError):
+            assemble_vvp(make_spaces(2, 2), unit_square_patch(), nu=nu)
+
+    @pytest.mark.parametrize("nu", ["1.0", True, None])
+    def test_non_real_viscosity_rejected(self, nu):
+        # "1.0" and None used to raise a bare TypeError, True to run with viscosity 1
+        with pytest.raises(ConstructionError, match="nu must be a real number"):
             assemble_vvp(make_spaces(2, 2), unit_square_patch(), nu=nu)
 
 
@@ -1090,8 +1099,8 @@ def scattered_matrix(system):
             vals.append(m.data)
 
     for p, (s0, s1, s2) in enumerate(system.spaces):
-        grid = _PatchGrid(s0.nodal_bases, system.patches[p], n_quad=system.n_quad)
-        M0, M1, M2 = (assembly._assemble_mass_on_grid(s, grid) for s in (s0, s1, s2))
+        M0, M1, M2 = (assemble_mass(s, system.patches[p], n_quad=system.n_quad).matrix
+                      for s in (s0, s1, s2))
         D10 = s0.coboundary_matrix().tocsc()
         D21 = s1.coboundary_matrix().tocsc()
         g0 = system.map0[p]
@@ -1186,66 +1195,159 @@ class TestSelfGluedPatch:
         assert abs(system.D10).max() == 1
 
 
-def coo_glued(parts, shape):
-    """Test-only oracle: every part through COO triplets, as the placement once was."""
-    coo = [(m.tocoo(), rows, cols) for m, rows, cols in parts]
+def unit_square_grid():
+    """Four unit squares glued into a 2 x 2 grid; all four share the centre vertex."""
+    base = unit_square_patch()
+    patches = [NurbsPatch(base.bases, base.control + [i, j]) for j in (0, 1) for i in (0, 1)]
+    glue = [(0, "right", 1, "left", 1), (2, "right", 3, "left", 1),
+            (0, "top", 2, "bottom", 1), (1, "top", 3, "bottom", 1)]
+    return MultiPatch(patches, glue)
+
+
+GLUED_GEOMETRIES = {
+    "couette": lambda: (4, build_taylor_couette()),
+    "self-glued": lambda: (1, build_self_glued_annulus()),
+    "grid": lambda: (4, unit_square_grid()),
+}
+
+
+def seeded_glued_systems(seed):
+    """Every glued geometry with seeded nodal degree 1-3 and 4 or 8 spans per direction."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 4))
+    bases = tuple(make_basis(p, int(rng.choice([4, 8]))) for _ in range(2))
+    for name, build in GLUED_GEOMETRIES.items():
+        n_patches, geometry = build()
+        yield name, assemble_vvp([vvp_spaces(bases)] * n_patches, geometry)
+
+
+def patch_blocks(system):
+    """Each block's global shape and its patches' (matrix, row map, column map) parts.
+
+    The patch matrices are ``assemble_mass`` of the patch's spaces and the
+    coboundaries of its complex.
+    """
+    maps, sizes = (system.map0, system.map1, system.map2), (system.n0, system.n1, system.n2)
+    blocks = {}
+    for k in (0, 1, 2):
+        blocks[f"M{k}"] = ((sizes[k],) * 2, [
+            (assemble_mass(triple[k], patch, n_quad=system.n_quad).matrix, maps[k][p], maps[k][p])
+            for p, (triple, patch) in enumerate(zip(system.spaces, system.patches))])
+    for k, name in ((0, "D10"), (1, "D21")):
+        blocks[name] = ((sizes[k + 1], sizes[k]), [
+            (triple[k].coboundary_matrix(), maps[k + 1][p], maps[k][p])
+            for p, triple in enumerate(system.spaces)])
+    return blocks
+
+
+def dense_sum(shape, parts, once=False):
+    """Test-only oracle: every part's entries added at their glued places with ``np.add.at``.
+
+    With ``once`` each row is divided by the number of its copies: a
+    glued cell's coboundary row counts once.
+    """
+    want, copies = np.zeros(shape), np.zeros(shape[0])
+    for m, rows, cols in parts:
+        m = m.tocoo()
+        np.add.at(want, (rows[m.row], cols[m.col]), m.data)
+        np.add.at(copies, rows, 1)
+    return want / copies[:, None] if once else want
+
+
+def coo_placed(shape, parts, first_copies=False):
+    """Test-only oracle: the placement as it once was, through COO triplets.
+
+    One part numbered by the identity is returned as it is.  Otherwise
+    every part's compressed arrays go, in their stored order, into one CSR
+    that sums duplicates; with ``first_copies`` a row glued to an earlier
+    one is left out, so only the first copy of a glued cell writes it.
+    """
+    if len(parts) == 1 and parts[0][1].size == shape[0] and parts[0][2].size == shape[1]:
+        return parts[0][0]
+    seen = np.zeros(shape[0], dtype=bool)
+    data, rows, cols = [], [], []
+    for m, row_map, col_map in parts:
+        keep = np.ones(row_map.size, dtype=bool)
+        if first_copies:
+            keep[:] = False
+            keep[np.unique(row_map, return_index=True)[1]] = True
+            keep &= ~seen[row_map]
+            seen[row_map] = True
+        m = m.tocoo()
+        kept = keep[m.row]
+        data.append(m.data[kept])
+        rows.append(row_map[m.row[kept]])
+        cols.append(col_map[m.col[kept]])
     return sp.csr_matrix(
-        (np.concatenate([m.data for m, _, _ in coo]),
-         (np.concatenate([rows[m.row] for m, rows, _ in coo]),
-          np.concatenate([cols[m.col] for m, _, cols in coo]))),
-        shape=shape,
-    )
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+
+
+def assert_same_arrays(got, want):
+    assert got.format == want.format
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype
+        npt.assert_array_equal(a, b)
+
+
+def expected_format(system, name):
+    """CSC for a mass block numbered by the identity (one patch, no glue), CSR otherwise."""
+    k = int(name[1])
+    identity = len(system.spaces) == 1 and system.spaces[0][k].dim == (
+        system.n0, system.n1, system.n2)[k]
+    return "csc" if name[0] == "M" and identity else "csr"
 
 
 class TestGlued:
-    def random_parts(self, seed, shape):
-        # CSR and CSC parts whose maps overlap, across parts (interfaces) and
-        # within one part (a patch glued to itself)
-        rng = np.random.default_rng(seed)
-        parts = []
-        for fmt, (m, n) in zip(("csr", "csc", "csr", "csc"), ((4, 5), (5, 6), (3, 3), (6, 2))):
-            dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
-            parts.append((sp.csr_matrix(dense).asformat(fmt),
-                          rng.integers(0, shape[0], m), rng.integers(0, shape[1], n)))
-        return parts
+    """Each block of a glued system, built from the triplets or rows of all its patches."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_sum(self, seed):
-        shape = (7, 9)
-        parts = self.random_parts(seed, shape)
-        want = np.zeros(shape)
-        for m, rows, cols in parts:
-            np.add.at(want, (rows[:, None], cols[None, :]), m.toarray())
-        got = _glued(parts, shape)
-        assert got.format == "csr" and got.has_canonical_format
-        npt.assert_allclose(got.toarray(), want, rtol=0, atol=1e-14)
+        # couette and the self-glued annulus sum at most two contributions per
+        # entry, in any order alike.  The grid's centre vertex sums four, and
+        # scipy's order differs from the oracle's patch order: at nodal
+        # degree 3 one entry of M0 reads one ulp apart
+        for geometry, system in seeded_glued_systems(seed):
+            for name, (shape, parts) in patch_blocks(system).items():
+                got = getattr(system, name)
+                assert got.format == expected_format(system, name), (geometry, name)
+                got, want = got.toarray(), dense_sum(shape, parts, once=name == "D10")
+                if geometry == "grid":
+                    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), name
+                else:
+                    npt.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_identical_to_coo_placement(self, seed):
-        shape = (7, 9)
-        parts = self.random_parts(seed, shape)
-        got, want = _glued(parts, shape), coo_glued(parts, shape)
-        for attr in ("indptr", "indices", "data"):
-            npt.assert_array_equal(getattr(got, attr), getattr(want, attr))
+        for geometry, system in seeded_glued_systems(seed):
+            for name, (shape, parts) in patch_blocks(system).items():
+                assert_same_arrays(getattr(system, name),
+                                   coo_placed(shape, parts, first_copies=name == "D10"))
 
-    def test_couette_blocks_bit_identical_to_coo_placement(self, monkeypatch):
-        placed = []
-
-        def recorded(parts, shape):
-            placed.append((parts, shape))
-            return _glued(parts, shape)
-
-        monkeypatch.setattr(assembly, "_glued", recorded)
-        assemble_vvp([vvp_spaces(_bases(3, 4))] * 4, build_taylor_couette())
-        assert {m.format for parts, _ in placed for m, _, _ in parts} == {"csr", "csc"}
-        for parts, shape in placed:
-            got, want = _glued(parts, shape), coo_glued(parts, shape)
-            for attr in ("indptr", "indices", "data"):
-                npt.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    def test_couette_blocks_bit_identical_to_coo_placement(self):
+        # the three levels of `run taylor-couette --degree 2 --levels 3`
+        for spans in (4, 8, 16):
+            system = assemble_vvp([vvp_spaces(_bases(3, spans))] * 4, build_taylor_couette())
+            for name, (shape, parts) in patch_blocks(system).items():
+                got = getattr(system, name)
+                assert got.format == "csr" and got.has_canonical_format
+                assert_same_arrays(got, coo_placed(shape, parts, first_copies=name == "D10"))
 
     def test_identity_part_returned_as_is(self):
-        m = sp.random(5, 4, density=0.5, format="csc", random_state=3)
-        assert _glued([(m, np.arange(5), np.arange(4))], (5, 4)) is m
+        # one patch without glue: the kernel's CSC and the complex's own coboundaries
+        for patch in (unit_square_patch(), curved_square_patch()):
+            spaces = vvp_spaces(_bases(3, 6))
+            system = assemble_vvp(spaces, patch)
+            for k, space in enumerate(spaces):
+                assert_same_arrays(getattr(system, f"M{k}"), assemble_mass(space, patch).matrix)
+            assert system.D10 is spaces[0].coboundary_matrix()
+            assert system.D21 is spaces[1].coboundary_matrix()
+        # the self-glued annulus glues nodes and 1-cells, not 2-cells
+        triple = vvp_spaces(_bases(3, 8))
+        annulus = build_self_glued_annulus()
+        system = assemble_vvp([triple], annulus)
+        assert_same_arrays(system.M2, assemble_mass(triple[2], annulus.patches[0]).matrix)
+        assert [getattr(system, name).format for name in ("M0", "M1", "D10", "D21")] == ["csr"] * 4
 
 
 class TestSharedGeometryTables:

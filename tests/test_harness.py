@@ -73,6 +73,13 @@ def test_config_rejects_non_integers(field, value):
         CaseConfig(case=case, **{field: value})
 
 
+@pytest.mark.parametrize("nu", ["1.0", True, None])
+def test_config_rejects_non_real_nu(nu):
+    # "1.0" and None used to raise a bare TypeError, True to run with viscosity 1
+    with pytest.raises(ConstructionError, match="nu must be a real number"):
+        CaseConfig(nu=nu)
+
+
 def test_quad_bound_follows_degree():
     for degree in (1, 2, 3):
         with pytest.raises(ConstructionError, match=rf"quad must be >= degree \+ 2 = {degree + 2}"):

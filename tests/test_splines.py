@@ -33,19 +33,18 @@ def fig8_bases():
 class TestFindSpan:
     def test_interior_point(self):
         kv = KnotVector([0, 0, 0, 1, 2, 3, 4, 4, 4], 2)
-        assert kv.find_span(1.5) == 3
+        npt.assert_array_equal(kv.find_spans([1.5]), [3])
 
     def test_clamped_ends(self):
         kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
-        assert kv.find_span(0.0) == 2
-        assert kv.find_span(1.0) == 2
+        npt.assert_array_equal(kv.find_spans([0.0, 1.0]), [2, 2])
 
     def test_outside_domain_raises(self):
         kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
         with pytest.raises(DomainError):
-            kv.find_span(1.0 + 1e-12)
+            kv.find_spans([1.0 + 1e-12])
         with pytest.raises(DomainError):
-            kv.find_span(-0.1)
+            kv.find_spans([0.5, -0.1])
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -54,18 +53,16 @@ class TestFindSpan:
             interior = np.sort(rng.uniform(0, 4, rng.integers(1, 6)))
             knots = np.concatenate((np.zeros(p + 1), interior, np.full(p + 1, 4.0)))
             kv = KnotVector(knots, p)
-            for x in rng.uniform(0, 4, 30):
-                span = kv.find_span(x)
-                # brute force: scan spans for knots[i] <= x < knots[i+1]
-                hits = [
-                    i
-                    for i in range(len(knots) - 1)
-                    if knots[i] <= x < knots[i + 1]
-                ]
-                assert span == hits[-1]
+            x = rng.uniform(0, 4, 30)
+            # brute force: scan spans for knots[i] <= x < knots[i+1]
+            hits = [
+                max(i for i in range(len(knots) - 1) if knots[i] <= xi < knots[i + 1])
+                for xi in x
+            ]
+            npt.assert_array_equal(kv.find_spans(x), hits)
             # right endpoint: last nonempty span
             last = max(i for i in range(len(knots) - 1) if knots[i] < knots[i + 1])
-            assert kv.find_span(4.0) == last
+            npt.assert_array_equal(kv.find_spans([4.0]), [last])
 
 
 def test_nan_points_rejected():
@@ -157,7 +154,6 @@ class TestKnotVector:
         assert kv.breakpoints is kv.breakpoints
         npt.assert_array_equal(kv.breakpoints, [0.0, 0.25, 0.7, 1.0])
         assert not kv.breakpoints.flags.writeable
-        assert kv.num_spans == 3
 
 
 class TestNodalBasis:
