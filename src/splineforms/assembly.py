@@ -30,7 +30,8 @@ integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
 construction, and only the symmetric (vorticity, y) system is factored,
 with diagonal pivots along a node-paired order; pressure and multiplier
 are recovered afterwards from the momentum and pressure rows through the
-integer 2-cell Laplacian.  The residual of the full mixed system, taken
+integer 2-cell Laplacian and a banded Cholesky of each patch's block of
+the block-diagonal M2.  The residual of the full mixed system, taken
 block by block, gates the solve.  Its topological part is index
 arithmetic on the compressed arrays of the coboundaries, whose rows have
 a fixed structure (two end nodes per 1-cell, four sides per 2-cell):
@@ -46,6 +47,7 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
@@ -372,11 +374,13 @@ class Solution:
     ``unknowns`` (size of the factored system), ``lu_nnz`` (nonzeros of
     its LU factors), ``refine_steps`` (iterative-refinement steps),
     ``factors`` (``nnz``, ``fill_ratio`` (LU nonzeros over matrix
-    nonzeros) and ``seconds`` of each factorization: ``L``, the
-    2-cell Laplacian; ``K``, the vorticity-stream system; ``M2``, the
-    2-form mass matrix; and only ``seconds`` for ``order``, the
-    minimum-degree order of the vorticity mass matrix, read off an
-    incomplete factorization), ``residual`` (the gated solve residual) and
+    nonzeros) and ``seconds`` of the SuperLU factors ``L``, the 2-cell
+    Laplacian, and ``K``, the vorticity-stream system; for ``M2``, the
+    2-form mass matrix, the entries of its per-patch band arrays, their
+    ratio to the nonzeros of ``M2`` and the seconds of the banded
+    Cholesky; and only ``seconds`` for ``order``, the minimum-degree
+    order of the vorticity mass matrix, read off an incomplete
+    factorization), ``residual`` (the gated solve residual) and
     ``histopolation_cond`` (the largest condition number of the side
     histopolations ``apply_strong_normal_velocity`` used, None if none).
     None of it goes into the output files.
@@ -625,7 +629,11 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=N
 
 
 def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
-    """Sparse LU with diagonal pivots; failures become SingularSystemError.
+    """SuperLU factor with diagonal pivots; failures become SingularSystemError.
+
+    It serves ``L`` and ``K``: ``L`` couples patches across glued sides
+    and ``K`` is indefinite, while ``M2`` gets a banded Cholesky per
+    patch (``_factor_banded``).
 
     ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
     pivot, so the elimination follows the given column order
@@ -643,6 +651,61 @@ def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
     seconds = time.perf_counter() - start
     factors[key] = {"nnz": int(lu.nnz), "fill_ratio": lu.nnz / matrix.nnz, "seconds": seconds}
     return lu
+
+
+def _upper_band(M2, lo: int, hi: int) -> np.ndarray:
+    """Upper band of the diagonal block ``lo:hi`` of the symmetric ``M2`` in LAPACK's storage.
+
+    ``ab[u + i - j, j] = M2[lo + i, lo + j]`` for ``0 <= j - i <= u``, with ``u`` the largest
+    ``j - i`` of the block's entries.  ``M2`` is symmetric, so its compressed arrays list its
+    columns whatever its format; the block's columns hold no row outside ``lo:hi``.
+    """
+    ptr = M2.indptr[lo : hi + 1]
+    entries = slice(ptr[0], ptr[-1])
+    rows = M2.indices[entries] - lo
+    cols = np.repeat(np.arange(hi - lo), np.diff(ptr))
+    upper = rows <= cols
+    rows, cols = rows[upper], cols[upper]
+    offset = cols - rows
+    width = int(offset.max())
+    ab = np.zeros((width + 1, hi - lo))
+    ab[width - offset, cols] = M2.data[entries][upper]
+    return ab
+
+
+def _factor_banded(M2, blocks, factors: dict):
+    """Solver for the SPD ``M2`` through one banded Cholesky per diagonal block.
+
+    Volumes are never glued, so the 2-form mass matrix is block diagonal
+    with one contiguous block per patch (``blocks``, the rows of each
+    patch), and each block is banded in its patch's tensor numbering,
+    with half-bandwidth ``pe2 n1 + pe1``.  A block that is not positive
+    definite raises SingularSystemError naming its patch.  ``factors["M2"]``
+    gets the entries of the band arrays (``nnz``), their ratio to the
+    nonzeros of ``M2`` and the seconds.  The returned function solves for
+    one right-hand side or for the columns of a 2-D array.
+    """
+    start = time.perf_counter()
+    bands = []
+    for patch, ids in enumerate(blocks):
+        lo, hi = int(ids[0]), int(ids[0]) + ids.size
+        try:
+            band = scipy.linalg.cholesky_banded(_upper_band(M2, lo, hi), check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"factorization of the 2-form mass matrix of patch {patch} failed: {exc}") from exc
+        bands.append((slice(lo, hi), band))
+    nnz = sum(band.size for _, band in bands)
+    factors["M2"] = {"nnz": nnz, "fill_ratio": nnz / M2.nnz,
+                     "seconds": time.perf_counter() - start}
+
+    def solve_M2(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        for rows, band in bands:
+            x[rows] = scipy.linalg.cho_solve_banded((band, False), b[rows], check_finite=False)
+        return x
+
+    return solve_M2
 
 
 def _node_paired_positions(M0, group, gauged, factors: dict) -> np.ndarray:
@@ -830,8 +893,9 @@ def solve(system: SaddleSystem) -> Solution:
     order straight from ``M0``, ``B = A_wu Z`` and the columns of ``B``
     (``_node_paired_matrix``); ``M0`` is read as it is, no copy.
     Pressure is recovered afterwards from the free momentum rows
-    ``D21_f^T (M2 p) = r`` through the same ``L`` and a factor of ``M2``,
-    shifted to zero sum when the gauge is set, and the multiplier from the
+    ``D21_f^T (M2 p) = r`` through the same ``L`` and one banded Cholesky
+    per patch block of ``M2`` (``_factor_banded``), shifted to zero sum
+    when the gauge is set, and the multiplier from the
     pressure rows ``M2 D21 u``.
 
     ``nu`` is a pure rescaling: the vorticity and momentum rows are
@@ -896,12 +960,12 @@ def solve(system: SaddleSystem) -> Solution:
     # pressure from the free momentum rows: D21_f^T q = r with q = M2 p
     q = np.zeros(n2)
     q[first:] = lu_L.solve(D21f @ (f_u / nu - W @ omega))
-    lu_M2 = _factor(system.M2, "2-form mass matrix", "MMD_AT_PLUS_A", factors, "M2")
+    solve_M2 = _factor_banded(system.M2, system.map2, factors)
     if system.gauge:  # shift along the constant physical pressure M2^{-1} 1
-        p, constant = lu_M2.solve(np.column_stack((q, np.ones(n2)))).T
+        p, constant = solve_M2(np.column_stack((q, np.ones(n2)))).T
         p = p - (p.sum() / constant.sum()) * constant
     else:
-        p = lu_M2.solve(q)
+        p = solve_M2(q)
     p *= nu
     lam = -float(np.mean(system.M2 @ (D21 @ u))) if system.gauge else 0.0
 

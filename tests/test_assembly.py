@@ -953,8 +953,8 @@ class TestSubspaceSolve:
 
     @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
     def test_every_pivot_on_the_diagonal(self, case, monkeypatch):
-        factors = []
-        original, original_ilu = assembly._factor, spla.spilu
+        factors, superlu = [], []
+        original, original_ilu, original_lu = assembly._factor, spla.spilu, spla.splu
 
         def recorded(matrix, what, permc_spec, *record):
             lu = original(matrix, what, permc_spec, *record)
@@ -966,17 +966,67 @@ class TestSubspaceSolve:
             factors.append(("vorticity mass matrix", lu))
             return lu
 
+        def recorded_lu(*args, **kwargs):
+            superlu.append(args[0].shape)
+            return original_lu(*args, **kwargs)
+
         monkeypatch.setattr(assembly, "_factor", recorded)
         monkeypatch.setattr(spla, "spilu", recorded_ilu)
+        monkeypatch.setattr(spla, "splu", recorded_lu)
         solve(SOLVE_CASES[case]())
+        # M2 goes to its banded Cholesky, not to SuperLU
         assert [what for what, _ in factors] == [
-            "2-cell Laplacian", "vorticity mass matrix", "vorticity-stream system",
-            "2-form mass matrix"]
+            "2-cell Laplacian", "vorticity mass matrix", "vorticity-stream system"]
+        assert len(superlu) == 2
         for _, lu in factors:
             npt.assert_array_equal(lu.perm_r, lu.perm_c)
         # the vorticity-stream system is eliminated in the node-paired order itself
         lu = factors[2][1]
         npt.assert_array_equal(lu.perm_c, np.arange(lu.shape[0]))
+
+    @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+    def test_pressure_matches_a_superlu_oracle_of_M2(self, case, monkeypatch):
+        system = SOLVE_CASES[case]()
+        got = solve(system).p
+        monkeypatch.setattr(assembly, "_factor_banded",
+                            lambda M2, blocks, factors: spla.splu(M2.tocsc()).solve)
+        want = solve(system).p
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_M2_has_no_entry_outside_its_patch_blocks(self):
+        system = SOLVE_CASES["taylor-couette"]()
+        owner = np.full(system.n2, -1)
+        for patch, ids in enumerate(system.map2):
+            npt.assert_array_equal(ids, np.arange(ids[0], ids[0] + ids.size))  # contiguous
+            owner[ids] = patch
+        assert (owner >= 0).all()
+        M2 = system.M2.tocoo()
+        assert M2.nnz > 0
+        npt.assert_array_equal(owner[M2.row], owner[M2.col])
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["mixed-degrees"])
+    def test_each_block_is_banded_with_half_width_pe2_n1_plus_pe1(self, case):
+        if case == "mixed-degrees":  # edge degrees 1 and 3, 6 and 9 functions
+            system = assemble_vvp(vvp_spaces((make_basis(2, 5), make_basis(4, 6))),
+                                  unit_square_patch())
+        else:
+            system = ORACLE_CASES[case]()
+        factors = {}
+        assembly._factor_banded(system.M2, system.map2, factors)
+        stored = 0
+        for (_, _, s2), ids in zip(system.spaces, system.map2):
+            (n1, _), (e1, e2) = s2.blocks[0].shape, s2.blocks[0].factors
+            width = e2.degree * n1 + e1.degree
+            lo, hi = ids[0], ids[0] + ids.size
+            ab = assembly._upper_band(system.M2, lo, hi)
+            assert ab.shape == (width + 1, ids.size)
+            block = system.M2[lo:hi, lo:hi].toarray()
+            i, j = np.indices(block.shape)
+            assert block[j - i > width].size and not block[j - i > width].any()
+            band = (j >= i) & (j - i <= width)
+            npt.assert_array_equal(ab[width + i[band] - j[band], j[band]], block[band])
+            stored += ab.size
+        assert factors["M2"]["nnz"] == stored
 
     def test_node_paired_order(self):
         rng = np.random.default_rng(5)
@@ -1075,6 +1125,9 @@ class TestSubspaceSolve:
         for entry in stats["factors"].values():
             assert entry["nnz"] > 0 and entry["seconds"] >= 0.0
             assert 1.0 <= entry["fill_ratio"] < 100.0
+        # M2 reports the entries of its band: one patch, nodal degree 3 on 6 spans, so 8 x 8
+        # edge functions of degree 2 and a half-bandwidth of 2 * 8 + 2
+        assert stats["factors"]["M2"]["nnz"] == (2 * 8 + 2 + 1) * system.n2
         assert stats["factors"]["M2"]["fill_ratio"] == stats["factors"]["M2"]["nnz"] / system.M2.nnz
         assert stats["factors"]["K"]["nnz"] == stats["lu_nnz"]
         assert stats["residual"] == sol.residual

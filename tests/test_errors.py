@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from splineforms import cli
 from splineforms.assembly import apply_strong_normal_velocity, assemble_mass, assemble_vvp, solve
@@ -52,6 +53,16 @@ def not_a_number_solve(tmp):
     return solve(system)
 
 
+def indefinite_pressure_mass_solve(tmp):
+    # flip the sign of patch 2's block of the block-diagonal M2: symmetric, not positive definite
+    system = apply_strong_normal_velocity(
+        assemble_vvp([vvp_spaces((basis(), basis()))] * 4, build_taylor_couette()))
+    sign = np.ones(system.n2)
+    sign[system.map2[2]] = -1.0
+    system.M2 = (sp.diags(sign) @ system.M2).tocsr()
+    return solve(system)
+
+
 def config_line_without_equals(tmp):
     path = tmp / "case.cfg"
     path.write_text("# settings\ndegree 3\n")
@@ -88,6 +99,9 @@ CASES = {
         ConstructionError, r"\(0, 1, 2\)-form triple"),
     "assembly-not-a-number-right-hand-side": (
         not_a_number_solve, SingularSystemError, "solve residual nan exceeds"),
+    "assembly-pressure-mass-block-not-positive-definite": (
+        indefinite_pressure_mass_solve, SingularSystemError,
+        "factorization of the 2-form mass matrix of patch 2 failed"),
     "cli-config-line-without-equals": (
         config_line_without_equals, ConstructionError, "expected key=value"),
     "geometry-pullback-of-a-3-form": (
