@@ -11,12 +11,16 @@ the two pair sets, so each entry of G1 W G2^T is one nonzero.  Every
 block pair is multiplied in full, and the products of all block pairs of
 all patches form one COO set, written in the glued numbering: one
 patch's set compresses to CSC without sorting or summing, a glued set to
-one CSR.  A Gauss axis is kept per nodal basis object and rule
-(``_axis``), with its pair operators and geometry tables, while the
-basis lives.  Forcing vectors (B1^T V B2) and reconstructions (B1 C B2^T)
-use the per-direction (points, functions) collocation matrices B of
-``splines.collocation`` the same way, and so do the side rules of the
-boundary conditions.
+one CSR, whose entries where three or more patches meet are summed in
+patch order first.  The products read only the block metrics
+(``geometry.mass_metric``) and the two Gauss axes of a patch's grid: the
+grid, with its Jacobian tables, is gone before the first product, and
+each metric before its block's conversion to a sparse matrix.  A Gauss
+axis is kept per nodal basis object and rule (``_axis``), with its pair
+operators and geometry tables, while the basis lives.  Forcing vectors
+(B1^T V B2) and reconstructions (B1 C B2^T) use the per-direction
+(points, functions) collocation matrices B of ``splines.collocation``
+the same way, and so do the side rules of the boundary conditions.
 
 The mixed system is never needed as one matrix.  ``SaddleSystem`` holds
 the glued global mass matrices M0, M1, M2 and the integer coboundaries
@@ -42,6 +46,7 @@ place of every entry of the node-paired matrix.
 from __future__ import annotations
 
 import functools
+import resource
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -223,21 +228,24 @@ class MassMatrix:
     space: DiscreteFormSpace
 
 
-def _assemble_mass_on_grid(space: DiscreteFormSpace, grid: _PatchGrid, index_map=None):
-    """Gram triplets ``(data, (rows, cols))`` of a space on a patch grid, one COO set of block-pair products.
+def _assemble_mass_on_grid(space: DiscreteFormSpace, weights, axes, index_map=None):
+    """Gram triplets ``(data, (rows, cols))`` of a space from its block metrics, one COO set of block-pair products.
 
-    Block pair (A, B) with weight W is ``V = G1 W G2^T`` for the pair
-    operators G1, G2 of its two directions; entry ((I1, J1), (I2, J2)) of
-    V is the one nonzero at row (I1, I2) of A and column (J1, J2) of B,
-    because the pattern is the Kronecker product of the two pair sets.
-    Pair operators are sorted by (J, I) and the blocks A of a column come
-    in offset order, so within every column the triplets arrive with rows
-    ascending and no duplicates: scipy's stable conversion to CSC then
-    neither sorts nor sums.  Indices, int32 where they fit, are written through ``index_map``.
+    ``weights`` are the space's ``mass_metric`` on a patch's tensor Gauss
+    grid and ``axes`` that grid's two ``_Axis``: the kernel reads nothing
+    else of the patch, so callers drop the grid's Jacobian tables before
+    the products.  Block pair (A, B) with weight W is ``V = G1 W G2^T``
+    for the pair operators G1, G2 of its two directions; entry
+    ((I1, J1), (I2, J2)) of V is the one nonzero at row (I1, I2) of A and
+    column (J1, J2) of B, because the pattern is the Kronecker product of
+    the two pair sets.  Pair operators are sorted by (J, I) and the blocks
+    A of a column come in offset order, so within every column the
+    triplets arrive with rows ascending and no duplicates: scipy's stable
+    conversion to CSC then neither sorts nor sums.  Indices, int32 where
+    they fit, are written through ``index_map``.
     """
-    weights = mass_metric(space.k, grid.jac, grid.det, grid.w)
     pairs = [(A, B, weights[ia, ib], *(axis.pair(j in A.dirs, j in B.dirs)
-                                       for j, axis in enumerate(grid.axes)))
+                                       for j, axis in enumerate(axes)))
              for ib, B in enumerate(space.blocks) for ia, A in enumerate(space.blocks)]
     ends = np.cumsum([0] + [g1.rows.size * g2.rows.size for *_, g1, g2 in pairs])
     index = np.int32 if max(ends[-1], space.dim) < 2**31 else np.int64
@@ -259,8 +267,11 @@ def assemble_mass(space: DiscreteFormSpace, patch: NurbsPatch, n_quad=None) -> M
     if space.d != 2:
         raise ConstructionError("mass assembly is implemented for 2D spaces")
     grid = _PatchGrid(space.nodal_bases, patch, n_quad=n_quad)
-    matrix = sp.csc_matrix(_assemble_mass_on_grid(space, grid), shape=(space.dim, space.dim))
-    return MassMatrix(space.k, matrix, space)
+    weights, axes = mass_metric(space.k, grid.jac, grid.det, grid.w), grid.axes
+    del grid  # its Jacobian tables go before the products
+    triplets = _assemble_mass_on_grid(space, weights, axes)
+    del weights  # and the metric before the conversion
+    return MassMatrix(space.k, sp.csc_matrix(triplets, shape=(space.dim, space.dim)), space)
 
 
 def _forcing_vector(space: DiscreteFormSpace, grid: _PatchGrid, forcing) -> np.ndarray:
@@ -321,12 +332,31 @@ def _glued_numbering(sizes, pairs):
     return maps, n_global
 
 
-def _glued_mass(triplets, n: int, identity: bool):
-    """Gram matrix of the patches' ``(data, (rows, cols))`` triplets, one constructor call: the
-    kernel's CSC for an identity numbering, else one CSR summing what gluing puts in one place."""
-    if identity:
+def _glued_mass(triplets, n: int, maps):
+    """Gram matrix of the patches' ``(data, (rows, cols))`` triplets, one constructor call.
+
+    With ``maps`` None (an identity numbering) it is the kernel's CSC; else one CSR summing
+    what the patches' glued numberings ``maps`` put in one place.  scipy sums duplicates after
+    an unstable sort of each row, which fixes no order for three or more addends, so entries
+    whose row and column both have three or more copies (where three or more patches meet) are
+    summed first, in patch order, by a stable sort and ``np.add.at``.  Entries of fewer copies
+    sum at most two values, alike in either order, and pay nothing.
+    """
+    if maps is None:
         return sp.csc_matrix(triplets[0], shape=(n, n))
     data, rows, cols = (np.concatenate(a) for a in zip(*((d, *rc) for d, rc in triplets)))
+    many = np.bincount(np.concatenate(maps), minlength=n) >= 3
+    if many.any():
+        shared = many[rows] & many[cols]
+        picked = np.flatnonzero(shared)
+        picked = picked[np.lexsort((cols[picked], rows[picked]))]  # stable: patch order kept
+        r, c = rows[picked], cols[picked]
+        first = np.append(True, (r[1:] != r[:-1]) | (c[1:] != c[:-1]))
+        sums = np.zeros(np.count_nonzero(first))
+        np.add.at(sums, np.cumsum(first) - 1, data[picked])
+        rest = ~shared
+        data = np.concatenate((data[rest], sums))
+        rows, cols = np.concatenate((rows[rest], r[first])), np.concatenate((cols[rest], c[first]))
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
@@ -382,8 +412,10 @@ class Solution:
     order of the vorticity mass matrix, read off an incomplete
     factorization), ``residual`` (the gated solve residual) and
     ``histopolation_cond`` (the largest condition number of the side
-    histopolations ``apply_strong_normal_velocity`` used, None if none).
-    None of it goes into the output files.
+    histopolations ``apply_strong_normal_velocity`` used, None if none)
+    and ``rss_mb`` (the peak RSS of the process, ``ru_maxrss`` in MiB,
+    ``before`` and ``after`` the solve: whether assembly or the solve set
+    the peak).  None of it goes into the output files.
     """
 
     system: "SaddleSystem"
@@ -456,19 +488,27 @@ class SaddleSystem:
         self.rhs = np.zeros(self.size)
         sizes = (self.n0, self.n1, self.n2)
         identity = [n_patches == 1 and n == spaces[0][k].dim for k, n in enumerate(sizes)]
-        maps = list(zip(self.map0, self.map1, self.map2))
-        grids = [_PatchGrid(s[0].nodal_bases, patch, n_quad=n_quad, need_phys=forcing is not None)
-                 for s, patch in zip(spaces, patches)]
-        # block by block, so that the triplets of one block at a time are alive
+        glued = (self.map0, self.map1, self.map2)
+        maps = list(zip(*glued))
+        # each patch's grid gives its forcing and its three block metrics, then goes
+        metrics, axes = [[], [], []], []
+        for s, patch, m in zip(spaces, patches, maps):
+            grid = _PatchGrid(s[0].nodal_bases, patch, n_quad=n_quad, need_phys=forcing is not None)
+            if forcing is not None:
+                np.add.at(self.rhs, self.n0 + m[1], _forcing_vector(s[1], grid, forcing))
+            for k in (0, 1, 2):
+                metrics[k].append(mass_metric(k, grid.jac, grid.det, grid.w))
+            axes.append(grid.axes)
+            del grid
+        # block by block, so that the triplets of one block at a time are alive; each
+        # metric is popped into its products and dies before the conversion
         self.M0, self.M1, self.M2 = (_glued_mass(
-            [_assemble_mass_on_grid(s[k], grid, None if identity[k] else m[k])
-             for s, grid, m in zip(spaces, grids, maps)], n, identity[k]) for k, n in enumerate(sizes))
+            [_assemble_mass_on_grid(s[k], metrics[k].pop(0), a, None if identity[k] else m[k])
+             for s, a, m in zip(spaces, axes, maps)], n, None if identity[k] else glued[k])
+            for k, n in enumerate(sizes))
         self.D10, self.D21 = (spaces[0][k].coboundary_matrix() if identity[k] else _glued_coboundary(
             [(s[k].coboundary_matrix(), m[k + 1], m[k]) for s, m in zip(spaces, maps)],
             (sizes[k + 1], sizes[k])) for k in (0, 1))
-        if forcing is not None:
-            for s, grid, m in zip(spaces, grids, maps):
-                np.add.at(self.rhs, self.n0 + m[1], _forcing_vector(s[1], grid, forcing))
         self.free = np.ones(self.n1, dtype=bool)
         self.e_fixed = np.zeros(self.n1)
         self.histopolation_cond = None  # set by apply_strong_normal_velocity
@@ -864,6 +904,11 @@ def _reduced_residual(system: SaddleSystem, omega, u, p, lam) -> float:
     return np.abs(r).max() / max(np.abs(b).max(), 1e-300)
 
 
+def _peak_rss_mb() -> float:
+    """``ru_maxrss`` of this process in MiB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def solve(system: SaddleSystem) -> Solution:
     """Direct solve in the discretely divergence-free subspace, residual-checked.
 
@@ -907,6 +952,7 @@ def solve(system: SaddleSystem) -> Solution:
     ``apply_strong_normal_velocity``, or ConstructionError names those
     that were not.
     """
+    rss_before = _peak_rss_mb()
     n0, n2, nu = system.n0, system.n2, system.nu
     D10, D21 = system.D10, system.D21
     f_u = system.rhs[n0 : n0 + system.n1]
@@ -987,5 +1033,6 @@ def solve(system: SaddleSystem) -> Solution:
             "factors": factors,
             "residual": float(resid),
             "histopolation_cond": system.histopolation_cond,
+            "rss_mb": {"before": rss_before, "after": _peak_rss_mb()},
         },
     )

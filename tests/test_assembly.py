@@ -1111,6 +1111,9 @@ class TestSubspaceSolve:
         assert stats["unknowns"] == system.n0 + interior + 1
         assert stats["lu_nnz"] > stats["unknowns"]
         assert stats["refine_steps"] == 1
+        # the process's peak RSS at solve entry and exit: it never falls
+        assert set(stats["rss_mb"]) == {"before", "after"}
+        assert 0.0 < stats["rss_mb"]["before"] <= stats["rss_mb"]["after"]
 
     def test_stats_of_factors_residual_and_conditioning(self):
         zero_normal = solve(_annulus_case()).stats
@@ -1357,25 +1360,26 @@ class TestGlued:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_sum(self, seed):
         # couette and the self-glued annulus sum at most two contributions per
-        # entry, in any order alike.  The grid's centre vertex sums four, and
-        # scipy's order differs from the oracle's patch order: at nodal
-        # degree 3 one entry of M0 reads one ulp apart
+        # entry, in any order alike; the grid's centre vertex sums four, in
+        # patch order as the oracle does
         for geometry, system in seeded_glued_systems(seed):
             for name, (shape, parts) in patch_blocks(system).items():
                 got = getattr(system, name)
                 assert got.format == expected_format(system, name), (geometry, name)
-                got, want = got.toarray(), dense_sum(shape, parts, once=name == "D10")
-                if geometry == "grid":
-                    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), name
-                else:
-                    npt.assert_array_equal(got, want)
+                npt.assert_array_equal(got.toarray(), dense_sum(shape, parts, once=name == "D10"),
+                                       err_msg=f"{geometry} {name}")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_identical_to_coo_placement(self, seed):
+        # the grid's entries where four patches meet are summed in patch order,
+        # not in scipy's, so its values come from the np.add.at oracle
         for geometry, system in seeded_glued_systems(seed):
             for name, (shape, parts) in patch_blocks(system).items():
-                assert_same_arrays(getattr(system, name),
-                                   coo_placed(shape, parts, first_copies=name == "D10"))
+                want = coo_placed(shape, parts, first_copies=name == "D10")
+                if geometry == "grid":
+                    rows = np.repeat(np.arange(shape[0]), np.diff(want.indptr))
+                    want.data[:] = dense_sum(shape, parts, once=name == "D10")[rows, want.indices]
+                assert_same_arrays(getattr(system, name), want)
 
     def test_couette_blocks_bit_identical_to_coo_placement(self):
         # the three levels of `run taylor-couette --degree 2 --levels 3`
@@ -1433,6 +1437,50 @@ class TestSharedGeometryTables:
             monkeypatch.setattr(NurbsPatch, name, wrapped)
         _PatchGrid(_bases(2, 3), patch, need_phys=True)
         assert sorted(called) == [("jacobian_grid", "_Axis", "_Axis"), ("map_grid", "_Axis", "_Axis")]
+
+
+class TestGridLifetime:
+    """The Gram kernel reads block metrics and Gauss axes: no patch grid is alive in its products."""
+
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        grids, kernel_calls = [], []
+
+        class WatchedGrid(_PatchGrid):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                grids.append(weakref.ref(self))
+
+        kernel = assembly._assemble_mass_on_grid
+
+        def checked(*args, **kwargs):
+            alive = [ref for ref in grids if ref() is not None]
+            assert grids and not alive, f"{len(alive)} grid(s) alive in the Gram products"
+            kernel_calls.append(len(grids))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "_PatchGrid", WatchedGrid)
+        monkeypatch.setattr(assembly, "_assemble_mass_on_grid", checked)
+        return grids, kernel_calls
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_assemble_mass(self, watch, k):
+        grids, kernel_calls = watch
+        assemble_mass(DiscreteFormSpace(_bases(3, 6), k), curved_square_patch())
+        assert (len(grids), kernel_calls) == (1, [1])
+
+    @pytest.mark.parametrize("geometry", ["unit-square", "couette"])
+    def test_assemble_vvp_with_forcing(self, watch, geometry):
+        grids, kernel_calls = watch
+        if geometry == "couette":
+            n_patches, domain = 4, build_taylor_couette()
+            spaces = [vvp_spaces(_bases(3, 4))] * n_patches
+        else:
+            n_patches, domain, spaces = 1, unit_square_patch(), vvp_spaces(_bases(3, 6))
+        system = assemble_vvp(spaces, domain, forcing=EXACT["forcing"])
+        # every grid was built (and dropped) before the first product
+        assert kernel_calls == [n_patches] * 3 * n_patches
+        assert np.abs(system.rhs).max() > 0.0
 
 
 def _perturbed_annulus_spaces(direction, what="knot"):

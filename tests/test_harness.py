@@ -605,9 +605,11 @@ class TestCli:
         assert stats["case"] == "cavity"
         assert stats["run_s"] > 0 and stats["output_s"] > 0 and stats["peak_rss_mb"] > 0
         assert isinstance(stats["minor_faults"], int) and stats["minor_faults"] >= 0
-        assert {"dofs", "lu_nnz", "factors", "residual"} <= stats["solve"].keys()
+        assert {"dofs", "lu_nnz", "factors", "residual", "rss_mb"} <= stats["solve"].keys()
+        rss = stats["solve"]["rss_mb"]
+        assert 0 < rss["before"] <= rss["after"] <= stats["peak_rss_mb"]
         meta = (tmp_path / "run_metadata.txt").read_text()
-        for key in ("run_s", "output_s", "peak_rss", "minor_faults", "seconds", "lu_nnz"):
+        for key in ("run_s", "output_s", "peak_rss", "minor_faults", "seconds", "lu_nnz", "rss_mb"):
             assert key not in meta
 
     def test_stats_json_lists_every_level(self, tmp_path):
@@ -619,7 +621,10 @@ class TestCli:
                 (tmp_path / "convergence.csv").read_text().splitlines()[1:]]
         assert [level["dofs"] for level in stats["levels"]] == dofs
         assert stats["levels"][-1] == stats["solve"]
-        assert all({"lu_nnz", "factors", "residual"} <= level.keys() for level in stats["levels"])
+        assert all({"lu_nnz", "factors", "residual", "rss_mb"} <= level.keys()
+                   for level in stats["levels"])
+        afters = [level["rss_mb"]["after"] for level in stats["levels"]]
+        assert afters == sorted(afters) and afters[-1] <= stats["peak_rss_mb"]
         meta = (tmp_path / "run_metadata.txt").read_text()
         for key in ("lu_nnz", "factors", "seconds", "unknowns"):
             assert key not in meta
