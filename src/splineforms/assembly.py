@@ -414,8 +414,9 @@ class Solution:
     ``histopolation_cond`` (the largest condition number of the side
     histopolations ``apply_strong_normal_velocity`` used, None if none)
     and ``rss_mb`` (the peak RSS of the process, ``ru_maxrss`` in MiB,
-    ``before`` and ``after`` the solve: whether assembly or the solve set
-    the peak).  None of it goes into the output files.
+    ``before`` the solve, right before the ``factor`` of ``K`` and
+    ``after`` the solve: whether assembly, the build of ``K`` or its
+    factor set the peak).  None of it goes into the output files.
     """
 
     system: "SaddleSystem"
@@ -779,18 +780,21 @@ def _node_paired_positions(M0, group, gauged, factors: dict) -> np.ndarray:
     return np.cumsum(used, dtype=index)[keys] - 1  # rank of each key
 
 
-def _node_paired_matrix(M0, B, pos) -> sp.csc_matrix:
-    """CSC of the (omega, y) system ``[[-M0, B], [B^T, 0]]`` with row and column i at ``pos[i]``.
+def _node_paired_matrix(M0, Wt, Z, pos) -> sp.csc_matrix:
+    """CSC of ``[[-M0, B], [B^T, 0]]`` with ``B = Wt Z``, row and column i at ``pos[i]``.
 
     Every row is scattered straight into its place in CSR arrays, each
     column index relabelled by ``pos``: row i of ``-M0`` and of ``B`` for a
     node, column c of ``B`` (read off its CSC) for a stream unknown.
     ``M0`` is symmetric, so its compressed arrays list its rows whatever
-    its format.  The CSR -> CSC transpose then leaves every column sorted,
-    with no sort pass.
+    its format.  ``B`` is formed here and both its formats are dropped
+    once scattered, before the CSR -> CSC transpose, which then leaves
+    every column sorted, with no sort pass.
     """
+    B = Wt @ Z
     n0, m = B.shape
     Br, Bc = B.tocsr(), B.tocsc()  # one of them is B itself
+    del B
     m0_counts = np.diff(M0.indptr)
     counts = np.concatenate((m0_counts + np.diff(Br.indptr), np.diff(Bc.indptr)))
     nnz = int(counts.sum())
@@ -809,6 +813,7 @@ def _node_paired_matrix(M0, B, pos) -> sp.csc_matrix:
         dest += np.arange(ptr[-1], dtype=index)
         indices[dest] = labels[cols]
         data[dest] = vals
+    del Br, Bc, ptr, cols, vals, dest  # B's arrays go before the transpose allocates
     return sp.csr_matrix((data, indices, indptr), shape=(n0 + m, n0 + m)).tocsc()
 
 
@@ -936,7 +941,8 @@ def solve(system: SaddleSystem) -> Solution:
     zero diagonal of the stream block is filled by a coupled vorticity
     pivot before it is reached.  Its compressed arrays are written in that
     order straight from ``M0``, ``B = A_wu Z`` and the columns of ``B``
-    (``_node_paired_matrix``); ``M0`` is read as it is, no copy.
+    (``_node_paired_matrix``, which forms ``B`` and drops it before it
+    transposes ``K``); ``M0`` is read as it is, no copy.
     Pressure is recovered afterwards from the free momentum rows
     ``D21_f^T (M2 p) = r`` through the same ``L`` and one banded Cholesky
     per patch block of ``M2`` (``_factor_banded``), shifted to zero sum
@@ -992,9 +998,10 @@ def solve(system: SaddleSystem) -> Solution:
     Wt = W.T
     pos = _node_paired_positions(system.M0, group, np.arange(1, n_groups), factors)
     pos = np.concatenate((pos, np.arange(pos.size, n0 + Z.shape[1], dtype=pos.dtype)))
-    K = _node_paired_matrix(system.M0, Wt @ Z, pos)  # flux carriers last
+    K = _node_paired_matrix(system.M0, Wt, Z, pos)  # flux carriers last
     rhs = np.empty(K.shape[0])
     rhs[pos] = np.concatenate((system.rhs[:n0] / nu - Wt @ u0, Z.T @ f_u / nu))
+    rss_factor = _peak_rss_mb()
     lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
     x = lu.solve(rhs)
     x += lu.solve(rhs - K @ x)
@@ -1033,6 +1040,6 @@ def solve(system: SaddleSystem) -> Solution:
             "factors": factors,
             "residual": float(resid),
             "histopolation_cond": system.histopolation_cond,
-            "rss_mb": {"before": rss_before, "after": _peak_rss_mb()},
+            "rss_mb": {"before": rss_before, "factor": rss_factor, "after": _peak_rss_mb()},
         },
     )

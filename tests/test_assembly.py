@@ -916,19 +916,58 @@ class TestIndexArithmeticOracles:
         built = []
         original = assembly._node_paired_matrix
 
-        def recorded(M0, B, pos):
-            K = original(M0, B, pos)
-            built.append((M0, B, pos, K))
+        def recorded(M0, Wt, Z, pos):
+            K = original(M0, Wt, Z, pos)
+            built.append((M0, Wt, Z, pos, K))
             return K
 
         monkeypatch.setattr(assembly, "_node_paired_matrix", recorded)
         solve(system)
-        (M0, B, pos, got), = built
+        (M0, Wt, Z, pos, got), = built
         assert M0 is system.M0  # taken as it is, no copy
-        want = stacked_paired_matrix(M0, B, pos)
+        want = stacked_paired_matrix(M0, Wt @ Z, pos)
         assert got.format == "csc" and got.has_sorted_indices
         for attr in ("indptr", "indices", "data"):
             npt.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+    @pytest.mark.parametrize("case", ["unit-square", "taylor-couette", "self-glued-annulus"])
+    def test_B_is_freed_before_K_is_transposed(self, case, monkeypatch):
+        # B = Wt Z and its other format, with their arrays, are dead when the
+        # CSR -> CSC transposition of K starts
+        system = ORACLE_CASES[case]()
+        original = assembly._node_paired_matrix
+        shapes, refs, alive_at_transpose = {}, [], []  # shapes of B and K inside the build
+
+        def recorded(M0, Wt, Z, pos):
+            n0, m = Wt.shape[0], Z.shape[1]
+            shapes.update(B=(n0, m), K=(n0 + m, n0 + m))
+            try:
+                return original(M0, Wt, Z, pos)
+            finally:
+                shapes.clear()
+
+        def watched(cls, name):
+            convert = getattr(cls, name)
+
+            def wrapped(self, *args, **kwargs):
+                if shapes and self.shape == shapes["K"]:  # K's transposition
+                    alive = sum(ref() is not None for ref in refs)
+                    alive_at_transpose.append((cls.__name__, name, alive))
+                out = convert(self, *args, **kwargs)
+                if shapes and self.shape == shapes["B"]:  # B, read in both formats
+                    refs.extend(weakref.ref(obj) for matrix in (self, out)
+                                for obj in (matrix, matrix.indptr, matrix.indices, matrix.data))
+                return out
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            for name in ("tocsr", "tocsc"):
+                watched(cls, name)
+        monkeypatch.setattr(assembly, "_node_paired_matrix", recorded)
+        solve(system)
+        assert len(refs) == 16  # B and its copy, each with three arrays, once per format read
+        assert alive_at_transpose == [("csr_matrix", "tocsc", 0)]
 
 
 def test_solve_builds_at_most_30_compressed_matrices(monkeypatch):
@@ -1111,9 +1150,11 @@ class TestSubspaceSolve:
         assert stats["unknowns"] == system.n0 + interior + 1
         assert stats["lu_nnz"] > stats["unknowns"]
         assert stats["refine_steps"] == 1
-        # the process's peak RSS at solve entry and exit: it never falls
-        assert set(stats["rss_mb"]) == {"before", "after"}
-        assert 0.0 < stats["rss_mb"]["before"] <= stats["rss_mb"]["after"]
+        # the process's peak RSS at solve entry, before K's factor and at exit:
+        # it never falls
+        rss = stats["rss_mb"]
+        assert set(rss) == {"before", "factor", "after"}
+        assert 0.0 < rss["before"] <= rss["factor"] <= rss["after"]
 
     def test_stats_of_factors_residual_and_conditioning(self):
         zero_normal = solve(_annulus_case()).stats

@@ -607,7 +607,7 @@ class TestCli:
         assert isinstance(stats["minor_faults"], int) and stats["minor_faults"] >= 0
         assert {"dofs", "lu_nnz", "factors", "residual", "rss_mb"} <= stats["solve"].keys()
         rss = stats["solve"]["rss_mb"]
-        assert 0 < rss["before"] <= rss["after"] <= stats["peak_rss_mb"]
+        assert 0 < rss["before"] <= rss["factor"] <= rss["after"] <= stats["peak_rss_mb"]
         meta = (tmp_path / "run_metadata.txt").read_text()
         for key in ("run_s", "output_s", "peak_rss", "minor_faults", "seconds", "lu_nnz", "rss_mb"):
             assert key not in meta
