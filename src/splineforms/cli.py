@@ -21,6 +21,7 @@ from .harness import (
     _CASE_SETTINGS,
     CASES,
     CaseConfig,
+    _out_dir,
     emit_outputs,
     run_cavity,
     run_manufactured,
@@ -154,6 +155,7 @@ def _write_stats(config: CaseConfig, run_s: float, output_s: float, minor_faults
 def _cmd_run(args) -> int:
     try:
         config = _make_config(args)
+        _out_dir(config)
     except (ConstructionError, OSError, ValueError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
@@ -174,26 +176,17 @@ def _cmd_run(args) -> int:
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     paths.append(_write_stats(config, run_s, output_s, faults, level_stats))
 
-    if config.case == "manufactured":
-        for rec in records:
-            print(
-                f"level {rec.level}: h={rec.h_max:.4e} dof={rec.dofs} "
-                f"err_w={rec.err_w:.3e} err_u={rec.err_u:.3e} err_p={rec.err_p:.3e} "
-                f"div={rec.div_max:.2e}"
-            )
-    elif config.case == "taylor-couette":
-        for rec in records:
-            print(
-                f"level {rec.level}: h={rec.h_max:.4e} dof={rec.dofs} "
-                f"err_u={rec.err_u:.3e} p_dev={rec.extra['pressure_cochain_dev']:.2e} "
-                f"div={rec.div_max:.2e}"
-            )
-    else:
+    if result is not None:
         print(
             f"cavity {result.spans}x{result.spans} degree {result.degree}: "
             f"dof={result.dofs} div={result.div_max:.2e} "
             f"stream_residual={result.stream_residual:.2e}"
         )
+    for rec in records or ():
+        errors = (f"err_w={rec.err_w:.3e} err_u={rec.err_u:.3e} err_p={rec.err_p:.3e}"
+                  if config.case == "manufactured" else
+                  f"err_u={rec.err_u:.3e} p_dev={rec.extra['pressure_cochain_dev']:.2e}")
+        print(f"level {rec.level}: h={rec.h_max:.4e} dof={rec.dofs} {errors} div={rec.div_max:.2e}")
     for path in paths:
         print(f"wrote {path}")
     return 0

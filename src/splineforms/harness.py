@@ -27,6 +27,7 @@ from .assembly import (
 from .errors import ConstructionError, check_integer, check_real
 from .geometry import (
     GridAxis,
+    MultiPatch,
     build_taylor_couette,
     curved_square_patch,
     jacobian_det,
@@ -309,62 +310,61 @@ def rates(records, noise=()):
 # -- runners -------------------------------------------------------------------
 
 
+def _solve_level(config: CaseConfig, geometry, spans: int, normal=None, tangential=None,
+                 forcing=None):
+    """One refinement level: spaces, assembly, normal flux strongly, tangential data weakly, solve.
+
+    Every patch gets the same space triple, so per-basis work is done
+    once.  Returns the triples, the system, the solution and the largest
+    cochain divergence over the patches.
+    """
+    multi = isinstance(geometry, MultiPatch)
+    triples = [vvp_spaces(_bases(config.degree + 1, spans))] * (
+        len(geometry.patches) if multi else 1)
+    system = assemble_vvp(triples if multi else triples[0], geometry, nu=config.nu,
+                          forcing=forcing, n_quad=config.quad)
+    apply_strong_normal_velocity(system, normal)
+    apply_weak_tangential_velocity(system, tangential)
+    solution = solve(system)
+    div_max = max(np.abs(solution.divergence_cochain(p)).max() for p in range(len(triples)))
+    return triples, system, solution, div_max
+
+
+def _ladder(config: CaseConfig, geometry, exact, normal, tangential, forcing, extra):
+    """The levels of a convergence case, ``base_spans`` doubling per level.
+
+    ``extra(solution)`` gives the case's own entries of ``rec.extra``.
+    Returns the records and the (solution, triples) of the last level.
+    """
+    records = []
+    for level in range(config.levels):
+        triples, system, solution, div_max = _solve_level(
+            config, geometry, config.base_spans * 2**level, normal, tangential, forcing)
+        e_w, e_u, e_p, div_pt = _solution_errors(solution, exact, quad=config.quad)
+        more = {**extra(solution), "div_pointwise": div_pt, "residual": solution.residual}
+        records.append(ConvergenceRecord(
+            level=level, h_max=_h_max(system.patches, triples), dofs=system.size,
+            err_w=e_w, err_u=e_u, err_p=e_p, div_max=div_max, extra=more, stats=solution.stats))
+    return records, (solution, triples)
+
+
 def run_manufactured(config: CaseConfig):
     """Convergence study of the sinusoidal solution on Cartesian or curved grids."""
     exact = manufactured_fields()
     patch = unit_square_patch() if config.geometry == "unit-square" else curved_square_patch()
-    records = []
-    last = None
-    for level in range(config.levels):
-        spans = config.base_spans * 2**level
-        triples = [vvp_spaces(_bases(config.degree + 1, spans))]
-        system = assemble_vvp(
-            triples[0], patch, nu=config.nu, forcing=exact["forcing"], n_quad=config.quad
-        )
-        apply_strong_normal_velocity(system, exact["velocity"])
-        apply_weak_tangential_velocity(system, exact["velocity"])
-        solution = solve(system)
-        div_max = np.abs(solution.divergence_cochain(0)).max()
-        e_w, e_u, e_p, div_pt = _solution_errors(solution, exact, quad=config.quad)
-        records.append(
-            ConvergenceRecord(
-                level=level,
-                h_max=_h_max([patch], triples),
-                dofs=system.size,
-                err_w=e_w,
-                err_u=e_u,
-                err_p=e_p,
-                div_max=div_max,
-                extra={"div_pointwise": div_pt, "residual": solution.residual},
-                stats=solution.stats,
-            )
-        )
-        last = (solution, triples)
-    return records, last
+    return _ladder(config, patch, exact, exact["velocity"], exact["velocity"], exact["forcing"],
+                   lambda solution: {})
 
 
 def run_taylor_couette(config: CaseConfig):
     """Annulus flow between a rotating inner and a fixed outer cylinder."""
     multipatch = build_taylor_couette()
-    exact = couette_fields()
     tangential = {}
     for p in range(4):
         tangential[(p, "left")] = lambda x, y: (-y, x)  # unit angular velocity at r=1
         tangential[(p, "right")] = lambda x, y: (0.0 * x, 0.0 * y)
-    records = []
-    last = None
-    for level in range(config.levels):
-        spans = config.base_spans * 2**level
-        triples = [vvp_spaces(_bases(config.degree + 1, spans))] * 4  # per-basis work shared
-        system = assemble_vvp(triples, multipatch, nu=config.nu, n_quad=config.quad)
-        apply_strong_normal_velocity(system)
-        apply_weak_tangential_velocity(system, tangential)
-        solution = solve(system)
-        div_max = max(
-            np.abs(solution.divergence_cochain(p)).max() for p in range(4)
-        )
-        e_w, e_u, e_p, div_pt = _solution_errors(solution, exact, quad=config.quad)
-        p_dev = np.abs(solution.p - solution.p.mean()).max()
+
+    def extra(solution):
         # reconstructed speeds on the two cylinders (u = 0 at r = 1, u = 1 at r = 2)
         t = np.linspace(0.0, 1.0, 33)
         u_cyl = np.array([0.0, 1.0])
@@ -373,27 +373,13 @@ def run_taylor_couette(config: CaseConfig):
             np.stack(np.broadcast_arrays(u_cyl[:, None], t), axis=-1))
         cx, cy = pushforward_1form(jac, jacobian_det(jac), comps[0], comps[1])
         speeds = dict(zip((1.0, 2.0), np.hypot(cy, -cx)))
-        records.append(
-            ConvergenceRecord(
-                level=level,
-                h_max=_h_max(multipatch.patches, triples),
-                dofs=system.size,
-                err_w=e_w,
-                err_u=e_u,
-                err_p=e_p,
-                div_max=div_max,
-                extra={
-                    "pressure_cochain_dev": p_dev,
-                    "speed_err_inner": float(np.abs(speeds[1.0] - 1.0).max()),
-                    "speed_err_outer": float(np.abs(speeds[2.0]).max()),
-                    "div_pointwise": div_pt,
-                    "residual": solution.residual,
-                },
-                stats=solution.stats,
-            )
-        )
-        last = (solution, triples)
-    return records, last
+        return {
+            "pressure_cochain_dev": np.abs(solution.p - solution.p.mean()).max(),
+            "speed_err_inner": float(np.abs(speeds[1.0] - 1.0).max()),
+            "speed_err_outer": float(np.abs(speeds[2.0]).max()),
+        }
+
+    return _ladder(config, multipatch, couette_fields(), None, tangential, None, extra)
 
 
 def _stream_function(solution, patch_index: int = 0):
@@ -414,14 +400,9 @@ def _stream_function(solution, patch_index: int = 0):
 def run_cavity(config: CaseConfig) -> CavityResult:
     """Lid-driven cavity: unit tangential velocity on the top wall."""
     spans = 9 if config.spans is None else config.spans
-    patch = unit_square_patch()
-    triple = vvp_spaces(_bases(config.degree + 1, spans))
-    system = assemble_vvp(triple, patch, nu=config.nu, n_quad=config.quad)
-    apply_strong_normal_velocity(system)
     lid = {(0, "top"): lambda x, y: (np.ones_like(x), np.zeros_like(y))}
-    apply_weak_tangential_velocity(system, lid)
-    solution = solve(system)
-    div_max = float(np.abs(solution.divergence_cochain(0)).max())
+    _, system, solution, div_max = _solve_level(config, unit_square_patch(), spans,
+                                                tangential=lid)
 
     fo, fu, fp = solution.forms(0)
     line = np.linspace(0.0, 1.0, 101)  # samples of the profiles and of each field direction
@@ -438,7 +419,7 @@ def run_cavity(config: CaseConfig) -> CavityResult:
         spans=spans,
         degree=config.degree,
         dofs=system.size,
-        div_max=div_max,
+        div_max=float(div_max),
         y_line=line,
         vx_centerline=np.asarray(vx_center),
         x_line=line,
@@ -620,13 +601,19 @@ def _table(grid: np.ndarray) -> str:
     return text
 
 
-def emit_outputs(config: CaseConfig, records=None, cavity: CavityResult | None = None):
-    """Write convergence tables, field grids and profiles; returns the paths."""
+def _out_dir(config: CaseConfig) -> Path:
+    """The output directory, created with its parents where missing."""
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
+def emit_outputs(config: CaseConfig, records=None, cavity: CavityResult | None = None):
+    """Write convergence tables, field grids and profiles; returns the paths."""
+    out = _out_dir(config)
     written = []
 
     def emit(path: Path, text: str):

@@ -10,19 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from ._quadrature import gauss_rule
-from .assembly import (
-    apply_strong_normal_velocity,
-    apply_weak_tangential_velocity,
-    assemble_vvp,
-    solve,
-)
+from .assembly import assemble_vvp
 from .geometry import (
     build_self_glued_annulus,
     build_taylor_couette,
     curved_square_patch,
     unit_square_patch,
 )
-from .harness import _bases, _solution_errors, couette_fields
+from .harness import CaseConfig, _solution_errors, _solve_level, couette_fields
 from .projection import project_form
 from .spaces import DiscreteFormSpace, vvp_spaces
 from .splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
@@ -37,19 +32,7 @@ def fd_jacobian(patch, uv, h: float = 1e-3) -> np.ndarray:
     All stencil points must stay inside the parametric square; keep the
     evaluation points at least h away from the boundary.
     """
-    uv = np.asarray(uv, dtype=float)
-
-    def central(step):
-        cols = []
-        for d in range(2):
-            e = np.zeros(2)
-            e[d] = step
-            cols.append((patch.map_point(uv + e) - patch.map_point(uv - e)) / (2 * step))
-        return np.stack(cols, axis=-1)
-
-    coarse = central(h)
-    fine = central(h / 2)
-    return (4.0 * fine - coarse) / 3.0
+    return np.stack([fd_tangent(patch, uv, e, h) for e in np.eye(2)], axis=-1)
 
 
 def fd_tangent(patch, points, direction, h: float = 1e-3) -> np.ndarray:
@@ -201,13 +184,11 @@ def _check_self_glued(rng):
     keep one integer row for it, so ``D21 D10 = 0`` and the solve passes
     its residual gate with a divergence-free velocity near the exact flow.
     """
-    system = assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
+    _, system, solution, div = _solve_level(
+        CaseConfig(case="taylor-couette"), build_self_glued_annulus(), 8,
+        tangential={(0, "left"): lambda x, y: (-y, x)})
     dd = (system.D21 @ system.D10).count_nonzero()
     d10_max = abs(system.D10).max()
-    apply_strong_normal_velocity(system)
-    apply_weak_tangential_velocity(system, {(0, "left"): lambda x, y: (-y, x)})
-    solution = solve(system)
-    div = np.abs(solution.divergence_cochain(0)).max()
     err_u = _solution_errors(solution, couette_fields())[1]
     ok = dd == 0 and d10_max == 1 and div < 1e-12 and err_u < 2e-4
     return ok, (f"D21 D10 nonzeros {dd}, max |D10| {d10_max}, residual {solution.residual:.2e}, "

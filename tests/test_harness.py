@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import splineforms
-from splineforms import assembly, cli, geometry, harness
+from splineforms import assembly, cli, geometry, harness, verification
 from splineforms.harness import (
     CaseConfig,
     _h_max,
@@ -218,6 +218,29 @@ def test_records_carry_the_stats_of_every_level():
     assert records[-1].stats is solution.stats
     assert all("factors" not in rec.extra and "lu_nnz" not in rec.extra for rec in records)
 
+
+
+def test_drivers_call_the_harness_names_the_benchmark_replaces(monkeypatch):
+    # the benchmark wraps harness.solve, harness._solution_errors and
+    # harness._stream_function in place, so every driver must look them up
+    # as harness globals at call time
+    names = ("solve", "_solution_errors", "_stream_function")
+    calls = {name: count_calls(monkeypatch, harness, name) for name in names}
+
+    def counts():
+        seen = [len(calls[name]) for name in names]
+        for name in names:
+            calls[name].clear()
+        return seen
+
+    run_manufactured(CaseConfig(degree=1, levels=2))
+    assert counts() == [2, 2, 0]
+    run_taylor_couette(CaseConfig(case="taylor-couette", degree=1, levels=2))
+    assert counts() == [2, 2, 0]
+    run_cavity(CaseConfig(case="cavity", degree=1, spans=4))
+    assert counts() == [1, 0, 1]
+    assert verification._check_self_glued(None)[0]
+    assert counts()[0] == 1
 
 def _run_and_emit(case, out):
     if case == "cavity":
@@ -558,6 +581,16 @@ class TestCli:
         assert proc.returncode == 2
         assert "quad must be >= degree + 2 = 5" in proc.stderr
         assert not any(tmp_path.iterdir())
+
+    def test_uncreatable_out_dir_exits_2_before_any_solve(self, tmp_path, monkeypatch):
+        def never(config):
+            raise AssertionError("the run started although its output directory is missing")
+
+        monkeypatch.setattr(cli, "run_cavity", never)
+        (tmp_path / "file").write_text("")
+        proc = self.run_cli("run", "cavity", "--out", str(tmp_path / "file" / "sub"))
+        assert proc.returncode == 2
+        assert "cannot create output directory" in proc.stderr
 
     def test_verify_passes(self):
         proc = self.run_cli("verify")
