@@ -25,9 +25,10 @@ the same way, and so do the side rules of the boundary conditions.
 The mixed system is never needed as one matrix.  ``SaddleSystem`` holds
 the glued global mass matrices M0, M1, M2 and the integer coboundaries
 D10, D21; its operator [[-nu M0, nu (M1 D10)^T, 0], [nu M1 D10, 0,
-(M2 D21)^T], [0, M2 D21, 0]] is symmetric, and with normal velocity
-prescribed on the whole boundary the pressure is gauged by a zero-mean
-multiplier row.  ``SaddleSystem.matrix`` assembles it only when read.
+(M2 D21)^T], [0, M2 D21, 0]] is symmetric when M0 is, and with normal
+velocity prescribed on the whole boundary the pressure is gauged by a
+zero-mean multiplier row.  ``SaddleSystem.matrix`` assembles it when read;
+``asymmetry`` checks M0, M1 and M2, which the solve reads as symmetric.
 
 The solve does not factor the saddle system.  Because D21 D10 = 0 in
 integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
@@ -516,7 +517,7 @@ class SaddleSystem:
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The mixed operator, assembled on first read; the solve never reads it."""
+        """The mixed operator, assembled on first read; nothing in ``src/`` reads it."""
         nu = self.nu
         vort = nu * (self.M1 @ self.D10)
         div = self.M2 @ self.D21
@@ -528,9 +529,8 @@ class SaddleSystem:
         return sp.bmat(blocks, format="csr")
 
     def asymmetry(self) -> float:
-        diff = (self.matrix - self.matrix.T).tocoo()
-        scale = np.abs(self.matrix.tocoo().data).max()
-        return (np.abs(diff.data).max() / scale) if diff.nnz else 0.0
+        """Largest ``max|M - M^T| / max|M|`` of the Gram matrices ``M0``, ``M1``, ``M2``."""
+        return max(abs(M - M.T).max() / abs(M).max() for M in (self.M0, self.M1, self.M2))
 
 
 def _normalize_side_data(velocity, sides):
@@ -885,8 +885,8 @@ def _reduced_residual(system: SaddleSystem, omega, u, p, lam) -> float:
 
     The fixed-flux rows are dropped and the vorticity, momentum and gauge
     rows divided by ``nu``; the scale is the reduced right-hand side, with
-    the fixed fluxes moved over.  This is the residual of ``system.matrix``,
-    computed without assembling it.
+    the fixed fluxes moved over.  When ``M1`` is symmetric, this is the
+    residual of ``system.matrix``, computed without assembling it.
     """
     n0, n1, n2, nu = system.n0, system.n1, system.n2, system.nu
     M0, M1, M2, D10, D21 = system.M0, system.M1, system.M2, system.D10, system.D21

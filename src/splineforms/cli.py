@@ -117,7 +117,7 @@ def _make_config(args) -> CaseConfig:
                     f"given on the command line"
                 )
             merged[key] = _CONFIG_TYPES[key](value)
-    for key in ("degree", "levels", "geometry", "out_dir", "nu", "quad", "spans", "base_spans"):
+    for key in _CONFIG_TYPES:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
@@ -133,8 +133,8 @@ def _write_stats(config: CaseConfig, run_s: float, output_s: float, minor_faults
     """Write ``stats.json``: wall times, peak RSS and the statistics of every solve.
 
     ``levels`` lists the ``Solution.stats`` of each level (the cavity
-    has one) and ``solve`` repeats the last.  It is outside the
-    bit-exact output set: times and memory change from run to run.
+    has one).  It is outside the bit-exact output set: times and memory
+    change from run to run.
     ``peak_rss_mb`` is ``ru_maxrss`` (KiB on Linux); ``minor_faults``
     counts the pages the run and its output first touched (``ru_minflt``).
     """
@@ -144,7 +144,6 @@ def _write_stats(config: CaseConfig, run_s: float, output_s: float, minor_faults
         "output_s": output_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "minor_faults": minor_faults,
-        "solve": level_stats[-1],
         "levels": level_stats,
     }
     path = Path(config.out_dir) / "stats.json"

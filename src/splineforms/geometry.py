@@ -355,7 +355,7 @@ class MultiPatch:
     which must be +1.
     """
 
-    def __init__(self, patches, glue, check: bool = True):
+    def __init__(self, patches, glue):
         self.patches = list(patches)
         self.glue = [tuple(g) for g in glue]
         for g in self.glue:
@@ -363,13 +363,12 @@ class MultiPatch:
                 raise ConstructionError("glue entries are (a, side_a, b, side_b, sign)")
             if g[4] != 1:
                 raise ConstructionError("only identity-orientation gluing is supported")
-        if check:
-            self._check_interfaces()
+        self._check_interfaces()
 
-    def _check_interfaces(self, tol: float = 1e-12):
+    def _check_interfaces(self):
         """Compare glued side curves at 33 points spread over each side's own knot domain.
 
-        The gap may be ``tol`` times the extent of the two sides' samples
+        The gap may be 1e-12 times the extent of the two sides' samples
         (their bounding-box diagonal) plus a few ulps of their largest
         coordinate, the rounding floor of coordinates that large.  So the
         check reads the same for a domain scaled about any point or moved
@@ -389,12 +388,12 @@ class MultiPatch:
             pb = side_samples(self.patches[b], side_b)
             both = np.concatenate((pa, pb))
             extent = np.hypot(*np.ptp(both, axis=0))
-            allowed = tol * extent + 4 * np.spacing(np.abs(both).max())
+            allowed = 1e-12 * extent + 4 * np.spacing(np.abs(both).max())
             gap = np.abs(pa - pb).max()
             if gap > allowed:
                 raise ConstructionError(
                     f"glued sides of patches {a} and {b} disagree by {gap:.3e}, more than "
-                    f"{tol:.0e} times their extent {extent:.3e} plus coordinate rounding"
+                    f"1e-12 times their extent {extent:.3e} plus coordinate rounding"
                 )
 
     @property
@@ -402,8 +401,8 @@ class MultiPatch:
         return len(self.patches)
 
 
-def _linear_basis(n_spans: int = 1) -> Basis1D:
-    return Basis1D(KnotVector(uniform_open_knots(1, n_spans), 1))
+def _linear_basis() -> Basis1D:
+    return Basis1D(KnotVector(uniform_open_knots(1, 1), 1))
 
 
 def unit_square_patch() -> NurbsPatch:

@@ -103,8 +103,6 @@ class CaseConfig:
             raise ConstructionError("levels must be >= 1")
         if not (np.isfinite(check_real("nu", self.nu)) and self.nu > 0):
             raise ConstructionError(f"nu must be finite and > 0, got {self.nu}")
-        if self.quad is not None and self.quad < 2:
-            raise ConstructionError("quad must be >= 2 Gauss points per element")
         if self.quad is not None and self.quad < self.degree + 2:
             raise ConstructionError(
                 f"quad must be >= degree + 2 = {self.degree + 2} Gauss points per element "

@@ -24,18 +24,19 @@ from .splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
 from .topology import CellComplex
 
 __all__ = ["fd_jacobian", "run_verification"]
+_FD_STEP = 1e-3  # finite-difference step in parameter space
 
 
-def fd_jacobian(patch, uv, h: float = 1e-3) -> np.ndarray:
+def fd_jacobian(patch, uv) -> np.ndarray:
     """Jacobian from Richardson-extrapolated central differences of the map.
 
     All stencil points must stay inside the parametric square; keep the
-    evaluation points at least h away from the boundary.
+    evaluation points at least ``_FD_STEP`` away from the boundary.
     """
-    return np.stack([fd_tangent(patch, uv, e, h) for e in np.eye(2)], axis=-1)
+    return np.stack([fd_tangent(patch, uv, e) for e in np.eye(2)], axis=-1)
 
 
-def fd_tangent(patch, points, direction, h: float = 1e-3) -> np.ndarray:
+def fd_tangent(patch, points, direction) -> np.ndarray:
     """d/dt of Phi(points + t * direction) at t = 0 by Richardson differences.
 
     The stencil moves along the segment only, so it remains valid on
@@ -50,7 +51,7 @@ def fd_tangent(patch, points, direction, h: float = 1e-3) -> np.ndarray:
             - patch.map_point(points - step * direction)
         ) / (2 * step)
 
-    return (4.0 * central(h / 2) - central(h)) / 3.0
+    return (4.0 * central(_FD_STEP / 2) - central(_FD_STEP)) / 3.0
 
 
 def _check_topology(rng):

@@ -398,6 +398,23 @@ class TestSystemAssembly:
         triples = [make_spaces(3, 3) for _ in range(4)]
         assert assemble_vvp(triples, mp).asymmetry() < 1e-12
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("geometry", ["unit-square", "curved-square", "annulus"])
+    def test_asymmetry_sees_each_gram_matrix(self, geometry, k):
+        # the coupling blocks of the mixed operator are X and X^T whatever M1 and
+        # M2 are, so a check through the assembled operator sees only M0
+        if geometry == "annulus":
+            system = assemble_vvp([make_spaces(3, 3) for _ in range(4)], build_taylor_couette())
+        else:
+            patch = unit_square_patch() if geometry == "unit-square" else curved_square_patch()
+            system = assemble_vvp(make_spaces(4, 4), patch)
+        M = getattr(system, f"M{k}")
+        entries = M.tocoo()  # the compressed arrays' order
+        off = np.flatnonzero(entries.row != entries.col)[0]
+        M.data[off] += 1e-6 * abs(M.data).max()
+        assert system.asymmetry() > 1e-12
+        assert "matrix" not in vars(system)
+
     def test_zero_data_zero_solution(self):
         system, _ = manufactured_system(p_vel=1, spans=4)
         system.rhs[:] = 0.0  # strip the forcing; homogeneous BC
@@ -1421,6 +1438,14 @@ class TestGlued:
                     rows = np.repeat(np.arange(shape[0]), np.diff(want.indptr))
                     want.data[:] = dense_sum(shape, parts, once=name == "D10")[rows, want.indices]
                 assert_same_arrays(getattr(system, name), want)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gram_matrices_exactly_symmetric(self, seed):
+        # the grid's centre vertex sums four patches' entries, the annuli two
+        for geometry, system in seeded_glued_systems(seed):
+            for name in ("M0", "M1", "M2"):
+                M = getattr(system, name)
+                assert (M != M.T).nnz == 0, (geometry, name)
 
     def test_couette_blocks_bit_identical_to_coo_placement(self):
         # the three levels of `run taylor-couette --degree 2 --levels 3`

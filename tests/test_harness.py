@@ -561,7 +561,7 @@ class TestCli:
             (("--nu", "0"), "nu must be finite and > 0"),
             (("--nu", "nan"), "nu must be finite and > 0"),
             (("--nu", "inf"), "nu must be finite and > 0"),
-            (("--quad", "1"), "quad must be >= 2"),
+            (("--quad", "1"), "quad must be >= degree + 2 = 4"),
             (("--spans", "0"), "spans must be >= 1"),
             (("--base-spans", "0"), "base_spans must be >= 1"),
             (("--geometry", "annulus"), "cavity runs on unit-square"),
@@ -634,12 +634,13 @@ class TestCli:
                             str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         stats = json.loads((tmp_path / "stats.json").read_text())
-        assert {"case", "run_s", "output_s", "peak_rss_mb", "minor_faults", "solve"} <= stats.keys()
+        assert {"case", "run_s", "output_s", "peak_rss_mb", "minor_faults", "levels"} <= stats.keys()
+        assert "solve" not in stats and len(stats["levels"]) == 1
         assert stats["case"] == "cavity"
         assert stats["run_s"] > 0 and stats["output_s"] > 0 and stats["peak_rss_mb"] > 0
         assert isinstance(stats["minor_faults"], int) and stats["minor_faults"] >= 0
-        assert {"dofs", "lu_nnz", "factors", "residual", "rss_mb"} <= stats["solve"].keys()
-        rss = stats["solve"]["rss_mb"]
+        assert {"dofs", "lu_nnz", "factors", "residual", "rss_mb"} <= stats["levels"][-1].keys()
+        rss = stats["levels"][-1]["rss_mb"]
         assert 0 < rss["before"] <= rss["factor"] <= rss["after"] <= stats["peak_rss_mb"]
         meta = (tmp_path / "run_metadata.txt").read_text()
         for key in ("run_s", "output_s", "peak_rss", "minor_faults", "seconds", "lu_nnz", "rss_mb"):
@@ -653,7 +654,6 @@ class TestCli:
         dofs = [int(line.split(",")[2]) for line in
                 (tmp_path / "convergence.csv").read_text().splitlines()[1:]]
         assert [level["dofs"] for level in stats["levels"]] == dofs
-        assert stats["levels"][-1] == stats["solve"]
         assert all({"lu_nnz", "factors", "residual", "rss_mb"} <= level.keys()
                    for level in stats["levels"])
         afters = [level["rss_mb"]["after"] for level in stats["levels"]]
