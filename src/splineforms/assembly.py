@@ -46,7 +46,6 @@ place of every entry of the node-paired matrix.
 
 from __future__ import annotations
 
-import functools
 import resource
 import time
 import weakref
@@ -515,9 +514,9 @@ class SaddleSystem:
         self.e_fixed = np.zeros(self.n1)
         self.histopolation_cond = None  # set by apply_strong_normal_velocity
 
-    @functools.cached_property
+    @property
     def matrix(self) -> sp.csr_matrix:
-        """The mixed operator, assembled on first read; nothing in ``src/`` reads it."""
+        """The mixed operator, built from the current blocks on every read; unread in ``src/``."""
         nu = self.nu
         vort = nu * (self.M1 @ self.D10)
         div = self.M2 @ self.D21

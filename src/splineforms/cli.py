@@ -7,8 +7,10 @@ import json
 import resource
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
+from . import harness
 from .errors import (
     ConstructionError,
     DegenerateGeometryError,
@@ -17,16 +19,7 @@ from .errors import (
     IllPosedNodesError,
     SingularSystemError,
 )
-from .harness import (
-    _CASE_SETTINGS,
-    CASES,
-    CaseConfig,
-    _out_dir,
-    emit_outputs,
-    run_cavity,
-    run_manufactured,
-    run_taylor_couette,
-)
+from .harness import CASES, CaseConfig, CavityResult, _out_dir, emit_outputs
 
 _NUMERICAL_ERRORS = (
     ConstructionError,
@@ -38,16 +31,9 @@ _NUMERICAL_ERRORS = (
     FloatingPointError,
 )
 
-_CASE_HELP = {
-    "manufactured": "sinusoidal closed-form solution, convergence ladder "
-    "(geometries: unit-square, curved-square)",
-    "taylor-couette": "flow between rotating inner / fixed outer cylinder "
-    "on the exact NURBS annulus",
-    "cavity": "lid-driven cavity with centerline profiles and field samples",
-}
 
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser and its ``run`` subparser, whose defaults a ``--config`` file sets."""
     parser = argparse.ArgumentParser(
         prog="splineforms",
         description="Structure-preserving spline discretization benchmarks",
@@ -73,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-cases", help="list available cases")
     sub.add_parser("verify", help="run the property-check suite")
-    return parser
+    return parser, run
 
 
 def _read_config_file(path: str) -> dict:
@@ -90,39 +76,32 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "degree": int,
-    "levels": int,
-    "nu": float,
-    "quad": int,
-    "spans": int,
-    "base_spans": int,
-    "geometry": str,
-    "out_dir": str,
-    "case": str,
-}
+def _make_config(args, argv) -> CaseConfig:
+    """The run's configuration; a setting the case does not read is rejected.
 
-
-def _make_config(args) -> CaseConfig:
-    merged = {"case": args.case}
+    A ``--config`` file's values become string defaults of the ``run``
+    subparser and the command line is parsed again: each value goes
+    through its flag's type, and an explicit flag wins.
+    """
+    names = [f.name for f in fields(CaseConfig)]
     if args.config:
-        for key, value in _read_config_file(args.config).items():
-            if key == "out":
-                key = "out_dir"
-            if key not in _CONFIG_TYPES:
-                raise ConstructionError(f"unknown config key {key!r}")
-            if key == "case" and value != args.case:
-                raise ConstructionError(
-                    f"{args.config}: case={value} disagrees with the case {args.case!r} "
-                    f"given on the command line"
-                )
-            merged[key] = _CONFIG_TYPES[key](value)
-    for key in _CONFIG_TYPES:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
+        values = {"out_dir" if key == "out" else key: value
+                  for key, value in _read_config_file(args.config).items()}
+        unknown = [key for key in values if key not in names]
+        if unknown:
+            raise ConstructionError(f"unknown config key {unknown[0]!r}")
+        case = values.pop("case", args.case)
+        if case != args.case:
+            raise ConstructionError(
+                f"{args.config}: case={case} disagrees with the case {args.case!r} "
+                f"given on the command line"
+            )
+        parser, run = _build_parser()
+        run.set_defaults(**values)
+        args = parser.parse_args(argv)
+    merged = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     config = CaseConfig(**merged)
-    unread = sorted(set(merged) - {"case"} - set(_CASE_SETTINGS[config.case]))
+    unread = sorted(set(merged) - {"case"} - set(CASES[config.case].settings))
     if unread:
         raise ConstructionError(f"{config.case} does not read {', '.join(unread)}")
     return config
@@ -151,49 +130,41 @@ def _write_stats(config: CaseConfig, run_s: float, output_s: float, minor_faults
     return path
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, argv) -> int:
     try:
-        config = _make_config(args)
+        config = _make_config(args, argv)
         _out_dir(config)
-    except (ConstructionError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
+    case = CASES[config.case]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
-    records = result = None
-    if config.case == "cavity":
-        result = run_cavity(config)
-        level_stats = [result.stats]
-    else:
-        runner = run_manufactured if config.case == "manufactured" else run_taylor_couette
-        records, _ = runner(config)
-        level_stats = [rec.stats for rec in records]
+    result = getattr(harness, case.runner)(config)
     run_s = time.perf_counter() - start
+    if isinstance(result, CavityResult):  # a ladder returns (records, last level)
+        records, cavity, levels = None, result, [result]
+        line = ("cavity {r.spans}x{r.spans} degree {r.degree}: dof={r.dofs} "
+                "div={r.div_max:.2e} {errors}")
+    else:
+        records, cavity, levels = result[0], None, result[0]
+        line = "level {r.level}: h={r.h_max:.4e} dof={r.dofs} {errors} div={r.div_max:.2e}"
     start = time.perf_counter()
-    paths = emit_outputs(config, records=records, cavity=result)
+    paths = emit_outputs(config, records=records, cavity=cavity)
     output_s = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    paths.append(_write_stats(config, run_s, output_s, faults, level_stats))
+    paths.append(_write_stats(config, run_s, output_s, faults, [r.stats for r in levels]))
 
-    if result is not None:
-        print(
-            f"cavity {result.spans}x{result.spans} degree {result.degree}: "
-            f"dof={result.dofs} div={result.div_max:.2e} "
-            f"stream_residual={result.stream_residual:.2e}"
-        )
-    for rec in records or ():
-        errors = (f"err_w={rec.err_w:.3e} err_u={rec.err_u:.3e} err_p={rec.err_p:.3e}"
-                  if config.case == "manufactured" else
-                  f"err_u={rec.err_u:.3e} p_dev={rec.extra['pressure_cochain_dev']:.2e}")
-        print(f"level {rec.level}: h={rec.h_max:.4e} dof={rec.dofs} {errors} div={rec.div_max:.2e}")
+    for r in levels:
+        print(line.format(r=r, errors=case.summary.format(r=r)))
     for path in paths:
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_list() -> int:
-    for case in CASES:
-        print(f"{case}: {_CASE_HELP[case]}")
+    for name, case in CASES.items():
+        print(f"{name}: {case.help}")
     return 0
 
 
@@ -209,18 +180,14 @@ def _cmd_verify() -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser()[0].parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            return _cmd_run(args, argv)
         if args.command == "list-cases":
             return _cmd_list()
         return _cmd_verify()
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (*_NUMERICAL_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

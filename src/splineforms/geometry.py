@@ -413,11 +413,11 @@ def unit_square_patch() -> NurbsPatch:
     return NurbsPatch((b, b), control)
 
 
-def curved_square_patch(amplitude: float = 0.1, spans: int = 1, degree: int = 4) -> NurbsPatch:
+def curved_square_patch(spans: int = 1, degree: int = 4) -> NurbsPatch:
     """Fixed smooth non-affine bijection of the unit square onto itself.
 
     Control points sit on the Greville grid, displaced in both coordinates
-    by amplitude * sin(2 pi u) * sin(2 pi v) sampled at the grid.  The
+    by 0.1 sin(2 pi u) sin(2 pi v) sampled at the grid.  The
     default is a single polynomial (quartic) element, so the map is
     analytic inside the square and super-parametric for every field
     degree; the rank-one displacement keeps det J positive.  The boundary
@@ -426,7 +426,7 @@ def curved_square_patch(amplitude: float = 0.1, spans: int = 1, degree: int = 4)
     b = Basis1D(KnotVector(uniform_open_knots(degree, spans), degree))
     g = b.greville_points()
     gx, gy = np.meshgrid(g, g, indexing="ij")
-    bump = amplitude * np.sin(2.0 * np.pi * gx) * np.sin(2.0 * np.pi * gy)
+    bump = 0.1 * np.sin(2.0 * np.pi * gx) * np.sin(2.0 * np.pi * gy)
     control = np.stack((gx + bump, gy + bump), axis=-1)
     return NurbsPatch((b, b), control)
 

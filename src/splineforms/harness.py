@@ -12,6 +12,7 @@ import functools
 import subprocess
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -50,22 +51,37 @@ __all__ = [
     "couette_fields",
 ]
 
-# case -> the geometries it runs on, the default first
-_CASE_GEOMETRIES = {
-    "manufactured": ("unit-square", "curved-square"),
-    "taylor-couette": ("annulus",),
-    "cavity": ("unit-square",),
+
+class Case(NamedTuple):
+    """One Stokes case: how it runs, what it reads, and what it writes and prints."""
+
+    runner: str  # the name of its runner in this module, looked up at call time
+    help: str  # its ``list-cases`` line
+    geometries: dict  # geometry -> the name of its builder in this module; the default first
+    settings: tuple  # the CaseConfig fields its runner reads; the command line rejects any other
+    noise: tuple  # errors that are rounding noise (the exact field is discrete): no rate
+    summary: str  # the error part of its per-level summary line, a format of the record ``r``
+
+
+_LADDER_SETTINGS = ("degree", "levels", "geometry", "nu", "quad", "out_dir", "base_spans")
+CASES = {
+    "manufactured": Case(
+        "run_manufactured",
+        "sinusoidal closed-form solution, convergence ladder "
+        "(geometries: unit-square, curved-square)",
+        {"unit-square": "unit_square_patch", "curved-square": "curved_square_patch"},
+        _LADDER_SETTINGS, (), "err_w={r.err_w:.3e} err_u={r.err_u:.3e} err_p={r.err_p:.3e}"),
+    "taylor-couette": Case(
+        "run_taylor_couette",
+        "flow between rotating inner / fixed outer cylinder on the exact NURBS annulus",
+        {"annulus": "build_taylor_couette"}, _LADDER_SETTINGS, ("err_w", "err_p"),
+        "err_u={r.err_u:.3e} p_dev={r.extra[pressure_cochain_dev]:.2e}"),
+    "cavity": Case(
+        "run_cavity", "lid-driven cavity with centerline profiles and field samples",
+        {"unit-square": "unit_square_patch"},
+        ("degree", "geometry", "nu", "quad", "out_dir", "spans"), (),
+        "stream_residual={r.stream_residual:.2e}"),
 }
-CASES = tuple(_CASE_GEOMETRIES)
-# case -> the CaseConfig fields its runner reads; the command line rejects setting any other
-_CASE_SETTINGS = {
-    "manufactured": ("degree", "levels", "geometry", "nu", "quad", "out_dir", "base_spans"),
-    "taylor-couette": ("degree", "levels", "geometry", "nu", "quad", "out_dir", "base_spans"),
-    "cavity": ("degree", "geometry", "nu", "quad", "out_dir", "spans"),
-}
-# case -> the errors that are rounding noise, because the exact field lies in
-# the discrete space (the Couette vorticity and pressure); no rate is written
-_NOISE_ERRORS = {"taylor-couette": ("err_w", "err_p")}
 
 
 @dataclass
@@ -80,27 +96,28 @@ class CaseConfig:
     quad: int | None = None
     out_dir: str = "out"
     base_spans: int = 4
-    spans: int | None = None  # cavity resolution (spans per direction)
+    spans: int | None = None  # spans per direction of a case that reads them: 9 by default
 
     def __post_init__(self):
         if self.case not in CASES:
-            raise ConstructionError(f"unknown case {self.case!r}; pick from {CASES}")
-        allowed = _CASE_GEOMETRIES[self.case]
+            raise ConstructionError(f"unknown case {self.case!r}; pick from {tuple(CASES)}")
+        case = CASES[self.case]
         if not self.geometry:
-            self.geometry = allowed[0]
-        if self.geometry not in allowed:
+            self.geometry = next(iter(case.geometries))
+        if self.geometry not in case.geometries:
             raise ConstructionError(
-                f"{self.case} runs on {' or '.join(allowed)}, not {self.geometry!r}"
+                f"{self.case} runs on {' or '.join(case.geometries)}, not {self.geometry!r}"
             )
+        if self.spans is None and "spans" in case.settings:
+            self.spans = 9
         for name in ("degree", "levels", "base_spans"):
             check_integer(name, getattr(self, name))
         for name in ("quad", "spans"):
             if getattr(self, name) is not None:
                 check_integer(name, getattr(self, name))
-        if self.degree < 1:
-            raise ConstructionError("degree must be >= 1")
-        if self.levels < 1:
-            raise ConstructionError("levels must be >= 1")
+        for name in ("degree", "levels", "spans", "base_spans"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConstructionError(f"{name} must be >= 1")
         if not (np.isfinite(check_real("nu", self.nu)) and self.nu > 0):
             raise ConstructionError(f"nu must be finite and > 0, got {self.nu}")
         if self.quad is not None and self.quad < self.degree + 2:
@@ -108,10 +125,6 @@ class CaseConfig:
                 f"quad must be >= degree + 2 = {self.degree + 2} Gauss points per element "
                 f"(nodal degree + 1), got {self.quad}"
             )
-        if self.spans is not None and self.spans < 1:
-            raise ConstructionError("spans must be >= 1")
-        if self.base_spans < 1:
-            raise ConstructionError("base_spans must be >= 1")
 
 
 @dataclass
@@ -197,8 +210,12 @@ def manufactured_fields():
     }
 
 
-def couette_speed(r, r_in: float = 1.0, r_out: float = 2.0, omega_in: float = 1.0):
-    """Azimuthal speed of flow between a rotating inner and fixed outer cylinder."""
+def couette_speed(r):
+    """Azimuthal speed of flow between a rotating inner and fixed outer cylinder.
+
+    The inner cylinder (radius 1) turns at unit angular velocity; the outer one has radius 2.
+    """
+    r_in, r_out, omega_in = 1.0, 2.0, 1.0
     a = -omega_in * r_in**2 / (r_out**2 - r_in**2)
     b = omega_in * r_in**2 * r_out**2 / (r_out**2 - r_in**2)
     return a * r + b / r
@@ -346,17 +363,21 @@ def _ladder(config: CaseConfig, geometry, exact, normal, tangential, forcing, ex
     return records, (solution, triples)
 
 
+def _geometry(config: CaseConfig):
+    """The run's geometry, from the builder its case names, looked up at call time."""
+    return globals()[CASES[config.case].geometries[config.geometry]]()
+
+
 def run_manufactured(config: CaseConfig):
     """Convergence study of the sinusoidal solution on Cartesian or curved grids."""
     exact = manufactured_fields()
-    patch = unit_square_patch() if config.geometry == "unit-square" else curved_square_patch()
-    return _ladder(config, patch, exact, exact["velocity"], exact["velocity"], exact["forcing"],
-                   lambda solution: {})
+    return _ladder(config, _geometry(config), exact, exact["velocity"], exact["velocity"],
+                   exact["forcing"], lambda solution: {})
 
 
 def run_taylor_couette(config: CaseConfig):
     """Annulus flow between a rotating inner and a fixed outer cylinder."""
-    multipatch = build_taylor_couette()
+    multipatch = _geometry(config)
     tangential = {}
     for p in range(4):
         tangential[(p, "left")] = lambda x, y: (-y, x)  # unit angular velocity at r=1
@@ -380,12 +401,12 @@ def run_taylor_couette(config: CaseConfig):
     return _ladder(config, multipatch, couette_fields(), None, tangential, None, extra)
 
 
-def _stream_function(solution, patch_index: int = 0):
-    """Potential whose discrete gradient reproduces the velocity cochain."""
+def _stream_function(solution):
+    """Potential whose discrete gradient reproduces the velocity cochain of a one-patch system."""
     sysm = solution.system
-    s0, s1, _ = sysm.spaces[patch_index]
+    s0 = sysm.spaces[0][0]
     D10 = s0.coboundary_matrix().tocsc().astype(float)
-    u = solution.u[sysm.map1[patch_index]]
+    u = solution.u[sysm.map1[0]]
     L = (D10.T @ D10).tocsc()
     rhs = D10.T @ u
     # pin one coefficient; the potential is defined up to a constant
@@ -397,9 +418,8 @@ def _stream_function(solution, patch_index: int = 0):
 
 def run_cavity(config: CaseConfig) -> CavityResult:
     """Lid-driven cavity: unit tangential velocity on the top wall."""
-    spans = 9 if config.spans is None else config.spans
     lid = {(0, "top"): lambda x, y: (np.ones_like(x), np.zeros_like(y))}
-    _, system, solution, div_max = _solve_level(config, unit_square_patch(), spans,
+    _, system, solution, div_max = _solve_level(config, _geometry(config), config.spans,
                                                 tangential=lid)
 
     fo, fu, fp = solution.forms(0)
@@ -414,7 +434,7 @@ def run_cavity(config: CaseConfig) -> CavityResult:
     vort = fo.eval_grid((line, line))[0]
     pres = fp.eval_grid((line, line))[0]  # identity map: density = reference values
     return CavityResult(
-        spans=spans,
+        spans=config.spans,
         degree=config.degree,
         dofs=system.size,
         div_max=float(div_max),
@@ -619,7 +639,7 @@ def emit_outputs(config: CaseConfig, records=None, cavity: CavityResult | None =
         written.append(path)
 
     if records:
-        rate_list = rates(records, _NOISE_ERRORS.get(config.case, ()))
+        rate_list = rates(records, CASES[config.case].noise)
         lines = ["level,h_max,dof,err_w,err_u,err_p,div_max,rate_w,rate_u,rate_p"]
         for rec, rate in zip(records, rate_list):
             nums = [

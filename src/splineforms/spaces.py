@@ -128,13 +128,6 @@ class DiscreteForm:
         b = self.space.blocks[i]
         return self.coeffs[b.offset : b.offset + b.size].reshape(b.shape, order="F")
 
-    def eval(self, x) -> np.ndarray:
-        """Component values at a single parametric point (one per block)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.space.d,):
-            raise DomainError(f"expected a point with {self.space.d} coordinates")
-        return np.array([v.ravel()[0] for v in self.eval_grid([[xi] for xi in x])])
-
     def eval_grid(self, axes, comp: int | None = None, deriv_dir: int | None = None):
         """Evaluate component reconstructions on a tensor grid of coordinates.
 

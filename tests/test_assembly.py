@@ -400,7 +400,7 @@ class TestSystemAssembly:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("geometry", ["unit-square", "curved-square", "annulus"])
-    def test_asymmetry_sees_each_gram_matrix(self, geometry, k):
+    def test_asymmetry_sees_each_gram_matrix(self, geometry, k, matrix_reads):
         # the coupling blocks of the mixed operator are X and X^T whatever M1 and
         # M2 are, so a check through the assembled operator sees only M0
         if geometry == "annulus":
@@ -413,7 +413,7 @@ class TestSystemAssembly:
         off = np.flatnonzero(entries.row != entries.col)[0]
         M.data[off] += 1e-6 * abs(M.data).max()
         assert system.asymmetry() > 1e-12
-        assert "matrix" not in vars(system)
+        assert not matrix_reads
 
     def test_zero_data_zero_solution(self):
         system, _ = manufactured_system(p_vel=1, spans=4)
@@ -1262,12 +1262,27 @@ BLOCK_CASES = {
 }
 
 
+@pytest.fixture
+def matrix_reads(monkeypatch):
+    """The systems whose ``SaddleSystem.matrix`` is read while the test runs, in order."""
+    reads = []
+    build = assembly.SaddleSystem.matrix.fget
+
+    def counted(system):
+        reads.append(system)
+        return build(system)
+
+    monkeypatch.setattr(assembly.SaddleSystem, "matrix", property(counted))
+    return reads
+
+
 class TestBlockSystem:
     @pytest.mark.parametrize("case", ["unit-square", "curved-square", "annulus"])
-    def test_matrix_matches_scattered_oracle(self, case):
+    def test_matrix_matches_scattered_oracle(self, case, matrix_reads):
         system = BLOCK_CASES[case](1.7)
-        assert "matrix" not in vars(system)  # assembled only when read
+        assert not matrix_reads  # assembly and boundary data never read it
         got, want = system.matrix, scattered_matrix(system)
+        assert matrix_reads == [system]
         got.sort_indices()
         want.sort_indices()
         npt.assert_array_equal(got.indptr, want.indptr)
@@ -1292,10 +1307,21 @@ class TestBlockSystem:
         want = matrix_residual(system, omega, u, p, lam)
         assert abs(got - want) <= 1e-12 * want
 
-    def test_solve_never_assembles_the_matrix(self):
+    def test_solve_never_assembles_the_matrix(self, matrix_reads):
         system = BLOCK_CASES["annulus"](1.0)
         solve(system)
-        assert "matrix" not in vars(system)
+        assert not matrix_reads
+
+    def test_matrix_follows_an_in_place_edit_of_a_block(self):
+        system = BLOCK_CASES["unit-square"](1.0)
+        before = system.matrix
+        entries = system.M0.tocoo()  # the compressed arrays' order
+        off = np.flatnonzero(entries.row != entries.col)[0]
+        system.M0.data[off] += 1e-6 * abs(system.M0.data).max()
+        change = (system.matrix - before).tocoo()
+        change.eliminate_zeros()
+        # the top-left block of the operator is -nu M0
+        assert list(zip(change.row, change.col)) == [(entries.row[off], entries.col[off])]
 
 
 class TestSelfGluedPatch:

@@ -146,8 +146,6 @@ CASES = {
     "spaces-coefficient-count": (
         lambda tmp: DiscreteForm(space(0), np.zeros(3)),
         ConstructionError, r"expected 25 coefficients, got shape \(3,\)"),
-    "spaces-point-of-one-coordinate": (
-        lambda tmp: form(0).eval([0.5]), DomainError, "point with 2 coordinates"),
     "spaces-one-coordinate-axis": (
         lambda tmp: form(0).eval_grid(([0.5],)), DomainError, "expected 2 coordinate axes"),
     "splines-no-span": (

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -547,7 +548,42 @@ class TestCli:
     def test_list_cases(self):
         proc = self.run_cli("list-cases")
         assert proc.returncode == 0
-        assert "manufactured" in proc.stdout
+        assert proc.stdout.splitlines() == [
+            "manufactured: sinusoidal closed-form solution, convergence ladder "
+            "(geometries: unit-square, curved-square)",
+            "taylor-couette: flow between rotating inner / fixed outer cylinder "
+            "on the exact NURBS annulus",
+            "cavity: lid-driven cavity with centerline profiles and field samples",
+        ]
+
+    def summary_lines(self, *args):
+        """The stdout lines of a successful run, without its ``wrote`` lines."""
+        proc = self.run_cli("run", *args)
+        assert proc.returncode == 0, proc.stderr
+        return [line for line in proc.stdout.splitlines() if not line.startswith("wrote ")]
+
+    @staticmethod
+    def matches(pattern, line):
+        """``re.fullmatch``, with ``En`` in the pattern standing for a ``.ne`` number."""
+        for digits in (2, 3, 4):
+            pattern = pattern.replace(f"E{digits}", rf"\d\.\d{{{digits}}}e[+-]\d\d")
+        return re.fullmatch(pattern, line)
+
+    @pytest.mark.parametrize(
+        "case, errors",
+        [("manufactured", "err_w=E3 err_u=E3 err_p=E3"), ("taylor-couette", "err_u=E3 p_dev=E2")],
+    )
+    def test_level_summary_lines(self, tmp_path, case, errors):
+        lines = self.summary_lines(case, "--degree", "1", "--levels", "2", "--out", str(tmp_path))
+        assert len(lines) == 2
+        for level, line in enumerate(lines):
+            assert self.matches(rf"level {level}: h=E4 dof=\d+ {errors} div=E2", line), line
+
+    def test_cavity_records_its_default_spans(self, tmp_path):
+        assert CaseConfig(case="cavity").spans == 9
+        [line] = self.summary_lines("cavity", "--degree", "1", "--out", str(tmp_path))
+        assert self.matches(r"cavity 9x9 degree 1: dof=\d+ div=E2 stream_residual=E2", line), line
+        assert "spans=9" in (tmp_path / "run_metadata.txt").read_text().splitlines()
 
     def test_bad_arguments_exit_2(self):
         assert self.run_cli("run", "nonsense").returncode == 2
@@ -586,7 +622,7 @@ class TestCli:
         def never(config):
             raise AssertionError("the run started although its output directory is missing")
 
-        monkeypatch.setattr(cli, "run_cavity", never)
+        monkeypatch.setattr(harness, "run_cavity", never)
         (tmp_path / "file").write_text("")
         proc = self.run_cli("run", "cavity", "--out", str(tmp_path / "file" / "sub"))
         assert proc.returncode == 2
@@ -614,6 +650,25 @@ class TestCli:
         assert not Path("IGNORED").exists()
         meta = (out / "run_metadata.txt").read_text()
         assert "degree=1" in meta and "levels=1" in meta
+
+    def test_config_value_goes_through_the_flag_type(self, tmp_path):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("degree=abc\nlevels=1\n")
+        out = tmp_path / "out"
+        proc = self.run_cli("run", "manufactured", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert "degree" in proc.stderr and "'abc'" in proc.stderr
+        assert not out.exists()
+
+    def test_config_file_spellings_and_explicit_flags(self, tmp_path):
+        out = tmp_path / "from-file"
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"degree=1\nlevels=3\nbase-spans=3\nout={out}\n")
+        proc = self.run_cli("run", "manufactured", "--config", str(cfg), "--levels", "1")
+        assert proc.returncode == 0, proc.stderr
+        meta = (out / "run_metadata.txt").read_text().splitlines()
+        assert {"degree=1", "levels=1", "base_spans=3", f"out_dir={out}"} <= set(meta)
+        assert len((out / "convergence.csv").read_text().splitlines()) == 2
 
     def test_config_case_must_match_positional_case(self, tmp_path):
         cfg = tmp_path / "case.cfg"

@@ -51,13 +51,13 @@ def test_eval_partition_of_unity(mixed_bases):
     xs = np.linspace(0, 1, 17)
     vals = ones.eval_grid((xs, xs))[0]
     npt.assert_allclose(vals, 1.0, atol=1e-14)
-    npt.assert_allclose(ones.eval([0.3, 0.8]), [1.0], atol=1e-14)
+    npt.assert_allclose(ones.eval_grid(([0.3], [0.8]))[0], [[1.0]], atol=1e-14)
 
 
 def test_eval_zero_and_volume_integral(mixed_bases):
     space = DiscreteFormSpace(mixed_bases, 2)
     zero = space.zero()
-    assert np.abs(zero.eval([0.4, 0.2])).max() == 0.0
+    assert np.abs(zero.eval_grid(([0.4], [0.2]))[0]).max() == 0.0
     # all-ones area form integrates to the number of faces (unit integrals)
     ones = DiscreteForm(space, np.ones(space.dim))
     pts, wts = panel_rule(np.linspace(0, 1, 9), 8)
@@ -180,8 +180,6 @@ def test_nan_eval_rejected(mixed_bases):
     form = DiscreteForm(space, np.ones(space.dim))
     for x in ([np.nan, 0.5], [0.5, np.nan]):
         with pytest.raises(DomainError):
-            form.eval(x)
-        with pytest.raises(DomainError):
             form.eval_grid((np.array([x[0]]), np.array([x[1]])))
 
 
@@ -191,4 +189,4 @@ def test_out_of_domain_eval(mixed_bases):
     from splineforms.errors import DomainError
 
     with pytest.raises(DomainError):
-        form.eval([1.5, 0.2])
+        form.eval_grid(([1.5], [0.2]))
