@@ -95,6 +95,18 @@ __all__ = [
 # sides, so the same table gives the sign of a side cell's outward flux.
 _SIDE_SIGN = {"bottom": 1.0, "right": 1.0, "top": -1.0, "left": -1.0}
 
+# K, the vorticity-stream system, is factored in float32 and its solution
+# refined against the float64 K (``_solve_K``) only where that pays off and
+# converges: below _SINGLE_MIN_NNZ stored entries the float64 factor is as
+# fast, and above a nodal degree of _SINGLE_MAX_DEGREE float32 refinement
+# gains too little per step or stalls (README has the measurements).
+# Refinement takes at most _MAX_REFINE_STEPS steps; _NEGLIGIBLE is the
+# zeroing rule of ``_single_copy``.
+_SINGLE_MIN_NNZ = 100_000
+_SINGLE_MAX_DEGREE = 9
+_MAX_REFINE_STEPS = 8
+_NEGLIGIBLE = 1e-12
+
 
 def _check_n_quad(n_quad):
     """Reject a Gauss-point count that is neither None nor an integer >= 1."""
@@ -913,6 +925,119 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _single_copy(K, vorticity):
+    """Float32 copy of ``K`` on ``K``'s index arrays, with its negligible entries set to 0.
+
+    ``K_ij`` is negligible below ``_NEGLIGIBLE * sqrt(max|col i| max|col j|)``
+    (``K`` is symmetric, so a column maximum is also a row maximum).  Set to
+    0 and kept, the entries feed no subnormal arithmetic to the factor and
+    leave SuperLU's supernodes whole.  The same pass sums ``|K_ij|`` per
+    column over the vorticity rows (positions ``vorticity``) and over the
+    stream rows, which gives the infinity norms of the blocks, row sums
+    being column sums: ``||M0||``, ``||B||`` and ``||B^T||``.  The columns
+    go in chunks of about 2**14 entries, so no temporary has ``K``'s
+    length.  ``K`` has no empty column.  Returns the copy, the number of
+    entries set to 0 and the norms.
+    """
+    ptr, rows, data, n = K.indptr, K.indices, K.data, K.shape[0]
+    colmax = np.maximum(np.maximum.reduceat(data, ptr[:-1]), -np.minimum.reduceat(data, ptr[:-1]))
+    root = np.sqrt(_NEGLIGIBLE * colmax)
+    in_w = np.zeros(n, dtype=bool)
+    in_w[vorticity] = True
+    sums = np.empty((2, n))  # per column: over the vorticity rows, over the stream rows
+    single = np.empty(data.size, dtype=np.float32)
+    zeroed = 0
+    step = max(1, (n << 14) // data.size)
+    with np.errstate(over="ignore"):  # beyond float32's range: inf, and the refinement fails
+        for c0 in range(0, n, step):
+            c1 = min(c0 + step, n)
+            lo, hi = ptr[c0], ptr[c1]
+            size = np.abs(data[lo:hi])
+            row_w = in_w[rows[lo:hi]]
+            sums[:, c0:c1] = np.add.reduceat(np.where([row_w, ~row_w], size, 0.0),
+                                             ptr[c0:c1] - lo, axis=1)
+            small = size < root[rows[lo:hi]] * np.repeat(root[c0:c1], np.diff(ptr[c0 : c1 + 1]))
+            chunk = single[lo:hi]
+            chunk[:] = data[lo:hi]
+            chunk[small] = 0.0
+            zeroed += int(np.count_nonzero(small))
+    norms = (sums[0, in_w].max(), sums[1, in_w].max(), sums[0, ~in_w].max(initial=0.0))
+    return sp.csc_matrix((single, rows, ptr), shape=K.shape), zeroed, norms
+
+
+def _backward_error(r, x, b, blocks, norms) -> float:
+    """Block-wise backward error of ``x`` for ``K x = b``, whose residual is ``r``.
+
+    For each row block R of ``K`` (``blocks``: the positions of the
+    vorticity rows, then of the stream rows), ``max_R |r|`` over
+    ``sum_C ||K_RC|| ||x_C|| + ||b_R||`` in infinity norms, with
+    ``norms = (||M0||, ||B||, ||B^T||)`` and ``K_yy = 0``; the larger of the
+    two.  On a scaled domain a normwise error is set by one block and stops
+    refinement early.  0 where ``r`` is 0, not finite where ``x`` is not.
+    """
+    K_ww, K_wy, K_yw = norms
+    x_w, x_y, r_w, r_y, b_w, b_y = (np.abs(v[rows]).max(initial=0.0)
+                                    for v in (x, r, b) for rows in blocks)
+    with np.errstate(all="ignore"):
+        num = np.array([r_w, r_y])
+        scale = np.array([K_ww * x_w + K_wy * x_y + b_w, K_yw * x_w + b_y])
+        return float(np.where(num == 0.0, 0.0, num / scale).max())
+
+
+def _solve_K(K, rhs, blocks, degree: int, factors: dict):
+    """``x`` with ``K x = rhs``, the factor that gave it and the stats of the solve.
+
+    Where ``K`` stores at least ``_SINGLE_MIN_NNZ`` entries, no nodal degree
+    exceeds ``_SINGLE_MAX_DEGREE`` and no column is empty (which makes
+    ``K`` singular, as the float64 factor reports), a float32 copy of ``K``
+    (``_single_copy``) is factored and ``x`` refined against the exact
+    float64 ``K``, from ``x = 0``: each step solves for the residual scaled
+    to a largest entry of 1 (float32's range), until the block-wise
+    backward error (``_backward_error``) is at most 2**-53, or a step cuts
+    it by less than 4x, or after ``_MAX_REFINE_STEPS`` steps.  An error of
+    at most 2**-52 is accepted.  Otherwise, or where the float32 factor is
+    singular, that factor is dropped and the float64 path runs: ``K``
+    factored, one solve and one refinement step.  The stats are
+    ``precision``, ``zeroed`` (entries set to 0 in the factored copy),
+    ``refine_steps``, ``refine_error`` (the final backward error; None on
+    the float64 path without a float32 attempt, which runs no stopping
+    test) and, after a fallback, ``float32_fallback_s`` (the seconds of the
+    attempt).
+    """
+    fallback = {}
+    if K.nnz >= _SINGLE_MIN_NNZ and degree <= _SINGLE_MAX_DEGREE and np.diff(K.indptr).all():
+        start = time.perf_counter()
+        single, zeroed, norms = _single_copy(K, blocks[0])
+        try:
+            lu = _factor(single, "vorticity-stream system", "NATURAL", factors, "K")
+        except SingularSystemError:
+            lu = None
+        del single
+        if lu is not None:
+            x = np.zeros_like(rhs)
+            r, solves = rhs, 0
+            eta = _backward_error(r, x, rhs, blocks, norms)  # 1, or 0 when rhs = 0
+            while eta > 2.0**-53 and solves <= _MAX_REFINE_STEPS:
+                scale = np.abs(r).max()
+                x += lu.solve((r / scale).astype(np.float32)) * scale
+                r = rhs - K @ x
+                solves += 1
+                last, eta = eta, _backward_error(r, x, rhs, blocks, norms)
+                if not eta <= last / 4:  # stalled, or not finite
+                    break
+            if eta <= 2.0**-52:
+                return x, lu, {"precision": "float32", "zeroed": zeroed,
+                               "refine_steps": max(solves - 1, 0), "refine_error": eta}
+        del lu  # dead before the float64 factor allocates
+        fallback["float32_fallback_s"] = time.perf_counter() - start
+    lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - K @ x)
+    error = _backward_error(rhs - K @ x, x, rhs, blocks, norms) if fallback else None
+    return x, lu, {"precision": "float64", "zeroed": 0, "refine_steps": 1, "refine_error": error,
+                   **fallback}
+
+
 def solve(system: SaddleSystem) -> Solution:
     """Direct solve in the discretely divergence-free subspace, residual-checked.
 
@@ -1001,9 +1126,8 @@ def solve(system: SaddleSystem) -> Solution:
     rhs = np.empty(K.shape[0])
     rhs[pos] = np.concatenate((system.rhs[:n0] / nu - Wt @ u0, Z.T @ f_u / nu))
     rss_factor = _peak_rss_mb()
-    lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - K @ x)
+    degree = max(b.degree for triple in system.spaces for b in triple[0].nodal_bases)
+    x, lu, solve_stats = _solve_K(K, rhs, (pos[:n0], pos[n0:]), degree, factors)
     del K  # freed before pressure recovery, which then reuses its memory
     x = x[pos]
     omega = x[:n0]
@@ -1035,7 +1159,7 @@ def solve(system: SaddleSystem) -> Solution:
             "dofs": system.size,
             "unknowns": rhs.size,
             "lu_nnz": lu.nnz,
-            "refine_steps": 1,
+            **solve_stats,
             "factors": factors,
             "residual": float(resid),
             "histopolation_cond": system.histopolation_cond,

@@ -852,8 +852,8 @@ def _manufactured_case(patch, normal_sides=None, nu=1.0):
     return system
 
 
-def _annulus_case(normal=None, tangential=None, nu=1.0, normal_sides=None):
-    system = assemble_vvp([make_spaces(3, 4) for _ in range(4)], build_taylor_couette(), nu=nu,
+def _annulus_case(normal=None, tangential=None, nu=1.0, normal_sides=None, spans=4):
+    system = assemble_vvp([make_spaces(3, spans) for _ in range(4)], build_taylor_couette(), nu=nu,
                           normal_sides=normal_sides)
     apply_strong_normal_velocity(system, normal)
     apply_weak_tangential_velocity(system, tangential)
@@ -1166,7 +1166,10 @@ class TestSubspaceSolve:
         interior = system.n0 - 2 * 4 * 6
         assert stats["unknowns"] == system.n0 + interior + 1
         assert stats["lu_nnz"] > stats["unknowns"]
-        assert stats["refine_steps"] == 1
+        # a small K: factored in float64, solved once and refined once, no stopping test
+        assert stats["precision"] == "float64" and stats["zeroed"] == 0
+        assert stats["refine_steps"] == 1 and stats["refine_error"] is None
+        assert "float32_fallback_s" not in stats
         # the process's peak RSS at solve entry, before K's factor and at exit:
         # it never falls
         rss = stats["rss_mb"]
@@ -1195,6 +1198,157 @@ class TestSubspaceSolve:
         basis = system.spaces[0][0].nodal_bases[0]
         want = build_histopolation(EdgeBasis1D(basis)).cond
         assert stats["histopolation_cond"] == want
+
+
+def _lid_cavity(p_nodal=4, spans=24, length=1.0):
+    """The lid-driven cavity on the unit square scaled by ``length``; by default the benchmark's."""
+    system = assemble_vvp(make_spaces(p_nodal, spans), scaled_patch(length))
+    apply_strong_normal_velocity(system)
+    apply_weak_tangential_velocity(
+        system, {(0, "top"): lambda x, y: (np.ones_like(x), np.zeros_like(y))})
+    return system
+
+
+def float64_solve(system, monkeypatch):
+    """``solve`` on the float64 path: no K is large enough for a float32 factor."""
+    with monkeypatch.context() as patched:
+        patched.setattr(assembly, "_SINGLE_MIN_NNZ", np.inf)
+        return solve(system)
+
+
+def factored_nnz(stats):
+    """Stored entries of K, read off its factor's stats."""
+    return round(stats["factors"]["K"]["nnz"] / stats["factors"]["K"]["fill_ratio"])
+
+
+class TestSingleFactor:
+    """K factored in float32 and refined against the float64 K, or factored in float64."""
+
+    def test_single_copy_against_dense_oracles(self, monkeypatch):
+        # the benchmark cavity's K: its pattern, its values in float32 but
+        # where negligible, and the norms of its blocks -M0, B and B^T
+        built = []
+        original = assembly._node_paired_matrix
+
+        def recorded(M0, Wt, Z, pos):
+            K = original(M0, Wt, Z, pos)
+            built.append((M0, Wt @ Z, pos, K))
+            return K
+
+        monkeypatch.setattr(assembly, "_node_paired_matrix", recorded)
+        solve(_lid_cavity())
+        (M0, B, pos, K), = built
+        single, zeroed, norms = assembly._single_copy(K, pos[:M0.shape[0]])
+        assert single.dtype == np.float32
+        assert np.shares_memory(single.indices, K.indices)  # K's pattern, not a copy of it
+        assert np.shares_memory(single.indptr, K.indptr)
+        colmax = abs(K).max(axis=0).toarray().ravel()
+        cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+        small = np.abs(K.data) < 1e-12 * np.sqrt(colmax[K.indices] * colmax[cols])
+        assert zeroed == small.sum() > 0
+        npt.assert_array_equal(single.data, np.where(small, 0.0, K.data).astype(np.float32))
+        want = [abs(A).sum(axis=1).max() for A in (M0, B, B.T)]
+        npt.assert_allclose(norms, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("case", ["cavity", "taylor-couette"])
+    def test_float32_path_matches_the_float64_path(self, case, monkeypatch):
+        # the benchmark cavity, and Couette at nodal degree 3 and 16 spans,
+        # whose constant vorticity and zero pressure differ from their exact
+        # values by rounding noise only: that noise is bounded at 1e-11, as in
+        # the benchmark's reference checks
+        system = _lid_cavity() if case == "cavity" else _annulus_case(
+            tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)}, spans=16)
+        noise = {"omega", "p"} if case == "taylor-couette" else set()
+        sol = solve(system)
+        stats = sol.stats
+        assert stats["precision"] == "float32" and stats["refine_error"] <= 2.0**-52
+        assert 1 <= stats["refine_steps"] <= assembly._MAX_REFINE_STEPS
+        assert factored_nnz(stats) >= assembly._SINGLE_MIN_NNZ
+        want = float64_solve(system, monkeypatch)
+        assert want.stats["precision"] == "float64"
+        for name in ("omega", "u", "p"):
+            got, ref = getattr(sol, name), getattr(want, name)
+            bound = 1e-11 if name in noise else 1e-12 * np.abs(ref).max()
+            assert np.abs(got - ref).max() <= bound, name
+        DD = system.D21 @ system.D10
+        assert DD.dtype.kind == "i" and DD.count_nonzero() == 0
+        for patch in range(len(system.spaces)):
+            assert np.abs(sol.divergence_cochain(patch)).max() <= 1e-15
+
+    @pytest.mark.parametrize("case", ["ladders-size", "degree-above-ceiling"])
+    def test_float64_path_where_float32_cannot_pay(self, case, monkeypatch):
+        # a K below the size constant (nodal degree 4 at 16 spans, the largest
+        # ladder level), and one above it at nodal degree 11 (CLI degree 10)
+        if case == "ladders-size":
+            system = assemble_vvp(make_spaces(4, 16), curved_square_patch(), forcing=EXACT["forcing"])
+            apply_strong_normal_velocity(system, EXACT["velocity"])
+            apply_weak_tangential_velocity(system, EXACT["velocity"])
+        else:
+            system = _lid_cavity(p_nodal=11, spans=16)
+        copies = count_calls(monkeypatch, assembly, "_single_copy")
+        sol = solve(system)
+        assert copies == []  # no float32 attempt
+        assert (factored_nnz(sol.stats) >= assembly._SINGLE_MIN_NNZ) == (case != "ladders-size")
+        assert {key: sol.stats[key] for key in ("precision", "zeroed", "refine_steps")} == {
+            "precision": "float64", "zeroed": 0, "refine_steps": 1}
+        want = float64_solve(system, monkeypatch)
+        for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
+            npt.assert_array_equal(got, ref)
+
+    def test_fallback_frees_the_float32_factor_before_the_float64_factor(self, monkeypatch):
+        # no refinement step allowed: the first float32 solve is far from
+        # float64 rounding, so the solve falls back
+        system = _lid_cavity()
+        original_copy, original_splu = assembly._single_copy, spla.splu
+        singles, factors, alive_at_float64 = [], [], []
+
+        class Factor:  # SuperLU objects take no weak reference
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+        def copied(K, vorticity):
+            single, zeroed, norms = original_copy(K, vorticity)
+            singles.extend((weakref.ref(single), weakref.ref(single.data)))
+            return single, zeroed, norms
+
+        def splu(matrix, *args, **kwargs):
+            if matrix.dtype == np.float64 and singles:  # the float64 factor of K
+                alive_at_float64.append(sum(ref() is not None for ref in singles + factors))
+            lu = Factor(original_splu(matrix, *args, **kwargs))
+            if matrix.dtype == np.float32:
+                factors.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(assembly, "_MAX_REFINE_STEPS", 0)
+        monkeypatch.setattr(assembly, "_single_copy", copied)
+        monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu, spilu=spla.spilu))
+        sol = solve(system)
+        assert len(singles) == 2 and len(factors) == 1
+        assert alive_at_float64 == [0]
+        assert sol.stats["precision"] == "float64" and sol.stats["float32_fallback_s"] > 0.0
+        assert 0.0 < sol.stats["refine_error"] <= 2.0**-52  # of the float64 path
+        monkeypatch.undo()
+        want = float64_solve(system, monkeypatch)
+        for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
+            npt.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("length", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_length_scaling_passes_where_the_float64_path_passes(self, length, monkeypatch):
+        # the benchmark cavity on a square of side `length`; a normwise stop
+        # accepts a float32 result at L = 1e-3 that the gate then rejects
+        # with another residual than the float64 path's
+        system = _lid_cavity(length=length)
+        try:
+            float64_solve(system, monkeypatch)
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError) as info:
+                solve(system)
+            assert str(info.value) == str(exc)
+        else:
+            assert solve(system).residual <= 1e-10
 
 
 def scattered_matrix(system):

@@ -694,11 +694,14 @@ class TestCli:
         assert stats["case"] == "cavity"
         assert stats["run_s"] > 0 and stats["output_s"] > 0 and stats["peak_rss_mb"] > 0
         assert isinstance(stats["minor_faults"], int) and stats["minor_faults"] >= 0
-        assert {"dofs", "lu_nnz", "factors", "residual", "rss_mb"} <= stats["levels"][-1].keys()
+        assert {"dofs", "lu_nnz", "factors", "residual", "rss_mb", "precision", "zeroed",
+                "refine_steps", "refine_error"} <= stats["levels"][-1].keys()
+        assert stats["levels"][-1]["precision"] == "float64"  # a small K
         rss = stats["levels"][-1]["rss_mb"]
         assert 0 < rss["before"] <= rss["factor"] <= rss["after"] <= stats["peak_rss_mb"]
         meta = (tmp_path / "run_metadata.txt").read_text()
-        for key in ("run_s", "output_s", "peak_rss", "minor_faults", "seconds", "lu_nnz", "rss_mb"):
+        for key in ("run_s", "output_s", "peak_rss", "minor_faults", "seconds", "lu_nnz", "rss_mb",
+                    "precision", "refine_error"):
             assert key not in meta
 
     def test_stats_json_lists_every_level(self, tmp_path):
