@@ -33,15 +33,18 @@ zero-mean multiplier row.  ``SaddleSystem.matrix`` assembles it when read;
 The solve does not factor the saddle system.  Because D21 D10 = 0 in
 integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
 construction, and only the symmetric (vorticity, y) system is factored,
-with diagonal pivots along a node-paired order; pressure and multiplier
-are recovered afterwards from the momentum and pressure rows through the
-integer 2-cell Laplacian and a banded Cholesky of each patch's block of
-the block-diagonal M2.  The residual of the full mixed system, taken
-block by block, gates the solve.  Its topological part is index
-arithmetic on the compressed arrays of the coboundaries, whose rows have
-a fixed structure (two end nodes per 1-cell, four sides per 2-cell):
-the node groups of the stream constants, the columns of ``C`` and the
-place of every entry of the node-paired matrix.
+in float32 refined against the float64 blocks where that pays off.  On
+one unglued patch the float32 factor is a LAPACK band LU in the patch's
+tensor order, written straight from M0 and B = (M1 D10)^T Z; everywhere
+else the system is factored by SuperLU with diagonal pivots along a
+node-paired order.  Pressure and multiplier are recovered afterwards from
+the momentum and pressure rows through the integer 2-cell Laplacian and a
+banded Cholesky of each patch's block of the block-diagonal M2.  The
+residual of the full mixed system, taken block by block, gates the
+solve.  Its topological part is index arithmetic on the compressed arrays
+of the coboundaries, whose rows have a fixed structure (two end nodes per
+1-cell, four sides per 2-cell): the node groups of the stream constants,
+the columns of ``C`` and the place of every entry of ``K``.
 """
 
 from __future__ import annotations
@@ -96,16 +99,21 @@ __all__ = [
 _SIDE_SIGN = {"bottom": 1.0, "right": 1.0, "top": -1.0, "left": -1.0}
 
 # K, the vorticity-stream system, is factored in float32 and its solution
-# refined against the float64 K (``_solve_K``) only where that pays off and
+# refined against the float64 K (``_refine``) only where that pays off and
 # converges: below _SINGLE_MIN_NNZ stored entries the float64 factor is as
 # fast, and above a nodal degree of _SINGLE_MAX_DEGREE float32 refinement
 # gains too little per step or stalls (README has the measurements).
 # Refinement takes at most _MAX_REFINE_STEPS steps; _NEGLIGIBLE is the
-# zeroing rule of ``_single_copy``.
+# zeroing rule of the float32 copy.  On one unglued patch the float32 factor
+# is a band LU (``_solve_band``) where the nodal degree is a key of
+# _BAND_MAX_WIDTH and the half-bandwidth at most its value: there band
+# refinement took at most 6 steps and beat SuperLU's float32 factor
+# (README has the table).
 _SINGLE_MIN_NNZ = 100_000
 _SINGLE_MAX_DEGREE = 9
 _MAX_REFINE_STEPS = 8
 _NEGLIGIBLE = 1e-12
+_BAND_MAX_WIDTH = {2: 330, 3: 500, 4: 550, 5: 460, 6: 320}
 
 
 def _check_n_quad(n_quad):
@@ -413,20 +421,24 @@ class Solution:
     """Solved cochains (global numbering) plus the solve residual.
 
     ``stats`` describes the solve: ``dofs`` (size of the mixed system),
-    ``unknowns`` (size of the factored system), ``lu_nnz`` (nonzeros of
-    its LU factors), ``refine_steps`` (iterative-refinement steps),
-    ``factors`` (``nnz``, ``fill_ratio`` (LU nonzeros over matrix
-    nonzeros) and ``seconds`` of the SuperLU factors ``L``, the 2-cell
-    Laplacian, and ``K``, the vorticity-stream system; for ``M2``, the
-    2-form mass matrix, the entries of its per-patch band arrays, their
-    ratio to the nonzeros of ``M2`` and the seconds of the banded
-    Cholesky; and only ``seconds`` for ``order``, the minimum-degree
-    order of the vorticity mass matrix, read off an incomplete
-    factorization), ``residual`` (the gated solve residual) and
+    ``unknowns`` (size of the factored system), ``lu_nnz`` (the
+    ``nnz`` of ``K``'s factor), ``precision``, ``zeroed``,
+    ``refine_steps``, ``refine_error`` and after a fallback
+    ``float32_fallback_s`` (see ``_solve_K``), ``factors`` (``nnz``,
+    ``fill_ratio`` (LU nonzeros over matrix nonzeros) and ``seconds`` of
+    the SuperLU factors ``L``, the 2-cell Laplacian, and ``K``, the
+    vorticity-stream system; for a band factor of ``K`` the entries of its
+    band array, their ratio to the entries of ``K``, ``half_bandwidth``
+    and the seconds of the band build and factor; for ``M2``, the 2-form
+    mass matrix, the entries of its per-patch band arrays, their ratio to
+    the nonzeros of ``M2`` and the seconds of the banded Cholesky; and
+    only ``seconds`` for ``order``, the minimum-degree order of the
+    vorticity mass matrix, read off an incomplete factorization, which a
+    band factor does without), ``residual`` (the gated solve residual) and
     ``histopolation_cond`` (the largest condition number of the side
     histopolations ``apply_strong_normal_velocity`` used, None if none)
     and ``rss_mb`` (the peak RSS of the process, ``ru_maxrss`` in MiB,
-    ``before`` the solve, right before the ``factor`` of ``K`` and
+    ``before`` the solve, right before the last ``factor`` of ``K`` and
     ``after`` the solve: whether assembly, the build of ``K`` or its
     factor set the peak).  None of it goes into the output files.
     """
@@ -683,9 +695,11 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=N
 def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
     """SuperLU factor with diagonal pivots; failures become SingularSystemError.
 
-    It serves ``L`` and ``K``: ``L`` couples patches across glued sides
-    and ``K`` is indefinite, while ``M2`` gets a banded Cholesky per
-    patch (``_factor_banded``).
+    It serves ``L``, every solve's, and the ``K`` of the node-paired
+    path (``_solve_K``): ``L`` couples patches across glued sides, and a
+    glued ``K`` has no narrow band, while ``M2`` gets a banded Cholesky per
+    patch (``_factor_banded``) and one unglued patch's float32 ``K`` a
+    band LU (``_solve_band``).
 
     ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
     pivot, so the elimination follows the given column order
@@ -984,58 +998,271 @@ def _backward_error(r, x, b, blocks, norms) -> float:
         return float(np.where(num == 0.0, 0.0, num / scale).max())
 
 
-def _solve_K(K, rhs, blocks, degree: int, factors: dict):
-    """``x`` with ``K x = rhs``, the factor that gave it and the stats of the solve.
+def _refine(solve32, residual, rhs, blocks, norms):
+    """``x`` refined from 0 against the exact ``K``, the refinement steps and the final error.
+
+    Each step solves for the residual scaled to a largest entry of 1 (float32's range) with the
+    float32 factor ``solve32`` and takes the float64 residual ``residual(x)``, until the
+    block-wise backward error (``_backward_error``) is at most 2**-53, or a step cuts it by less
+    than 4x, or after ``_MAX_REFINE_STEPS`` steps.  The caller accepts an error of at most 2**-52.
+    """
+    x = np.zeros_like(rhs)
+    r, solves = rhs, 0
+    eta = _backward_error(r, x, rhs, blocks, norms)  # 1, or 0 when rhs = 0
+    while eta > 2.0**-53 and solves <= _MAX_REFINE_STEPS:
+        scale = np.abs(r).max()
+        x += solve32((r / scale).astype(np.float32)) * scale
+        r = residual(x)
+        solves += 1
+        last, eta = eta, _backward_error(r, x, rhs, blocks, norms)
+        if not eta <= last / 4:  # stalled, or not finite
+            break
+    return x, max(solves - 1, 0), eta
+
+
+def _solve_K(K, rhs, blocks, degree: int, factors: dict, rss: dict, fallback=None):
+    """``x`` with ``K x = rhs`` for the node-paired ``K`` through SuperLU, its factor and the stats.
 
     Where ``K`` stores at least ``_SINGLE_MIN_NNZ`` entries, no nodal degree
     exceeds ``_SINGLE_MAX_DEGREE`` and no column is empty (which makes
     ``K`` singular, as the float64 factor reports), a float32 copy of ``K``
     (``_single_copy``) is factored and ``x`` refined against the exact
-    float64 ``K``, from ``x = 0``: each step solves for the residual scaled
-    to a largest entry of 1 (float32's range), until the block-wise
-    backward error (``_backward_error``) is at most 2**-53, or a step cuts
-    it by less than 4x, or after ``_MAX_REFINE_STEPS`` steps.  An error of
-    at most 2**-52 is accepted.  Otherwise, or where the float32 factor is
-    singular, that factor is dropped and the float64 path runs: ``K``
-    factored, one solve and one refinement step.  The stats are
-    ``precision``, ``zeroed`` (entries set to 0 in the factored copy),
-    ``refine_steps``, ``refine_error`` (the final backward error; None on
-    the float64 path without a float32 attempt, which runs no stopping
-    test) and, after a fallback, ``float32_fallback_s`` (the seconds of the
-    attempt).
+    float64 ``K`` (``_refine``); an error of at most 2**-52 is accepted.
+    Otherwise, or where the float32 factor is singular, that factor is
+    dropped and the float64 path runs: ``K`` factored, one solve and one
+    refinement step.  ``fallback``, the block norms and seconds of a band
+    attempt that failed (``_solve_band``), sends ``K`` to the float64 path
+    at once.  The stats are ``precision``, ``zeroed`` (entries set to 0 in
+    the factored copy), ``refine_steps``, ``refine_error`` (the final
+    backward error; None on the float64 path without a float32 attempt,
+    which runs no stopping test) and, after a fallback,
+    ``float32_fallback_s`` (the seconds of the attempt).  ``rss["factor"]``
+    is the peak RSS right before the last factor of ``K``.
     """
-    fallback = {}
-    if K.nnz >= _SINGLE_MIN_NNZ and degree <= _SINGLE_MAX_DEGREE and np.diff(K.indptr).all():
+    if (fallback is None and K.nnz >= _SINGLE_MIN_NNZ and degree <= _SINGLE_MAX_DEGREE
+            and np.diff(K.indptr).all()):
         start = time.perf_counter()
         single, zeroed, norms = _single_copy(K, blocks[0])
+        rss["factor"] = _peak_rss_mb()
         try:
             lu = _factor(single, "vorticity-stream system", "NATURAL", factors, "K")
         except SingularSystemError:
             lu = None
         del single
         if lu is not None:
-            x = np.zeros_like(rhs)
-            r, solves = rhs, 0
-            eta = _backward_error(r, x, rhs, blocks, norms)  # 1, or 0 when rhs = 0
-            while eta > 2.0**-53 and solves <= _MAX_REFINE_STEPS:
-                scale = np.abs(r).max()
-                x += lu.solve((r / scale).astype(np.float32)) * scale
-                r = rhs - K @ x
-                solves += 1
-                last, eta = eta, _backward_error(r, x, rhs, blocks, norms)
-                if not eta <= last / 4:  # stalled, or not finite
-                    break
+            x, steps, eta = _refine(lu.solve, lambda x: rhs - K @ x, rhs, blocks, norms)
             if eta <= 2.0**-52:
-                return x, lu, {"precision": "float32", "zeroed": zeroed,
-                               "refine_steps": max(solves - 1, 0), "refine_error": eta}
+                return x, lu, {"precision": "float32", "zeroed": zeroed, "refine_steps": steps,
+                               "refine_error": eta}
         del lu  # dead before the float64 factor allocates
-        fallback["float32_fallback_s"] = time.perf_counter() - start
+        fallback = norms, time.perf_counter() - start
+    rss["factor"] = _peak_rss_mb()
     lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
     x = lu.solve(rhs)
     x += lu.solve(rhs - K @ x)
-    error = _backward_error(rhs - K @ x, x, rhs, blocks, norms) if fallback else None
-    return x, lu, {"precision": "float64", "zeroed": 0, "refine_steps": 1, "refine_error": error,
-                   **fallback}
+    stats = {"precision": "float64", "zeroed": 0, "refine_steps": 1, "refine_error": None}
+    if fallback is not None:
+        norms, stats["float32_fallback_s"] = fallback
+        stats["refine_error"] = _backward_error(rhs - K @ x, x, rhs, blocks, norms)
+    return x, lu, stats
+
+
+def _row_chunks(A):
+    """``(rows, cols, values)`` of the stored entries of a compressed matrix, about 2**14 at a time.
+
+    ``rows`` indexes ``indptr`` (the rows of a CSR, the columns of a CSC).
+    """
+    ptr, n = A.indptr, A.shape[0]
+    step = max(1, (n << 14) // max(A.nnz, 1))
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        lo, hi = ptr[r0], ptr[r1]
+        rows = np.repeat(np.arange(r0, r1), np.diff(ptr[r0 : r1 + 1]))
+        yield rows, A.indices[lo:hi], A.data[lo:hi]
+
+
+def _band_order(group, n_streams: int):
+    """Band position of each (omega, y) unknown of one unglued patch, and the count in the band.
+
+    The nodes keep the patch's tensor numbering, a band order; the stream
+    unknown of a group of one node comes right after that node.  The
+    other stream unknowns (groups of several nodes joined by fixed cells,
+    each coupled to nodes along a whole side) come last, as a border.
+    """
+    n0 = group.size
+    own = (group > 0) & (np.bincount(group)[group] == 1)  # nodes with a stream unknown of their own
+    node_pos = np.arange(n0) + np.cumsum(own) - own
+    stream_pos = np.full(n_streams, -1)
+    stream_pos[group[own] - 1] = node_pos[own] + 1
+    n_band = n0 + np.count_nonzero(own)
+    border = stream_pos < 0
+    stream_pos[border] = n_band + np.arange(np.count_nonzero(border))
+    return np.concatenate((node_pos, stream_pos)), n_band
+
+
+def _band_scan(M0, B, pos, n_band: int):
+    """Roots of the zeroing rule per column of ``K``, its block norms and its band's half-bandwidth.
+
+    ``K = [[-M0, B], [B^T, 0]]`` in the (omega, y) order, read from ``M0``
+    and the CSR of ``B`` in chunks (``_row_chunks``): ``root`` is
+    ``sqrt(_NEGLIGIBLE max|col|)`` per column, the norms are
+    ``(||M0||, ||B||, ||B^T||)`` as ``_single_copy`` sums them, and the
+    half-bandwidth is the largest ``|pos_i - pos_j|`` of an entry in the
+    band part.  None where ``M0`` or ``K`` has an empty column.
+    """
+    n0, m = B.shape
+    node, stream = pos[:n0], pos[n0:]
+    if not (np.diff(M0.indptr).all() and np.bincount(B.indices, minlength=m).all()):
+        return None
+    colmax = np.zeros(n0 + m)
+    m0_sums, b_rows, b_cols = np.zeros(n0), np.zeros(n0), np.zeros(m)
+    width = 0
+    for rows, cols, vals in _row_chunks(M0):
+        size = np.abs(vals)
+        np.maximum.at(colmax, rows, size)  # M0 is symmetric: row maxima are column maxima
+        m0_sums += np.bincount(rows, size, n0)
+        width = max(width, int(np.abs(node[rows] - node[cols]).max()))
+    for rows, cols, vals in _row_chunks(B):
+        size = np.abs(vals)
+        np.maximum.at(colmax, rows, size)
+        np.maximum.at(colmax, n0 + cols, size)
+        b_rows += np.bincount(rows, size, n0)
+        b_cols += np.bincount(cols, size, m)
+        j = stream[cols]
+        band = j < n_band
+        width = max(width, int(np.abs(node[rows[band]] - j[band]).max(initial=0)))
+    norms = (m0_sums.max(), b_rows.max(), b_cols.max(initial=0.0))
+    return np.sqrt(_NEGLIGIBLE * colmax), norms, width
+
+
+def _band_storage(M0, B, pos, n_band: int, kl: int, root):
+    """Float32 LAPACK band storage of ``K``'s band part, its border columns and the zeroed count.
+
+    ``ab`` is Fortran-ordered with ``3 kl + 1`` rows, ``K[i, j]`` at
+    ``ab[2 kl + i - j, j]`` in band positions, so ``sgbtrf`` factors it in
+    place; the border columns are dense.  Each entry of ``-M0`` and each
+    entry of ``B`` with its mirror ``B^T`` is written straight from the
+    compressed arrays, chunk by chunk, set to 0 where ``_single_copy``'s
+    rule calls it negligible (``root`` from ``_band_scan``).
+    """
+    n0 = M0.shape[0]
+    node, stream = pos[:n0], pos[n0:]
+    ldab = 3 * kl + 1
+    ab = np.zeros((n_band, ldab), dtype=np.float32).T
+    flat = ab.T.reshape(-1)  # a view: column j of ab at ldab * j
+    border = np.zeros((n_band, pos.size - n_band), dtype=np.float32)
+    zeroed = 0
+    with np.errstate(over="ignore"):  # beyond float32's range: inf, and the refinement fails
+        for rows, cols, vals in _row_chunks(M0):
+            i, j = node[rows], node[cols]
+            small = np.abs(vals) < root[rows] * root[cols]
+            flat[ldab * j + 2 * kl + i - j] = np.where(small, 0.0, -vals)
+            zeroed += int(np.count_nonzero(small))
+        for rows, cols, vals in _row_chunks(B):
+            i, j = node[rows], stream[cols]
+            small = np.abs(vals) < root[rows] * root[n0 + cols]
+            v = np.where(small, 0.0, vals).astype(np.float32)
+            band = j < n_band
+            i_band, j_band = i[band], j[band]
+            flat[ldab * j_band + 2 * kl + i_band - j_band] = v[band]
+            flat[ldab * i_band + 2 * kl + j_band - i_band] = v[band]
+            border[i[~band], j[~band] - n_band] = v[~band]
+            zeroed += 2 * int(np.count_nonzero(small))
+    return ab, border, zeroed
+
+
+def _solve_band(M0, B, group, rhs, degree: int, factors: dict, rss: dict):
+    """``x`` with ``K x = rhs`` through a float32 band LU of one unglued patch's ``K``.
+
+    ``K = [[-M0, B], [B^T, 0]]`` in the (omega, y) order, never built: its
+    band part ``A`` in the tensor order of ``_band_order`` goes to LAPACK
+    band storage (``_band_storage``) and ``sgbtrf``; the border columns
+    ``E`` are eliminated through the dense Schur complement
+    ``E^T A^{-1} E``.  ``x`` is refined against the float64 blocks ``M0``
+    and ``B`` (``_refine``).  Returns None where the path does not apply:
+    ``K`` below ``_SINGLE_MIN_NNZ`` entries, an empty column, or a
+    half-bandwidth above ``_BAND_MAX_WIDTH[degree]``.  Else
+    ``(x, stats, norms)``, with ``x`` None where the factor is singular
+    (``info > 0``) or refinement does not reach 2**-52.  ``factors["K"]``
+    gets the band's entries (``nnz``), their ratio to the entries of
+    ``K``, the half-bandwidth and the seconds.
+    """
+    n0, m = B.shape
+    nnz = M0.nnz + 2 * B.nnz
+    if nnz < _SINGLE_MIN_NNZ:
+        return None
+    pos, n_band = _band_order(group, m)
+    scan = _band_scan(M0, B, pos, n_band)
+    if scan is None or scan[2] > _BAND_MAX_WIDTH[degree]:
+        return None
+    root, norms, kl = scan
+    start = time.perf_counter()
+    ab, border, zeroed = _band_storage(M0, B, pos, n_band, kl, root)
+    rss["factor"] = _peak_rss_mb()
+    lu, ipiv, info = scipy.linalg.lapack.sgbtrf(ab, kl, kl, overwrite_ab=1)
+    factors["K"] = {"nnz": ab.size, "fill_ratio": ab.size / nnz, "half_bandwidth": kl,
+                    "seconds": time.perf_counter() - start}
+    if info > 0:
+        return None, None, norms
+    if border.size:  # E^T A^{-1} E, inverted
+        F = scipy.linalg.lapack.sgbtrs(lu, kl, kl, border, ipiv)[0]
+        try:
+            S_inv = np.linalg.inv(border.T.astype(float) @ F)
+        except np.linalg.LinAlgError:
+            return None, None, norms
+
+    def solve32(v):
+        b = np.empty_like(v)
+        b[pos] = v
+        z = scipy.linalg.lapack.sgbtrs(lu, kl, kl, b[:n_band], ipiv)[0]
+        if border.size:
+            y = S_inv @ (border.T @ z - b[n_band:])
+            z = np.concatenate((z - F @ y, y))
+        return z[pos]
+
+    def residual(x):
+        x_w, x_y = x[:n0], x[n0:]
+        return np.concatenate((rhs[:n0] + M0 @ x_w - B @ x_y, rhs[n0:] - B.T @ x_w))
+
+    x, steps, eta = _refine(solve32, residual, rhs, (slice(0, n0), slice(n0, None)), norms)
+    if not eta <= 2.0**-52:
+        return None, None, norms
+    return x, {"precision": "float32", "zeroed": zeroed, "refine_steps": steps,
+               "refine_error": eta}, norms
+
+
+def _solve_vorticity_stream(system, Wt, Z, group, n_groups: int, rhs, degree: int, factors: dict,
+                            rss: dict):
+    """``(omega, y)`` solving ``K``, SuperLU's factor of ``K`` (None for a band) and the stats.
+
+    ``K = [[-M0, B], [B^T, 0]]`` with ``B = Wt Z``.  On one unglued patch
+    whose ``K`` goes to float32, a band LU in the patch's tensor order
+    (``_solve_band``) is tried first; a failed attempt sends ``K`` to the
+    float64 SuperLU path.  Everywhere else ``K`` is built in the
+    node-paired order (``_node_paired_positions``, ``_node_paired_matrix``)
+    and solved through SuperLU (``_solve_K``).
+    """
+    M0, n0 = system.M0, system.n0
+    fallback = None
+    if (len(system.spaces) == 1 and n0 == system.spaces[0][0].dim
+            and degree in _BAND_MAX_WIDTH and 3 * M0.nnz >= _SINGLE_MIN_NNZ):
+        # a column of B sums the stiffness columns, in M0's pattern, of the
+        # nodes of one group, so K stores at most 3 nnz(M0) entries
+        start = time.perf_counter()
+        band = _solve_band(M0, (Wt @ Z).tocsr(), group, rhs, degree, factors, rss)
+        if band is not None:
+            x, stats, norms = band
+            if x is not None:
+                return x, None, stats
+            fallback = norms, time.perf_counter() - start
+    pos = _node_paired_positions(M0, group, np.arange(1, n_groups), factors)
+    pos = np.concatenate((pos, np.arange(pos.size, n0 + Z.shape[1], dtype=pos.dtype)))
+    K = _node_paired_matrix(M0, Wt, Z, pos)  # flux carriers last
+    paired_rhs = np.empty_like(rhs)
+    paired_rhs[pos] = rhs
+    x, lu, stats = _solve_K(K, paired_rhs, (pos[:n0], pos[n0:]), degree, factors, rss, fallback)
+    del K  # freed before pressure recovery, which then reuses its memory
+    return x[pos], lu, stats
 
 
 def solve(system: SaddleSystem) -> Solution:
@@ -1058,13 +1285,17 @@ def solve(system: SaddleSystem) -> Solution:
     of ``Z`` and comes last in the elimination order.  Pressure leaves the
     factored system: with ``A_ww = -M0`` and ``A_wu = D10^T M1``, taken
     straight from the system's glued blocks, the symmetric ``(omega, y)``
-    system ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored.  It is
-    permuted once into a node-paired order (the minimum-degree order of
-    the nodes, each stream unknown right after the last node of its
-    group) and factored along that order with diagonal pivots: every
-    zero diagonal of the stream block is filled by a coupled vorticity
-    pivot before it is reached.  Its compressed arrays are written in that
-    order straight from ``M0``, ``B = A_wu Z`` and the columns of ``B``
+    system ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored
+    (``_solve_vorticity_stream``).  On one unglued patch whose system goes
+    to float32, its band part in the patch's tensor order is written
+    straight from ``M0`` and ``B = A_wu Z`` into LAPACK band storage and
+    factored by ``sgbtrf`` (``_solve_band``).  Otherwise it is permuted
+    once into a node-paired order (the minimum-degree order of the nodes,
+    each stream unknown right after the last node of its group) and
+    factored by SuperLU along that order with diagonal pivots: every zero
+    diagonal of the stream block is filled by a coupled vorticity pivot
+    before it is reached.  Its compressed arrays are written in that order
+    straight from ``M0``, ``B`` and the columns of ``B``
     (``_node_paired_matrix``, which forms ``B`` and drops it before it
     transposes ``K``); ``M0`` is read as it is, no copy.
     Pressure is recovered afterwards from the free momentum rows
@@ -1120,16 +1351,13 @@ def solve(system: SaddleSystem) -> Solution:
     # the nu = 1 problem: vorticity and momentum rows divided by nu
     W = system.M1 @ D10  # A_wu = W^T
     Wt = W.T
-    pos = _node_paired_positions(system.M0, group, np.arange(1, n_groups), factors)
-    pos = np.concatenate((pos, np.arange(pos.size, n0 + Z.shape[1], dtype=pos.dtype)))
-    K = _node_paired_matrix(system.M0, Wt, Z, pos)  # flux carriers last
-    rhs = np.empty(K.shape[0])
-    rhs[pos] = np.concatenate((system.rhs[:n0] / nu - Wt @ u0, Z.T @ f_u / nu))
-    rss_factor = _peak_rss_mb()
+    rhs = np.concatenate((system.rhs[:n0] / nu - Wt @ u0, Z.T @ f_u / nu))
     degree = max(b.degree for triple in system.spaces for b in triple[0].nodal_bases)
-    x, lu, solve_stats = _solve_K(K, rhs, (pos[:n0], pos[n0:]), degree, factors)
-    del K  # freed before pressure recovery, which then reuses its memory
-    x = x[pos]
+    rss = {"before": rss_before}
+    # SuperLU's factor of K, if any, lives to the end: freed on return, it
+    # raised the peak RSS of the ladders and Couette benchmarks by 0.5-0.7%
+    x, lu_K, solve_stats = _solve_vorticity_stream(system, Wt, Z, group, n_groups, rhs, degree,
+                                                   factors, rss)
     omega = x[:n0]
     u = u0 + Z @ x[n0:]
 
@@ -1158,11 +1386,11 @@ def solve(system: SaddleSystem) -> Solution:
         stats={
             "dofs": system.size,
             "unknowns": rhs.size,
-            "lu_nnz": lu.nnz,
+            "lu_nnz": factors["K"]["nnz"],
             **solve_stats,
             "factors": factors,
             "residual": float(resid),
             "histopolation_cond": system.histopolation_cond,
-            "rss_mb": {"before": rss_before, "factor": rss_factor, "after": _peak_rss_mb()},
+            "rss_mb": {**rss, "after": _peak_rss_mb()},
         },
     )

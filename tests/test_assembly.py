@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._compressed import _cs_matrix
@@ -1209,6 +1210,12 @@ def _lid_cavity(p_nodal=4, spans=24, length=1.0):
     return system
 
 
+def _couette(spans=16):
+    """Taylor-Couette at nodal degree 3: glued, so ``K`` never takes the band path."""
+    return _annulus_case(tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)},
+                         spans=spans)
+
+
 def float64_solve(system, monkeypatch):
     """``solve`` on the float64 path: no K is large enough for a float32 factor."""
     with monkeypatch.context() as patched:
@@ -1225,8 +1232,11 @@ class TestSingleFactor:
     """K factored in float32 and refined against the float64 K, or factored in float64."""
 
     def test_single_copy_against_dense_oracles(self, monkeypatch):
-        # the benchmark cavity's K: its pattern, its values in float32 but
-        # where negligible, and the norms of its blocks -M0, B and B^T
+        # the K of Couette at nodal degree 3 and 16 spans, glued and so
+        # factored by SuperLU: its pattern, its values in float32 but where
+        # negligible, and the norms of its blocks -M0, B and B^T.  This K has
+        # no negligible entry, so the zeroing rule is also checked on a copy
+        # with a symmetric set of entries scaled by 1e-13
         built = []
         original = assembly._node_paired_matrix
 
@@ -1236,19 +1246,25 @@ class TestSingleFactor:
             return K
 
         monkeypatch.setattr(assembly, "_node_paired_matrix", recorded)
-        solve(_lid_cavity())
+        solve(_couette())
         (M0, B, pos, K), = built
-        single, zeroed, norms = assembly._single_copy(K, pos[:M0.shape[0]])
-        assert single.dtype == np.float32
-        assert np.shares_memory(single.indices, K.indices)  # K's pattern, not a copy of it
-        assert np.shares_memory(single.indptr, K.indptr)
-        colmax = abs(K).max(axis=0).toarray().ravel()
         cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
-        small = np.abs(K.data) < 1e-12 * np.sqrt(colmax[K.indices] * colmax[cols])
-        assert zeroed == small.sum() > 0
-        npt.assert_array_equal(single.data, np.where(small, 0.0, K.data).astype(np.float32))
-        want = [abs(A).sum(axis=1).max() for A in (M0, B, B.T)]
-        npt.assert_allclose(norms, want, rtol=1e-13)
+        shrunk = K.copy()
+        shrunk.data[(K.indices + cols) % 97 == 0] *= 1e-13
+        for matrix, any_small in ((K, False), (shrunk, True)):
+            single, zeroed, norms = assembly._single_copy(matrix, pos[:M0.shape[0]])
+            assert single.dtype == np.float32
+            # the matrix's pattern, not a copy of it
+            assert np.shares_memory(single.indices, matrix.indices)
+            assert np.shares_memory(single.indptr, matrix.indptr)
+            colmax = abs(matrix).max(axis=0).toarray().ravel()
+            small = np.abs(matrix.data) < 1e-12 * np.sqrt(colmax[matrix.indices] * colmax[cols])
+            assert zeroed == small.sum() and (zeroed > 0) == any_small
+            npt.assert_array_equal(single.data,
+                                   np.where(small, 0.0, matrix.data).astype(np.float32))
+            if matrix is K:
+                want = [abs(A).sum(axis=1).max() for A in (M0, B, B.T)]
+                npt.assert_allclose(norms, want, rtol=1e-13)
 
     @pytest.mark.parametrize("case", ["cavity", "taylor-couette"])
     def test_float32_path_matches_the_float64_path(self, case, monkeypatch):
@@ -1256,8 +1272,7 @@ class TestSingleFactor:
         # whose constant vorticity and zero pressure differ from their exact
         # values by rounding noise only: that noise is bounded at 1e-11, as in
         # the benchmark's reference checks
-        system = _lid_cavity() if case == "cavity" else _annulus_case(
-            tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)}, spans=16)
+        system = _lid_cavity() if case == "cavity" else _couette()
         noise = {"omega", "p"} if case == "taylor-couette" else set()
         sol = solve(system)
         stats = sol.stats
@@ -1296,9 +1311,10 @@ class TestSingleFactor:
             npt.assert_array_equal(got, ref)
 
     def test_fallback_frees_the_float32_factor_before_the_float64_factor(self, monkeypatch):
-        # no refinement step allowed: the first float32 solve is far from
-        # float64 rounding, so the solve falls back
-        system = _lid_cavity()
+        # Couette at nodal degree 3 and 16 spans, whose float32 factor is
+        # SuperLU's; no refinement step allowed: the first float32 solve is
+        # far from float64 rounding, so the solve falls back
+        system = _couette()
         original_copy, original_splu = assembly._single_copy, spla.splu
         singles, factors, alive_at_float64 = [], [], []
 
@@ -1329,7 +1345,8 @@ class TestSingleFactor:
         assert len(singles) == 2 and len(factors) == 1
         assert alive_at_float64 == [0]
         assert sol.stats["precision"] == "float64" and sol.stats["float32_fallback_s"] > 0.0
-        assert 0.0 < sol.stats["refine_error"] <= 2.0**-52  # of the float64 path
+        # the float64 path's own error, at its rounding floor on Couette (3.5e-16)
+        assert 0.0 < sol.stats["refine_error"] <= 2.0**-50
         monkeypatch.undo()
         want = float64_solve(system, monkeypatch)
         for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
@@ -1349,6 +1366,219 @@ class TestSingleFactor:
             assert str(info.value) == str(exc)
         else:
             assert solve(system).residual <= 1e-10
+
+
+def _manufactured_band_case(patch, normal_sides=None):
+    """The manufactured flow at nodal degree 4 and 24 spans, large enough for a float32 ``K``."""
+    system = assemble_vvp(make_spaces(4, 24), patch, normal_sides=normal_sides,
+                          forcing=EXACT["forcing"])
+    apply_strong_normal_velocity(system, EXACT["velocity"])
+    apply_weak_tangential_velocity(system, EXACT["velocity"])
+    return system
+
+
+BAND_CASES = {
+    "cavity": _lid_cavity,
+    "curved-square": lambda: _manufactured_band_case(curved_square_patch()),
+    # the walls' nodes form two groups: the bottom one carries the gauge, the
+    # top one the border's single stream unknown
+    "channel": lambda: _manufactured_band_case(unit_square_patch(), ((0, "bottom"), (0, "top"))),
+}
+
+
+def superlu_solve(system, monkeypatch):
+    """``solve`` with no band path: a float32 ``K`` goes to SuperLU in the node-paired order."""
+    with monkeypatch.context() as patched:
+        patched.setattr(assembly, "_BAND_MAX_WIDTH", {})
+        return solve(system)
+
+
+def recorded_band(monkeypatch):
+    """Every band built (a copy taken before ``sgbtrf`` factors it in place) with its arguments,
+    and every ``sgbtrf`` call's arguments and outputs."""
+    bands, factors = [], []
+    original_storage, original_sgbtrf = assembly._band_storage, scipy.linalg.lapack.sgbtrf
+
+    def storage(M0, B, pos, n_band, kl, root):
+        ab, border, zeroed = original_storage(M0, B, pos, n_band, kl, root)
+        bands.append(dict(M0=M0, B=B, pos=pos, n_band=n_band, kl=kl, ab=ab.copy(order="F"),
+                          ab_ref=weakref.ref(ab), border=border.copy(), zeroed=zeroed))
+        return ab, border, zeroed
+
+    def sgbtrf(ab, kl, ku, **kwargs):
+        lu, ipiv, info = original_sgbtrf(ab, kl, ku, **kwargs)
+        factors.append(dict(ab=weakref.ref(ab), lu=weakref.ref(lu), ipiv=weakref.ref(ipiv),
+                            info=info, in_place=np.shares_memory(lu, ab)))
+        return lu, ipiv, info
+
+    monkeypatch.setattr(assembly, "_band_storage", storage)
+    monkeypatch.setattr(scipy.linalg.lapack, "sgbtrf", sgbtrf)
+    return bands, factors
+
+
+class TestBandFactor:
+    """One unglued patch's float32 K as a LAPACK band LU in its tensor order."""
+
+    @pytest.mark.parametrize("case", ["cavity", "channel"])
+    def test_band_storage_against_a_dense_oracle(self, case, monkeypatch):
+        # K stacked from M0 and B, permuted into the band order, zeroed where
+        # negligible and cut into LAPACK's band storage and the border; no
+        # entry of B is negligible here, so the rule is also checked on a
+        # copy of B with every seventh entry scaled by 1e-13
+        bands, factors = recorded_band(monkeypatch)
+        sol = solve(BAND_CASES[case]())
+        (band,), (factor,) = bands, factors
+        assert factor["info"] == 0 and factor["in_place"]
+        M0, B, pos, n_band, kl = (band[k] for k in ("M0", "B", "pos", "n_band", "kl"))
+        n0, m = B.shape
+        npt.assert_array_equal(np.sort(pos), np.arange(n0 + m))
+        assert m - (n_band - n0) == (1 if case == "channel" else 0)  # the border's columns
+        shrunk = B.copy()
+        shrunk.data[::7] *= 1e-13
+        for matrix in (B, shrunk):
+            K = sp.bmat([[-M0, matrix], [matrix.T, None]], format="csr")
+            colmax = abs(K).max(axis=0).toarray().ravel()
+            dense = K.toarray()
+            small = np.abs(dense) < 1e-12 * np.sqrt(colmax[:, None] * colmax[None, :])
+            want = np.zeros_like(dense)
+            want[np.ix_(pos, pos)] = np.where(small, 0.0, dense)
+            if matrix is B:
+                ab, border, zeroed = band["ab"], band["border"], band["zeroed"]
+            else:
+                root, _, width = assembly._band_scan(M0, matrix, pos, n_band)
+                assert width == kl
+                ab, border, zeroed = assembly._band_storage(M0, matrix, pos, n_band, kl, root)
+                assert zeroed > band["zeroed"]
+            assert zeroed == np.count_nonzero(small & (dense != 0)) > 0
+            i, j = np.nonzero(want[:n_band, :n_band])
+            assert np.abs(i - j).max() == kl  # the half-bandwidth of the band part
+            assert ab.flags.f_contiguous and ab.dtype == np.float32
+            assert ab.shape == (3 * kl + 1, n_band)
+            rows, cols = np.indices(ab.shape)
+            oracle = np.zeros(ab.shape, dtype=np.float32)
+            inside = (rows >= kl) & (0 <= cols + rows - 2 * kl) & (cols + rows - 2 * kl < n_band)
+            oracle[inside] = want[(cols + rows - 2 * kl)[inside], cols[inside]]
+            npt.assert_array_equal(ab, oracle)
+            npt.assert_array_equal(border, want[:n_band, n_band:].astype(np.float32))
+            assert not want[n_band:, n_band:].any()
+        # the factor's stats: the band's entries, their ratio to K's and the half-bandwidth
+        stats = sol.stats["factors"]["K"]
+        assert stats["nnz"] == band["ab"].size == sol.stats["lu_nnz"]
+        assert stats["half_bandwidth"] == kl and stats["fill_ratio"] == band["ab"].size / K.nnz
+        # and the block norms of the stopping rule
+        _, norms, _ = assembly._band_scan(M0, B, pos, n_band)
+        npt.assert_allclose(norms, [abs(A).sum(axis=1).max() for A in (M0, B, B.T)], rtol=1e-13)
+
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_band_matches_superlu(self, case, monkeypatch):
+        system = BAND_CASES[case]()
+        bands, _ = recorded_band(monkeypatch)
+        sol = solve(system)
+        (band,) = bands
+        assert sol.stats["precision"] == "float32" and sol.stats["refine_error"] <= 2.0**-52
+        assert sol.stats["factors"]["K"]["half_bandwidth"] == band["kl"]
+        assert "order" not in sol.stats["factors"]  # no node-paired order was read
+        border = band["pos"].size - band["n_band"]
+        assert border == (1 if case == "channel" else 0)
+        assert band["border"].shape[1] == border
+        want = superlu_solve(system, monkeypatch)
+        assert want.stats["precision"] == "float32" and "order" in want.stats["factors"]
+        for name in ("omega", "u", "p"):
+            got, ref = getattr(sol, name), getattr(want, name)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        assert np.abs(sol.divergence_cochain()).max() <= 1e-15
+
+    def test_singular_band_factor_falls_back_to_the_float64_path(self, monkeypatch):
+        # on the cavity scaled by 1e-6 the zeroing rule empties the M0 block:
+        # sgbtrf reports a zero pivot, and the float64 SuperLU path runs
+        # without a float32 SuperLU attempt, to its own error
+        system = _lid_cavity(length=1e-6)
+        with pytest.raises(SingularSystemError) as want:
+            float64_solve(system, monkeypatch)
+        bands, factors = recorded_band(monkeypatch)
+        copies = count_calls(monkeypatch, assembly, "_single_copy")
+        with pytest.raises(SingularSystemError) as got:
+            solve(system)
+        assert len(bands) == 1 and [f["info"] > 0 for f in factors] == [True]
+        assert copies == []
+        assert str(got.value) == str(want.value)
+
+    def test_fallback_frees_the_band_before_the_float64_factor(self, monkeypatch):
+        # the cavity with no refinement step allowed: the band factor, its
+        # pivots and the band are dead when the float64 factor of K starts
+        system = _lid_cavity()
+        bands, factors = recorded_band(monkeypatch)
+        original_splu = spla.splu
+        alive_at_float64 = []
+
+        def splu(matrix, *args, **kwargs):
+            if bands and matrix.shape[0] == bands[0]["pos"].size:  # the float64 factor of K
+                refs = [bands[0]["ab_ref"]] + [factors[0][k] for k in ("ab", "lu", "ipiv")]
+                alive_at_float64.append(sum(ref() is not None for ref in refs))
+            return original_splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "_MAX_REFINE_STEPS", 0)
+        monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu, spilu=spla.spilu))
+        sol = solve(system)
+        assert len(bands) == len(factors) == 1
+        assert alive_at_float64 == [0]
+        assert sol.stats["precision"] == "float64" and sol.stats["float32_fallback_s"] > 0.0
+        assert 0.0 < sol.stats["refine_error"] <= 2.0**-52  # of the float64 path
+        monkeypatch.undo()
+        want = float64_solve(system, monkeypatch)
+        for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
+            npt.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("case", ["glued", "float64-size", "degree-above-ceiling",
+                                      "outside-the-band-rule"])
+    def test_no_band_factor(self, case, monkeypatch):
+        # Couette (float32, but glued), a K below the size constant, one at
+        # nodal degree 11 (float64) and one at nodal degree 7, which the band
+        # rule leaves to SuperLU's float32 factor
+        system = {
+            "glued": _couette,
+            "float64-size": lambda: _lid_cavity(p_nodal=4, spans=16),
+            "degree-above-ceiling": lambda: _lid_cavity(p_nodal=11, spans=16),
+            "outside-the-band-rule": lambda: _lid_cavity(p_nodal=7, spans=12),
+        }[case]()
+        _, factors = recorded_band(monkeypatch)
+        sol = solve(system)
+        assert factors == []
+        assert "half_bandwidth" not in sol.stats["factors"]["K"]
+        precision = "float64" if case in ("float64-size", "degree-above-ceiling") else "float32"
+        assert sol.stats["precision"] == precision
+
+    @pytest.mark.parametrize("case", ["band", "superlu-float32", "float64"])
+    def test_every_solve_factors_L_through_splu(self, case, monkeypatch):
+        # the benchmark tracer times the factor and the solves of L through
+        # spla.splu, whichever path K's solve takes
+        system = {"band": _lid_cavity, "superlu-float32": _couette,
+                  "float64": SOLVE_CASES["curved-square"]}[case]()
+        original_splu = spla.splu
+        calls = []
+
+        class Counted:  # counts the solves of one factor
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, *args, **kwargs):
+                self.solves += 1
+                return self.lu.solve(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+        def splu(matrix, *args, **kwargs):
+            calls.append((matrix.shape, Counted(original_splu(matrix, *args, **kwargs))))
+            return calls[-1][1]
+
+        monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu, spilu=spla.spilu))
+        sol = solve(system)
+        n_L = system.n2 - (1 if system.gauge else 0)
+        assert calls[0][0] == (n_L, n_L)
+        assert sol.stats["factors"]["L"]["nnz"] == calls[0][1].nnz
+        assert calls[0][1].solves >= 2  # the lift and the pressure
+        assert len(calls) == (1 if case == "band" else 2)
 
 
 def scattered_matrix(system):
