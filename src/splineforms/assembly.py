@@ -33,16 +33,17 @@ zero-mean multiplier row.  ``SaddleSystem.matrix`` assembles it when read;
 The solve does not factor the saddle system.  Because D21 D10 = 0 in
 integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
 construction, and only the symmetric (vorticity, y) system is factored,
-in float32 refined against the float64 blocks where that pays off.  On
-one unglued patch the float32 factor is a LAPACK band LU in the patch's
-tensor order, written straight from M0 and B = (M1 D10)^T Z; everywhere
-else the system is factored by SuperLU with diagonal pivots along a
-node-paired order.  Pressure and multiplier are recovered afterwards from
-the momentum and pressure rows through the integer 2-cell Laplacian and a
-banded Cholesky of each patch's block of the block-diagonal M2.  The
-residual of the full mixed system, taken block by block, gates the
-solve.  Its topological part is index arithmetic on the compressed arrays
-of the coboundaries, whose rows have a fixed structure (two end nodes per
+on one of two paths.  On one unglued patch within the band rule it is
+factored in float32 as a LAPACK band LU in the patch's tensor order,
+written straight from M0 and B = (M1 D10)^T Z, and refined against the
+float64 blocks; everywhere else, and where the band fails, it is factored
+in float64 by SuperLU with diagonal pivots along a node-paired order.
+Pressure and multiplier are recovered afterwards from the momentum and
+pressure rows through the integer 2-cell Laplacian and a banded Cholesky
+of each patch's block of the block-diagonal M2.  The residual of the
+full mixed system, taken block by block, gates the solve.  Its
+topological part is index arithmetic on the compressed arrays of the
+coboundaries, whose rows have a fixed structure (two end nodes per
 1-cell, four sides per 2-cell): the node groups of the stream constants,
 the columns of ``C`` and the place of every entry of ``K``.
 """
@@ -98,19 +99,16 @@ __all__ = [
 # sides, so the same table gives the sign of a side cell's outward flux.
 _SIDE_SIGN = {"bottom": 1.0, "right": 1.0, "top": -1.0, "left": -1.0}
 
-# K, the vorticity-stream system, is factored in float32 and its solution
-# refined against the float64 K (``_refine``) only where that pays off and
-# converges: below _SINGLE_MIN_NNZ stored entries the float64 factor is as
-# fast, and above a nodal degree of _SINGLE_MAX_DEGREE float32 refinement
-# gains too little per step or stalls (README has the measurements).
-# Refinement takes at most _MAX_REFINE_STEPS steps; _NEGLIGIBLE is the
-# zeroing rule of the float32 copy.  On one unglued patch the float32 factor
-# is a band LU (``_solve_band``) where the nodal degree is a key of
-# _BAND_MAX_WIDTH and the half-bandwidth at most its value: there band
-# refinement took at most 6 steps and beat SuperLU's float32 factor
-# (README has the table).
+# K, the vorticity-stream system of one unglued patch, is factored as a
+# float32 band LU (``_solve_band``) and its solution refined against the
+# float64 blocks (``_refine``) where K stores at least _SINGLE_MIN_NNZ
+# entries, the nodal degree is a key of _BAND_MAX_WIDTH and the
+# half-bandwidth at most its value: there band refinement took at most 6
+# steps (README has the tables).  Refinement takes at most
+# _MAX_REFINE_STEPS steps; an entry below _NEGLIGIBLE * sqrt(max|col i|
+# max|col j|) is set to 0 in the band.  Every other K is factored in
+# float64 by SuperLU.
 _SINGLE_MIN_NNZ = 100_000
-_SINGLE_MAX_DEGREE = 9
 _MAX_REFINE_STEPS = 8
 _NEGLIGIBLE = 1e-12
 _BAND_MAX_WIDTH = {2: 330, 3: 500, 4: 550, 5: 460, 6: 320}
@@ -423,11 +421,11 @@ class Solution:
     ``stats`` describes the solve: ``dofs`` (size of the mixed system),
     ``unknowns`` (size of the factored system), ``lu_nnz`` (the
     ``nnz`` of ``K``'s factor), ``precision``, ``zeroed``,
-    ``refine_steps``, ``refine_error`` and after a fallback
-    ``float32_fallback_s`` (see ``_solve_K``), ``factors`` (``nnz``,
-    ``fill_ratio`` (LU nonzeros over matrix nonzeros) and ``seconds`` of
-    the SuperLU factors ``L``, the 2-cell Laplacian, and ``K``, the
-    vorticity-stream system; for a band factor of ``K`` the entries of its
+    ``refine_steps``, ``refine_error`` and after a failed band attempt
+    ``float32_fallback_s`` (see ``_solve_vorticity_stream``), ``factors``
+    (``nnz``, ``fill_ratio`` (LU nonzeros over matrix nonzeros) and
+    ``seconds`` of the SuperLU factors ``L``, the 2-cell Laplacian, and
+    ``K``, the vorticity-stream system; for a band factor of ``K`` the entries of its
     band array, their ratio to the entries of ``K``, ``half_bandwidth``
     and the seconds of the band build and factor; for ``M2``, the 2-form
     mass matrix, the entries of its per-patch band arrays, their ratio to
@@ -695,11 +693,11 @@ def assemble_vvp(spaces, geometry, nu: float = 1.0, normal_sides=None, forcing=N
 def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
     """SuperLU factor with diagonal pivots; failures become SingularSystemError.
 
-    It serves ``L``, every solve's, and the ``K`` of the node-paired
-    path (``_solve_K``): ``L`` couples patches across glued sides, and a
-    glued ``K`` has no narrow band, while ``M2`` gets a banded Cholesky per
-    patch (``_factor_banded``) and one unglued patch's float32 ``K`` a
-    band LU (``_solve_band``).
+    It serves ``L``, every solve's, and the float64 ``K`` of the
+    node-paired path (``_solve_vorticity_stream``): ``L`` couples patches
+    across glued sides, and a glued ``K`` has no narrow band, while ``M2``
+    gets a banded Cholesky per patch (``_factor_banded``) and one unglued
+    patch's float32 ``K`` a band LU (``_solve_band``).
 
     ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
     pivot, so the elimination follows the given column order
@@ -939,46 +937,6 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _single_copy(K, vorticity):
-    """Float32 copy of ``K`` on ``K``'s index arrays, with its negligible entries set to 0.
-
-    ``K_ij`` is negligible below ``_NEGLIGIBLE * sqrt(max|col i| max|col j|)``
-    (``K`` is symmetric, so a column maximum is also a row maximum).  Set to
-    0 and kept, the entries feed no subnormal arithmetic to the factor and
-    leave SuperLU's supernodes whole.  The same pass sums ``|K_ij|`` per
-    column over the vorticity rows (positions ``vorticity``) and over the
-    stream rows, which gives the infinity norms of the blocks, row sums
-    being column sums: ``||M0||``, ``||B||`` and ``||B^T||``.  The columns
-    go in chunks of about 2**14 entries, so no temporary has ``K``'s
-    length.  ``K`` has no empty column.  Returns the copy, the number of
-    entries set to 0 and the norms.
-    """
-    ptr, rows, data, n = K.indptr, K.indices, K.data, K.shape[0]
-    colmax = np.maximum(np.maximum.reduceat(data, ptr[:-1]), -np.minimum.reduceat(data, ptr[:-1]))
-    root = np.sqrt(_NEGLIGIBLE * colmax)
-    in_w = np.zeros(n, dtype=bool)
-    in_w[vorticity] = True
-    sums = np.empty((2, n))  # per column: over the vorticity rows, over the stream rows
-    single = np.empty(data.size, dtype=np.float32)
-    zeroed = 0
-    step = max(1, (n << 14) // data.size)
-    with np.errstate(over="ignore"):  # beyond float32's range: inf, and the refinement fails
-        for c0 in range(0, n, step):
-            c1 = min(c0 + step, n)
-            lo, hi = ptr[c0], ptr[c1]
-            size = np.abs(data[lo:hi])
-            row_w = in_w[rows[lo:hi]]
-            sums[:, c0:c1] = np.add.reduceat(np.where([row_w, ~row_w], size, 0.0),
-                                             ptr[c0:c1] - lo, axis=1)
-            small = size < root[rows[lo:hi]] * np.repeat(root[c0:c1], np.diff(ptr[c0 : c1 + 1]))
-            chunk = single[lo:hi]
-            chunk[:] = data[lo:hi]
-            chunk[small] = 0.0
-            zeroed += int(np.count_nonzero(small))
-    norms = (sums[0, in_w].max(), sums[1, in_w].max(), sums[0, ~in_w].max(initial=0.0))
-    return sp.csc_matrix((single, rows, ptr), shape=K.shape), zeroed, norms
-
-
 def _backward_error(r, x, b, blocks, norms) -> float:
     """Block-wise backward error of ``x`` for ``K x = b``, whose residual is ``r``.
 
@@ -1020,53 +978,6 @@ def _refine(solve32, residual, rhs, blocks, norms):
     return x, max(solves - 1, 0), eta
 
 
-def _solve_K(K, rhs, blocks, degree: int, factors: dict, rss: dict, fallback=None):
-    """``x`` with ``K x = rhs`` for the node-paired ``K`` through SuperLU, its factor and the stats.
-
-    Where ``K`` stores at least ``_SINGLE_MIN_NNZ`` entries, no nodal degree
-    exceeds ``_SINGLE_MAX_DEGREE`` and no column is empty (which makes
-    ``K`` singular, as the float64 factor reports), a float32 copy of ``K``
-    (``_single_copy``) is factored and ``x`` refined against the exact
-    float64 ``K`` (``_refine``); an error of at most 2**-52 is accepted.
-    Otherwise, or where the float32 factor is singular, that factor is
-    dropped and the float64 path runs: ``K`` factored, one solve and one
-    refinement step.  ``fallback``, the block norms and seconds of a band
-    attempt that failed (``_solve_band``), sends ``K`` to the float64 path
-    at once.  The stats are ``precision``, ``zeroed`` (entries set to 0 in
-    the factored copy), ``refine_steps``, ``refine_error`` (the final
-    backward error; None on the float64 path without a float32 attempt,
-    which runs no stopping test) and, after a fallback,
-    ``float32_fallback_s`` (the seconds of the attempt).  ``rss["factor"]``
-    is the peak RSS right before the last factor of ``K``.
-    """
-    if (fallback is None and K.nnz >= _SINGLE_MIN_NNZ and degree <= _SINGLE_MAX_DEGREE
-            and np.diff(K.indptr).all()):
-        start = time.perf_counter()
-        single, zeroed, norms = _single_copy(K, blocks[0])
-        rss["factor"] = _peak_rss_mb()
-        try:
-            lu = _factor(single, "vorticity-stream system", "NATURAL", factors, "K")
-        except SingularSystemError:
-            lu = None
-        del single
-        if lu is not None:
-            x, steps, eta = _refine(lu.solve, lambda x: rhs - K @ x, rhs, blocks, norms)
-            if eta <= 2.0**-52:
-                return x, lu, {"precision": "float32", "zeroed": zeroed, "refine_steps": steps,
-                               "refine_error": eta}
-        del lu  # dead before the float64 factor allocates
-        fallback = norms, time.perf_counter() - start
-    rss["factor"] = _peak_rss_mb()
-    lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - K @ x)
-    stats = {"precision": "float64", "zeroed": 0, "refine_steps": 1, "refine_error": None}
-    if fallback is not None:
-        norms, stats["float32_fallback_s"] = fallback
-        stats["refine_error"] = _backward_error(rhs - K @ x, x, rhs, blocks, norms)
-    return x, lu, stats
-
-
 def _row_chunks(A):
     """``(rows, cols, values)`` of the stored entries of a compressed matrix, about 2**14 at a time.
 
@@ -1106,7 +1017,7 @@ def _band_scan(M0, B, pos, n_band: int):
     ``K = [[-M0, B], [B^T, 0]]`` in the (omega, y) order, read from ``M0``
     and the CSR of ``B`` in chunks (``_row_chunks``): ``root`` is
     ``sqrt(_NEGLIGIBLE max|col|)`` per column, the norms are
-    ``(||M0||, ||B||, ||B^T||)`` as ``_single_copy`` sums them, and the
+    ``(||M0||, ||B||, ||B^T||)`` (row sums of ``|K|``), and the
     half-bandwidth is the largest ``|pos_i - pos_j|`` of an entry in the
     band part.  None where ``M0`` or ``K`` has an empty column.
     """
@@ -1142,7 +1053,7 @@ def _band_storage(M0, B, pos, n_band: int, kl: int, root):
     ``ab[2 kl + i - j, j]`` in band positions, so ``sgbtrf`` factors it in
     place; the border columns are dense.  Each entry of ``-M0`` and each
     entry of ``B`` with its mirror ``B^T`` is written straight from the
-    compressed arrays, chunk by chunk, set to 0 where ``_single_copy``'s
+    compressed arrays, chunk by chunk, set to 0 where ``_NEGLIGIBLE``'s
     rule calls it negligible (``root`` from ``_band_scan``).
     """
     n0 = M0.shape[0]
@@ -1236,11 +1147,17 @@ def _solve_vorticity_stream(system, Wt, Z, group, n_groups: int, rhs, degree: in
     """``(omega, y)`` solving ``K``, SuperLU's factor of ``K`` (None for a band) and the stats.
 
     ``K = [[-M0, B], [B^T, 0]]`` with ``B = Wt Z``.  On one unglued patch
-    whose ``K`` goes to float32, a band LU in the patch's tensor order
-    (``_solve_band``) is tried first; a failed attempt sends ``K`` to the
-    float64 SuperLU path.  Everywhere else ``K`` is built in the
-    node-paired order (``_node_paired_positions``, ``_node_paired_matrix``)
-    and solved through SuperLU (``_solve_K``).
+    within the band rule, a float32 band LU in the patch's tensor order
+    (``_solve_band``) is tried first.  Everywhere else, and after a failed
+    band attempt, ``K`` is built in the node-paired order
+    (``_node_paired_positions``, ``_node_paired_matrix``) and factored by
+    SuperLU in float64: one solve and one refinement step.  The stats are
+    ``precision``, ``zeroed`` (entries set to 0 in the band),
+    ``refine_steps``, ``refine_error`` (the final block-wise backward
+    error; None on the float64 path without a band attempt, which runs no
+    stopping test) and, after a failed band attempt,
+    ``float32_fallback_s`` (its seconds).  ``rss["factor"]`` is the peak
+    RSS right before the last factor of ``K``.
     """
     M0, n0 = system.M0, system.n0
     fallback = None
@@ -1260,7 +1177,15 @@ def _solve_vorticity_stream(system, Wt, Z, group, n_groups: int, rhs, degree: in
     K = _node_paired_matrix(M0, Wt, Z, pos)  # flux carriers last
     paired_rhs = np.empty_like(rhs)
     paired_rhs[pos] = rhs
-    x, lu, stats = _solve_K(K, paired_rhs, (pos[:n0], pos[n0:]), degree, factors, rss, fallback)
+    rss["factor"] = _peak_rss_mb()
+    lu = _factor(K, "vorticity-stream system", "NATURAL", factors, "K")
+    x = lu.solve(paired_rhs)
+    x += lu.solve(paired_rhs - K @ x)
+    stats = {"precision": "float64", "zeroed": 0, "refine_steps": 1, "refine_error": None}
+    if fallback is not None:
+        norms, stats["float32_fallback_s"] = fallback
+        stats["refine_error"] = _backward_error(paired_rhs - K @ x, x, paired_rhs,
+                                                (pos[:n0], pos[n0:]), norms)
     del K  # freed before pressure recovery, which then reuses its memory
     return x[pos], lu, stats
 
@@ -1286,13 +1211,14 @@ def solve(system: SaddleSystem) -> Solution:
     factored system: with ``A_ww = -M0`` and ``A_wu = D10^T M1``, taken
     straight from the system's glued blocks, the symmetric ``(omega, y)``
     system ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored
-    (``_solve_vorticity_stream``).  On one unglued patch whose system goes
-    to float32, its band part in the patch's tensor order is written
-    straight from ``M0`` and ``B = A_wu Z`` into LAPACK band storage and
-    factored by ``sgbtrf`` (``_solve_band``).  Otherwise it is permuted
-    once into a node-paired order (the minimum-degree order of the nodes,
-    each stream unknown right after the last node of its group) and
-    factored by SuperLU along that order with diagonal pivots: every zero
+    (``_solve_vorticity_stream``).  On one unglued patch within the band
+    rule, its band part in the patch's tensor order is written straight
+    from ``M0`` and ``B = A_wu Z`` into float32 LAPACK band storage and
+    factored by ``sgbtrf`` (``_solve_band``).  Otherwise, and where the
+    band fails, it is permuted once into a node-paired order (the
+    minimum-degree order of the nodes, each stream unknown right after the
+    last node of its group) and factored in float64 by SuperLU along that
+    order with diagonal pivots: every zero
     diagonal of the stream block is filled by a coupled vorticity pivot
     before it is reached.  Its compressed arrays are written in that order
     straight from ``M0``, ``B`` and the columns of ``B``

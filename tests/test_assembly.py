@@ -1217,7 +1217,7 @@ def _couette(spans=16):
 
 
 def float64_solve(system, monkeypatch):
-    """``solve`` on the float64 path: no K is large enough for a float32 factor."""
+    """``solve`` on the float64 path: no K is large enough for the band."""
     with monkeypatch.context() as patched:
         patched.setattr(assembly, "_SINGLE_MIN_NNZ", np.inf)
         return solve(system)
@@ -1228,52 +1228,25 @@ def factored_nnz(stats):
     return round(stats["factors"]["K"]["nnz"] / stats["factors"]["K"]["fill_ratio"])
 
 
+def recorded_splu(monkeypatch):
+    """The shape and dtype of every matrix ``assembly`` factors through ``spla.splu``."""
+    calls, original_splu = [], spla.splu
+
+    def splu(matrix, *args, **kwargs):
+        calls.append((matrix.shape, matrix.dtype))
+        return original_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu, spilu=spla.spilu))
+    return calls
+
+
 class TestSingleFactor:
-    """K factored in float32 and refined against the float64 K, or factored in float64."""
+    """K factored in float32 as a band and refined against the float64 blocks, or in float64."""
 
-    def test_single_copy_against_dense_oracles(self, monkeypatch):
-        # the K of Couette at nodal degree 3 and 16 spans, glued and so
-        # factored by SuperLU: its pattern, its values in float32 but where
-        # negligible, and the norms of its blocks -M0, B and B^T.  This K has
-        # no negligible entry, so the zeroing rule is also checked on a copy
-        # with a symmetric set of entries scaled by 1e-13
-        built = []
-        original = assembly._node_paired_matrix
-
-        def recorded(M0, Wt, Z, pos):
-            K = original(M0, Wt, Z, pos)
-            built.append((M0, Wt @ Z, pos, K))
-            return K
-
-        monkeypatch.setattr(assembly, "_node_paired_matrix", recorded)
-        solve(_couette())
-        (M0, B, pos, K), = built
-        cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
-        shrunk = K.copy()
-        shrunk.data[(K.indices + cols) % 97 == 0] *= 1e-13
-        for matrix, any_small in ((K, False), (shrunk, True)):
-            single, zeroed, norms = assembly._single_copy(matrix, pos[:M0.shape[0]])
-            assert single.dtype == np.float32
-            # the matrix's pattern, not a copy of it
-            assert np.shares_memory(single.indices, matrix.indices)
-            assert np.shares_memory(single.indptr, matrix.indptr)
-            colmax = abs(matrix).max(axis=0).toarray().ravel()
-            small = np.abs(matrix.data) < 1e-12 * np.sqrt(colmax[matrix.indices] * colmax[cols])
-            assert zeroed == small.sum() and (zeroed > 0) == any_small
-            npt.assert_array_equal(single.data,
-                                   np.where(small, 0.0, matrix.data).astype(np.float32))
-            if matrix is K:
-                want = [abs(A).sum(axis=1).max() for A in (M0, B, B.T)]
-                npt.assert_allclose(norms, want, rtol=1e-13)
-
-    @pytest.mark.parametrize("case", ["cavity", "taylor-couette"])
+    @pytest.mark.parametrize("case", ["cavity"])
     def test_float32_path_matches_the_float64_path(self, case, monkeypatch):
-        # the benchmark cavity, and Couette at nodal degree 3 and 16 spans,
-        # whose constant vorticity and zero pressure differ from their exact
-        # values by rounding noise only: that noise is bounded at 1e-11, as in
-        # the benchmark's reference checks
-        system = _lid_cavity() if case == "cavity" else _couette()
-        noise = {"omega", "p"} if case == "taylor-couette" else set()
+        # the benchmark cavity
+        system = _lid_cavity()
         sol = solve(system)
         stats = sol.stats
         assert stats["precision"] == "float32" and stats["refine_error"] <= 2.0**-52
@@ -1283,70 +1256,32 @@ class TestSingleFactor:
         assert want.stats["precision"] == "float64"
         for name in ("omega", "u", "p"):
             got, ref = getattr(sol, name), getattr(want, name)
-            bound = 1e-11 if name in noise else 1e-12 * np.abs(ref).max()
-            assert np.abs(got - ref).max() <= bound, name
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
         DD = system.D21 @ system.D10
         assert DD.dtype.kind == "i" and DD.count_nonzero() == 0
-        for patch in range(len(system.spaces)):
-            assert np.abs(sol.divergence_cochain(patch)).max() <= 1e-15
+        assert np.abs(sol.divergence_cochain()).max() <= 1e-15
 
-    @pytest.mark.parametrize("case", ["ladders-size", "degree-above-ceiling"])
+    @pytest.mark.parametrize("case", ["ladders-size", "degree-above-ceiling", "glued"])
     def test_float64_path_where_float32_cannot_pay(self, case, monkeypatch):
         # a K below the size constant (nodal degree 4 at 16 spans, the largest
-        # ladder level), and one above it at nodal degree 11 (CLI degree 10)
+        # ladder level), one above it at nodal degree 11 (CLI degree 10), and
+        # Couette at nodal degree 3 and 16 spans, glued and above the size
+        # constant: each K is factored once, in float64, with no float32 attempt
         if case == "ladders-size":
             system = assemble_vvp(make_spaces(4, 16), curved_square_patch(), forcing=EXACT["forcing"])
             apply_strong_normal_velocity(system, EXACT["velocity"])
             apply_weak_tangential_velocity(system, EXACT["velocity"])
         else:
-            system = _lid_cavity(p_nodal=11, spans=16)
-        copies = count_calls(monkeypatch, assembly, "_single_copy")
+            system = _lid_cavity(p_nodal=11, spans=16) if case == "degree-above-ceiling" else _couette()
+        _, band_factors = recorded_band(monkeypatch)
+        calls = recorded_splu(monkeypatch)
         sol = solve(system)
-        assert copies == []  # no float32 attempt
+        assert band_factors == []
+        assert [dtype for _, dtype in calls] == [np.float64, np.float64]  # L, then K
         assert (factored_nnz(sol.stats) >= assembly._SINGLE_MIN_NNZ) == (case != "ladders-size")
         assert {key: sol.stats[key] for key in ("precision", "zeroed", "refine_steps")} == {
             "precision": "float64", "zeroed": 0, "refine_steps": 1}
-        want = float64_solve(system, monkeypatch)
-        for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
-            npt.assert_array_equal(got, ref)
-
-    def test_fallback_frees_the_float32_factor_before_the_float64_factor(self, monkeypatch):
-        # Couette at nodal degree 3 and 16 spans, whose float32 factor is
-        # SuperLU's; no refinement step allowed: the first float32 solve is
-        # far from float64 rounding, so the solve falls back
-        system = _couette()
-        original_copy, original_splu = assembly._single_copy, spla.splu
-        singles, factors, alive_at_float64 = [], [], []
-
-        class Factor:  # SuperLU objects take no weak reference
-            def __init__(self, lu):
-                self.lu = lu
-
-            def __getattr__(self, name):
-                return getattr(self.lu, name)
-
-        def copied(K, vorticity):
-            single, zeroed, norms = original_copy(K, vorticity)
-            singles.extend((weakref.ref(single), weakref.ref(single.data)))
-            return single, zeroed, norms
-
-        def splu(matrix, *args, **kwargs):
-            if matrix.dtype == np.float64 and singles:  # the float64 factor of K
-                alive_at_float64.append(sum(ref() is not None for ref in singles + factors))
-            lu = Factor(original_splu(matrix, *args, **kwargs))
-            if matrix.dtype == np.float32:
-                factors.append(weakref.ref(lu))
-            return lu
-
-        monkeypatch.setattr(assembly, "_MAX_REFINE_STEPS", 0)
-        monkeypatch.setattr(assembly, "_single_copy", copied)
-        monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu, spilu=spla.spilu))
-        sol = solve(system)
-        assert len(singles) == 2 and len(factors) == 1
-        assert alive_at_float64 == [0]
-        assert sol.stats["precision"] == "float64" and sol.stats["float32_fallback_s"] > 0.0
-        # the float64 path's own error, at its rounding floor on Couette (3.5e-16)
-        assert 0.0 < sol.stats["refine_error"] <= 2.0**-50
+        assert "float32_fallback_s" not in sol.stats
         monkeypatch.undo()
         want = float64_solve(system, monkeypatch)
         for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
@@ -1384,13 +1319,6 @@ BAND_CASES = {
     # top one the border's single stream unknown
     "channel": lambda: _manufactured_band_case(unit_square_patch(), ((0, "bottom"), (0, "top"))),
 }
-
-
-def superlu_solve(system, monkeypatch):
-    """``solve`` with no band path: a float32 ``K`` goes to SuperLU in the node-paired order."""
-    with monkeypatch.context() as patched:
-        patched.setattr(assembly, "_BAND_MAX_WIDTH", {})
-        return solve(system)
 
 
 def recorded_band(monkeypatch):
@@ -1481,8 +1409,8 @@ class TestBandFactor:
         border = band["pos"].size - band["n_band"]
         assert border == (1 if case == "channel" else 0)
         assert band["border"].shape[1] == border
-        want = superlu_solve(system, monkeypatch)
-        assert want.stats["precision"] == "float32" and "order" in want.stats["factors"]
+        want = float64_solve(system, monkeypatch)
+        assert want.stats["precision"] == "float64" and "order" in want.stats["factors"]
         for name in ("omega", "u", "p"):
             got, ref = getattr(sol, name), getattr(want, name)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
@@ -1490,17 +1418,18 @@ class TestBandFactor:
 
     def test_singular_band_factor_falls_back_to_the_float64_path(self, monkeypatch):
         # on the cavity scaled by 1e-6 the zeroing rule empties the M0 block:
-        # sgbtrf reports a zero pivot, and the float64 SuperLU path runs
-        # without a float32 SuperLU attempt, to its own error
+        # sgbtrf reports a zero pivot, and K is factored once more, by the
+        # float64 SuperLU path, which runs to its own error
         system = _lid_cavity(length=1e-6)
         with pytest.raises(SingularSystemError) as want:
             float64_solve(system, monkeypatch)
         bands, factors = recorded_band(monkeypatch)
-        copies = count_calls(monkeypatch, assembly, "_single_copy")
+        calls = recorded_splu(monkeypatch)
         with pytest.raises(SingularSystemError) as got:
             solve(system)
         assert len(bands) == 1 and [f["info"] > 0 for f in factors] == [True]
-        assert copies == []
+        n = bands[0]["pos"].size
+        assert [dtype for shape, dtype in calls if shape == (n, n)] == [np.float64]
         assert str(got.value) == str(want.value)
 
     def test_fallback_frees_the_band_before_the_float64_factor(self, monkeypatch):
@@ -1532,9 +1461,8 @@ class TestBandFactor:
     @pytest.mark.parametrize("case", ["glued", "float64-size", "degree-above-ceiling",
                                       "outside-the-band-rule"])
     def test_no_band_factor(self, case, monkeypatch):
-        # Couette (float32, but glued), a K below the size constant, one at
-        # nodal degree 11 (float64) and one at nodal degree 7, which the band
-        # rule leaves to SuperLU's float32 factor
+        # Couette (glued), a K below the size constant, one at nodal degree 11
+        # and one at nodal degree 7, outside the band rule: all go to float64
         system = {
             "glued": _couette,
             "float64-size": lambda: _lid_cavity(p_nodal=4, spans=16),
@@ -1545,15 +1473,13 @@ class TestBandFactor:
         sol = solve(system)
         assert factors == []
         assert "half_bandwidth" not in sol.stats["factors"]["K"]
-        precision = "float64" if case in ("float64-size", "degree-above-ceiling") else "float32"
-        assert sol.stats["precision"] == precision
+        assert sol.stats["precision"] == "float64"
 
-    @pytest.mark.parametrize("case", ["band", "superlu-float32", "float64"])
+    @pytest.mark.parametrize("case", ["band", "float64"])
     def test_every_solve_factors_L_through_splu(self, case, monkeypatch):
         # the benchmark tracer times the factor and the solves of L through
         # spla.splu, whichever path K's solve takes
-        system = {"band": _lid_cavity, "superlu-float32": _couette,
-                  "float64": SOLVE_CASES["curved-square"]}[case]()
+        system = {"band": _lid_cavity, "float64": SOLVE_CASES["curved-square"]}[case]()
         original_splu = spla.splu
         calls = []
 
