@@ -101,17 +101,15 @@ _SIDE_SIGN = {"bottom": 1.0, "right": 1.0, "top": -1.0, "left": -1.0}
 
 # K, the vorticity-stream system of one unglued patch, is factored as a
 # float32 band LU (``_solve_band``) and its solution refined against the
-# float64 blocks (``_refine``) where K stores at least _SINGLE_MIN_NNZ
-# entries, the nodal degree is a key of _BAND_MAX_WIDTH and the
-# half-bandwidth at most its value: there band refinement took at most 6
-# steps (README has the tables).  Refinement takes at most
-# _MAX_REFINE_STEPS steps; an entry below _NEGLIGIBLE * sqrt(max|col i|
-# max|col j|) is set to 0 in the band.  Every other K is factored in
-# float64 by SuperLU.
-_SINGLE_MIN_NNZ = 100_000
+# float64 blocks (``_refine``) where the nodal degree is a key of
+# _BAND_MAX_WIDTH and the half-bandwidth at most its value: there the band
+# beat the float64 path and took at most 6 refinement steps (README has the
+# table).  Refinement takes at most _MAX_REFINE_STEPS steps; an entry below
+# _NEGLIGIBLE * sqrt(max|col i| max|col j|) is set to 0 in the band.  Every
+# other K is factored in float64 by SuperLU.
 _MAX_REFINE_STEPS = 8
 _NEGLIGIBLE = 1e-12
-_BAND_MAX_WIDTH = {2: 330, 3: 500, 4: 550, 5: 460, 6: 320}
+_BAND_MAX_WIDTH = {2: 330, 3: 790, 4: 610, 5: 490, 6: 340}
 
 
 def _check_n_quad(n_quad):
@@ -1091,17 +1089,13 @@ def _solve_band(M0, B, group, rhs, degree: int, factors: dict, rss: dict):
     ``E`` are eliminated through the dense Schur complement
     ``E^T A^{-1} E``.  ``x`` is refined against the float64 blocks ``M0``
     and ``B`` (``_refine``).  Returns None where the path does not apply:
-    ``K`` below ``_SINGLE_MIN_NNZ`` entries, an empty column, or a
-    half-bandwidth above ``_BAND_MAX_WIDTH[degree]``.  Else
-    ``(x, stats, norms)``, with ``x`` None where the factor is singular
+    an empty column, or a half-bandwidth above ``_BAND_MAX_WIDTH[degree]``.
+    Else ``(x, stats, norms)``, with ``x`` None where the factor is singular
     (``info > 0``) or refinement does not reach 2**-52.  ``factors["K"]``
     gets the band's entries (``nnz``), their ratio to the entries of
     ``K``, the half-bandwidth and the seconds.
     """
     n0, m = B.shape
-    nnz = M0.nnz + 2 * B.nnz
-    if nnz < _SINGLE_MIN_NNZ:
-        return None
     pos, n_band = _band_order(group, m)
     scan = _band_scan(M0, B, pos, n_band)
     if scan is None or scan[2] > _BAND_MAX_WIDTH[degree]:
@@ -1111,8 +1105,8 @@ def _solve_band(M0, B, group, rhs, degree: int, factors: dict, rss: dict):
     ab, border, zeroed = _band_storage(M0, B, pos, n_band, kl, root)
     rss["factor"] = _peak_rss_mb()
     lu, ipiv, info = scipy.linalg.lapack.sgbtrf(ab, kl, kl, overwrite_ab=1)
-    factors["K"] = {"nnz": ab.size, "fill_ratio": ab.size / nnz, "half_bandwidth": kl,
-                    "seconds": time.perf_counter() - start}
+    factors["K"] = {"nnz": ab.size, "fill_ratio": ab.size / (M0.nnz + 2 * B.nnz),
+                    "half_bandwidth": kl, "seconds": time.perf_counter() - start}
     if info > 0:
         return None, None, norms
     if border.size:  # E^T A^{-1} E, inverted
@@ -1147,24 +1141,21 @@ def _solve_vorticity_stream(system, Wt, Z, group, n_groups: int, rhs, degree: in
     """``(omega, y)`` solving ``K``, SuperLU's factor of ``K`` (None for a band) and the stats.
 
     ``K = [[-M0, B], [B^T, 0]]`` with ``B = Wt Z``.  On one unglued patch
-    within the band rule, a float32 band LU in the patch's tensor order
-    (``_solve_band``) is tried first.  Everywhere else, and after a failed
-    band attempt, ``K`` is built in the node-paired order
-    (``_node_paired_positions``, ``_node_paired_matrix``) and factored by
-    SuperLU in float64: one solve and one refinement step.  The stats are
-    ``precision``, ``zeroed`` (entries set to 0 in the band),
-    ``refine_steps``, ``refine_error`` (the final block-wise backward
-    error; None on the float64 path without a band attempt, which runs no
-    stopping test) and, after a failed band attempt,
-    ``float32_fallback_s`` (its seconds).  ``rss["factor"]`` is the peak
-    RSS right before the last factor of ``K``.
+    whose nodal degree and half-bandwidth are within ``_BAND_MAX_WIDTH``, a
+    float32 band LU in the patch's tensor order (``_solve_band``) is tried
+    first.  Everywhere else, and after a failed band attempt, ``K`` is built
+    in the node-paired order (``_node_paired_positions``,
+    ``_node_paired_matrix``) and factored by SuperLU in float64: one solve
+    and one refinement step.  The stats are ``precision``, ``zeroed``
+    (entries set to 0 in the band), ``refine_steps``, ``refine_error`` (the
+    final block-wise backward error; None on the float64 path without a
+    band attempt, which runs no stopping test) and, after a failed band
+    attempt, ``float32_fallback_s`` (its seconds).  ``rss["factor"]`` is
+    the peak RSS right before the last factor of ``K``.
     """
     M0, n0 = system.M0, system.n0
     fallback = None
-    if (len(system.spaces) == 1 and n0 == system.spaces[0][0].dim
-            and degree in _BAND_MAX_WIDTH and 3 * M0.nnz >= _SINGLE_MIN_NNZ):
-        # a column of B sums the stiffness columns, in M0's pattern, of the
-        # nodes of one group, so K stores at most 3 nnz(M0) entries
+    if len(system.spaces) == 1 and n0 == system.spaces[0][0].dim and degree in _BAND_MAX_WIDTH:
         start = time.perf_counter()
         band = _solve_band(M0, (Wt @ Z).tocsr(), group, rhs, degree, factors, rss)
         if band is not None:
@@ -1214,8 +1205,9 @@ def solve(system: SaddleSystem) -> Solution:
     (``_solve_vorticity_stream``).  On one unglued patch within the band
     rule, its band part in the patch's tensor order is written straight
     from ``M0`` and ``B = A_wu Z`` into float32 LAPACK band storage and
-    factored by ``sgbtrf`` (``_solve_band``).  Otherwise, and where the
-    band fails, it is permuted once into a node-paired order (the
+    factored by ``sgbtrf`` (``_solve_band``).  Otherwise (glued patches, a
+    nodal degree or half-bandwidth outside that rule), and where the band
+    fails, it is permuted once into a node-paired order (the
     minimum-degree order of the nodes, each stream unknown right after the
     last node of its group) and factored in float64 by SuperLU along that
     order with diagonal pivots: every zero
@@ -1280,8 +1272,9 @@ def solve(system: SaddleSystem) -> Solution:
     rhs = np.concatenate((system.rhs[:n0] / nu - Wt @ u0, Z.T @ f_u / nu))
     degree = max(b.degree for triple in system.spaces for b in triple[0].nodal_bases)
     rss = {"before": rss_before}
-    # SuperLU's factor of K, if any, lives to the end: freed on return, it
-    # raised the peak RSS of the ladders and Couette benchmarks by 0.5-0.7%
+    # SuperLU's factor of K (glued patches, one patch outside the band rule,
+    # a failed band), if any, lives to the end: freed on return, it raised
+    # the peak RSS of the Couette benchmark by 0.7%
     x, lu_K, solve_stats = _solve_vorticity_stream(system, Wt, Z, group, n_groups, rhs, degree,
                                                    factors, rss)
     omega = x[:n0]

@@ -43,7 +43,7 @@ from splineforms.geometry import (
     mass_metric,
     unit_square_patch,
 )
-from splineforms.harness import _bases, manufactured_fields
+from splineforms.harness import CaseConfig, _bases, _geometry, _solve_level, manufactured_fields
 from splineforms.spaces import DiscreteForm, DiscreteFormSpace, vvp_spaces
 from splineforms.splines import Basis1D, EdgeBasis1D, KnotVector, stored_window, uniform_open_knots
 from splineforms.projection import build_histopolation, greville_edges, greville_reduction
@@ -845,8 +845,8 @@ def mixed_reference(system):
     return x[:n0], x[n0 : n0 + n1], x[n0 + n1 : n0 + n1 + n2]
 
 
-def _manufactured_case(patch, normal_sides=None, nu=1.0):
-    system = assemble_vvp(make_spaces(3, 6), patch, nu=nu, normal_sides=normal_sides,
+def _manufactured_case(patch, normal_sides=None, nu=1.0, p_nodal=3, spans=6):
+    system = assemble_vvp(make_spaces(p_nodal, spans), patch, nu=nu, normal_sides=normal_sides,
                           forcing=EXACT["forcing"])
     apply_strong_normal_velocity(system, EXACT["velocity"])
     apply_weak_tangential_velocity(system, EXACT["velocity"])
@@ -884,14 +884,23 @@ SOLVE_CASES = {
 }
 
 
-def _self_glued_case():
-    system = assemble_vvp([vvp_spaces(_bases(3, 8))], build_self_glued_annulus())
+def _self_glued_case(p_nodal=3, spans=8):
+    system = assemble_vvp([vvp_spaces(_bases(p_nodal, spans))], build_self_glued_annulus())
     apply_strong_normal_velocity(system)
     apply_weak_tangential_velocity(system, {(0, "left"): lambda x, y: (-y, x)})
     return system
 
 
 ORACLE_CASES = {**SOLVE_CASES, "self-glued-annulus": _self_glued_case}
+# the one-patch cases at nodal degree 8, where the band does not apply, so that
+# K takes SuperLU's node-paired path as the glued cases do at any degree
+SUPERLU_CASES = {
+    **ORACLE_CASES,
+    "unit-square": lambda: _manufactured_case(unit_square_patch(), p_nodal=8, spans=2),
+    "curved-square": lambda: _manufactured_case(curved_square_patch(), p_nodal=8, spans=2),
+    "top-side-free": lambda: _manufactured_case(
+        unit_square_patch(), ((0, "left"), (0, "right"), (0, "bottom")), p_nodal=8, spans=2),
+}
 
 
 def node_graph_groups(D10, cells):
@@ -930,7 +939,7 @@ class TestIndexArithmeticOracles:
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_paired_matrix_matches_the_stacked_construction(self, case, monkeypatch):
-        system = ORACLE_CASES[case]()
+        system = SUPERLU_CASES[case]()
         built = []
         original = assembly._node_paired_matrix
 
@@ -952,7 +961,7 @@ class TestIndexArithmeticOracles:
     def test_B_is_freed_before_K_is_transposed(self, case, monkeypatch):
         # B = Wt Z and its other format, with their arrays, are dead when the
         # CSR -> CSC transposition of K starts
-        system = ORACLE_CASES[case]()
+        system = SUPERLU_CASES[case]()
         original = assembly._node_paired_matrix
         shapes, refs, alive_at_transpose = {}, [], []  # shapes of B and K inside the build
 
@@ -1030,7 +1039,7 @@ class TestSubspaceSolve:
         monkeypatch.setattr(assembly, "_factor", recorded)
         monkeypatch.setattr(spla, "spilu", recorded_ilu)
         monkeypatch.setattr(spla, "splu", recorded_lu)
-        solve(SOLVE_CASES[case]())
+        solve(SUPERLU_CASES[case]())
         # M2 goes to its banded Cholesky, not to SuperLU
         assert [what for what, _ in factors] == [
             "2-cell Laplacian", "vorticity mass matrix", "vorticity-stream system"]
@@ -1177,11 +1186,11 @@ class TestSubspaceSolve:
         assert set(rss) == {"before", "factor", "after"}
         assert 0.0 < rss["before"] <= rss["factor"] <= rss["after"]
 
-    def test_stats_of_factors_residual_and_conditioning(self):
+    def test_stats_of_factors_residual_and_conditioning(self, monkeypatch):
         zero_normal = solve(_annulus_case()).stats
         assert zero_normal["histopolation_cond"] is None  # zero data needs no histopolation
         system = _manufactured_case(curved_square_patch())
-        sol = solve(system)
+        sol = float64_solve(system, monkeypatch)  # the band path reads no order
         stats = sol.stats
         assert set(stats["factors"]) == {"L", "order", "K", "M2"}
         # the order is read off an incomplete factorization: only its time is kept
@@ -1217,15 +1226,10 @@ def _couette(spans=16):
 
 
 def float64_solve(system, monkeypatch):
-    """``solve`` on the float64 path: no K is large enough for the band."""
+    """``solve`` on the float64 path: no nodal degree is inside the band rule."""
     with monkeypatch.context() as patched:
-        patched.setattr(assembly, "_SINGLE_MIN_NNZ", np.inf)
+        patched.setattr(assembly, "_BAND_MAX_WIDTH", {})
         return solve(system)
-
-
-def factored_nnz(stats):
-    """Stored entries of K, read off its factor's stats."""
-    return round(stats["factors"]["K"]["nnz"] / stats["factors"]["K"]["fill_ratio"])
 
 
 def recorded_splu(monkeypatch):
@@ -1251,7 +1255,6 @@ class TestSingleFactor:
         stats = sol.stats
         assert stats["precision"] == "float32" and stats["refine_error"] <= 2.0**-52
         assert 1 <= stats["refine_steps"] <= assembly._MAX_REFINE_STEPS
-        assert factored_nnz(stats) >= assembly._SINGLE_MIN_NNZ
         want = float64_solve(system, monkeypatch)
         assert want.stats["precision"] == "float64"
         for name in ("omega", "u", "p"):
@@ -1263,22 +1266,21 @@ class TestSingleFactor:
 
     @pytest.mark.parametrize("case", ["ladders-size", "degree-above-ceiling", "glued"])
     def test_float64_path_where_float32_cannot_pay(self, case, monkeypatch):
-        # a K below the size constant (nodal degree 4 at 16 spans, the largest
-        # ladder level), one above it at nodal degree 11 (CLI degree 10), and
-        # Couette at nodal degree 3 and 16 spans, glued and above the size
-        # constant: each K is factored once, in float64, with no float32 attempt
-        if case == "ladders-size":
-            system = assemble_vvp(make_spaces(4, 16), curved_square_patch(), forcing=EXACT["forcing"])
-            apply_strong_normal_velocity(system, EXACT["velocity"])
-            apply_weak_tangential_velocity(system, EXACT["velocity"])
-        else:
-            system = _lid_cavity(p_nodal=11, spans=16) if case == "degree-above-ceiling" else _couette()
+        # the self-glued one-patch annulus at the largest ladder level's
+        # degree and spans (nodal degree 4, 16 spans), the cavity at nodal
+        # degree 11 (CLI degree 10), where band refinement stalls, and Couette
+        # at nodal degree 3 and 16 spans, glued: each K is factored once, in
+        # float64, with no float32 attempt
+        system = {
+            "ladders-size": lambda: _self_glued_case(p_nodal=4, spans=16),
+            "degree-above-ceiling": lambda: _lid_cavity(p_nodal=11, spans=16),
+            "glued": _couette,
+        }[case]()
         _, band_factors = recorded_band(monkeypatch)
         calls = recorded_splu(monkeypatch)
         sol = solve(system)
         assert band_factors == []
         assert [dtype for _, dtype in calls] == [np.float64, np.float64]  # L, then K
-        assert (factored_nnz(sol.stats) >= assembly._SINGLE_MIN_NNZ) == (case != "ladders-size")
         assert {key: sol.stats[key] for key in ("precision", "zeroed", "refine_steps")} == {
             "precision": "float64", "zeroed": 0, "refine_steps": 1}
         assert "float32_fallback_s" not in sol.stats
@@ -1416,6 +1418,26 @@ class TestBandFactor:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
         assert np.abs(sol.divergence_cochain()).max() <= 1e-15
 
+    @pytest.mark.parametrize("spans", [4, 8, 16])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("geometry", ["unit-square", "curved-square"])
+    def test_every_ladder_level_takes_the_band(self, geometry, degree, spans, monkeypatch):
+        # the levels of the ladders benchmark, as its runner builds them (nodal
+        # degree 2-4, half-bandwidth 25-161): the band, within the 6 refinement
+        # steps the rule was measured at, and the float64 path's fields
+        config = CaseConfig(case="manufactured", degree=degree, geometry=geometry)
+        _, system, sol, _ = _solve_level(config, _geometry(config), spans, EXACT["velocity"],
+                                         EXACT["velocity"], EXACT["forcing"])
+        stats = sol.stats
+        assert stats["precision"] == "float32" and "float32_fallback_s" not in stats
+        assert 1 <= stats["refine_steps"] <= 6 and stats["refine_error"] <= 2.0**-52
+        assert stats["factors"]["K"]["half_bandwidth"] <= assembly._BAND_MAX_WIDTH[degree + 1]
+        want = float64_solve(system, monkeypatch)
+        assert want.stats["precision"] == "float64"
+        for name in ("omega", "u", "p"):
+            got, ref = getattr(sol, name), getattr(want, name)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
     def test_singular_band_factor_falls_back_to_the_float64_path(self, monkeypatch):
         # on the cavity scaled by 1e-6 the zeroing rule empties the M0 block:
         # sgbtrf reports a zero pivot, and K is factored once more, by the
@@ -1461,11 +1483,12 @@ class TestBandFactor:
     @pytest.mark.parametrize("case", ["glued", "float64-size", "degree-above-ceiling",
                                       "outside-the-band-rule"])
     def test_no_band_factor(self, case, monkeypatch):
-        # Couette (glued), a K below the size constant, one at nodal degree 11
+        # Couette (glued), a band wider than the rule's at its degree (nodal
+        # degree 6 at 28 spans: half-bandwidth 409), a K at nodal degree 11
         # and one at nodal degree 7, outside the band rule: all go to float64
         system = {
             "glued": _couette,
-            "float64-size": lambda: _lid_cavity(p_nodal=4, spans=16),
+            "float64-size": lambda: _lid_cavity(p_nodal=6, spans=28),
             "degree-above-ceiling": lambda: _lid_cavity(p_nodal=11, spans=16),
             "outside-the-band-rule": lambda: _lid_cavity(p_nodal=7, spans=12),
         }[case]()
@@ -1479,7 +1502,7 @@ class TestBandFactor:
     def test_every_solve_factors_L_through_splu(self, case, monkeypatch):
         # the benchmark tracer times the factor and the solves of L through
         # spla.splu, whichever path K's solve takes
-        system = {"band": _lid_cavity, "float64": SOLVE_CASES["curved-square"]}[case]()
+        system = {"band": _lid_cavity, "float64": SUPERLU_CASES["curved-square"]}[case]()
         original_splu = spla.splu
         calls = []
 

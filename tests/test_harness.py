@@ -685,7 +685,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     def test_run_writes_stats_json(self, tmp_path):
-        proc = self.run_cli("run", "cavity", "--degree", "1", "--spans", "4", "--out",
+        proc = self.run_cli("run", "cavity", "--degree", "7", "--spans", "2", "--out",
                             str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         stats = json.loads((tmp_path / "stats.json").read_text())
@@ -696,7 +696,7 @@ class TestCli:
         assert isinstance(stats["minor_faults"], int) and stats["minor_faults"] >= 0
         assert {"dofs", "lu_nnz", "factors", "residual", "rss_mb", "precision", "zeroed",
                 "refine_steps", "refine_error"} <= stats["levels"][-1].keys()
-        assert stats["levels"][-1]["precision"] == "float64"  # a small K
+        assert stats["levels"][-1]["precision"] == "float64"  # nodal degree 8, outside the band rule
         rss = stats["levels"][-1]["rss_mb"]
         assert 0 < rss["before"] <= rss["factor"] <= rss["after"] <= stats["peak_rss_mb"]
         meta = (tmp_path / "run_metadata.txt").read_text()
