@@ -33,11 +33,13 @@ zero-mean multiplier row.  ``SaddleSystem.matrix`` assembles it when read;
 The solve does not factor the saddle system.  Because D21 D10 = 0 in
 integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
 construction, and only the symmetric (vorticity, y) system is factored,
-on one of two paths.  On one unglued patch within the band rule it is
-factored in float32 as a LAPACK band LU in the patch's tensor order,
-written straight from M0 and B = (M1 D10)^T Z, and refined against the
-float64 blocks; everywhere else, and where the band fails, it is factored
-in float64 by SuperLU with diagonal pivots along a node-paired order.
+on one of two paths, both reading B = (M1 D10)^T Z, formed once, and both
+placing each stream unknown right after the last node of its group.  On
+one unglued patch within the band rule it is factored in float32 as a
+LAPACK band LU in the patch's tensor order, written straight from M0 and
+B, and refined against the float64 blocks; everywhere else, and where the
+band fails, it is factored in float64 by SuperLU with diagonal pivots
+along the minimum-degree order of the nodes.
 Pressure and multiplier are recovered afterwards from the momentum and
 pressure rows through the integer 2-cell Laplacian and a banded Cholesky
 of each patch's block of the block-diagonal M2.  The residual of the
@@ -770,19 +772,15 @@ def _factor_banded(M2, blocks, factors: dict):
     return solve_M2
 
 
-def _node_paired_positions(M0, group, gauged, factors: dict) -> np.ndarray:
-    """Position of each (omega, y) unknown in the node-paired elimination order.
+def _mmd_order(M0, factors: dict) -> np.ndarray:
+    """Rank of each node in the minimum-degree order of the SPD vorticity mass matrix ``M0``.
 
-    The nodes follow the minimum-degree order of the SPD vorticity mass
-    matrix ``M0``, whose pattern is the node graph of every block of the
-    system; each stream unknown ``y_g`` comes right after the last node of
-    its group ``g``, so it is eliminated only once a coupled vorticity
-    pivot has made its diagonal nonzero.  The order is read off SuperLU's
-    incomplete factorization with ``drop_tol=inf``: the same column order
-    as the full one, which keeps almost no entries; its seconds go to
-    ``factors``.  ``M0`` is symmetric, so a CSR's arrays serve as its CSC.
+    ``M0``'s pattern is the node graph of every block of the system.  The
+    order is read off SuperLU's incomplete factorization with
+    ``drop_tol=inf``: the same column order as the full one, which keeps
+    almost no entries; its seconds go to ``factors``.  ``M0`` is
+    symmetric, so a CSR's arrays serve as its CSC.
     """
-    n0 = M0.shape[0]
     start = time.perf_counter()
     try:
         node_pos = spla.spilu(M0 if M0.format == "csc" else M0.T, drop_tol=np.inf,
@@ -792,30 +790,44 @@ def _node_paired_positions(M0, group, gauged, factors: dict) -> np.ndarray:
         raise SingularSystemError(
             f"factorization of the vorticity mass matrix failed: {exc}") from exc
     factors["order"] = {"seconds": time.perf_counter() - start}
+    return node_pos
+
+
+def _positions(node_pos, group, n_streams: int) -> np.ndarray:
+    """Position of each (omega, y) unknown of ``K``, the nodes ranked by ``node_pos``.
+
+    The stream unknown ``y_g`` of each group ``g > 0`` comes right after
+    the last node of its group, so it is eliminated only once a coupled
+    vorticity pivot has made its diagonal nonzero; the flux carriers, the
+    stream unknowns past ``group.max()``, come last.  SuperLU's path ranks
+    the nodes by ``_mmd_order``, the band by one patch's tensor numbering.
+    There a group of several nodes lies on the right and top sides (node
+    0's group carries the gauge), so it holds the last node, and its
+    stream unknown comes after every node: the border of ``_solve_band``.
+    """
+    n0 = group.size
     index = np.int32 if 2 * n0 < 2**31 else np.int64
     last = np.zeros(group.max() + 1, dtype=index)
     np.maximum.at(last, group, node_pos)
-    keys = np.concatenate((2 * node_pos, 2 * last[gauged] + 1))  # distinct, below 2 n0
+    keys = np.concatenate((2 * node_pos, 2 * last[1:] + 1))  # distinct, below 2 n0
     used = np.zeros(2 * n0, dtype=index)
     used[keys] = 1
-    return np.cumsum(used, dtype=index)[keys] - 1  # rank of each key
+    pos = np.cumsum(used, dtype=index)[keys] - 1  # rank of each key
+    return np.concatenate((pos, np.arange(pos.size, n0 + n_streams, dtype=index)))
 
 
-def _node_paired_matrix(M0, Wt, Z, pos) -> sp.csc_matrix:
-    """CSC of ``[[-M0, B], [B^T, 0]]`` with ``B = Wt Z``, row and column i at ``pos[i]``.
+def _node_paired_matrix(M0, B, pos) -> sp.csr_matrix:
+    """CSR of ``[[-M0, B], [B^T, 0]]``, row and column i at ``pos[i]``.
 
-    Every row is scattered straight into its place in CSR arrays, each
-    column index relabelled by ``pos``: row i of ``-M0`` and of ``B`` for a
-    node, column c of ``B`` (read off its CSC) for a stream unknown.
-    ``M0`` is symmetric, so its compressed arrays list its rows whatever
-    its format.  ``B`` is formed here and both its formats are dropped
-    once scattered, before the CSR -> CSC transpose, which then leaves
+    Every row is scattered straight into its place, each column index
+    relabelled by ``pos``: row i of ``-M0`` and of ``B`` for a node, column
+    c of ``B`` (read off its CSC) for a stream unknown.  ``M0`` is
+    symmetric, so its compressed arrays list its rows whatever its format.
+    The caller drops ``B`` before the CSR -> CSC transpose, which leaves
     every column sorted, with no sort pass.
     """
-    B = Wt @ Z
     n0, m = B.shape
     Br, Bc = B.tocsr(), B.tocsc()  # one of them is B itself
-    del B
     m0_counts = np.diff(M0.indptr)
     counts = np.concatenate((m0_counts + np.diff(Br.indptr), np.diff(Bc.indptr)))
     nnz = int(counts.sum())
@@ -834,8 +846,7 @@ def _node_paired_matrix(M0, Wt, Z, pos) -> sp.csc_matrix:
         dest += np.arange(ptr[-1], dtype=index)
         indices[dest] = labels[cols]
         data[dest] = vals
-    del Br, Bc, ptr, cols, vals, dest  # B's arrays go before the transpose allocates
-    return sp.csr_matrix((data, indices, indptr), shape=(n0 + m, n0 + m)).tocsc()
+    return sp.csr_matrix((data, indices, indptr), shape=(n0 + m, n0 + m))
 
 
 def _node_groups(D10, cells):
@@ -990,26 +1001,7 @@ def _row_chunks(A):
         yield rows, A.indices[lo:hi], A.data[lo:hi]
 
 
-def _band_order(group, n_streams: int):
-    """Band position of each (omega, y) unknown of one unglued patch, and the count in the band.
-
-    The nodes keep the patch's tensor numbering, a band order; the stream
-    unknown of a group of one node comes right after that node.  The
-    other stream unknowns (groups of several nodes joined by fixed cells,
-    each coupled to nodes along a whole side) come last, as a border.
-    """
-    n0 = group.size
-    own = (group > 0) & (np.bincount(group)[group] == 1)  # nodes with a stream unknown of their own
-    node_pos = np.arange(n0) + np.cumsum(own) - own
-    stream_pos = np.full(n_streams, -1)
-    stream_pos[group[own] - 1] = node_pos[own] + 1
-    n_band = n0 + np.count_nonzero(own)
-    border = stream_pos < 0
-    stream_pos[border] = n_band + np.arange(np.count_nonzero(border))
-    return np.concatenate((node_pos, stream_pos)), n_band
-
-
-def _band_scan(M0, B, pos, n_band: int):
+def _band_scan(M0, B, pos, n_band: int, max_width: int):
     """Roots of the zeroing rule per column of ``K``, its block norms and its band's half-bandwidth.
 
     ``K = [[-M0, B], [B^T, 0]]`` in the (omega, y) order, read from ``M0``
@@ -1017,29 +1009,32 @@ def _band_scan(M0, B, pos, n_band: int):
     ``sqrt(_NEGLIGIBLE max|col|)`` per column, the norms are
     ``(||M0||, ||B||, ||B^T||)`` (row sums of ``|K|``), and the
     half-bandwidth is the largest ``|pos_i - pos_j|`` of an entry in the
-    band part.  None where ``M0`` or ``K`` has an empty column.
+    band part.  None as soon as a chunk shows it above ``max_width``: a
+    band too wide in ``M0`` is rejected before ``B`` is read.
     """
     n0, m = B.shape
     node, stream = pos[:n0], pos[n0:]
-    if not (np.diff(M0.indptr).all() and np.bincount(B.indices, minlength=m).all()):
-        return None
     colmax = np.zeros(n0 + m)
     m0_sums, b_rows, b_cols = np.zeros(n0), np.zeros(n0), np.zeros(m)
     width = 0
     for rows, cols, vals in _row_chunks(M0):
+        width = max(width, int(np.abs(node[rows] - node[cols]).max()))
+        if width > max_width:
+            return None
         size = np.abs(vals)
         np.maximum.at(colmax, rows, size)  # M0 is symmetric: row maxima are column maxima
         m0_sums += np.bincount(rows, size, n0)
-        width = max(width, int(np.abs(node[rows] - node[cols]).max()))
     for rows, cols, vals in _row_chunks(B):
+        j = stream[cols]
+        band = j < n_band
+        width = max(width, int(np.abs(node[rows[band]] - j[band]).max(initial=0)))
+        if width > max_width:
+            return None
         size = np.abs(vals)
         np.maximum.at(colmax, rows, size)
         np.maximum.at(colmax, n0 + cols, size)
         b_rows += np.bincount(rows, size, n0)
         b_cols += np.bincount(cols, size, m)
-        j = stream[cols]
-        band = j < n_band
-        width = max(width, int(np.abs(node[rows[band]] - j[band]).max(initial=0)))
     norms = (m0_sums.max(), b_rows.max(), b_cols.max(initial=0.0))
     return np.sqrt(_NEGLIGIBLE * colmax), norms, width
 
@@ -1055,7 +1050,7 @@ def _band_storage(M0, B, pos, n_band: int, kl: int, root):
     rule calls it negligible (``root`` from ``_band_scan``).
     """
     n0 = M0.shape[0]
-    node, stream = pos[:n0], pos[n0:]
+    node, stream = np.split(pos.astype(np.intp, copy=False), [n0])  # ldab * j wraps in int32
     ldab = 3 * kl + 1
     ab = np.zeros((n_band, ldab), dtype=np.float32).T
     flat = ab.T.reshape(-1)  # a view: column j of ab at ldab * j
@@ -1083,22 +1078,25 @@ def _band_storage(M0, B, pos, n_band: int, kl: int, root):
 def _solve_band(M0, B, group, rhs, degree: int, factors: dict, rss: dict):
     """``x`` with ``K x = rhs`` through a float32 band LU of one unglued patch's ``K``.
 
-    ``K = [[-M0, B], [B^T, 0]]`` in the (omega, y) order, never built: its
-    band part ``A`` in the tensor order of ``_band_order`` goes to LAPACK
-    band storage (``_band_storage``) and ``sgbtrf``; the border columns
-    ``E`` are eliminated through the dense Schur complement
-    ``E^T A^{-1} E``.  ``x`` is refined against the float64 blocks ``M0``
-    and ``B`` (``_refine``).  Returns None where the path does not apply:
-    an empty column, or a half-bandwidth above ``_BAND_MAX_WIDTH[degree]``.
-    Else ``(x, stats, norms)``, with ``x`` None where the factor is singular
-    (``info > 0``) or refinement does not reach 2**-52.  ``factors["K"]``
-    gets the band's entries (``nnz``), their ratio to the entries of
-    ``K``, the half-bandwidth and the seconds.
+    ``K = [[-M0, B], [B^T, 0]]`` in the (omega, y) order, never built, is
+    placed by ``_positions`` in the patch's tensor numbering: its band part
+    ``A`` (the nodes and the stream unknowns of one-node groups) goes to
+    LAPACK band storage (``_band_storage``) and ``sgbtrf``; the border
+    columns ``E`` (the stream unknowns of groups of several nodes) are
+    eliminated through the dense Schur complement ``E^T A^{-1} E``.  ``x``
+    is refined against the float64 blocks ``M0`` and ``B`` (``_refine``).
+    Returns None where the half-bandwidth is above
+    ``_BAND_MAX_WIDTH[degree]`` (``_band_scan``).  Else ``(x, stats,
+    norms)``, with ``x`` None where the factor is singular (``info > 0``)
+    or refinement does not reach 2**-52.  ``factors["K"]`` gets the band's
+    entries (``nnz``), their ratio to the entries of ``K``, the
+    half-bandwidth and the seconds.
     """
     n0, m = B.shape
-    pos, n_band = _band_order(group, m)
-    scan = _band_scan(M0, B, pos, n_band)
-    if scan is None or scan[2] > _BAND_MAX_WIDTH[degree]:
+    pos = _positions(np.arange(n0), group, m)
+    n_band = n0 + int(np.count_nonzero(np.bincount(group)[1:] == 1))
+    scan = _band_scan(M0, B, pos, n_band, _BAND_MAX_WIDTH[degree])
+    if scan is None:
         return None
     root, norms, kl = scan
     start = time.perf_counter()
@@ -1136,17 +1134,18 @@ def _solve_band(M0, B, group, rhs, degree: int, factors: dict, rss: dict):
                "refine_error": eta}, norms
 
 
-def _solve_vorticity_stream(system, Wt, Z, group, n_groups: int, rhs, degree: int, factors: dict,
-                            rss: dict):
+def _solve_vorticity_stream(system, Wt, Z, group, rhs, degree: int, factors: dict, rss: dict):
     """``(omega, y)`` solving ``K``, SuperLU's factor of ``K`` (None for a band) and the stats.
 
-    ``K = [[-M0, B], [B^T, 0]]`` with ``B = Wt Z``.  On one unglued patch
+    ``K = [[-M0, B], [B^T, 0]]`` with ``B = Wt Z``, formed once here in the
+    product's format for whichever factor runs.  On one unglued patch
     whose nodal degree and half-bandwidth are within ``_BAND_MAX_WIDTH``, a
     float32 band LU in the patch's tensor order (``_solve_band``) is tried
     first.  Everywhere else, and after a failed band attempt, ``K`` is built
-    in the node-paired order (``_node_paired_positions``,
-    ``_node_paired_matrix``) and factored by SuperLU in float64: one solve
-    and one refinement step.  The stats are ``precision``, ``zeroed``
+    in the node-paired order (``_positions`` of the nodes' ``_mmd_order``,
+    ``_node_paired_matrix``), ``B`` is dropped before the CSR -> CSC
+    transpose, and ``K`` is factored by SuperLU in float64: one solve and
+    one refinement step.  The stats are ``precision``, ``zeroed``
     (entries set to 0 in the band), ``refine_steps``, ``refine_error`` (the
     final block-wise backward error; None on the float64 path without a
     band attempt, which runs no stopping test) and, after a failed band
@@ -1154,18 +1153,20 @@ def _solve_vorticity_stream(system, Wt, Z, group, n_groups: int, rhs, degree: in
     the peak RSS right before the last factor of ``K``.
     """
     M0, n0 = system.M0, system.n0
+    B = Wt @ Z
     fallback = None
     if len(system.spaces) == 1 and n0 == system.spaces[0][0].dim and degree in _BAND_MAX_WIDTH:
         start = time.perf_counter()
-        band = _solve_band(M0, (Wt @ Z).tocsr(), group, rhs, degree, factors, rss)
+        band = _solve_band(M0, B.tocsr(), group, rhs, degree, factors, rss)  # one patch: B itself
         if band is not None:
             x, stats, norms = band
             if x is not None:
                 return x, None, stats
             fallback = norms, time.perf_counter() - start
-    pos = _node_paired_positions(M0, group, np.arange(1, n_groups), factors)
-    pos = np.concatenate((pos, np.arange(pos.size, n0 + Z.shape[1], dtype=pos.dtype)))
-    K = _node_paired_matrix(M0, Wt, Z, pos)  # flux carriers last
+    pos = _positions(_mmd_order(M0, factors), group, B.shape[1])
+    K = _node_paired_matrix(M0, B, pos)
+    del B  # its arrays go before the transpose allocates
+    K = K.tocsc()
     paired_rhs = np.empty_like(rhs)
     paired_rhs[pos] = rhs
     rss["factor"] = _peak_rss_mb()
@@ -1209,13 +1210,14 @@ def solve(system: SaddleSystem) -> Solution:
     nodal degree or half-bandwidth outside that rule), and where the band
     fails, it is permuted once into a node-paired order (the
     minimum-degree order of the nodes, each stream unknown right after the
-    last node of its group) and factored in float64 by SuperLU along that
+    last node of its group: the rule of ``_positions``, which also places
+    the band's unknowns) and factored in float64 by SuperLU along that
     order with diagonal pivots: every zero
     diagonal of the stream block is filled by a coupled vorticity pivot
     before it is reached.  Its compressed arrays are written in that order
     straight from ``M0``, ``B`` and the columns of ``B``
-    (``_node_paired_matrix``, which forms ``B`` and drops it before it
-    transposes ``K``); ``M0`` is read as it is, no copy.
+    (``_node_paired_matrix``; ``B`` is dropped before ``K`` is transposed);
+    ``M0`` is read as it is, no copy.
     Pressure is recovered afterwards from the free momentum rows
     ``D21_f^T (M2 p) = r`` through the same ``L`` and one banded Cholesky
     per patch block of ``M2`` (``_factor_banded``), shifted to zero sum
@@ -1275,8 +1277,7 @@ def solve(system: SaddleSystem) -> Solution:
     # SuperLU's factor of K (glued patches, one patch outside the band rule,
     # a failed band), if any, lives to the end: freed on return, it raised
     # the peak RSS of the Couette benchmark by 0.7%
-    x, lu_K, solve_stats = _solve_vorticity_stream(system, Wt, Z, group, n_groups, rhs, degree,
-                                                   factors, rss)
+    x, lu_K, solve_stats = _solve_vorticity_stream(system, Wt, Z, group, rhs, degree, factors, rss)
     omega = x[:n0]
     u = u0 + Z @ x[n0:]
 

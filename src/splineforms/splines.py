@@ -74,11 +74,6 @@ class KnotVector:
         self.breakpoints = np.unique(knots)  # distinct knot values (span boundaries)
         self.breakpoints.flags.writeable = False
         self.degree = p
-        # last span index whose interval is nonempty
-        i = self.num_basis - 1
-        while knots[i] == knots[i + 1]:
-            i -= 1
-        self._last_span = i
 
     @property
     def num_basis(self) -> int:
@@ -98,7 +93,8 @@ class KnotVector:
         if not np.all((lo <= x) & (x <= hi)):
             raise DomainError(f"point outside parametric domain [{lo}, {hi}]")
         spans = np.searchsorted(self.knots, x, side="right") - 1
-        return np.clip(spans, self.degree, self._last_span)
+        # span num_basis - 1 is nonempty: the constructor checks knots[-p-2] < knots[-1]
+        return np.clip(spans, self.degree, self.num_basis - 1)
 
     def __repr__(self):
         return f"KnotVector(degree={self.degree}, knots={self.knots.tolist()})"

@@ -1,6 +1,7 @@
 """Mass matrices, the mixed saddle system, boundary conditions and the solve."""
 
 import gc
+import itertools
 import weakref
 from types import SimpleNamespace
 
@@ -943,17 +944,19 @@ class TestIndexArithmeticOracles:
         built = []
         original = assembly._node_paired_matrix
 
-        def recorded(M0, Wt, Z, pos):
-            K = original(M0, Wt, Z, pos)
-            built.append((M0, Wt, Z, pos, K))
+        def recorded(M0, B, pos):
+            K = original(M0, B, pos)
+            built.append((M0, B, pos, K))
             return K
 
         monkeypatch.setattr(assembly, "_node_paired_matrix", recorded)
         solve(system)
-        (M0, Wt, Z, pos, got), = built
+        (M0, B, pos, got), = built
         assert M0 is system.M0  # taken as it is, no copy
-        want = stacked_paired_matrix(M0, Wt @ Z, pos)
-        assert got.format == "csc" and got.has_sorted_indices
+        want = stacked_paired_matrix(M0, B, pos)
+        assert got.format == "csr"
+        got = got.tocsc()  # the caller's transpose
+        assert got.has_sorted_indices
         for attr in ("indptr", "indices", "data"):
             npt.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
@@ -963,15 +966,12 @@ class TestIndexArithmeticOracles:
         # CSR -> CSC transposition of K starts
         system = SUPERLU_CASES[case]()
         original = assembly._node_paired_matrix
-        shapes, refs, alive_at_transpose = {}, [], []  # shapes of B and K inside the build
+        shapes, refs, alive_at_transpose = {}, [], []  # shapes of B and K until K's transposition
 
-        def recorded(M0, Wt, Z, pos):
-            n0, m = Wt.shape[0], Z.shape[1]
+        def recorded(M0, B, pos):
+            n0, m = B.shape
             shapes.update(B=(n0, m), K=(n0 + m, n0 + m))
-            try:
-                return original(M0, Wt, Z, pos)
-            finally:
-                shapes.clear()
+            return original(M0, B, pos)
 
         def watched(cls, name):
             convert = getattr(cls, name)
@@ -980,6 +980,7 @@ class TestIndexArithmeticOracles:
                 if shapes and self.shape == shapes["K"]:  # K's transposition
                     alive = sum(ref() is not None for ref in refs)
                     alive_at_transpose.append((cls.__name__, name, alive))
+                    shapes.clear()
                 out = convert(self, *args, **kwargs)
                 if shapes and self.shape == shapes["B"]:  # B, read in both formats
                     refs.extend(weakref.ref(obj) for matrix in (self, out)
@@ -1102,7 +1103,7 @@ class TestSubspaceSolve:
         group = rng.integers(0, 4, n0)
         group[0] = 0
         gauged = np.array([g for g in range(1, 4) if np.any(group == g)])
-        pos = assembly._node_paired_positions(-A_ww, group, gauged, {})
+        pos = assembly._positions(assembly._mmd_order(-A_ww, {}), group, gauged.size)
         npt.assert_array_equal(np.sort(pos), np.arange(n0 + gauged.size))
         perm_c = spla.splu(-A_ww, permc_spec="MMD_AT_PLUS_A").perm_c
         npt.assert_array_equal(np.argsort(pos[:n0]), np.argsort(perm_c))
@@ -1115,8 +1116,7 @@ class TestSubspaceSolve:
 
     def test_exactly_singular_order_raises(self):
         with pytest.raises(SingularSystemError):
-            assembly._node_paired_positions(sp.csc_matrix(np.ones((3, 3))), np.zeros(3, int),
-                                            np.zeros(0, int), {})
+            assembly._mmd_order(sp.csc_matrix(np.ones((3, 3))), {})
 
     @pytest.mark.parametrize("case", ["cavity", "couette", "curved-square"])
     def test_order_matches_the_full_factorization(self, case):
@@ -1130,8 +1130,7 @@ class TestSubspaceSolve:
                          options={"SymmetricMode": True}).perm_c
         factors = {}
         # with no stream unknowns the node-paired positions are the order itself
-        got = assembly._node_paired_positions(A, np.zeros(A.shape[0], int), np.zeros(0, int),
-                                              factors)
+        got = assembly._positions(assembly._mmd_order(A, factors), np.zeros(A.shape[0], int), 0)
         npt.assert_array_equal(got, want)
         assert set(factors["order"]) == {"seconds"}
 
@@ -1346,8 +1345,138 @@ def recorded_band(monkeypatch):
     return bands, factors
 
 
+def band_alive_at_the_float64_factor(monkeypatch):
+    """``recorded_band``'s lists, and per float64 factor of ``K`` the count of the first band,
+    its factor and its pivots still alive when that factor starts."""
+    bands, factors = recorded_band(monkeypatch)
+    original_splu = spla.splu
+    alive = []
+
+    def splu(matrix, *args, **kwargs):
+        if bands and matrix.shape[0] == bands[0]["pos"].size:  # the float64 factor of K
+            refs = [bands[0]["ab_ref"]] + [factors[0][k] for k in ("ab", "lu", "ipiv")]
+            alive.append(sum(ref() is not None for ref in refs))
+        return original_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu, spilu=spla.spilu))
+    return bands, factors, alive
+
+
+def band_order_oracle(group, n_streams: int):
+    """Test-only oracle: one unglued patch's band positions and band size, as once built.
+
+    The nodes keep the tensor numbering; the stream unknown of a group of
+    one node comes right after that node, the other stream unknowns last.
+    """
+    n0 = group.size
+    own = (group > 0) & (np.bincount(group)[group] == 1)
+    node_pos = np.arange(n0) + np.cumsum(own) - own
+    stream_pos = np.full(n_streams, -1)
+    stream_pos[group[own] - 1] = node_pos[own] + 1
+    n_band = n0 + np.count_nonzero(own)
+    border = stream_pos < 0
+    stream_pos[border] = n_band + np.arange(np.count_nonzero(border))
+    return np.concatenate((node_pos, stream_pos)), n_band
+
+
+def recorded_work(monkeypatch):
+    """The operand shapes of every product of two sparse matrices, the shape of every CSR <-> CSC
+    conversion and every matrix ``_row_chunks`` reads, in call order."""
+    products, conversions, chunked = [], [], []
+
+    def watched(cls, name, log):
+        method = getattr(cls, name)
+
+        def wrapped(self, *args, **kwargs):
+            if name != "__matmul__":
+                log.append(self.shape)
+            elif sp.issparse(args[0]):
+                log.append((self.shape, args[0].shape))
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapped)
+
+    for cls, other_format in ((sp.csr_matrix, "tocsc"), (sp.csc_matrix, "tocsr")):
+        watched(cls, "__matmul__", products)
+        watched(cls, other_format, conversions)
+    original_chunks = assembly._row_chunks
+
+    def row_chunks(A):
+        chunked.append(A)
+        return original_chunks(A)
+
+    monkeypatch.setattr(assembly, "_row_chunks", row_chunks)
+    return products, conversions, chunked
+
+
 class TestBandFactor:
     """One unglued patch's float32 K as a LAPACK band LU in its tensor order."""
+
+    @pytest.mark.parametrize("p_nodal", [3, 4])
+    @pytest.mark.parametrize("geometry", ["unit-square", "curved-square"])
+    def test_band_positions_match_the_tensor_order_oracle(self, geometry, p_nodal, monkeypatch):
+        # _positions in the tensor numbering places K's unknowns as the band's
+        # own order did, on every set of normal sides: a group of several
+        # nodes cannot hold node 0, so it holds the last node, and its stream
+        # unknown comes after every node, in the border
+        patch = {"unit-square": unit_square_patch, "curved-square": curved_square_patch}[geometry]
+        original_solve_band, original_scan = assembly._solve_band, assembly._band_scan
+        calls = []
+
+        def solve_band(M0, B, group, *args):
+            calls.append({"group": group, "m": B.shape[1]})
+            return original_solve_band(M0, B, group, *args)
+
+        def band_scan(M0, B, pos, n_band, max_width):
+            calls[-1].update(pos=pos, n_band=n_band)
+            return original_scan(M0, B, pos, n_band, max_width)
+
+        monkeypatch.setattr(assembly, "_solve_band", solve_band)
+        monkeypatch.setattr(assembly, "_band_scan", band_scan)
+        borders = set()
+        for size in range(1, 5):
+            for sides in itertools.combinations(("bottom", "right", "top", "left"), size):
+                system = _manufactured_case(patch(), [(0, side) for side in sides],
+                                            p_nodal=p_nodal, spans=4)
+                solve(system)
+                call = calls.pop()
+                want_pos, want_n_band = band_order_oracle(call["group"], call["m"])
+                npt.assert_array_equal(call["pos"], want_pos, err_msg=str(sides))
+                assert call["n_band"] == want_n_band, sides
+                borders.add(call["pos"].size - call["n_band"])
+        assert borders == {0, 1}  # some sets leave a stream group of several nodes, some none
+
+    @pytest.mark.parametrize("case", ["band", "float64", "fallback", "rejected", "glued"])
+    def test_each_path_forms_B_once(self, case, monkeypatch):
+        # B = Wt Z is one product per solve, handed to whichever factor runs;
+        # SuperLU reads B in its other format through one conversion; a band
+        # too wide in M0 (nodal degree 6, 28 spans: half-bandwidth 409 > 340)
+        # is rejected after reading M0 alone
+        system = {
+            "band": lambda: _lid_cavity(p_nodal=3, spans=8),
+            "float64": SUPERLU_CASES["curved-square"],
+            "fallback": _lid_cavity,
+            "rejected": lambda: _lid_cavity(p_nodal=6, spans=28),
+            "glued": lambda: _couette(spans=8),
+        }[case]()
+        if case == "fallback":  # no refinement step allowed
+            monkeypatch.setattr(assembly, "_MAX_REFINE_STEPS", 0)
+        products, conversions, chunked = recorded_work(monkeypatch)
+        sol = solve(system)
+        monkeypatch.undo()
+        n0, n1 = system.n0, system.n1
+        m = sol.stats["unknowns"] - n0
+        assert products.count(((n0, n1), (n1, m))) == 1
+        assert sol.stats["precision"] == ("float32" if case == "band" else "float64")
+        assert ("float32_fallback_s" in sol.stats) == (case == "fallback")
+        if case == "band":
+            assert [A is system.M0 for A in chunked] == [True, False, True, False]  # scan, storage
+        elif case == "rejected":
+            assert len(chunked) == 1 and chunked[0] is system.M0
+        elif case in ("float64", "glued"):
+            assert chunked == []
+        # SuperLU's K reads B's rows and its columns, one of them B itself
+        assert conversions.count((n0, m)) == (0 if case == "band" else 1)
 
     @pytest.mark.parametrize("case", ["cavity", "channel"])
     def test_band_storage_against_a_dense_oracle(self, case, monkeypatch):
@@ -1375,7 +1504,7 @@ class TestBandFactor:
             if matrix is B:
                 ab, border, zeroed = band["ab"], band["border"], band["zeroed"]
             else:
-                root, _, width = assembly._band_scan(M0, matrix, pos, n_band)
+                root, _, width = assembly._band_scan(M0, matrix, pos, n_band, kl)
                 assert width == kl
                 ab, border, zeroed = assembly._band_storage(M0, matrix, pos, n_band, kl, root)
                 assert zeroed > band["zeroed"]
@@ -1396,7 +1525,7 @@ class TestBandFactor:
         assert stats["nnz"] == band["ab"].size == sol.stats["lu_nnz"]
         assert stats["half_bandwidth"] == kl and stats["fill_ratio"] == band["ab"].size / K.nnz
         # and the block norms of the stopping rule
-        _, norms, _ = assembly._band_scan(M0, B, pos, n_band)
+        _, norms, _ = assembly._band_scan(M0, B, pos, n_band, kl)
         npt.assert_allclose(norms, [abs(A).sum(axis=1).max() for A in (M0, B, B.T)], rtol=1e-13)
 
     @pytest.mark.parametrize("case", sorted(BAND_CASES))
@@ -1458,18 +1587,8 @@ class TestBandFactor:
         # the cavity with no refinement step allowed: the band factor, its
         # pivots and the band are dead when the float64 factor of K starts
         system = _lid_cavity()
-        bands, factors = recorded_band(monkeypatch)
-        original_splu = spla.splu
-        alive_at_float64 = []
-
-        def splu(matrix, *args, **kwargs):
-            if bands and matrix.shape[0] == bands[0]["pos"].size:  # the float64 factor of K
-                refs = [bands[0]["ab_ref"]] + [factors[0][k] for k in ("ab", "lu", "ipiv")]
-                alive_at_float64.append(sum(ref() is not None for ref in refs))
-            return original_splu(matrix, *args, **kwargs)
-
+        bands, factors, alive_at_float64 = band_alive_at_the_float64_factor(monkeypatch)
         monkeypatch.setattr(assembly, "_MAX_REFINE_STEPS", 0)
-        monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu, spilu=spla.spilu))
         sol = solve(system)
         assert len(bands) == len(factors) == 1
         assert alive_at_float64 == [0]
@@ -1477,6 +1596,28 @@ class TestBandFactor:
         assert 0.0 < sol.stats["refine_error"] <= 2.0**-52  # of the float64 path
         monkeypatch.undo()
         want = float64_solve(system, monkeypatch)
+        for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
+            npt.assert_array_equal(got, ref)
+
+    def test_singular_schur_complement_falls_back_to_the_float64_path(self, monkeypatch):
+        # the channel's border holds the top wall's stream unknown; with its
+        # Schur complement reported singular, K goes to the float64 path once
+        # the band, its factor and its pivots are dead
+        system = BAND_CASES["channel"]()
+        want = float64_solve(system, monkeypatch)
+        bands, factors, alive_at_float64 = band_alive_at_the_float64_factor(monkeypatch)
+        inverted = []
+
+        def inv(a):
+            inverted.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        sol = solve(system)
+        assert inverted == [(1, 1)]
+        assert [f["info"] for f in factors] == [0] and len(bands) == 1
+        assert alive_at_float64 == [0]
+        assert sol.stats["precision"] == "float64" and sol.stats["float32_fallback_s"] > 0.0
         for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
             npt.assert_array_equal(got, ref)
 

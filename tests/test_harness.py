@@ -32,7 +32,7 @@ from splineforms.harness import (
     run_manufactured,
     run_taylor_couette,
 )
-from splineforms.errors import ConstructionError
+from splineforms.errors import ConstructionError, SingularSystemError
 from splineforms.spaces import vvp_spaces
 from splineforms.splines import Basis1D
 from splineforms.topology import CellComplex
@@ -627,6 +627,38 @@ class TestCli:
         proc = self.run_cli("run", "cavity", "--out", str(tmp_path / "file" / "sub"))
         assert proc.returncode == 2
         assert "cannot create output directory" in proc.stderr
+
+    def test_a_numerical_error_exits_1(self, tmp_path, monkeypatch):
+        def singular(config):
+            raise SingularSystemError("solve residual 2.000e-10 exceeds 1e-10")
+
+        monkeypatch.setattr(harness, "run_cavity", singular)
+        proc = self.run_cli("run", "cavity", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: solve residual 2.000e-10 exceeds 1e-10\n"
+        assert proc.stdout == ""
+
+    def test_a_crashing_check_fails_and_the_others_run(self, monkeypatch):
+        ran = []
+
+        def check(name):
+            def run(rng):
+                ran.append(name)
+                if name == "_check_commuting":
+                    raise ValueError("boom")
+                return True, "fine"
+            return run
+
+        names = ["_check_topology", "_check_commuting", "_check_edge_properties",
+                 "_check_pullback", "_check_symmetry", "_check_self_glued"]
+        for name in names:
+            monkeypatch.setattr(verification, name, check(name))
+        proc = self.run_cli("verify")
+        assert proc.returncode == 1
+        assert ran == names
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["PASS", "FAIL"] + ["PASS"] * 4
+        assert lines[1].endswith("[raised ValueError: boom]")
 
     def test_verify_passes(self):
         proc = self.run_cli("verify")

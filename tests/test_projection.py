@@ -33,6 +33,13 @@ class TestReductions:
         red = reduce_0form(lambda x: np.ones_like(x), nodes)
         npt.assert_allclose(red, 1.0)
 
+    def test_scalar_function_gives_a_constant_cochain(self):
+        nodes = np.linspace(0, 1, 5)
+        red = reduce_0form(lambda x: 2.5, nodes)
+        npt.assert_array_equal(red, np.full(5, 2.5))
+        red[0] = 0.0  # an array of its own, not a read-only broadcast view
+        assert red[1] == 2.5
+
     def test_linear_on_hats(self):
         basis = Basis1D(KnotVector([0, 0, 0.5, 1, 1], 1))
         red = reduce_0form(lambda x: x, basis.greville_points())
