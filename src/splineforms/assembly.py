@@ -35,8 +35,9 @@ integers, the velocity is sought as u = u0 + D10 C y, divergence-free by
 construction, and only the symmetric (vorticity, y) system is factored,
 on one of two paths, both reading B = (M1 D10)^T Z, formed once, and both
 placing each stream unknown right after the last node of its group.  On
-one unglued patch within the band rule it is factored in float32 as a
-LAPACK band LU in the patch's tensor order, written straight from M0 and
+every layout within the band rule, one patch or glued, it is factored in
+float32 as a LAPACK band LU in the breadth-first level order of the node
+graph (one unglued patch's tensor order), written straight from M0 and
 B, and refined against the float64 blocks; everywhere else, and where the
 band fails, it is factored in float64 by SuperLU with diagonal pivots
 along the minimum-degree order of the nodes.
@@ -61,7 +62,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from ._quadrature import panel_rule
 from .errors import (
@@ -101,12 +102,12 @@ __all__ = [
 # sides, so the same table gives the sign of a side cell's outward flux.
 _SIDE_SIGN = {"bottom": 1.0, "right": 1.0, "top": -1.0, "left": -1.0}
 
-# K, the vorticity-stream system of one unglued patch, is factored as a
-# float32 band LU (``_solve_band``) and its solution refined against the
-# float64 blocks (``_refine``) where the nodal degree is a key of
-# _BAND_MAX_WIDTH and the half-bandwidth at most its value: there the band
-# beat the float64 path and took at most 6 refinement steps (README has the
-# table).  Refinement takes at most _MAX_REFINE_STEPS steps; an entry below
+# K, the vorticity-stream system of any layout, is factored as a float32
+# band LU (``_solve_band``) and its solution refined against the float64
+# blocks (``_refine``) where the nodal degree is a key of _BAND_MAX_WIDTH
+# and the half-bandwidth at most its value: there the band beat the float64
+# path on the unit square and took at most 6 refinement steps (README has
+# the table).  Refinement takes at most _MAX_REFINE_STEPS steps; an entry below
 # _NEGLIGIBLE * sqrt(max|col i| max|col j|) is set to 0 in the band.  Every
 # other K is factored in float64 by SuperLU.
 _MAX_REFINE_STEPS = 8
@@ -430,9 +431,11 @@ class Solution:
     and the seconds of the band build and factor; for ``M2``, the 2-form
     mass matrix, the entries of its per-patch band arrays, their ratio to
     the nonzeros of ``M2`` and the seconds of the banded Cholesky; and
-    only ``seconds`` for ``order``, the minimum-degree order of the
-    vorticity mass matrix, read off an incomplete factorization, which a
-    band factor does without), ``residual`` (the gated solve residual) and
+    for ``order`` the ``seconds`` of the node order: on SuperLU's path the
+    minimum-degree order of the vorticity mass matrix, read off an
+    incomplete factorization, on the band the level order (``_band_order``)
+    with its ``start`` ``(patch, side)`` and its count of ``levels``),
+    ``residual`` (the gated solve residual) and
     ``histopolation_cond`` (the largest condition number of the side
     histopolations ``apply_strong_normal_velocity`` used, None if none)
     and ``rss_mb`` (the peak RSS of the process, ``ru_maxrss`` in MiB,
@@ -695,9 +698,10 @@ def _factor(matrix, what: str, permc_spec: str, factors: dict, key: str):
 
     It serves ``L``, every solve's, and the float64 ``K`` of the
     node-paired path (``_solve_vorticity_stream``): ``L`` couples patches
-    across glued sides, and a glued ``K`` has no narrow band, while ``M2``
-    gets a banded Cholesky per patch (``_factor_banded``) and one unglued
-    patch's float32 ``K`` a band LU (``_solve_band``).
+    across glued sides, and a ``K`` outside the band rule or whose band
+    failed has no band factor, while ``M2`` gets a banded Cholesky per
+    patch (``_factor_banded``) and the float32 ``K`` a band LU
+    (``_solve_band``).
 
     ``diag_pivot_thresh=0`` keeps every nonzero diagonal entry as the
     pivot, so the elimination follows the given column order
@@ -793,6 +797,59 @@ def _mmd_order(M0, factors: dict) -> np.ndarray:
     return node_pos
 
 
+def _level_order(D10, starts):
+    """Breadth-first level order of the node graph: node ranks, the start taken, the level count.
+
+    The node graph joins the two end nodes of every 1-cell, read off the
+    CSR arrays of ``D10``.  A search from the nodes ``starts[k]`` (one
+    ``dijkstra`` with unit weights from all of them at once) gives each
+    node its level, its distance in 1-cells from them, and the nodes
+    are ranked by level, ties by index (George and Liu, *Computer Solution
+    of Large Sparse Positive Definite Systems*, 1981, ch. 4).  The start
+    taken is the one whose widest level is smallest, the first of them on
+    a tie.  The order needs no tensor structure: from one patch's bottom
+    side it is that patch's tensor numbering.
+    """
+    n0 = D10.shape[1]
+    ends = D10.indices.reshape(-1, 2)
+    graph = sp.csr_matrix((np.ones(ends.size), (ends.ravel(), ends[:, ::-1].ravel())),
+                          shape=(n0, n0))
+    best = None
+    for k, nodes in enumerate(starts):
+        # nodes no 1-cell path reaches (patches glued to none of the start's) come last
+        distance = dijkstra(graph, indices=nodes, unweighted=True, min_only=True)
+        level = np.nan_to_num(distance, posinf=n0).astype(np.intp)
+        sizes = np.bincount(level)
+        if best is None or sizes.max() < best[0].max():
+            best = sizes, k, level
+    sizes, k, level = best
+    node_pos = np.empty(n0, dtype=np.intp)
+    node_pos[np.argsort(level, kind="stable")] = np.arange(n0)
+    return node_pos, k, int(np.count_nonzero(sizes))
+
+
+def _band_order(system, factors: dict) -> np.ndarray:
+    """Rank of each node in the band order of ``K``: the level order from one side of patch 0.
+
+    The start is the side of patch 0 (bottom, right, top, left) whose
+    widest level is smallest (``_level_order``).  One unglued patch keeps
+    its tensor numbering, the level order from its bottom side, with no
+    search.  ``factors["order"]`` gets the seconds, the start
+    ``(patch, side)`` and the level count.
+    """
+    start = time.perf_counter()
+    s0, n0 = system.spaces[0][0], system.n0
+    sides = ("bottom", "right", "top", "left")
+    if len(system.spaces) == 1 and n0 == s0.dim:
+        node_pos, k, levels = np.arange(n0), 0, s0.blocks[0].shape[1]
+    else:
+        node_pos, k, levels = _level_order(
+            system.D10, [system.map0[0][_side_ids(s0, side)] for side in sides])
+    factors["order"] = {"seconds": time.perf_counter() - start, "start": (0, sides[k]),
+                        "levels": levels}
+    return node_pos
+
+
 def _positions(node_pos, group, n_streams: int) -> np.ndarray:
     """Position of each (omega, y) unknown of ``K``, the nodes ranked by ``node_pos``.
 
@@ -800,10 +857,9 @@ def _positions(node_pos, group, n_streams: int) -> np.ndarray:
     the last node of its group, so it is eliminated only once a coupled
     vorticity pivot has made its diagonal nonzero; the flux carriers, the
     stream unknowns past ``group.max()``, come last.  SuperLU's path ranks
-    the nodes by ``_mmd_order``, the band by one patch's tensor numbering.
-    There a group of several nodes lies on the right and top sides (node
-    0's group carries the gauge), so it holds the last node, and its
-    stream unknown comes after every node: the border of ``_solve_band``.
+    the nodes by ``_mmd_order``, the band by ``_band_order``, after which
+    ``_solve_band`` moves the stream unknowns of groups of several nodes to
+    its border.
     """
     n0 = group.size
     index = np.int32 if 2 * n0 < 2**31 else np.int64
@@ -1075,14 +1131,17 @@ def _band_storage(M0, B, pos, n_band: int, kl: int, root):
     return ab, border, zeroed
 
 
-def _solve_band(M0, B, group, rhs, degree: int, factors: dict, rss: dict):
-    """``x`` with ``K x = rhs`` through a float32 band LU of one unglued patch's ``K``.
+def _solve_band(M0, B, node_pos, group, rhs, degree: int, factors: dict, rss: dict):
+    """``x`` with ``K x = rhs`` through a float32 band LU of ``K``.
 
     ``K = [[-M0, B], [B^T, 0]]`` in the (omega, y) order, never built, is
-    placed by ``_positions`` in the patch's tensor numbering: its band part
-    ``A`` (the nodes and the stream unknowns of one-node groups) goes to
-    LAPACK band storage (``_band_storage``) and ``sgbtrf``; the border
-    columns ``E`` (the stream unknowns of groups of several nodes) are
+    placed by ``_positions`` with the nodes ranked by ``node_pos``
+    (``_band_order``), and then the border, the stream unknowns of groups
+    of several nodes and the flux carriers, is moved past every other
+    unknown, each part keeping its order (on one unglued patch the border
+    is there already).  The band part ``A`` (the nodes and the stream
+    unknowns of one-node groups) goes to LAPACK band storage
+    (``_band_storage``) and ``sgbtrf``; the border columns ``E`` are
     eliminated through the dense Schur complement ``E^T A^{-1} E``.  ``x``
     is refined against the float64 blocks ``M0`` and ``B`` (``_refine``).
     Returns None where the half-bandwidth is above
@@ -1093,8 +1152,12 @@ def _solve_band(M0, B, group, rhs, degree: int, factors: dict, rss: dict):
     half-bandwidth and the seconds.
     """
     n0, m = B.shape
-    pos = _positions(np.arange(n0), group, m)
-    n_band = n0 + int(np.count_nonzero(np.bincount(group)[1:] == 1))
+    pos = _positions(node_pos, group, m)
+    sizes = np.bincount(group)
+    at = np.zeros(pos.size, dtype=bool)  # the border, by position
+    at[pos[n0:]] = np.append(sizes[1:] > 1, np.ones(m + 1 - sizes.size, dtype=bool))
+    n_band = pos.size - int(np.count_nonzero(at))
+    pos = np.where(at, n_band + np.cumsum(at) - 1, np.cumsum(~at) - 1)[pos]
     scan = _band_scan(M0, B, pos, n_band, _BAND_MAX_WIDTH[degree])
     if scan is None:
         return None
@@ -1137,11 +1200,12 @@ def _solve_band(M0, B, group, rhs, degree: int, factors: dict, rss: dict):
 def _solve_vorticity_stream(system, Wt, Z, group, rhs, degree: int, factors: dict, rss: dict):
     """``(omega, y)`` solving ``K``, SuperLU's factor of ``K`` (None for a band) and the stats.
 
-    ``K = [[-M0, B], [B^T, 0]]`` with ``B = Wt Z``, formed once here in the
-    product's format for whichever factor runs.  On one unglued patch
-    whose nodal degree and half-bandwidth are within ``_BAND_MAX_WIDTH``, a
-    float32 band LU in the patch's tensor order (``_solve_band``) is tried
-    first.  Everywhere else, and after a failed band attempt, ``K`` is built
+    ``K = [[-M0, B], [B^T, 0]]`` with ``B = Wt Z``, formed once here for
+    whichever factor runs.  Where the nodal degree and the half-bandwidth
+    are within ``_BAND_MAX_WIDTH``, one patch or glued, a float32 band LU
+    in the level order of the nodes (``_band_order``, ``_solve_band``) is
+    tried first, reading ``B`` as a CSR.  Everywhere else, and after a
+    failed band attempt, ``K`` is built
     in the node-paired order (``_positions`` of the nodes' ``_mmd_order``,
     ``_node_paired_matrix``), ``B`` is dropped before the CSR -> CSC
     transpose, and ``K`` is factored by SuperLU in float64: one solve and
@@ -1155,9 +1219,10 @@ def _solve_vorticity_stream(system, Wt, Z, group, rhs, degree: int, factors: dic
     M0, n0 = system.M0, system.n0
     B = Wt @ Z
     fallback = None
-    if len(system.spaces) == 1 and n0 == system.spaces[0][0].dim and degree in _BAND_MAX_WIDTH:
+    if degree in _BAND_MAX_WIDTH:
         start = time.perf_counter()
-        band = _solve_band(M0, B.tocsr(), group, rhs, degree, factors, rss)  # one patch: B itself
+        B = B.tocsr()  # the band reads B's rows; one unglued patch's B is a CSR already
+        band = _solve_band(M0, B, _band_order(system, factors), group, rhs, degree, factors, rss)
         if band is not None:
             x, stats, norms = band
             if x is not None:
@@ -1203,12 +1268,15 @@ def solve(system: SaddleSystem) -> Solution:
     factored system: with ``A_ww = -M0`` and ``A_wu = D10^T M1``, taken
     straight from the system's glued blocks, the symmetric ``(omega, y)``
     system ``[[A_ww, A_wu Z], [Z^T A_uw, 0]]`` is factored
-    (``_solve_vorticity_stream``).  On one unglued patch within the band
-    rule, its band part in the patch's tensor order is written straight
-    from ``M0`` and ``B = A_wu Z`` into float32 LAPACK band storage and
-    factored by ``sgbtrf`` (``_solve_band``).  Otherwise (glued patches, a
-    nodal degree or half-bandwidth outside that rule), and where the band
-    fails, it is permuted once into a node-paired order (the
+    (``_solve_vorticity_stream``).  Within the band rule, on one patch or
+    glued ones, its band part, the nodes in the breadth-first level order
+    of the node graph from one side of patch 0 (``_band_order``; one
+    unglued patch's tensor order) with the stream unknowns of one-node
+    groups, is written straight from ``M0`` and ``B = A_wu Z`` into float32
+    LAPACK band storage and factored by ``sgbtrf`` (``_solve_band``); the
+    other stream unknowns and the flux carriers form a dense border.
+    Otherwise (a nodal degree or half-bandwidth outside that rule), and
+    where the band fails, it is permuted once into a node-paired order (the
     minimum-degree order of the nodes, each stream unknown right after the
     last node of its group: the rule of ``_positions``, which also places
     the band's unknowns) and factored in float64 by SuperLU along that
@@ -1274,9 +1342,9 @@ def solve(system: SaddleSystem) -> Solution:
     rhs = np.concatenate((system.rhs[:n0] / nu - Wt @ u0, Z.T @ f_u / nu))
     degree = max(b.degree for triple in system.spaces for b in triple[0].nodal_bases)
     rss = {"before": rss_before}
-    # SuperLU's factor of K (glued patches, one patch outside the band rule,
-    # a failed band), if any, lives to the end: freed on return, it raised
-    # the peak RSS of the Couette benchmark by 0.7%
+    # SuperLU's factor of K (outside the band rule or after a failed band),
+    # if any, lives to the end: freed on return, it once raised the peak RSS
+    # of a float64 Couette run by 0.7%
     x, lu_K, solve_stats = _solve_vorticity_stream(system, Wt, Z, group, rhs, degree, factors, rss)
     omega = x[:n0]
     u = u0 + Z @ x[n0:]

@@ -854,9 +854,9 @@ def _manufactured_case(patch, normal_sides=None, nu=1.0, p_nodal=3, spans=6):
     return system
 
 
-def _annulus_case(normal=None, tangential=None, nu=1.0, normal_sides=None, spans=4):
-    system = assemble_vvp([make_spaces(3, spans) for _ in range(4)], build_taylor_couette(), nu=nu,
-                          normal_sides=normal_sides)
+def _annulus_case(normal=None, tangential=None, nu=1.0, normal_sides=None, spans=4, p_nodal=3):
+    system = assemble_vvp([make_spaces(p_nodal, spans) for _ in range(4)], build_taylor_couette(),
+                          nu=nu, normal_sides=normal_sides)
     apply_strong_normal_velocity(system, normal)
     apply_weak_tangential_velocity(system, tangential)
     return system
@@ -867,21 +867,26 @@ def _source_flow(x, y):
     return x / r2, y / r2
 
 
+# the inner cylinder turning at unit angular velocity
+SPIN = {(p, "left"): (lambda x, y: (-y, x)) for p in range(4)}
+
+
+def _flux_between_circles(**size):
+    # a free side on each circle: flux passes between the circles, which
+    # needs one flux carrier besides the stream function
+    return _annulus_case(_source_flow, _source_flow, normal_sides=((0, "left"), (2, "right")),
+                         **size)
+
+
 SOLVE_CASES = {
     "unit-square": lambda: _manufactured_case(unit_square_patch()),
     "curved-square": lambda: _manufactured_case(curved_square_patch()),
-    "taylor-couette": lambda: _annulus_case(
-        tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)}
-    ),
+    "taylor-couette": lambda: _annulus_case(tangential=SPIN),
     "top-side-free": lambda: _manufactured_case(
         unit_square_patch(), ((0, "left"), (0, "right"), (0, "bottom"))
     ),
     "annulus-source-flow": lambda: _annulus_case(_source_flow, _source_flow),
-    # a free side on each circle: flux passes between the circles, which
-    # needs one flux carrier besides the stream function
-    "annulus-flux-between-circles": lambda: _annulus_case(
-        _source_flow, _source_flow, normal_sides=((0, "left"), (2, "right"))
-    ),
+    "annulus-flux-between-circles": _flux_between_circles,
 }
 
 
@@ -893,14 +898,17 @@ def _self_glued_case(p_nodal=3, spans=8):
 
 
 ORACLE_CASES = {**SOLVE_CASES, "self-glued-annulus": _self_glued_case}
-# the one-patch cases at nodal degree 8, where the band does not apply, so that
-# K takes SuperLU's node-paired path as the glued cases do at any degree
+# every case at nodal degree 8, where the band does not apply, so that K takes
+# SuperLU's node-paired path
 SUPERLU_CASES = {
-    **ORACLE_CASES,
     "unit-square": lambda: _manufactured_case(unit_square_patch(), p_nodal=8, spans=2),
     "curved-square": lambda: _manufactured_case(curved_square_patch(), p_nodal=8, spans=2),
+    "taylor-couette": lambda: _annulus_case(tangential=SPIN, p_nodal=8, spans=2),
     "top-side-free": lambda: _manufactured_case(
         unit_square_patch(), ((0, "left"), (0, "right"), (0, "bottom")), p_nodal=8, spans=2),
+    "annulus-source-flow": lambda: _annulus_case(_source_flow, _source_flow, p_nodal=8, spans=2),
+    "annulus-flux-between-circles": lambda: _flux_between_circles(p_nodal=8, spans=2),
+    "self-glued-annulus": lambda: _self_glued_case(p_nodal=8, spans=4),
 }
 
 
@@ -1167,12 +1175,13 @@ class TestSubspaceSolve:
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_stats(self):
-        system = _annulus_case(tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)})
+        # Couette at nodal degree 8, outside the band rule
+        system = _annulus_case(tangential=SPIN, p_nodal=8, spans=2)
         stats = solve(system).stats
         assert stats["dofs"] == system.size
         # one vorticity per node; one stream unknown per interior node, plus
-        # the inner-circle constant (each circle has 4 x 6 nodes)
-        interior = system.n0 - 2 * 4 * 6
+        # the inner-circle constant (each circle has 4 x 9 nodes)
+        interior = system.n0 - 2 * 4 * 9
         assert stats["unknowns"] == system.n0 + interior + 1
         assert stats["lu_nnz"] > stats["unknowns"]
         # a small K: factored in float64, solved once and refined once, no stopping test
@@ -1218,10 +1227,9 @@ def _lid_cavity(p_nodal=4, spans=24, length=1.0):
     return system
 
 
-def _couette(spans=16):
-    """Taylor-Couette at nodal degree 3: glued, so ``K`` never takes the band path."""
-    return _annulus_case(tangential={(p, "left"): (lambda x, y: (-y, x)) for p in range(4)},
-                         spans=spans)
+def _couette(spans=16, p_nodal=3):
+    """Taylor-Couette on the four glued quarter patches; by default on the band path."""
+    return _annulus_case(tangential=SPIN, spans=spans, p_nodal=p_nodal)
 
 
 def float64_solve(system, monkeypatch):
@@ -1265,15 +1273,14 @@ class TestSingleFactor:
 
     @pytest.mark.parametrize("case", ["ladders-size", "degree-above-ceiling", "glued"])
     def test_float64_path_where_float32_cannot_pay(self, case, monkeypatch):
-        # the self-glued one-patch annulus at the largest ladder level's
-        # degree and spans (nodal degree 4, 16 spans), the cavity at nodal
-        # degree 11 (CLI degree 10), where band refinement stalls, and Couette
-        # at nodal degree 3 and 16 spans, glued: each K is factored once, in
-        # float64, with no float32 attempt
+        # the self-glued one-patch annulus at the largest ladder level's spans
+        # (16), the cavity at nodal degree 11 (CLI degree 10) and Couette at 8
+        # spans, all at a nodal degree where band refinement stalls (8 or 11):
+        # each K is factored once, in float64, with no float32 attempt
         system = {
-            "ladders-size": lambda: _self_glued_case(p_nodal=4, spans=16),
+            "ladders-size": lambda: _self_glued_case(p_nodal=8, spans=16),
             "degree-above-ceiling": lambda: _lid_cavity(p_nodal=11, spans=16),
-            "glued": _couette,
+            "glued": lambda: _couette(spans=8, p_nodal=8),
         }[case]()
         _, band_factors = recorded_band(monkeypatch)
         calls = recorded_splu(monkeypatch)
@@ -1313,13 +1320,34 @@ def _manufactured_band_case(patch, normal_sides=None):
     return system
 
 
+def _unglued_quarters():
+    """Two opposite quarters of the annulus glued to nothing: two components of the node graph."""
+    quarters = build_taylor_couette().patches
+    system = assemble_vvp([make_spaces(3, 4)] * 2, MultiPatch([quarters[0], quarters[2]], []))
+    apply_strong_normal_velocity(system)
+    apply_weak_tangential_velocity(system, {(0, "left"): lambda x, y: (-y, x)})
+    return system
+
+
 BAND_CASES = {
     "cavity": _lid_cavity,
     "curved-square": lambda: _manufactured_band_case(curved_square_patch()),
     # the walls' nodes form two groups: the bottom one carries the gauge, the
     # top one the border's single stream unknown
     "channel": lambda: _manufactured_band_case(unit_square_patch(), ((0, "bottom"), (0, "top"))),
+    # glued: the inner circle carries the gauge, the outer circle's stream
+    # constant is the border's one column
+    "couette": lambda: _couette(spans=4),
+    "self-glued-annulus": _self_glued_case,
+    # a stream constant and a flux carrier in the border
+    "flux-carrier-annulus": _flux_between_circles,
+    # the level order reaches only patch 0's nodes and ranks the others last;
+    # patch 1's walls are the border's stream constant
+    "unglued-quarters": _unglued_quarters,
 }
+# the columns of each case's border
+BAND_BORDERS = {"cavity": 0, "curved-square": 0, "channel": 1, "couette": 1,
+                "self-glued-annulus": 1, "flux-carrier-annulus": 2, "unglued-quarters": 1}
 
 
 def recorded_band(monkeypatch):
@@ -1410,7 +1438,7 @@ def recorded_work(monkeypatch):
 
 
 class TestBandFactor:
-    """One unglued patch's float32 K as a LAPACK band LU in its tensor order."""
+    """The float32 K as a LAPACK band LU in the level order of its nodes."""
 
     @pytest.mark.parametrize("p_nodal", [3, 4])
     @pytest.mark.parametrize("geometry", ["unit-square", "curved-square"])
@@ -1418,14 +1446,17 @@ class TestBandFactor:
         # _positions in the tensor numbering places K's unknowns as the band's
         # own order did, on every set of normal sides: a group of several
         # nodes cannot hold node 0, so it holds the last node, and its stream
-        # unknown comes after every node, in the border
+        # unknown comes after every node, in the border; and the level order
+        # of the nodes, searched from the four sides, is the tensor numbering
+        # from the bottom side, the order one unglued patch takes unsearched
         patch = {"unit-square": unit_square_patch, "curved-square": curved_square_patch}[geometry]
         original_solve_band, original_scan = assembly._solve_band, assembly._band_scan
         calls = []
 
-        def solve_band(M0, B, group, *args):
+        def solve_band(M0, B, node_pos, group, *args):
             calls.append({"group": group, "m": B.shape[1]})
-            return original_solve_band(M0, B, group, *args)
+            npt.assert_array_equal(node_pos, np.arange(M0.shape[0]))
+            return original_solve_band(M0, B, node_pos, group, *args)
 
         def band_scan(M0, B, pos, n_band, max_width):
             calls[-1].update(pos=pos, n_band=n_band)
@@ -1438,26 +1469,37 @@ class TestBandFactor:
             for sides in itertools.combinations(("bottom", "right", "top", "left"), size):
                 system = _manufactured_case(patch(), [(0, side) for side in sides],
                                             p_nodal=p_nodal, spans=4)
-                solve(system)
+                order = solve(system).stats["factors"]["order"]
                 call = calls.pop()
                 want_pos, want_n_band = band_order_oracle(call["group"], call["m"])
                 npt.assert_array_equal(call["pos"], want_pos, err_msg=str(sides))
                 assert call["n_band"] == want_n_band, sides
                 borders.add(call["pos"].size - call["n_band"])
+                rows = system.spaces[0][0].blocks[0].shape[1]  # the node rows along direction 2
+                assert order["start"] == (0, "bottom") and order["levels"] == rows
+                starts = [_side_ids(system.spaces[0][0], side)
+                          for side in ("bottom", "right", "top", "left")]
+                node_pos, k, levels = assembly._level_order(system.D10, starts)
+                npt.assert_array_equal(node_pos, np.arange(system.n0), err_msg=str(sides))
+                assert (k, levels) == (0, rows)
         assert borders == {0, 1}  # some sets leave a stream group of several nodes, some none
 
-    @pytest.mark.parametrize("case", ["band", "float64", "fallback", "rejected", "glued"])
+    @pytest.mark.parametrize("case", ["band", "float64", "fallback", "rejected", "glued",
+                                      "glued-band", "glued-rejected"])
     def test_each_path_forms_B_once(self, case, monkeypatch):
         # B = Wt Z is one product per solve, handed to whichever factor runs;
-        # SuperLU reads B in its other format through one conversion; a band
-        # too wide in M0 (nodal degree 6, 28 spans: half-bandwidth 409 > 340)
-        # is rejected after reading M0 alone
+        # SuperLU reads B in its other format through one conversion, and so
+        # does the band on a glued system, whose B is a CSC; a band too wide
+        # in M0 (nodal degree 6, 28 spans: half-bandwidth 409 > 340; Couette
+        # at nodal degree 6 and 12 spans) is rejected after reading M0 alone
         system = {
             "band": lambda: _lid_cavity(p_nodal=3, spans=8),
             "float64": SUPERLU_CASES["curved-square"],
             "fallback": _lid_cavity,
             "rejected": lambda: _lid_cavity(p_nodal=6, spans=28),
-            "glued": lambda: _couette(spans=8),
+            "glued": lambda: _couette(spans=2, p_nodal=8),
+            "glued-band": lambda: _couette(spans=8),
+            "glued-rejected": lambda: _couette(spans=12, p_nodal=6),
         }[case]()
         if case == "fallback":  # no refinement step allowed
             monkeypatch.setattr(assembly, "_MAX_REFINE_STEPS", 0)
@@ -1467,23 +1509,28 @@ class TestBandFactor:
         n0, n1 = system.n0, system.n1
         m = sol.stats["unknowns"] - n0
         assert products.count(((n0, n1), (n1, m))) == 1
-        assert sol.stats["precision"] == ("float32" if case == "band" else "float64")
+        band = case in ("band", "glued-band")
+        assert sol.stats["precision"] == ("float32" if band else "float64")
         assert ("float32_fallback_s" in sol.stats) == (case == "fallback")
-        if case == "band":
+        if band:
             assert [A is system.M0 for A in chunked] == [True, False, True, False]  # scan, storage
-        elif case == "rejected":
+        elif case in ("rejected", "glued-rejected"):
             assert len(chunked) == 1 and chunked[0] is system.M0
         elif case in ("float64", "glued"):
             assert chunked == []
-        # SuperLU's K reads B's rows and its columns, one of them B itself
-        assert conversions.count((n0, m)) == (0 if case == "band" else 1)
+        # SuperLU's K reads B's rows and its columns, one of them B itself; a
+        # glued B is a CSC, which the band reads as a CSR
+        want = {"band": 0, "glued-band": 1, "glued-rejected": 2}.get(case, 1)
+        assert conversions.count((n0, m)) == want
 
-    @pytest.mark.parametrize("case", ["cavity", "channel"])
+    @pytest.mark.parametrize("case", ["cavity", "channel", "couette", "self-glued-annulus",
+                                      "flux-carrier-annulus"])
     def test_band_storage_against_a_dense_oracle(self, case, monkeypatch):
         # K stacked from M0 and B, permuted into the band order, zeroed where
         # negligible and cut into LAPACK's band storage and the border; no
-        # entry of B is negligible here, so the rule is also checked on a
-        # copy of B with every seventh entry scaled by 1e-13
+        # entry of B is negligible here, and on the annuli no entry of M0
+        # either, so the rule is also checked on a copy of B with every
+        # seventh entry scaled by 1e-13
         bands, factors = recorded_band(monkeypatch)
         sol = solve(BAND_CASES[case]())
         (band,), (factor,) = bands, factors
@@ -1491,7 +1538,7 @@ class TestBandFactor:
         M0, B, pos, n_band, kl = (band[k] for k in ("M0", "B", "pos", "n_band", "kl"))
         n0, m = B.shape
         npt.assert_array_equal(np.sort(pos), np.arange(n0 + m))
-        assert m - (n_band - n0) == (1 if case == "channel" else 0)  # the border's columns
+        assert m - (n_band - n0) == BAND_BORDERS[case]  # the border's columns
         shrunk = B.copy()
         shrunk.data[::7] *= 1e-13
         for matrix in (B, shrunk):
@@ -1508,7 +1555,8 @@ class TestBandFactor:
                 assert width == kl
                 ab, border, zeroed = assembly._band_storage(M0, matrix, pos, n_band, kl, root)
                 assert zeroed > band["zeroed"]
-            assert zeroed == np.count_nonzero(small & (dense != 0)) > 0
+            assert zeroed == np.count_nonzero(small & (dense != 0))
+            assert (zeroed > 0) == (matrix is not B or case in ("cavity", "channel"))
             i, j = np.nonzero(want[:n_band, :n_band])
             assert np.abs(i - j).max() == kl  # the half-bandwidth of the band part
             assert ab.flags.f_contiguous and ab.dtype == np.float32
@@ -1536,16 +1584,30 @@ class TestBandFactor:
         (band,) = bands
         assert sol.stats["precision"] == "float32" and sol.stats["refine_error"] <= 2.0**-52
         assert sol.stats["factors"]["K"]["half_bandwidth"] == band["kl"]
-        assert "order" not in sol.stats["factors"]  # no node-paired order was read
+        # the level order, not the node-paired one; the self-glued annulus has
+        # fewer nodes around than across, so its levels are the circles
+        order = sol.stats["factors"]["order"]
+        assert set(order) == {"seconds", "start", "levels"}
+        assert order["start"] == (0, "right" if case == "self-glued-annulus" else "bottom")
         border = band["pos"].size - band["n_band"]
-        assert border == (1 if case == "channel" else 0)
+        assert border == BAND_BORDERS[case]
         assert band["border"].shape[1] == border
         want = float64_solve(system, monkeypatch)
         assert want.stats["precision"] == "float64" and "order" in want.stats["factors"]
-        for name in ("omega", "u", "p"):
+        scales = {name: np.abs(getattr(want, name)).max() for name in ("omega", "u", "p")}
+        if case not in ("cavity", "curved-square", "channel"):
+            # the annuli: Couette's pressure is zero up to rounding and the
+            # source flow's vorticity small, so each field against the
+            # solution's largest value
+            scales = dict.fromkeys(scales, max(scales.values()))
+        for name, scale in scales.items():
             got, ref = getattr(sol, name), getattr(want, name)
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
-        assert np.abs(sol.divergence_cochain()).max() <= 1e-15
+            assert np.abs(got - ref).max() <= 1e-12 * scale, name
+        # Z's stream columns are integer curls, a flux carrier a floating-point
+        # projection (the float64 path's divergence there is 1.9e-15)
+        bound = 4e-15 if case == "flux-carrier-annulus" else 1e-15
+        assert max(np.abs(sol.divergence_cochain(p)).max()
+                   for p in range(len(system.spaces))) <= bound
 
     @pytest.mark.parametrize("spans", [4, 8, 16])
     @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -1566,6 +1628,30 @@ class TestBandFactor:
         for name in ("omega", "u", "p"):
             got, ref = getattr(sol, name), getattr(want, name)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("spans", [4, 8, 16])
+    def test_every_couette_level_takes_the_band(self, spans, monkeypatch):
+        # the levels of the couette benchmark (`run taylor-couette --degree 2
+        # --levels 3`), as its runner builds them: glued, rational and with a
+        # hole, they take the band in the level order from patch 0's bottom
+        # side, and land on the float64 path's fields within 1e-11 of the
+        # solution's largest value (its vorticity; the pressure is zero up to
+        # rounding).  At 16 spans the vorticity moves by 4.9e-12 of it, while
+        # both paths lie 6e-11 of it from the saddle system's own solve
+        config = CaseConfig(case="taylor-couette", degree=2)
+        tangential = {**SPIN, **{(p, "right"): lambda x, y: (0.0 * x, 0.0 * y) for p in range(4)}}
+        _, system, sol, _ = _solve_level(config, _geometry(config), spans, None, tangential)
+        stats = sol.stats
+        assert stats["precision"] == "float32" and "float32_fallback_s" not in stats
+        assert stats["refine_error"] <= 2.0**-52
+        assert stats["factors"]["order"]["start"] == (0, "bottom")
+        want = float64_solve(system, monkeypatch)
+        assert want.stats["precision"] == "float64"
+        scale = max(np.abs(getattr(want, name)).max() for name in ("omega", "u", "p"))
+        for name in ("omega", "u", "p"):
+            got, ref = getattr(sol, name), getattr(want, name)
+            assert np.abs(got - ref).max() <= 1e-11 * scale, name
+        assert max(np.abs(sol.divergence_cochain(p)).max() for p in range(4)) <= 1e-15
 
     def test_singular_band_factor_falls_back_to_the_float64_path(self, monkeypatch):
         # on the cavity scaled by 1e-6 the zeroing rule empties the M0 block:
@@ -1624,11 +1710,12 @@ class TestBandFactor:
     @pytest.mark.parametrize("case", ["glued", "float64-size", "degree-above-ceiling",
                                       "outside-the-band-rule"])
     def test_no_band_factor(self, case, monkeypatch):
-        # Couette (glued), a band wider than the rule's at its degree (nodal
-        # degree 6 at 28 spans: half-bandwidth 409), a K at nodal degree 11
-        # and one at nodal degree 7, outside the band rule: all go to float64
+        # Couette at nodal degree 8, a band wider than the rule's at its degree
+        # (nodal degree 6 at 28 spans: half-bandwidth 409), a K at nodal
+        # degree 11 and one at nodal degree 7, outside the band rule: all go
+        # to float64
         system = {
-            "glued": _couette,
+            "glued": lambda: _couette(spans=4, p_nodal=8),
             "float64-size": lambda: _lid_cavity(p_nodal=6, spans=28),
             "degree-above-ceiling": lambda: _lid_cavity(p_nodal=11, spans=16),
             "outside-the-band-rule": lambda: _lid_cavity(p_nodal=7, spans=12),
