@@ -16,6 +16,7 @@ from .errors import (
     FluxCompatibilityError,
     IllPosedNodesError,
     SingularSystemError,
+    SplineformsError,
 )
 from .splines import Basis1D, EdgeBasis1D, KnotVector, uniform_open_knots
 from .topology import CellComplex

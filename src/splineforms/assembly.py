@@ -1131,7 +1131,7 @@ def _band_storage(M0, B, pos, n_band: int, kl: int, root):
     return ab, border, zeroed
 
 
-def _solve_band(M0, B, node_pos, group, rhs, degree: int, factors: dict, rss: dict):
+def _solve_band(M0, B, node_pos, group, rhs, max_width: int, factors: dict, rss: dict):
     """``x`` with ``K x = rhs`` through a float32 band LU of ``K``.
 
     ``K = [[-M0, B], [B^T, 0]]`` in the (omega, y) order, never built, is
@@ -1144,12 +1144,11 @@ def _solve_band(M0, B, node_pos, group, rhs, degree: int, factors: dict, rss: di
     (``_band_storage``) and ``sgbtrf``; the border columns ``E`` are
     eliminated through the dense Schur complement ``E^T A^{-1} E``.  ``x``
     is refined against the float64 blocks ``M0`` and ``B`` (``_refine``).
-    Returns None where the half-bandwidth is above
-    ``_BAND_MAX_WIDTH[degree]`` (``_band_scan``).  Else ``(x, stats,
-    norms)``, with ``x`` None where the factor is singular (``info > 0``)
-    or refinement does not reach 2**-52.  ``factors["K"]`` gets the band's
-    entries (``nnz``), their ratio to the entries of ``K``, the
-    half-bandwidth and the seconds.
+    Returns None where the half-bandwidth is above ``max_width``
+    (``_band_scan``).  Else ``(x, stats, norms)``, with ``x`` None where
+    the factor is singular (``info > 0``) or refinement does not reach
+    2**-52.  ``factors["K"]`` gets the band's entries (``nnz``), their
+    ratio to the entries of ``K``, the half-bandwidth and the seconds.
     """
     n0, m = B.shape
     pos = _positions(node_pos, group, m)
@@ -1158,7 +1157,7 @@ def _solve_band(M0, B, node_pos, group, rhs, degree: int, factors: dict, rss: di
     at[pos[n0:]] = np.append(sizes[1:] > 1, np.ones(m + 1 - sizes.size, dtype=bool))
     n_band = pos.size - int(np.count_nonzero(at))
     pos = np.where(at, n_band + np.cumsum(at) - 1, np.cumsum(~at) - 1)[pos]
-    scan = _band_scan(M0, B, pos, n_band, _BAND_MAX_WIDTH[degree])
+    scan = _band_scan(M0, B, pos, n_band, max_width)
     if scan is None:
         return None
     root, norms, kl = scan
@@ -1197,36 +1196,40 @@ def _solve_band(M0, B, node_pos, group, rhs, degree: int, factors: dict, rss: di
                "refine_error": eta}, norms
 
 
-def _solve_vorticity_stream(system, Wt, Z, group, rhs, degree: int, factors: dict, rss: dict):
-    """``(omega, y)`` solving ``K``, SuperLU's factor of ``K`` (None for a band) and the stats.
+def _solve_vorticity_stream(system, Wt, Z, group, rhs, factors: dict, rss: dict):
+    """``(omega, y)`` solving ``K`` and the stats; every factor of ``K`` is freed on return.
 
     ``K = [[-M0, B], [B^T, 0]]`` with ``B = Wt Z``, formed once here for
-    whichever factor runs.  Where the nodal degree and the half-bandwidth
-    are within ``_BAND_MAX_WIDTH``, one patch or glued, a float32 band LU
-    in the level order of the nodes (``_band_order``, ``_solve_band``) is
-    tried first, reading ``B`` as a CSR.  Everywhere else, and after a
-    failed band attempt, ``K`` is built
-    in the node-paired order (``_positions`` of the nodes' ``_mmd_order``,
-    ``_node_paired_matrix``), ``B`` is dropped before the CSR -> CSC
-    transpose, and ``K`` is factored by SuperLU in float64: one solve and
-    one refinement step.  The stats are ``precision``, ``zeroed``
-    (entries set to 0 in the band), ``refine_steps``, ``refine_error`` (the
-    final block-wise backward error; None on the float64 path without a
-    band attempt, which runs no stopping test) and, after a failed band
-    attempt, ``float32_fallback_s`` (its seconds).  ``rss["factor"]`` is
-    the peak RSS right before the last factor of ``K``.
+    whichever factor runs.  Where the nodal degree of ``system`` is a key
+    of ``_BAND_MAX_WIDTH``, one patch or glued, a float32 band LU in the
+    level order of the nodes (``_band_order``, ``_solve_band``) is tried
+    first, reading ``B`` as a CSR, with that key's value as its width
+    limit.  Everywhere else, and after a failed band
+    attempt, ``K`` is built in the node-paired order (``_positions`` of
+    the nodes' ``_mmd_order``, ``_node_paired_matrix``), ``B`` is dropped
+    before the CSR -> CSC transpose, and ``K`` is factored by SuperLU in
+    float64: one solve and one refinement step.  The stats are
+    ``precision``, ``zeroed`` (entries set to 0 in the band),
+    ``refine_steps``, ``refine_error`` (the final block-wise backward
+    error; None on the float64 path without a band attempt, which runs no
+    stopping test) and, after a failed band attempt,
+    ``float32_fallback_s`` (its seconds).  ``rss["factor"]`` is the peak
+    RSS right before the last factor of ``K``.
     """
     M0, n0 = system.M0, system.n0
     B = Wt @ Z
     fallback = None
-    if degree in _BAND_MAX_WIDTH:
+    max_width = _BAND_MAX_WIDTH.get(
+        max(b.degree for triple in system.spaces for b in triple[0].nodal_bases))
+    if max_width is not None:
         start = time.perf_counter()
         B = B.tocsr()  # the band reads B's rows; one unglued patch's B is a CSR already
-        band = _solve_band(M0, B, _band_order(system, factors), group, rhs, degree, factors, rss)
+        band = _solve_band(M0, B, _band_order(system, factors), group, rhs, max_width,
+                           factors, rss)
         if band is not None:
             x, stats, norms = band
             if x is not None:
-                return x, None, stats
+                return x, stats
             fallback = norms, time.perf_counter() - start
     pos = _positions(_mmd_order(M0, factors), group, B.shape[1])
     K = _node_paired_matrix(M0, B, pos)
@@ -1243,8 +1246,7 @@ def _solve_vorticity_stream(system, Wt, Z, group, rhs, degree: int, factors: dic
         norms, stats["float32_fallback_s"] = fallback
         stats["refine_error"] = _backward_error(paired_rhs - K @ x, x, paired_rhs,
                                                 (pos[:n0], pos[n0:]), norms)
-    del K  # freed before pressure recovery, which then reuses its memory
-    return x[pos], lu, stats
+    return x[pos], stats
 
 
 def solve(system: SaddleSystem) -> Solution:
@@ -1280,12 +1282,12 @@ def solve(system: SaddleSystem) -> Solution:
     minimum-degree order of the nodes, each stream unknown right after the
     last node of its group: the rule of ``_positions``, which also places
     the band's unknowns) and factored in float64 by SuperLU along that
-    order with diagonal pivots: every zero
-    diagonal of the stream block is filled by a coupled vorticity pivot
-    before it is reached.  Its compressed arrays are written in that order
-    straight from ``M0``, ``B`` and the columns of ``B``
-    (``_node_paired_matrix``; ``B`` is dropped before ``K`` is transposed);
-    ``M0`` is read as it is, no copy.
+    order with diagonal pivots: every zero diagonal of the stream block is
+    filled by a coupled vorticity pivot before it is reached.  Its
+    compressed arrays are written in that order straight from ``M0``,
+    ``B`` and the columns of ``B`` (``_node_paired_matrix``; ``B`` is
+    dropped before ``K`` is transposed); ``M0`` is read as it is, no copy.
+    Whichever factor of ``K`` ran is freed before pressure recovery.
     Pressure is recovered afterwards from the free momentum rows
     ``D21_f^T (M2 p) = r`` through the same ``L`` and one banded Cholesky
     per patch block of ``M2`` (``_factor_banded``), shifted to zero sum
@@ -1340,12 +1342,8 @@ def solve(system: SaddleSystem) -> Solution:
     W = system.M1 @ D10  # A_wu = W^T
     Wt = W.T
     rhs = np.concatenate((system.rhs[:n0] / nu - Wt @ u0, Z.T @ f_u / nu))
-    degree = max(b.degree for triple in system.spaces for b in triple[0].nodal_bases)
     rss = {"before": rss_before}
-    # SuperLU's factor of K (outside the band rule or after a failed band),
-    # if any, lives to the end: freed on return, it once raised the peak RSS
-    # of a float64 Couette run by 0.7%
-    x, lu_K, solve_stats = _solve_vorticity_stream(system, Wt, Z, group, rhs, degree, factors, rss)
+    x, solve_stats = _solve_vorticity_stream(system, Wt, Z, group, rhs, factors, rss)
     omega = x[:n0]
     u = u0 + Z @ x[n0:]
 

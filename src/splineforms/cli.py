@@ -11,25 +11,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import harness
-from .errors import (
-    ConstructionError,
-    DegenerateGeometryError,
-    DomainError,
-    FluxCompatibilityError,
-    IllPosedNodesError,
-    SingularSystemError,
-)
+from .errors import ConstructionError, SplineformsError
 from .harness import CASES, CaseConfig, CavityResult, _out_dir, emit_outputs
 
-_NUMERICAL_ERRORS = (
-    ConstructionError,
-    DomainError,
-    DegenerateGeometryError,
-    FluxCompatibilityError,
-    IllPosedNodesError,
-    SingularSystemError,
-    FloatingPointError,
-)
+_NUMERICAL_ERRORS = (SplineformsError, FloatingPointError)
 
 
 def _build_parser():

@@ -17,27 +17,31 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
-class DomainError(ValueError):
+class SplineformsError(Exception):
+    """Base of the library's errors; each also keeps its ValueError or RuntimeError base."""
+
+
+class DomainError(SplineformsError, ValueError):
     """Evaluation point lies outside the parametric domain."""
 
 
-class ConstructionError(ValueError):
+class ConstructionError(SplineformsError, ValueError):
     """Invalid data for building a basis, complex, space or patch."""
 
 
-class IllPosedNodesError(ValueError):
+class IllPosedNodesError(SplineformsError, ValueError):
     """Interpolation/histopolation system is singular to working precision."""
 
 
-class DegenerateGeometryError(ValueError):
+class DegenerateGeometryError(SplineformsError, ValueError):
     """Geometry mapping has a nonpositive or overflowing Jacobian determinant."""
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(SplineformsError, RuntimeError):
     """Factorization of the saddle-point system failed."""
 
 
-class FluxCompatibilityError(ValueError):
+class FluxCompatibilityError(SplineformsError, ValueError):
     """Prescribed normal-velocity data has nonzero net boundary flux."""
 
     def __init__(self, imbalance):

@@ -1726,6 +1726,56 @@ class TestBandFactor:
         assert "half_bandwidth" not in sol.stats["factors"]["K"]
         assert sol.stats["precision"] == "float64"
 
+    def test_band_too_wide_in_B_alone_is_rejected(self, monkeypatch):
+        # the benchmark cavity: M0's half-bandwidth in band positions is 224
+        # and K's 225, so under a limit of 224 the scan passes M0 and rejects
+        # the band in B's pass; K goes to the float64 path, no band is built
+        system = _lid_cavity()
+        want = float64_solve(system, monkeypatch)
+        monkeypatch.setitem(assembly._BAND_MAX_WIDTH, 4, 224)
+        bands, factors = recorded_band(monkeypatch)
+        _, _, chunked = recorded_work(monkeypatch)
+        sol = solve(system)
+        assert [A is system.M0 for A in chunked] == [True, False]  # M0's pass, then B's
+        assert bands == [] and factors == []
+        assert sol.stats["precision"] == "float64" and "float32_fallback_s" not in sol.stats
+        for got, ref in ((sol.omega, want.omega), (sol.u, want.u), (sol.p, want.p)):
+            npt.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("case", ["float64", "fallback"])
+    def test_superlu_factor_of_K_is_freed_with_its_solve(self, case, monkeypatch):
+        # SuperLU's float64 factor of K is dead once _solve_vorticity_stream
+        # returns: on Couette at nodal degree 8, outside the band rule, and
+        # at nodal degree 4 and 16 spans, where the band's refinement stalls
+        system = {"float64": SUPERLU_CASES["taylor-couette"],
+                  "fallback": lambda: _couette(spans=16, p_nodal=4)}[case]()
+        original_splu, original_solve = spla.splu, assembly._solve_vorticity_stream
+        made, alive = [], []
+
+        class Held:  # a factor that a weak reference can watch
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+        def splu(matrix, *args, **kwargs):
+            held = Held(original_splu(matrix, *args, **kwargs))
+            made.append((matrix.shape[0], weakref.ref(held)))
+            return held
+
+        def solve_vorticity_stream(*args, **kwargs):
+            out = original_solve(*args, **kwargs)
+            alive.extend(ref() is not None for n, ref in made if n == out[0].size)
+            return out
+
+        monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu, spilu=spla.spilu))
+        monkeypatch.setattr(assembly, "_solve_vorticity_stream", solve_vorticity_stream)
+        sol = solve(system)
+        assert sol.stats["precision"] == "float64"
+        assert ("float32_fallback_s" in sol.stats) == (case == "fallback")
+        assert alive == [False]
+
     @pytest.mark.parametrize("case", ["band", "float64"])
     def test_every_solve_factors_L_through_splu(self, case, monkeypatch):
         # the benchmark tracer times the factor and the solves of L through

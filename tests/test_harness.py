@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import splineforms
-from splineforms import assembly, cli, geometry, harness, verification
+from splineforms import assembly, cli, errors, geometry, harness, verification
 from splineforms.harness import (
     CaseConfig,
     _h_max,
@@ -32,7 +32,7 @@ from splineforms.harness import (
     run_manufactured,
     run_taylor_couette,
 )
-from splineforms.errors import ConstructionError, SingularSystemError
+from splineforms.errors import ConstructionError, SingularSystemError, SplineformsError
 from splineforms.spaces import vvp_spaces
 from splineforms.splines import Basis1D
 from splineforms.topology import CellComplex
@@ -428,6 +428,18 @@ def test_version_stamp_forks_git_at_most_once(monkeypatch, tmp_path):
     assert len(calls) <= 1
 
 
+def test_version_stamp_without_git(monkeypatch):
+    def no_git(*args, **kwargs):
+        raise OSError("git: command not found")
+
+    monkeypatch.setattr(subprocess, "run", no_git)
+    _version_stamp.cache_clear()
+    try:
+        assert _version_stamp() == f"splineforms {splineforms.__version__}"
+    finally:
+        _version_stamp.cache_clear()
+
+
 def test_error_quadrature_independence():
     from splineforms.harness import _solution_errors
 
@@ -514,6 +526,20 @@ def test_cavity_files(tmp_path):
     meta = (tmp_path / "run_metadata.txt").read_text()
     for key in ("lu_nnz", "factors", "seconds", "histopolation_cond"):
         assert key not in meta
+
+
+LIBRARY_ERRORS = [obj for obj in vars(errors).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)]
+
+
+def test_every_library_error_is_a_splineforms_error():
+    # one family for callers, each class keeping the base its checks rely
+    # on: a ValueError is an argument error (exit 2) when raised by a setting
+    assert len(LIBRARY_ERRORS) == 7
+    for error in LIBRARY_ERRORS:
+        assert issubclass(error, SplineformsError), error
+        if error is not SplineformsError:
+            assert issubclass(error, (ValueError, RuntimeError)), error
 
 
 class TestCli:
@@ -637,6 +663,18 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == "error: solve residual 2.000e-10 exceeds 1e-10\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda error: error.__name__)
+    def test_every_library_error_exits_1(self, tmp_path, monkeypatch, error):
+        exc = error(2.0) if error is errors.FluxCompatibilityError else error("boom")
+
+        def failing(config):
+            raise exc
+
+        monkeypatch.setattr(harness, "run_cavity", failing)
+        proc = self.run_cli("run", "cavity", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {exc}\n"
 
     def test_a_crashing_check_fails_and_the_others_run(self, monkeypatch):
         ran = []
