@@ -499,7 +499,6 @@ class SaddleSystem:
         self.spaces = spaces  # list of (L0, L1, L2) per patch
         self.patches = patches
         self.nu = float(nu)
-        self.n_quad = n_quad
 
         (self.map0, self.n0), (self.map1, self.n1), (self.map2, self.n2) = (
             _glued_numbering(

@@ -11,6 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import harness
+from .assembly import _peak_rss_mb
 from .errors import ConstructionError, SplineformsError
 from .harness import CASES, CaseConfig, CavityResult, _out_dir, emit_outputs
 
@@ -99,14 +100,14 @@ def _write_stats(config: CaseConfig, run_s: float, output_s: float, minor_faults
     ``levels`` lists the ``Solution.stats`` of each level (the cavity
     has one).  It is outside the bit-exact output set: times and memory
     change from run to run.
-    ``peak_rss_mb`` is ``ru_maxrss`` (KiB on Linux); ``minor_faults``
+    ``peak_rss_mb`` is ``assembly._peak_rss_mb()``; ``minor_faults``
     counts the pages the run and its output first touched (``ru_minflt``).
     """
     stats = {
         "case": config.case,
         "run_s": run_s,
         "output_s": output_s,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
         "minor_faults": minor_faults,
         "levels": level_stats,
     }

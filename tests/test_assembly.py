@@ -1809,7 +1809,10 @@ class TestBandFactor:
 
 
 def scattered_matrix(system):
-    """Test-only oracle: the mixed matrix scattered patch by patch into COO triplets."""
+    """Test-only oracle: the mixed matrix scattered patch by patch into COO triplets.
+
+    The Gram matrices are assembled at the default quadrature.
+    """
     n0, n1, nu = system.n0, system.n1, system.nu
     rows, cols, vals = [], [], []
 
@@ -1824,8 +1827,7 @@ def scattered_matrix(system):
             vals.append(m.data)
 
     for p, (s0, s1, s2) in enumerate(system.spaces):
-        M0, M1, M2 = (assemble_mass(s, system.patches[p], n_quad=system.n_quad).matrix
-                      for s in (s0, s1, s2))
+        M0, M1, M2 = (assemble_mass(s, system.patches[p]).matrix for s in (s0, s1, s2))
         D10 = s0.coboundary_matrix().tocsc()
         D21 = s1.coboundary_matrix().tocsc()
         g0 = system.map0[p]
@@ -1975,14 +1977,14 @@ def seeded_glued_systems(seed):
 def patch_blocks(system):
     """Each block's global shape and its patches' (matrix, row map, column map) parts.
 
-    The patch matrices are ``assemble_mass`` of the patch's spaces and the
-    coboundaries of its complex.
+    The patch matrices are ``assemble_mass`` of the patch's spaces at the
+    default quadrature and the coboundaries of its complex.
     """
     maps, sizes = (system.map0, system.map1, system.map2), (system.n0, system.n1, system.n2)
     blocks = {}
     for k in (0, 1, 2):
         blocks[f"M{k}"] = ((sizes[k],) * 2, [
-            (assemble_mass(triple[k], patch, n_quad=system.n_quad).matrix, maps[k][p], maps[k][p])
+            (assemble_mass(triple[k], patch).matrix, maps[k][p], maps[k][p])
             for p, (triple, patch) in enumerate(zip(system.spaces, system.patches))])
     for k, name in ((0, "D10"), (1, "D21")):
         blocks[name] = ((sizes[k + 1], sizes[k]), [
